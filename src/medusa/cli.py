@@ -9,11 +9,11 @@ and versions.  Exit codes: 0 success, 2 argument/input validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +21,15 @@ import numpy as np
 from . import __version__, criticality, ingest, kinematics, response, sensorsearch, svgplot, synthgen
 from . import esp as esp_mod
 from . import reservoir as rc
-from .errors import MedusaError, ZeroVariance
+from .errors import MedusaError, ValidationError, ZeroVariance
 from .manifest import write_manifest
+from .table import read_csv, write_csv
 
 DATA_DIR_ENV = "MEDUSA_DATA_DIR"
 DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
 DEFAULT_HORIZONS = "0,0.5,1.0,1.5,2.0"
 SOC_LENGTH_CHANNELS = kinematics.RADIAL_PAIR_NAMES + kinematics.CORONAL_PAIR_NAMES
 VELOCITY_CHANNELS = ("vx", "vy", "vz")
-
-
-class ValidationError(Exception):
-    """Bad arguments or unusable input files (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -56,14 +53,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in row])
-
-
 ANALYSIS_COLUMNS = (
     ("t",)
     + kinematics.PAIR_NAMES
@@ -74,22 +63,16 @@ ANALYSIS_COLUMNS = (
 class AnalysisTable:
     """Canonical per-trial analysis series loaded back from CSV."""
 
-    def __init__(self, names: tuple[str, ...], data: np.ndarray, meta: dict):
-        self.names = names
+    def __init__(self, data: np.ndarray, meta: dict):
         self.data = data
         self.meta = meta
 
     @classmethod
     def read(cls, csv_path: Path) -> "AnalysisTable":
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != ANALYSIS_COLUMNS:
-                raise ValidationError(f"unexpected analysis CSV header in {csv_path}")
-            data = np.array([[float(v) for v in row] for row in reader])
+        data = read_csv(csv_path, ANALYSIS_COLUMNS)
         json_path = csv_path.with_suffix(".json")
         meta = json.loads(json_path.read_text()) if json_path.exists() else {}
-        return cls(header, data, meta)
+        return cls(data, meta)
 
     @property
     def t(self) -> np.ndarray:
@@ -102,7 +85,7 @@ class AnalysisTable:
         return float(1.0 / np.median(np.diff(self.t)))
 
     def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.names.index(name)]
+        return self.data[:, ANALYSIS_COLUMNS.index(name)]
 
     def columns(self, names) -> np.ndarray:
         return np.column_stack([self.column(n) for n in names])
@@ -119,16 +102,11 @@ class AnalysisTable:
 
 def _write_analysis(out: Path, table: dict[str, np.ndarray], meta: dict) -> list[Path]:
     csv_path = out / "analysis.csv"
-    names = list(ANALYSIS_COLUMNS)
-    data = np.column_stack([table[name] for name in names])
-    _write_csv(csv_path, names, ([float(v) for v in row] for row in data))
+    data = np.column_stack([table[name] for name in ANALYSIS_COLUMNS])
+    write_csv(csv_path, ANALYSIS_COLUMNS, data.T)
     json_path = out / "analysis.json"
     json_path.write_text(json.dumps(meta, indent=2, default=str) + "\n")
     return [csv_path, json_path]
-
-
-def _standardized(cols: np.ndarray) -> np.ndarray:
-    return kinematics.standardize(cols)
 
 
 def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.ndarray:
@@ -208,10 +186,7 @@ def cmd_ingest(args) -> int:
     if trial.condition == "stimulated":
         threshold = 0.5 * (led.max() + led.min())
         active, _ = ingest.align_stimulus(led, threshold, frame_rate)
-        trial = ingest.TrialRecording(
-            trial.animal_id, trial.condition, trial.positions, active,
-            period_s=trial.period_s, frame_rate=frame_rate,
-        )
+        trial = replace(trial, stimulus=active)
     trial = ingest.interpolate_gaps(trial, args.max_gap)
 
     csv_path = out / "trial.csv"
@@ -232,17 +207,12 @@ def cmd_kinematics(args) -> int:
     trial = ingest.read_trial_csv(trial_path)
     fs = trial.frame_rate
 
-    positions = trial.positions
     if not args.no_filter:
-        flat = positions.reshape(trial.n_frames, -1)
+        flat = trial.positions.reshape(trial.n_frames, -1)
         filtered = np.column_stack(
             [_lowpass_valid_segments(flat[:, c], trial.valid_mask, fs) for c in range(24)]
         )
-        positions = filtered.reshape(trial.n_frames, 8, 3)
-        trial = ingest.TrialRecording(
-            trial.animal_id, trial.condition, positions, trial.stimulus,
-            period_s=trial.period_s, frame_rate=fs, valid_mask=trial.valid_mask,
-        )
+        trial = replace(trial, positions=filtered.reshape(trial.n_frames, 8, 3))
 
     lengths = kinematics.pairwise_lengths(trial)
     pose = kinematics.body_frame(trial)
@@ -275,7 +245,7 @@ def _soc_channels(table: AnalysisTable) -> dict[str, np.ndarray]:
     channels: dict[str, np.ndarray] = {}
     for name in SOC_LENGTH_CHANNELS + ("inner_radius", "outer_radius"):
         try:
-            channels[name] = _standardized(table.column(name))
+            channels[name] = kinematics.standardize(table.column(name))
         except ZeroVariance:
             continue
     for name in VELOCITY_CHANNELS:
@@ -319,14 +289,14 @@ def cmd_soc(args) -> int:
 
     outputs = []
     p = out / "psd.csv"
-    _write_csv(p, ["channel", "freq_hz", "power"], psd_rows)
+    write_csv(p, ["channel", "freq_hz", "power"], zip(*psd_rows))
     outputs.append(p)
     p = out / "events.csv"
-    _write_csv(p, ["channel", "onset_s", "duration_s", "size"], event_rows)
+    write_csv(p, ["channel", "onset_s", "duration_s", "size"], zip(*event_rows))
     outputs.append(p)
     p = out / "fits.csv"
-    _write_csv(p, ["channel", "kind", "alpha", "intercept", "lo", "hi", "r2_loglog", "n_points"],
-               fit_rows)
+    write_csv(p, ["channel", "kind", "alpha", "intercept", "lo", "hi", "r2_loglog", "n_points"],
+              zip(*fit_rows))
     outputs.append(p)
     if freqs is not None:
         p = out / "psd_loglog.svg"
@@ -357,7 +327,7 @@ def cmd_phase(args) -> int:
         series = table.column(name)
         if name not in VELOCITY_CHANNELS:
             try:
-                series = _standardized(series)
+                series = kinematics.standardize(series)
             except ZeroVariance:
                 continue
         pr = response.phase_response(series, onsets, fs)
@@ -369,7 +339,7 @@ def cmd_phase(args) -> int:
 
     outputs = []
     p = out / "phase.csv"
-    _write_csv(p, ["channel", "phase", "mean", "sd", "n_segments"], rows)
+    write_csv(p, ["channel", "phase", "mean", "sd", "n_segments"], zip(*rows))
     outputs.append(p)
     p = out / "phase_means.svg"
     svgplot.line_plot(
@@ -400,9 +370,9 @@ def _esp_channel_sets(tables, n) -> dict[str, list[np.ndarray]]:
         channel_sets[axis] = []
     for t in tables:
         lengths = t.columns(SOC_LENGTH_CHANNELS)[:n]
-        channel_sets["lengths"].append(_standardized(lengths))
+        channel_sets["lengths"].append(kinematics.standardize(lengths))
         for axis in VELOCITY_CHANNELS:
-            channel_sets[axis].append(_standardized(t.column(axis)[:n]))
+            channel_sets[axis].append(kinematics.standardize(t.column(axis)[:n]))
     return channel_sets
 
 
@@ -476,12 +446,12 @@ def cmd_esp(args) -> int:
 
     outputs = []
     p = out / "esp.csv"
-    _write_csv(p, ["condition", "channel_set", "reference", "P", "index"], rows)
+    write_csv(p, ["condition", "channel_set", "reference", "P", "index"], zip(*rows))
     outputs.append(p)
     if stats_rows:
         p = out / "stats.csv"
-        _write_csv(p, ["test", "channel_set", "groups", "statistic", "p", "p_adjusted"],
-                   stats_rows)
+        write_csv(p, ["test", "channel_set", "groups", "statistic", "p", "p_adjusted"],
+                  zip(*stats_rows))
         outputs.append(p)
     p = out / "esp_bars.svg"
     svgplot.bar_chart(
@@ -517,7 +487,7 @@ def _targets_from_table(table: AnalysisTable, target_names, pulsatile: bool):
         onsets = table.stim_onsets()
         if onsets.size == 0:
             onsets = rc.detect_pulse_onsets(
-                _standardized(table.column("vz")), table.frame_rate
+                kinematics.standardize(table.column("vz")), table.frame_rate
             )
         euler = table.columns(["ea", "eb", "eg"])
         return rc.build_targets(v, table.frame_rate, onset_indices=onsets,
@@ -555,7 +525,7 @@ def cmd_train(args) -> int:
     fs = table.frame_rate
     sensor_names = _parse_names(args.sensors)
     target_names = _parse_names(args.targets)
-    sensors = _standardized(table.columns(sensor_names))
+    sensors = kinematics.standardize(table.columns(sensor_names))
     targets = _targets_from_table(table, target_names, args.pulsatile)
     config = _config_from_args(args, len(sensor_names), fs)
     washout = _washout_value(args, args.pulsatile)
@@ -585,8 +555,8 @@ def cmd_train(args) -> int:
     )
     outputs = [model_path]
     p = out / "train_scores.csv"
-    _write_csv(p, ["horizon_s", "r2_insample"],
-               [(h, scores[h]) for h in model.horizons_s])
+    write_csv(p, ["horizon_s", "r2_insample"],
+              [model.horizons_s, [scores[h] for h in model.horizons_s]])
     outputs.append(p)
     write_manifest(out, "train", vars(args), [path], outputs,
                    seed=args.seed, elapsed_s=time.perf_counter() - started)
@@ -628,7 +598,7 @@ def cmd_predict(args) -> int:
     config, model, extras = _load_model(model_path)
     path = _resolve_input(args.input)
     table = AnalysisTable.read(path)
-    sensors = _standardized(table.columns(extras["sensor_names"]))
+    sensors = kinematics.standardize(table.columns(extras["sensor_names"]))
     targets = _targets_from_table(table, model.target_names, extras["pulsatile"])
     if tuple(targets.names) != tuple(model.target_names):
         raise ValidationError(
@@ -640,7 +610,7 @@ def cmd_predict(args) -> int:
 
     t = table.t
     fs = table.frame_rate
-    rows = []
+    parts = []      # per (horizon, target): the five predictions.csv columns
     score_rows = []
     heat = np.full((len(targets.names), len(model.horizons_s)), np.nan)
     for col, h_s in enumerate(sorted(predictions)):
@@ -650,20 +620,21 @@ def cmd_predict(args) -> int:
         for row, name in enumerate(targets.names):
             actual = targets.values[model.washout + h:, row]
             est = pred[model.washout:stop, row]
-            rows += [
-                (float(t[k + model.washout]), name, h_s, float(est[k]), float(actual[k]))
-                for k in range(0, est.shape[0], max(1, args.stride_out))
-            ]
+            kept = slice(0, est.shape[0], max(1, args.stride_out))
+            predicted = est[kept]
+            parts.append((t[model.washout:][kept], np.full(predicted.size, name, dtype=object),
+                          np.full(predicted.size, h_s), predicted, actual[kept]))
             score = rc.r2(est, actual)
             heat[row, col] = score
             score_rows.append((name, h_s, score))
 
     outputs = []
     p = out / "predictions.csv"
-    _write_csv(p, ["t", "target", "horizon_s", "predicted", "actual"], rows)
+    write_csv(p, ["t", "target", "horizon_s", "predicted", "actual"],
+              [np.concatenate(column) for column in zip(*parts)])
     outputs.append(p)
     p = out / "scores.csv"
-    _write_csv(p, ["target", "horizon_s", "r2"], score_rows)
+    write_csv(p, ["target", "horizon_s", "r2"], zip(*score_rows))
     outputs.append(p)
     p = out / "r2_heatmap.svg"
     svgplot.heatmap(p, heat, targets.names, [f"{h:g}s" for h in sorted(predictions)],
@@ -688,7 +659,7 @@ def cmd_confusion(args) -> int:
     for label, path in labeled.items():
         table = AnalysisTable.read(path)
         fs = fs or table.frame_rate
-        sensors = _standardized(table.columns(sensor_names))
+        sensors = kinematics.standardize(table.columns(sensor_names))
         targets = _targets_from_table(table, target_names, pulsatile=False)
         sets[label] = (sensors, targets.values)
 
@@ -706,8 +677,7 @@ def cmd_confusion(args) -> int:
     outputs = []
     p = out / "confusion.csv"
     header = ["train\\eval"] + result.names
-    rows = [[name] + [float(v) for v in result.matrix[i]] for i, name in enumerate(result.names)]
-    _write_csv(p, header, rows)
+    write_csv(p, header, [result.names, *result.matrix.astype(float).T])
     outputs.append(p)
     p = out / "confusion_heatmap.svg"
     svgplot.heatmap(p, result.matrix, result.names, result.names,
@@ -725,7 +695,7 @@ def cmd_search_sensors(args) -> int:
     path = _resolve_input(args.input)
     table = AnalysisTable.read(path)
     pool_cols = list(kinematics.PAIR_NAMES) + ["inner_radius", "outer_radius"]
-    data = _standardized(table.columns(pool_cols))
+    data = kinematics.standardize(table.columns(pool_cols))
 
     tasks: dict[str, np.ndarray] = {a: table.column(a) for a in VELOCITY_CHANNELS}
     stim = table.column("stim")
@@ -737,12 +707,12 @@ def cmd_search_sensors(args) -> int:
     )
     outputs = []
     p = out / "search_best.csv"
-    _write_csv(p, ["task", "best_subset", "r2"],
-               [(t, "+".join(r.subset), r.r2) for t, r in report.best.items()])
+    write_csv(p, ["task", "best_subset", "r2"],
+              zip(*[(t, "+".join(r.subset), r.r2) for t, r in report.best.items()]))
     outputs.append(p)
     p = out / "search_tally.csv"
-    _write_csv(p, ["sensor", "tally"],
-               [(name, report.tally[name]) for name in report.pool_names])
+    write_csv(p, ["sensor", "tally"],
+              [report.pool_names, [report.tally[name] for name in report.pool_names]])
     outputs.append(p)
     summary = {
         "n_subsets": report.n_subsets,

@@ -1,6 +1,10 @@
 """Exception hierarchy shared by all medusa modules."""
 
 
+class ValidationError(Exception):
+    """Bad arguments or unusable input files (exit code 2)."""
+
+
 class MedusaError(Exception):
     """Base class for all errors raised by this package."""
 

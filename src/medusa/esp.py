@@ -28,7 +28,6 @@ class EspParams:
 
     transient_s: float = 2.0
     horizon_s: float = DEFAULT_HORIZON_S
-    channels: str = ""
 
     def __post_init__(self):
         if not 0 <= self.transient_s < self.horizon_s:

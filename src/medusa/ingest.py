@@ -27,7 +27,6 @@ Corner order ``c1..c4`` corresponds to face coordinates
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,7 +37,9 @@ from .errors import (
     DegenerateCorners,
     NoConfidentView,
     NoOnsetsFound,
+    ValidationError,
 )
+from .table import read_csv, write_csv
 
 MARKER_LABELS: tuple[str, ...] = ("R1", "R2", "Y1", "Y2", "O1", "O2", "B1", "B2")
 OUTER_MARKERS: tuple[str, ...] = ("R1", "Y1", "O1", "B1")
@@ -337,46 +338,29 @@ def align_stimulus(
 # File I/O
 # ---------------------------------------------------------------------------
 
-_VIEW_POINTS = CORNER_LABELS + MARKER_LABELS
-
-
-def view_csv_header() -> list[str]:
-    cols = ["frame"]
-    for p in _VIEW_POINTS:
-        cols += [f"{p}_x", f"{p}_y", f"{p}_conf"]
-    cols += list(LED_LABELS)
-    return cols
+VIEW_COLUMNS: tuple[str, ...] = ("frame",) + tuple(
+    f"{p}_{axis}" for p in CORNER_LABELS + MARKER_LABELS for axis in ("x", "y", "conf")
+) + LED_LABELS
+TRIAL_COLUMNS: tuple[str, ...] = ("frame", "t") + tuple(
+    f"{m}_{axis}" for m in MARKER_LABELS for axis in "xyz"
+) + ("stim", "valid")
 
 
 def write_view_csv(path: str | Path, view: RawViewSeries) -> None:
     """Write one view to CSV in the canonical 12-point layout."""
-    n = view.n_frames
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(view_csv_header())
-        for i in range(n):
-            row: list = [i]
-            for c in range(4):
-                row += [view.corners[i, c, 0], view.corners[i, c, 1], view.corners_conf[i, c]]
-            for m in range(8):
-                row += [view.markers[i, m, 0], view.markers[i, m, 1], view.markers_conf[i, m]]
-            row += [view.led[i, 0], view.led[i, 1]]
-            w.writerow([f"{v:.9g}" if isinstance(v, float) else v for v in row])
+    columns = [np.arange(view.n_frames)]
+    for xy, conf in ((view.corners, view.corners_conf), (view.markers, view.markers_conf)):
+        for p in range(xy.shape[1]):
+            columns += [xy[:, p, 0], xy[:, p, 1], conf[:, p]]
+    columns += [view.led[:, 0], view.led[:, 1]]
+    write_csv(path, VIEW_COLUMNS, columns)
 
 
 def read_view_csv(
     path: str | Path, view_name: str, frame_rate: float = DEFAULT_FRAME_RATE
 ) -> RawViewSeries:
     """Read one view CSV written in the canonical layout."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = view_csv_header()
-        if header != expected:
-            raise ValueError(f"unexpected view CSV header in {path}")
-        data = np.array([[float(v) for v in row] for row in reader])
-    if data.ndim != 2 or data.shape[1] != len(expected):
-        raise ValueError(f"malformed view CSV {path}")
+    data = read_csv(path, VIEW_COLUMNS)
     n = data.shape[0]
     pts = data[:, 1:1 + 36].reshape(n, 12, 3)
     return RawViewSeries(
@@ -390,54 +374,31 @@ def read_view_csv(
     )
 
 
-def trial_csv_header() -> list[str]:
-    cols = ["frame", "t"]
-    for m in MARKER_LABELS:
-        cols += [f"{m}_x", f"{m}_y", f"{m}_z"]
-    cols += ["stim", "valid"]
-    return cols
-
-
-def write_trial_csv(trial: TrialRecording, csv_path: str | Path,
-                    json_path: str | Path | None = None) -> None:
+def write_trial_csv(trial: TrialRecording, csv_path: str | Path) -> None:
     """Write the canonical trial CSV plus its JSON metadata sidecar."""
     csv_path = Path(csv_path)
-    t = trial.times
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(trial_csv_header())
-        for i in range(trial.n_frames):
-            row = [str(i), f"{t[i]:.9g}"]
-            row += [f"{v:.9g}" for v in trial.positions[i].ravel()]
-            row += [str(int(trial.stimulus[i])), str(int(trial.valid_mask[i]))]
-            w.writerow(row)
+    n = trial.n_frames
+    write_csv(csv_path, TRIAL_COLUMNS, [
+        np.arange(n), trial.times, *trial.positions.reshape(n, 24).T,
+        trial.stimulus, trial.valid_mask.astype(np.uint8),
+    ])
     meta = {
         "animal_id": trial.animal_id,
         "condition": trial.condition,
         "period_s": trial.period_s,
         "frame_rate": trial.frame_rate,
     }
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def read_trial_csv(csv_path: str | Path,
-                   json_path: str | Path | None = None) -> TrialRecording:
+def read_trial_csv(csv_path: str | Path) -> TrialRecording:
     """Read a canonical trial CSV (and its JSON sidecar) back into memory."""
-    csv_path = Path(csv_path)
-    if json_path is None:
-        json_path = csv_path.with_suffix(".json")
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != trial_csv_header():
-            raise ValueError(f"unexpected trial CSV header in {csv_path}")
-        data = np.array([[float(v) for v in row] for row in reader])
+    json_path = Path(csv_path).with_suffix(".json")
+    try:
+        meta = json.loads(json_path.read_text())
+    except FileNotFoundError as exc:
+        raise ValidationError(f"trial metadata not found: {json_path}") from exc
+    data = read_csv(csv_path, TRIAL_COLUMNS)
     n = data.shape[0]
     return TrialRecording(
         animal_id=meta.get("animal_id", ""),

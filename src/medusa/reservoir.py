@@ -247,15 +247,13 @@ def esn_run(
     state: EsnState,
     inputs: MuxedInput | np.ndarray,
     leak: float | None = None,
-    leak_on_state: bool = False,
 ) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
     The input is pre-integrated with the leak before entering the tanh
-    update; ``leak == 0`` recovers the plain update.  ``leak_on_state``
-    applies the leak to the activations instead (alternative placement,
-    off by default).  Row t of the result is the state after consuming
-    input row t; the caller's ``state`` is not mutated.
+    update; ``leak == 0`` recovers the plain update.  Row t of the result
+    is the state after consuming input row t; the caller's ``state`` is
+    not mutated.
     """
     u = inputs.values if isinstance(inputs, MuxedInput) else np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -267,11 +265,6 @@ def esn_run(
     n = u.shape[0]
     traj = np.empty((n, a.shape[0]))
     x = state.state.copy()
-    if leak_on_state:
-        for t in range(n):
-            x = (1.0 - lam) * np.tanh(a @ u[t] + b @ x) + lam * x
-            traj[t] = x
-        return traj
     u_tilde = np.zeros(a.shape[1])
     for t in range(n):
         u_tilde = lam * u_tilde + (1.0 - lam) * u[t]
@@ -813,10 +806,6 @@ class CompactEvaluator:
             self._features, self._out,
         )
         return int(sum(arr.nbytes for arr in arrays))
-
-    def reset(self) -> None:
-        self._u_tilde[:] = 0
-        self._x[:] = 0
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """Consume one muxed input row; returns a view of the output buffer."""

@@ -18,19 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTask
-from .kinematics import PAIR_NAMES, BodyFrameSeries, LengthSeries
+from .kinematics import PAIR_NAMES
 
 POOL_SIZE = 30
 DEFAULT_K_MAX = 5
 RADIUS_NAMES = ("inner_radius", "outer_radius")
 POOL_NAMES: tuple[str, ...] = PAIR_NAMES + RADIUS_NAMES
 _TIE_TOL = 1e-9
-
-
-def sensor_pool(lengths: LengthSeries, pose: BodyFrameSeries) -> tuple[tuple[str, ...], np.ndarray]:
-    """Assemble the 30-column candidate matrix in canonical pool order."""
-    values = np.column_stack([lengths.values, pose.inner_radius, pose.outer_radius])
-    return POOL_NAMES, values
 
 
 def count_subsets(pool_size: int, k_max: int) -> int:
@@ -179,7 +173,7 @@ def search_best(
     }
     n_subsets = 0
 
-    def merge(idx_len: int, picks) -> None:
+    def merge(picks) -> None:
         # enumeration runs smallest k first and lexicographically within k,
         # so a strict improvement test encodes the tie-breaking rule
         for t, (score, subset) in zip(task_names, picks):
@@ -195,12 +189,12 @@ def search_best(
         with ThreadPoolExecutor(max_workers=n_workers) as pool_exec:
             work = list(chunks())
             n_subsets = sum(w[0].shape[0] for w in work)
-            for w, picks in zip(work, pool_exec.map(_eval_chunk, work)):
-                merge(w[0].shape[0], picks)
+            for picks in pool_exec.map(_eval_chunk, work):
+                merge(picks)
     else:
         for w in chunks():
             n_subsets += w[0].shape[0]
-            merge(w[0].shape[0], _eval_chunk(w))
+            merge(_eval_chunk(w))
 
     tally = {name: 0 for name in pool_names}
     for t in task_names:

@@ -162,6 +162,44 @@ def test_missing_input_exits_2(tmp_path):
     assert run("soc", "--input", tmp_path / "nope.csv", "--out", tmp_path / "o") == 2
 
 
+def _malformed_input(tmp_path, case):
+    """Write one malformed input; return (argv, the file to be named)."""
+    trial = ingest.TrialRecording("JF1", "spontaneous", ring_positions(30), np.zeros(30))
+    trial_csv = tmp_path / "trial.csv"
+    ingest.write_trial_csv(trial, trial_csv)
+    lines = trial_csv.read_bytes().decode().split("\r\n")
+    kinematics = ["kinematics", "--input", trial_csv]
+    if case == "analysis_header_only":
+        bad = tmp_path / "analysis.csv"
+        bad.write_bytes((",".join(cli.ANALYSIS_COLUMNS) + "\r\n").encode())
+        return ["soc", "--input", bad], bad
+    if case == "trial_ragged_row":
+        lines[5] = lines[5].rsplit(",", 1)[0]
+    elif case == "trial_header":
+        lines[0] = lines[0].replace("R1_x", "R1_X")
+    elif case == "trial_missing_sidecar":
+        trial_csv.with_suffix(".json").unlink()
+        return kinematics, trial_csv.with_suffix(".json")
+    elif case == "view_header":
+        prefix = tmp_path / "jf"
+        for name, view in make_views(ring_positions(30)).items():
+            ingest.write_view_csv(f"{prefix}_{name}.csv", view)
+        (tmp_path / "jf.json").write_text(json.dumps({"condition": "spontaneous"}))
+        bad = tmp_path / "jf_behind.csv"
+        bad.write_bytes(bad.read_bytes().replace(b"led_on", b"led_1", 1))
+        return ["ingest", "--input", prefix], bad
+    trial_csv.write_bytes("\r\n".join(lines).encode())
+    return kinematics, trial_csv
+
+
+@pytest.mark.parametrize("case", ["analysis_header_only", "trial_ragged_row", "trial_header",
+                                  "trial_missing_sidecar", "view_header"])
+def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    argv, bad = _malformed_input(tmp_path, case)
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_reruns_are_bit_identical(tmp_path):
     out1 = synth_trial(tmp_path, name="r1", seed=11)
     out2 = synth_trial(tmp_path, name="r2", seed=11)
