@@ -2,14 +2,4 @@
 
 __version__ = "0.1.0"
 
-from . import (  # noqa: F401
-    criticality,
-    esp,
-    ingest,
-    kinematics,
-    reservoir,
-    response,
-    sensorsearch,
-    synthgen,
-)
 from .errors import MedusaError  # noqa: F401

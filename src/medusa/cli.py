@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, criticality, ingest, kinematics, response, sensorsearch, svgplot, synthgen
+from . import __version__, criticality, ingest, kinematics, sensorsearch, svgplot, synthgen
 from . import esp as esp_mod
 from . import reservoir as rc
 from .errors import MedusaError, ValidationError, ZeroVariance
@@ -312,6 +312,8 @@ def cmd_soc(args) -> int:
 
 
 def cmd_phase(args) -> int:
+    from . import response  # loads scipy.stats, which only phase and esp need
+
     out = _out_dir(args)
     started = time.perf_counter()
     path = _resolve_input(args.input)
@@ -391,6 +393,8 @@ def _esp_one_condition(paths, params):
 
 
 def cmd_esp(args) -> int:
+    from . import response
+
     out = _out_dir(args)
     started = time.perf_counter()
     params = esp_mod.EspParams(transient_s=args.transient, horizon_s=args.horizon)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .errors import InsufficientBins, InsufficientEvents, TooShort
 
@@ -99,6 +98,8 @@ def psd(
         series variance exactly, which keeps the Parseval check tight for
         arbitrary finite input.
     """
+    from scipy import signal as sp_signal
+
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("psd expects a single channel")

@@ -83,3 +83,7 @@ class PeriodTooShort(MedusaError):
 
 class BlobCorrupt(MedusaError):
     """A compact model blob failed magic/dimension validation."""
+
+
+class InvalidFrames(MedusaError):
+    """Sensor or target rows hold NaN/inf (invalid frames) where a stage needs every row."""

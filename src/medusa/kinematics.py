@@ -10,7 +10,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from .errors import DegenerateRing, TooShort, ZeroVariance
 from .ingest import MARKER_LABELS, TrialRecording
@@ -250,6 +249,8 @@ def lowpass_3hz(series: np.ndarray, frame_rate: float, cutoff_hz: float = 3.0) -
     Requires a uniform sampling rate of at least 10 Hz and a series at
     least three settle lengths long.
     """
+    from scipy import signal as sp_signal
+
     if frame_rate < 10.0:
         raise ValueError("lowpass_3hz requires a sampling rate of at least 10 Hz")
     x = np.asarray(series, dtype=float)
@@ -264,10 +265,16 @@ def lowpass_3hz(series: np.ndarray, frame_rate: float, cutoff_hz: float = 3.0) -
 
 
 def standardize(series: np.ndarray) -> np.ndarray:
-    """Shift and scale each channel to mean 0 and population SD 1."""
+    """Shift and scale each channel to mean 0 and population SD 1.
+
+    Mean and SD come from the rows where every channel is finite, so the
+    NaN rows of invalid frames stay NaN without turning every row NaN.
+    """
     x = np.asarray(series, dtype=float)
-    mean = x.mean(axis=0)
-    sd = x.std(axis=0)
+    finite = np.isfinite(x) if x.ndim == 1 else np.isfinite(x).all(axis=1)
+    ref = x[finite] if finite.any() and not finite.all() else x
+    mean = ref.mean(axis=0)
+    sd = ref.std(axis=0)
     if np.any(sd == 0):
         raise ZeroVariance("cannot standardize a constant channel")
     return (x - mean) / sd

@@ -24,6 +24,7 @@ from .errors import (
     BlobCorrupt,
     ConfigMismatch,
     ConstantTarget,
+    InvalidFrames,
     RankDeficient,
     SeedCollapse,
     TooShort,
@@ -254,6 +255,10 @@ def esn_run(
     update; ``leak == 0`` recovers the plain update.  Row t of the result
     is the state after consuming input row t; the caller's ``state`` is
     not mutated.
+
+    The input drive A·ũ does not depend on the state, so it is computed
+    for every step at once (one matrix product into the result buffer);
+    the loop then only adds the recurrence B·x and applies tanh in place.
     """
     u = inputs.values if isinstance(inputs, MuxedInput) else np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -262,14 +267,15 @@ def esn_run(
     if u.shape[1] != a.shape[1]:
         raise ValueError(f"input width {u.shape[1]} does not match weights {a.shape[1]}")
     lam = state.config.leak if leak is None else leak
-    n = u.shape[0]
-    traj = np.empty((n, a.shape[0]))
-    x = state.state.copy()
-    u_tilde = np.zeros(a.shape[1])
-    for t in range(n):
-        u_tilde = lam * u_tilde + (1.0 - lam) * u[t]
-        x = np.tanh(a @ u_tilde + b @ x)
-        traj[t] = x
+    if lam != 0.0:
+        u = leaky_integrate(u, lam)
+    traj = np.empty((u.shape[0], a.shape[0]))
+    np.matmul(u, a.T, out=traj)
+    x = state.state
+    for row in traj:
+        row += b @ x
+        np.tanh(row, out=row)
+        x = row
     return traj
 
 
@@ -288,6 +294,16 @@ def assemble_features(architecture: str, states: np.ndarray | None,
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise InvalidFrames naming the count and first index of non-finite rows."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise InvalidFrames(
+            f"{what} has {int(bad.sum())} non-finite rows of {bad.size} "
+            f"(first at row {int(bad.argmax())})"
+        )
+
+
 def reservoir_features(
     sensors: np.ndarray,
     config: ReservoirConfig,
@@ -301,6 +317,8 @@ def reservoir_features(
         raise ConfigMismatch(
             f"data has {x.shape[1]} sensors but the configuration declares {config.n_sensors}"
         )
+    # one NaN input would carry through the recurrence into every later state
+    _require_finite(x, "sensor input")
     mux = build_mux(x, config.mux_horizon_s, config.mux_stride, config.frame_rate,
                     scale=mux_scale)
     if config.architecture == "prc":
@@ -372,6 +390,7 @@ def train_readout(
         y = y[:, None]
     if f.shape[0] != y.shape[0]:
         raise ValueError("features and targets must share one sample count")
+    _require_finite(y, "target")
     n_post = f.shape[0] - washout
     d_aug = f.shape[1] + 1
     if n_post < 3 * d_aug:
@@ -454,6 +473,7 @@ def train_horizons(
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
+    _require_finite(y, "target")
     horizons_s = tuple(float(h) for h in horizons_s)
     if any(h < 0 for h in horizons_s):
         raise ValueError("horizons must be non-negative")

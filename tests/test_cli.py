@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,3 +263,51 @@ def test_report_lists_runs(tmp_path, capsys):
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert report["n_runs"] >= 2
     assert "synth" in capsys.readouterr().out
+
+
+def _gappy_analysis(tmp_path):
+    """A stimulated trial with one marker missing for 20 frames, as kinematics sees it."""
+    raw = synth_trial(tmp_path, name="gappy_raw", seconds=60.0, seed=4)
+    trial = ingest.read_trial_csv(raw / "trial.csv")
+    positions = trial.positions.copy()
+    positions[1500:1520, 0] = np.nan
+    valid = trial.valid_mask.copy()
+    valid[1500:1520] = False
+    ingest.write_trial_csv(replace(trial, positions=positions, valid_mask=valid),
+                           raw / "trial.csv")
+    analysis = analysis_for(tmp_path, raw / "trial.csv", name="gappy_kin")
+    data = np.loadtxt(analysis, delimiter=",", skiprows=1)
+    assert 0 < np.isnan(data).any(axis=1).sum() < 100
+    return analysis
+
+
+def test_train_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):
+    analysis = _gappy_analysis(tmp_path)
+    assert run("train", "--input", analysis, "--pulsatile", "--horizons", "0",
+               "--out", tmp_path / "model") == 1
+    err = capsys.readouterr().err
+    assert "InvalidFrames: sensor input has 20 non-finite rows of 3600 (first at row 1500)" in err
+    assert not (tmp_path / "model" / "model.npz").exists()
+
+
+def test_predict_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):
+    clean = analysis_for(tmp_path, synth_trial(tmp_path, seconds=60.0) / "trial.csv")
+    model_dir = tmp_path / "model"
+    assert run("train", "--input", clean, "--pulsatile", "--horizons", "0",
+               "--out", model_dir) == 0
+    analysis = _gappy_analysis(tmp_path)
+    capsys.readouterr()
+    assert run("predict", "--model", model_dir / "model.npz", "--input", analysis,
+               "--out", tmp_path / "pred") == 1
+    err = capsys.readouterr().err
+    assert "InvalidFrames: sensor input has 20 non-finite rows of 3600 (first at row 1500)" in err
+    assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
+def test_light_commands_do_not_import_scipy_submodules():
+    code = ("import sys; import medusa.cli; "
+            "from medusa import synthgen, kinematics, reservoir, sensorsearch; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

@@ -271,6 +271,18 @@ def test_standardize_constant_raises():
         kinematics.standardize(np.ones(50))
 
 
+def test_standardize_keeps_invalid_rows_local():
+    rng = np.random.default_rng(4)
+    x = rng.normal(3.0, 2.5, size=(400, 3))
+    gappy = x.copy()
+    gappy[100:120, 1] = np.nan
+    keep = np.ones(400, dtype=bool)
+    keep[100:120] = False
+    out = kinematics.standardize(gappy)
+    assert np.isnan(out[100:120, 1]).all()
+    np.testing.assert_array_equal(out[keep], kinematics.standardize(x[keep]))
+
+
 def test_standardize_commutes_with_time_reversal():
     rng = np.random.default_rng(2)
     x = rng.normal(size=300)

@@ -6,6 +6,7 @@ from medusa.errors import (
     BlobCorrupt,
     ConfigMismatch,
     ConstantTarget,
+    InvalidFrames,
     TooShort,
     UntrainedHorizon,
 )
@@ -133,6 +134,58 @@ def test_leak_zero_recovers_plain_update():
     a = rc.esn_run(state, mux, leak=0.0)
     b = rc.esn_run(state, mux)
     np.testing.assert_array_equal(a, b)
+
+
+def _esn_run_stepwise(state, u, leak):
+    """The step-by-step loop esn_run replaced: A·ũ recomputed at every step."""
+    a, b = state.input_weights, state.recurrent_weights
+    traj = np.empty((u.shape[0], a.shape[0]))
+    x = state.state.copy()
+    u_tilde = np.zeros(a.shape[1])
+    for t in range(u.shape[0]):
+        u_tilde = leak * u_tilde + (1.0 - leak) * u[t]
+        x = np.tanh(a @ u_tilde + b @ x)
+        traj[t] = x
+    return traj
+
+
+@pytest.mark.parametrize("leak", [0.0, 0.3])
+@pytest.mark.parametrize("n_sensors,mux_s", [(1, 0.0), (4, 2.0), (8, 2.2)])
+def test_esn_run_matches_stepwise_loop(leak, n_sensors, mux_s):
+    cfg = make_config(n_sensors=n_sensors, mux_horizon_s=mux_s, leak=leak)
+    assert cfg.input_width in (1, 84, 184)
+    base = rc.esn_init(cfg)
+    x0 = np.random.default_rng(5).uniform(-1, 1, cfg.n_nodes)
+    state = rc.EsnState(base.input_weights, base.recurrent_weights, x0, cfg)
+    mux = rc.build_mux(random_sensors(3000, s=n_sensors, seed=6), mux_s, 6, FS)
+    got = rc.esn_run(state, mux)
+    assert np.abs(got - _esn_run_stepwise(state, mux.values, leak)).max() <= 1e-12
+    np.testing.assert_array_equal(state.state, x0)
+
+
+def test_leaky_integrate_matches_inline_recurrence():
+    u = np.random.default_rng(8).normal(size=(500, 7))
+    expected = np.empty_like(u)
+    u_tilde = np.zeros(u.shape[1])
+    for t in range(u.shape[0]):
+        u_tilde = 0.3 * u_tilde + (1.0 - 0.3) * u[t]
+        expected[t] = u_tilde
+    np.testing.assert_array_equal(rc.leaky_integrate(u, 0.3), expected)
+
+
+def test_non_finite_rows_raise_invalid_frames():
+    cfg = make_config(architecture="prc")
+    sensors = random_sensors(2000, seed=9)
+    sensors[700:705, 2] = np.nan
+    with pytest.raises(InvalidFrames, match=r"5 non-finite rows of 2000 \(first at row 700\)"):
+        rc.reservoir_features(sensors, cfg)
+    features = rc.reservoir_features(random_sensors(2000, seed=9), cfg)
+    targets = np.random.default_rng(10).normal(size=(2000, 2))
+    targets[1900, 1] = np.inf
+    with pytest.raises(InvalidFrames, match="first at row 1900"):
+        rc.train_readout(features, targets, washout=100)
+    with pytest.raises(InvalidFrames, match="first at row 1900"):
+        rc.train_horizons(features, targets, [0.0], washout=100, frame_rate=FS)
 
 
 def _state_distance_after(cfg, n_steps, seed):
