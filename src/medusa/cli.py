@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, criticality, ingest, kinematics, sensorsearch, svgplot, synthgen
 from . import esp as esp_mod
 from . import reservoir as rc
-from .errors import MedusaError, ValidationError, ZeroVariance
+from .errors import MedusaError, ValidationError, ZeroVariance, require_finite
 from .manifest import write_manifest
 from .table import read_csv, write_csv
 
@@ -260,10 +260,14 @@ def cmd_soc(args) -> int:
     table = AnalysisTable.read(path)
     fs = table.frame_rate
 
+    channels = _soc_channels(table)
+    # checked before the loop: its MedusaError handlers would drop the error
+    # and a NaN sample poisons every Welch segment that holds it
+    require_finite(np.column_stack(list(channels.values())), "soc input")
     psd_rows, event_rows, fit_rows = [], [], []
     psd_curves: dict[str, np.ndarray] = {}
     freqs = None
-    for name, series in _soc_channels(table).items():
+    for name, series in channels.items():
         try:
             est = criticality.psd(series, fs)
         except MedusaError:

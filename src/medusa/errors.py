@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all medusa modules."""
 
+import numpy as np
+
 
 class ValidationError(Exception):
     """Bad arguments or unusable input files (exit code 2)."""
@@ -87,3 +89,17 @@ class BlobCorrupt(MedusaError):
 
 class InvalidFrames(MedusaError):
     """Sensor or target rows hold NaN/inf (invalid frames) where a stage needs every row."""
+
+
+def require_finite(values: np.ndarray, what: str, first_row: int = 0) -> None:
+    """Raise InvalidFrames naming the count and first index of non-finite rows.
+
+    ``first_row`` is the index of ``values[0]`` in the caller's table, so a
+    check on a slice still names the table row.
+    """
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise InvalidFrames(
+            f"{what} has {int(bad.sum())} non-finite rows of {bad.size} "
+            f"(first at row {first_row + int(bad.argmax())})"
+        )

@@ -45,7 +45,9 @@ def write_manifest(
     ]
     hashed = {
         "command": command,
-        "args": {k: args[k] for k in sorted(args)},
+        # a callable (argparse's ``func``) serialises with its address, which
+        # differs between processes
+        "args": {k: args[k] for k in sorted(args) if not callable(args[k])},
         "inputs": input_records,
         "seed": seed,
     }

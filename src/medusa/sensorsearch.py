@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateTask
+from .errors import DegenerateTask, require_finite
 from .kinematics import PAIR_NAMES
 
 POOL_SIZE = 30
@@ -147,6 +147,9 @@ def search_best(
 
     xp = x[washout:]
     yp = y[washout:]
+    # one non-finite row would poison the shared Gram and every subset score
+    require_finite(xp, "post-washout sensor input", first_row=washout)
+    require_finite(yp, "post-washout target", first_row=washout)
     y_mean = yp.mean(axis=0)
     sst = np.sum((yp - y_mean) ** 2, axis=0)
     if np.any(sst == 0):

@@ -311,3 +311,41 @@ def test_light_commands_do_not_import_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_soc_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):
+    analysis = _gappy_analysis(tmp_path)
+    assert run("soc", "--input", analysis, "--out", tmp_path / "soc") == 1
+    err = capsys.readouterr().err
+    assert "InvalidFrames: soc input has 25 non-finite rows of 3600 (first at row 1497)" in err
+    assert not (tmp_path / "soc" / "psd.csv").exists()
+
+
+def test_search_sensors_checks_only_the_rows_it_uses(tmp_path, capsys):
+    analysis = _gappy_analysis(tmp_path)
+    assert run("search-sensors", "--input", analysis, "--kmax", 2,
+               "--out", tmp_path / "search") == 1
+    err = capsys.readouterr().err
+    assert ("InvalidFrames: post-washout sensor input has 20 non-finite rows of 2600 "
+            "(first at row 1500)") in err
+    assert not (tmp_path / "search" / "search_best.csv").exists()
+    # a washout past the gap leaves only valid rows in the search
+    assert run("search-sensors", "--input", analysis, "--kmax", 2, "--washout", 1600,
+               "--out", tmp_path / "late") == 0
+    rows = (tmp_path / "late" / "search_best.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        task, subset, r2 = row.split(",")
+        assert subset and np.isfinite(float(r2))
+
+
+def test_config_hash_equal_across_processes(tmp_path):
+    hashes = []
+    for _ in range(2):
+        subprocess.run([sys.executable, "-m", "medusa.cli", "synth", "--tau", "2.0",
+                        "--seconds", "10", "--seed", "1", "--out", str(tmp_path / "s")],
+                       check=True, capture_output=True)
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert "func" not in manifest["args"]
+        hashes.append(manifest["config_hash"])
+    assert hashes[0] == hashes[1]

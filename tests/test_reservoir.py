@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medusa import kinematics, reservoir as rc, synthgen
 from medusa.errors import (
@@ -160,6 +162,52 @@ def test_esn_run_matches_stepwise_loop(leak, n_sensors, mux_s):
     mux = rc.build_mux(random_sensors(3000, s=n_sensors, seed=6), mux_s, 6, FS)
     got = rc.esn_run(state, mux)
     assert np.abs(got - _esn_run_stepwise(state, mux.values, leak)).max() <= 1e-12
+    np.testing.assert_array_equal(state.state, x0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nodes=st.integers(2, 150), spectral_radius=st.floats(0.05, 0.95),
+       # the second range weights long runs, where c < 1 makes several chunks
+       n_steps=st.integers(1, 6000) | st.integers(1000, 6000),
+       leak=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chunked_esn_run_matches_stepwise_loop(n_nodes, spectral_radius, n_steps, leak, seed):
+    cfg = make_config(n_nodes=n_nodes, spectral_radius=spectral_radius, n_sensors=2,
+                      mux_horizon_s=0.0, leak=leak, seed=seed)
+    base = rc.esn_init(cfg)
+    x0 = np.random.default_rng(seed).uniform(-1, 1, n_nodes)
+    state = rc.EsnState(base.input_weights, base.recurrent_weights, x0.copy(), cfg)
+    u = np.random.default_rng(seed + 1).normal(size=(n_steps, 2)) / 2.0
+    got = rc.esn_run(state, u)
+    assert got.shape == (n_steps, n_nodes)
+    assert np.abs(got - _esn_run_stepwise(state, u, leak)).max() <= 1e-12
+    np.testing.assert_array_equal(state.state, x0)
+
+
+def test_forgetting_steps_bound():
+    b = rc.esn_init(make_config(seed=42)).recurrent_weights
+    c = np.linalg.norm(b, 2)
+    w = rc._forgetting_steps(b)
+    assert c ** w * 10.0 <= 1e-17 < c ** (w - 1) * 10.0
+    # near unit spectral radius σ_max(B) exceeds 1: no bound, one chunk
+    assert rc._forgetting_steps(rc.esn_init(make_config(spectral_radius=0.95))
+                                .recurrent_weights) is None
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, "prime"])
+@pytest.mark.parametrize("leak", [0.0, 0.3])
+def test_chunked_esn_run_at_the_chunking_threshold(offset, leak):
+    cfg = make_config(leak=leak)
+    base = rc.esn_init(cfg)
+    w = rc._forgetting_steps(base.recurrent_weights)
+    # 9001 is prime and above 4W, so its K >= 2 chunks cannot all be full
+    n_steps = 9001 if offset == "prime" else 4 * w + offset
+    assert n_steps >= 4 * w or offset == -1
+    x0 = np.random.default_rng(11).uniform(-1, 1, cfg.n_nodes)
+    state = rc.EsnState(base.input_weights, base.recurrent_weights, x0, cfg)
+    u = rc.build_mux(random_sensors(n_steps, seed=12), 2.0, 6, FS).values
+    got = rc.esn_run(state, u)
+    assert np.abs(got - _esn_run_stepwise(state, u, leak)).max() <= 1e-12
     np.testing.assert_array_equal(state.state, x0)
 
 
