@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -553,12 +554,12 @@ def cmd_train(args) -> int:
         config=json.dumps(vars(config) | {"__class__": "ReservoirConfig"}),
         horizons_s=np.array(model.horizons_s),
         horizon_samples=np.array(model.horizon_samples),
-        weights=np.stack([model.weights[h] for h in model.horizon_samples]),
+        weights=model.weights,
         mux_scale=mux_scale,
         sensor_names=np.array(sensor_names),
         target_names=np.array(targets.names),
         washout=washout,
-        ridge=model.ridge,
+        ridge=rc.RIDGE_DEFAULT,
         pulsatile=args.pulsatile,
     )
     outputs = [model_path]
@@ -578,19 +579,14 @@ def _load_model(path: Path):
     cfg_dict = json.loads(str(data["config"]))
     cfg_dict.pop("__class__", None)
     config = rc.ReservoirConfig(**cfg_dict)
-    model = rc.HorizonReadout(
+    model = rc.Readout(
+        weights=data["weights"],
         horizons_s=tuple(float(h) for h in data["horizons_s"]),
-        horizon_samples=tuple(int(h) for h in data["horizon_samples"]),
         frame_rate=config.frame_rate,
         washout=int(data["washout"]),
-        ridge=float(data["ridge"]),
-        n_features=int(data["weights"].shape[1]) - 1,
-        n_targets=int(data["weights"].shape[2]),
         architecture=config.architecture,
         target_names=tuple(str(t) for t in data["target_names"]),
     )
-    for h, w in zip(model.horizon_samples, data["weights"]):
-        model.weights[h] = w
     extras = {
         "mux_scale": float(data["mux_scale"]),
         "sensor_names": tuple(str(s) for s in data["sensor_names"]),
@@ -613,17 +609,23 @@ def cmd_predict(args) -> int:
             f"rebuilt targets {targets.names} do not match the model's "
             f"{model.target_names}"
         )
+    # the mux lags and the horizon shifts are counted in the model's samples
+    if not math.isclose(table.frame_rate, config.frame_rate, rel_tol=1e-9):
+        raise ValidationError(
+            f"{path} is at {table.frame_rate:g} Hz but the model was trained at "
+            f"{config.frame_rate:g} Hz"
+        )
     features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
     predictions = rc.predict_horizons(model, features)
 
     t = table.t
-    fs = table.frame_rate
+    shifts = dict(zip(model.horizons_s, model.horizon_samples))
     parts = []      # per (horizon, target): the five predictions.csv columns
     score_rows = []
     heat = np.full((len(targets.names), len(model.horizons_s)), np.nan)
     for col, h_s in enumerate(sorted(predictions)):
         pred = np.atleast_2d(predictions[h_s].T).T
-        h = round(h_s * fs)
+        h = shifts[h_s]
         stop = pred.shape[0] - h
         for row, name in enumerate(targets.names):
             actual = targets.values[model.washout + h:, row]
@@ -746,7 +748,7 @@ def cmd_export_model(args) -> int:
     started = time.perf_counter()
     model_path = _resolve_input(args.model)
     config, model, _ = _load_model(model_path)
-    readout = model.stacked() if args.all_horizons else model.model_for(args.horizon)
+    readout = model if args.all_horizons else model.at(args.horizon)
     state = None if config.architecture == "prc" else rc.esn_init(config)
     blob = rc.export_compact(readout, config, state)
     blob_path = out / "model.bin"

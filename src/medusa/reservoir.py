@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,17 +81,22 @@ class ReservoirConfig:
 
     @property
     def n_lags(self) -> int:
-        span = self.mux_horizon_s * self.frame_rate
-        span_samples = round(span)
-        if abs(span - span_samples) > 1e-9:
-            raise ValueError("mux_horizon_s * frame_rate must be an integer sample count")
-        if span_samples % self.mux_stride != 0:
-            raise ValueError("mux span must be divisible by mux_stride")
-        return span_samples // self.mux_stride + 1
+        return _mux_lags(self.mux_horizon_s, self.mux_stride, self.frame_rate)
 
     @property
     def input_width(self) -> int:
         return self.n_sensors * self.n_lags
+
+
+def _mux_lags(mux_horizon_s: float, stride: int, frame_rate: float) -> int:
+    """Lags per sensor: the current sample plus one per stride over the span."""
+    span = mux_horizon_s * frame_rate
+    span_samples = round(span)
+    if abs(span - span_samples) > 1e-9:
+        raise ValueError("mux_horizon_s * frame_rate must be an integer sample count")
+    if span_samples % stride != 0:
+        raise ValueError("mux span must be divisible by mux_stride")
+    return span_samples // stride + 1
 
 
 @dataclass
@@ -129,15 +134,10 @@ def build_mux(
     if x.ndim == 1:
         x = x[:, None]
     n, n_sensors = x.shape
-    span = mux_horizon_s * frame_rate
-    span_samples = round(span)
-    if abs(span - span_samples) > 1e-9:
-        raise ValueError("mux_horizon_s * frame_rate must be an integer sample count")
-    if span_samples % stride != 0:
-        raise ValueError("mux span must be divisible by stride")
+    n_lags = _mux_lags(mux_horizon_s, stride, frame_rate)
+    span_samples = (n_lags - 1) * stride
     if n <= span_samples:
         raise TooShort(f"need more than {span_samples} samples, got {n}")
-    n_lags = span_samples // stride + 1
 
     raw = np.zeros((n, n_sensors * n_lags))
     for s in range(n_sensors):
@@ -263,17 +263,13 @@ def _forgetting_steps(recurrent_weights: np.ndarray) -> int | None:
     return math.ceil(math.log(_FORGET_TOL / math.sqrt(n)) / math.log(c))
 
 
-def esn_run(
-    state: EsnState,
-    inputs: MuxedInput | np.ndarray,
-    leak: float | None = None,
-) -> np.ndarray:
+def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
-    The input is pre-integrated with the leak before entering the tanh
-    update; ``leak == 0`` recovers the plain update.  Row t of the result
-    is the state after consuming input row t; the caller's ``state`` is
-    not mutated.
+    The input is pre-integrated with the configured leak before entering
+    the tanh update; ``leak == 0`` recovers the plain update.  Row t of the
+    result is the state after consuming input row t; the caller's ``state``
+    is not mutated.
 
     The input drive A·ũ does not depend on the state, so it is computed
     for every step at once (one matrix product into the result buffer).
@@ -290,9 +286,8 @@ def esn_run(
     a, b = state.input_weights, state.recurrent_weights
     if u.shape[1] != a.shape[1]:
         raise ValueError(f"input width {u.shape[1]} does not match weights {a.shape[1]}")
-    lam = state.config.leak if leak is None else leak
-    if lam != 0.0:
-        u = leaky_integrate(u, lam)
+    if state.config.leak != 0.0:
+        u = leaky_integrate(u, state.config.leak)
     t_len, n = u.shape[0], a.shape[0]
     w = _forgetting_steps(b)
     if w is None or t_len < 4 * w:
@@ -366,14 +361,14 @@ def reservoir_features(
 # Linear readout
 # ---------------------------------------------------------------------------
 
-def _solve_readout(f_aug: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
+def _solve_readout(f_aug: np.ndarray, y: np.ndarray) -> np.ndarray:
     gram = f_aug.T @ f_aug
-    gram[np.diag_indices_from(gram)] += ridge
+    gram[np.diag_indices_from(gram)] += RIDGE_DEFAULT
     moment = f_aug.T @ y
     try:
         w = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError:
-        gram[np.diag_indices_from(gram)] += ridge * 1e3
+        gram[np.diag_indices_from(gram)] += RIDGE_DEFAULT * 1e3
         try:
             w = np.linalg.solve(gram, moment)
         except np.linalg.LinAlgError as exc:
@@ -384,40 +379,66 @@ def _solve_readout(f_aug: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray
 
 
 @dataclass
-class ReadoutModel:
-    """Trained linear readout: weights over [features, 1]."""
+class Readout:
+    """Trained linear readout over [features, 1], one weight slab per horizon.
 
-    weights: np.ndarray        # (n_features + 1, n_targets)
-    architecture: str
+    Slab i maps the features at row t to the targets at row t + the i-th
+    horizon; horizon 0 s is the plain same-time readout.
+    """
+
+    weights: np.ndarray        # (n_horizons, n_features + 1, n_targets)
+    horizons_s: tuple[float, ...]
+    frame_rate: float
     washout: int
-    ridge: float
-    n_features: int
-    n_targets: int
+    architecture: str = ""
     target_names: tuple[str, ...] = ()
 
+    @property
+    def n_features(self) -> int:
+        return self.weights.shape[1] - 1
+
+    @property
+    def n_targets(self) -> int:
+        return self.weights.shape[2]
+
+    @property
+    def horizon_samples(self) -> tuple[int, ...]:
+        return tuple(round(h * self.frame_rate) for h in self.horizons_s)
+
+    def at(self, horizon_s: float) -> Readout:
+        """The one-horizon readout for a horizon on the trained grid."""
+        samples = self.horizon_samples
+        h = round(horizon_s * self.frame_rate)
+        if h not in samples:
+            raise UntrainedHorizon(f"horizon {horizon_s} s is not on the trained grid")
+        i = samples.index(h)
+        return replace(self, weights=self.weights[i:i + 1], horizons_s=(self.horizons_s[i],))
+
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """One column per (horizon, target), horizon-major; 1-D for one column."""
         f = np.asarray(features, dtype=float)
         if f.shape[1] != self.n_features:
             raise ConfigMismatch(
                 f"features have width {f.shape[1]}, model expects {self.n_features}"
             )
-        out = f @ self.weights[:-1] + self.weights[-1]
-        return out[:, 0] if self.n_targets == 1 else out
+        n_h, _, n_t = self.weights.shape
+        out = np.empty((f.shape[0], n_h, n_t))
+        # one product per horizon, written in place into its columns: a single
+        # product over every horizon's columns rounds differently for one target
+        by_horizon = out.transpose(1, 0, 2)
+        np.matmul(f, self.weights[:, :-1], out=by_horizon)
+        by_horizon += self.weights[:, -1:]
+        out = out.reshape(f.shape[0], n_h * n_t)
+        return out[:, 0] if n_h * n_t == 1 else out
 
 
-def train_readout(
-    features: np.ndarray,
-    targets: np.ndarray,
-    washout: int,
-    ridge: float = RIDGE_DEFAULT,
-    architecture: str = "",
-    target_names: tuple[str, ...] = (),
-) -> ReadoutModel:
-    """Least-squares readout over post-washout samples.
+def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
+                 architecture: str, target_names) -> Readout:
+    """Least-squares readout per horizon over the post-washout samples.
 
-    A small ridge (default 1e-8) is added to the normal equations purely
-    for conditioning.  Requires at least 3x as many post-washout samples
-    as feature columns (bias included).
+    A small ridge (`RIDGE_DEFAULT`) is added to the normal equations purely
+    for conditioning.  Each horizon needs at least 3x as many samples as
+    feature columns (bias included).
     """
     f = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
@@ -426,71 +447,40 @@ def train_readout(
     if f.shape[0] != y.shape[0]:
         raise ValueError("features and targets must share one sample count")
     require_finite(y, "target")
-    n_post = f.shape[0] - washout
-    d_aug = f.shape[1] + 1
-    if n_post < 3 * d_aug:
-        raise TooShort(
-            f"{n_post} post-washout samples for {d_aug} features; need at least {3 * d_aug}"
-        )
-    f_aug = np.hstack([f[washout:], np.ones((n_post, 1))])
-    w = _solve_readout(f_aug, y[washout:], ridge)
-    return ReadoutModel(
-        weights=w,
-        architecture=architecture,
+    horizons_s = tuple(float(h) for h in horizons_s)
+    if not horizons_s or any(h < 0 for h in horizons_s):
+        raise ValueError("need at least one horizon, none negative")
+    n, d_aug = f.shape[0], f.shape[1] + 1
+    model = Readout(
+        weights=np.empty((len(horizons_s), d_aug, y.shape[1])),
+        horizons_s=horizons_s,
+        frame_rate=frame_rate,
         washout=washout,
-        ridge=ridge,
-        n_features=f.shape[1],
-        n_targets=y.shape[1],
+        architecture=architecture,
         target_names=tuple(target_names),
     )
+    for w, h_s, h in zip(model.weights, horizons_s, model.horizon_samples):
+        n_rows = n - h - washout
+        if n_rows < 3 * d_aug:
+            raise TooShort(
+                f"{n_rows} post-washout samples for horizon {h_s:g} s and {d_aug} "
+                f"features; need at least {3 * d_aug}"
+            )
+        f_aug = np.hstack([f[washout:n - h], np.ones((n_rows, 1))])
+        w[...] = _solve_readout(f_aug, y[washout + h:])
+    return model
 
 
-@dataclass
-class HorizonReadout:
-    """One readout per prediction horizon over a shared feature stream."""
-
-    horizons_s: tuple[float, ...]
-    horizon_samples: tuple[int, ...]
-    weights: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
-    frame_rate: float = 60.0
-    washout: int = 0
-    ridge: float = RIDGE_DEFAULT
-    n_features: int = 0
-    n_targets: int = 0
-    architecture: str = ""
-    target_names: tuple[str, ...] = ()
-
-    def model_for(self, horizon_s: float) -> ReadoutModel:
-        h = round(horizon_s * self.frame_rate)
-        if h not in self.weights:
-            raise UntrainedHorizon(f"horizon {horizon_s} s is not on the trained grid")
-        return ReadoutModel(
-            weights=self.weights[h],
-            architecture=self.architecture,
-            washout=self.washout,
-            ridge=self.ridge,
-            n_features=self.n_features,
-            n_targets=self.n_targets,
-            target_names=self.target_names,
-        )
-
-    def stacked(self) -> ReadoutModel:
-        """All horizons as one readout, one output channel per (target, horizon)."""
-        cols = []
-        names = []
-        for h_s, h in zip(self.horizons_s, self.horizon_samples):
-            cols.append(self.weights[h])
-            base = self.target_names or tuple(f"y{i}" for i in range(self.n_targets))
-            names += [f"{t}@{h_s:g}s" for t in base]
-        return ReadoutModel(
-            weights=np.hstack(cols),
-            architecture=self.architecture,
-            washout=self.washout,
-            ridge=self.ridge,
-            n_features=self.n_features,
-            n_targets=self.n_targets * len(self.horizon_samples),
-            target_names=tuple(names),
-        )
+def train_readout(
+    features: np.ndarray,
+    targets: np.ndarray,
+    washout: int,
+    architecture: str = "",
+    target_names: tuple[str, ...] = (),
+) -> Readout:
+    """Same-time readout: the 0 s horizon of `train_horizons`."""
+    # a 0 s horizon is 0 samples at any frame rate
+    return _fit_readout(features, targets, (0.0,), washout, 60.0, architecture, target_names)
 
 
 def train_horizons(
@@ -499,69 +489,37 @@ def train_horizons(
     horizons_s,
     washout: int,
     frame_rate: float = 60.0,
-    ridge: float = RIDGE_DEFAULT,
     architecture: str = "",
     target_names: tuple[str, ...] = (),
-) -> HorizonReadout:
-    """Train one readout per horizon, shifting targets into the future."""
-    f = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    require_finite(y, "target")
-    horizons_s = tuple(float(h) for h in horizons_s)
-    if any(h < 0 for h in horizons_s):
-        raise ValueError("horizons must be non-negative")
-    samples = tuple(round(h * frame_rate) for h in horizons_s)
-    out = HorizonReadout(
-        horizons_s=horizons_s,
-        horizon_samples=samples,
-        frame_rate=frame_rate,
-        washout=washout,
-        ridge=ridge,
-        n_features=f.shape[1],
-        n_targets=y.shape[1],
-        architecture=architecture,
-        target_names=tuple(target_names),
-    )
-    n = f.shape[0]
-    for h in samples:
-        n_rows = n - h - washout
-        d_aug = f.shape[1] + 1
-        if n_rows < 3 * d_aug:
-            raise TooShort(f"not enough samples to train horizon {h / frame_rate:g} s")
-        f_aug = np.hstack([f[washout:n - h], np.ones((n_rows, 1))])
-        out.weights[h] = _solve_readout(f_aug, y[washout + h:], ridge)
-    return out
+) -> Readout:
+    """One readout slab per horizon, with targets shifted into the future."""
+    return _fit_readout(features, targets, horizons_s, washout, frame_rate,
+                        architecture, target_names)
 
 
-def predict_horizons(
-    model: HorizonReadout,
-    features: np.ndarray,
-    horizons_s=None,
-) -> dict[float, np.ndarray]:
+def predict_horizons(model: Readout, features: np.ndarray) -> dict[float, np.ndarray]:
     """Predictions per horizon; row t estimates the target at t + horizon."""
-    if horizons_s is None:
-        horizons_s = model.horizons_s
-    return {float(h): model.model_for(h).predict(features) for h in horizons_s}
+    out = model.predict(features).reshape(-1, len(model.horizons_s), model.n_targets)
+    if model.n_targets == 1:
+        out = out[:, :, 0]
+    return {h_s: out[:, i] for i, h_s in enumerate(model.horizons_s)}
 
 
 def evaluate_horizons(
-    model: HorizonReadout,
+    model: Readout,
     features: np.ndarray,
     targets: np.ndarray,
-    horizons_s=None,
 ) -> dict[float, float]:
     """Post-washout R-squared per horizon on a feature/target stream."""
-    f = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if y.ndim == 1:
         y = y[:, None]
+    predictions = predict_horizons(model, features)
     scores = {}
-    for h_s, pred in predict_horizons(model, f, horizons_s).items():
-        h = round(h_s * model.frame_rate)
+    for h_s, h in zip(model.horizons_s, model.horizon_samples):
+        pred = predictions[h_s]
         p = pred if pred.ndim > 1 else pred[:, None]
-        stop = f.shape[0] - h
+        stop = p.shape[0] - h
         scores[h_s] = r2(p[model.washout:stop], y[model.washout + h:])
     return scores
 
@@ -589,7 +547,7 @@ class CrossPrediction:
     matrix: np.ndarray   # [train, eval]
 
 
-def cross_predict(datasets: dict, washout: int, ridge: float = RIDGE_DEFAULT) -> CrossPrediction:
+def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     """Train on each dataset and score every dataset with every model.
 
     ``datasets`` maps a label to a ``(features, targets)`` pair built with
@@ -614,7 +572,7 @@ def cross_predict(datasets: dict, washout: int, ridge: float = RIDGE_DEFAULT) ->
 
     matrix = np.empty((len(names), len(names)))
     for i, (f_i, y_i) in enumerate(pairs):
-        model = train_readout(f_i, y_i, washout, ridge)
+        model = train_readout(f_i, y_i, washout)
         for j, (f_j, y_j) in enumerate(pairs):
             pred = model.predict(f_j[washout:])
             if pred.ndim == 1:
@@ -745,15 +703,16 @@ class CompactModel:
 
     @property
     def n_features(self) -> int:
-        if self.architecture == "prc":
-            return self.input_width
-        if self.architecture == "esn":
-            return self.n_nodes
-        return self.n_nodes + self.input_width
+        return _feature_width(self.architecture, self.n_nodes, self.input_width)
+
+
+def _feature_width(architecture: str, n_nodes: int, input_width: int) -> int:
+    """Readout feature count per architecture (bias excluded)."""
+    return {"prc": input_width, "esn": n_nodes, "hybrid": n_nodes + input_width}[architecture]
 
 
 def export_compact(
-    model: ReadoutModel,
+    model: Readout,
     config: ReservoirConfig,
     state: EsnState | None = None,
 ) -> bytes:
@@ -762,6 +721,8 @@ def export_compact(
     Little-endian layout: magic, architecture byte, three u32 dims
     (nodes, input width, outputs), spectral radius and leak as f32, then
     the input, recurrent and readout weights as f32 in row-major order.
+    The outputs are the columns of ``model.predict``: output j is horizon
+    j // n_targets, target j % n_targets.
     """
     arch = config.architecture
     width = config.input_width
@@ -769,28 +730,29 @@ def export_compact(
         a = np.empty((0, 0))
         b = np.empty((0, 0))
         n_nodes = 0
-        expected = width
     else:
         if state is None:
             raise ValueError("esn/hybrid export needs the reservoir state")
         a, b = state.input_weights, state.recurrent_weights
         n_nodes = config.n_nodes
-        expected = n_nodes if arch == "esn" else n_nodes + width
+    expected = _feature_width(arch, n_nodes, width)
     if model.n_features != expected:
         raise ConfigMismatch(
             f"model has {model.n_features} features, configuration implies {expected}"
         )
+    n_h, d_aug, n_t = model.weights.shape
+    readout = model.weights.transpose(1, 0, 2).reshape(d_aug, n_h * n_t)
     header = _BLOB_HEADER.pack(
         _BLOB_MAGIC,
         _ARCH_CODES[arch],
         n_nodes,
         width,
-        model.n_targets,
+        n_h * n_t,
         config.spectral_radius,
         config.leak,
     )
     payload = b"".join(
-        arr.astype("<f4").tobytes() for arr in (a, b, model.weights)
+        arr.astype("<f4").tobytes() for arr in (a, b, readout)
     )
     return header + payload
 
@@ -805,7 +767,7 @@ def load_compact(blob: bytes) -> CompactModel:
     if arch_code not in _ARCH_NAMES:
         raise BlobCorrupt(f"unknown architecture code {arch_code}")
     arch = _ARCH_NAMES[arch_code]
-    n_features = {"prc": width, "esn": n_nodes, "hybrid": n_nodes + width}[arch]
+    n_features = _feature_width(arch, n_nodes, width)
     n_a = n_nodes * width
     n_b = n_nodes * n_nodes
     n_w = (n_features + 1) * n_out

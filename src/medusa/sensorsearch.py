@@ -10,7 +10,6 @@ subset then costs a k x k subblock solve, independent of sample count.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,25 +24,6 @@ DEFAULT_K_MAX = 5
 RADIUS_NAMES = ("inner_radius", "outer_radius")
 POOL_NAMES: tuple[str, ...] = PAIR_NAMES + RADIUS_NAMES
 _TIE_TOL = 1e-9
-
-
-def count_subsets(pool_size: int, k_max: int) -> int:
-    return sum(math.comb(pool_size, k) for k in range(1, k_max + 1))
-
-
-def enumerate_subsets(pool_size: int, k_max: int):
-    """Yield all index subsets of size 1..k_max in lexicographic order."""
-    if not 1 <= k_max <= pool_size:
-        raise ValueError("require 1 <= k_max <= pool_size")
-
-    def rec(prefix: tuple, start: int):
-        for i in range(start, pool_size):
-            subset = prefix + (i,)
-            yield subset
-            if len(subset) < k_max:
-                yield from rec(subset, i + 1)
-
-    yield from rec((), 0)
 
 
 @dataclass

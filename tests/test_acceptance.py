@@ -55,9 +55,10 @@ def length_channels(trial):
 
 
 def test_c01_subset_enumeration_count():
-    gate = Gate(1, "pool 30, k<=5 enumerates exactly 174,436 subsets", 1.0)
-    count = sum(1 for _ in sensorsearch.enumerate_subsets(30, 5))
-    gate.done(count == 174_436, f"count={count}")
+    gate = Gate(1, "pool 30, k<=5 search scores exactly 174,436 subsets", 1.0)
+    x = np.random.default_rng(1).normal(size=(200, 30))
+    report = sensorsearch.search_best(x, {"y": x @ np.arange(30.0)}, washout=0, k_max=5)
+    gate.done(report.n_subsets == 174_436, f"count={report.n_subsets}")
 
 
 def test_c02_spectral_radius():

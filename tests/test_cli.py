@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from medusa import cli, ingest
+from medusa import cli, ingest, kinematics
+from medusa import reservoir as rc
 from test_ingest import make_views, random_projective, ring_positions
 
 
@@ -122,6 +123,65 @@ def test_train_predict_export(tmp_path):
 
     assert run("export-model", "--model", model_dir / "model.npz",
                "--horizon", 1.7, "--out", tmp_path / "export_bad") == 1
+
+
+def _train_pulsatile(tmp_path, horizons="0,0.5,1"):
+    analysis = analysis_for(tmp_path, synth_trial(tmp_path, seconds=60.0) / "trial.csv")
+    model_dir = tmp_path / "model"
+    assert run("train", "--input", analysis, "--pulsatile", "--horizons", horizons,
+               "--out", model_dir) == 0
+    return analysis, model_dir / "model.npz"
+
+
+def test_saved_model_predicts_like_the_trained_readout(tmp_path, monkeypatch):
+    trained = {}
+
+    def capture(features, *args, train=rc.train_horizons, **kwargs):
+        trained["features"] = features
+        trained["model"] = train(features, *args, **kwargs)
+        return trained["model"]
+
+    monkeypatch.setattr(rc, "train_horizons", capture)
+    _, model_path = _train_pulsatile(tmp_path)
+    _, loaded, _ = cli._load_model(model_path)
+    model, features = trained["model"], trained["features"]
+    assert loaded.horizons_s == model.horizons_s == (0.0, 0.5, 1.0)
+    assert loaded.horizon_samples == model.horizon_samples == (0, 30, 60)
+    assert (loaded.washout, loaded.target_names) == (model.washout, model.target_names)
+    assert np.array_equal(loaded.predict(features), model.predict(features))
+
+
+def test_all_horizons_blob_steps_like_readout_predict(tmp_path):
+    analysis, model_path = _train_pulsatile(tmp_path)
+    assert run("export-model", "--model", model_path, "--all-horizons",
+               "--out", tmp_path / "export") == 0
+    config, model, extras = cli._load_model(model_path)
+    sensors = kinematics.standardize(
+        cli.AnalysisTable.read(analysis).columns(extras["sensor_names"]))
+    mux = rc.build_mux(sensors, config.mux_horizon_s, config.mux_stride,
+                       config.frame_rate, scale=extras["mux_scale"])
+    n = 1000
+    ref = model.predict(rc.reservoir_features(sensors, config, extras["mux_scale"])[:n])
+    blob = (tmp_path / "export" / "model.bin").read_bytes()
+    out = rc.CompactEvaluator(rc.load_compact(blob)).run(mux.values[:n].astype(np.float32))
+    assert out.shape == ref.shape == (n, 3 * len(model.target_names))
+    # c10's rule per output column: within 1e-4 of the largest float64 output
+    assert (np.abs(out - ref).max(axis=0) <= 1e-4 * np.abs(ref).max()).all()
+
+
+def test_predict_rejects_an_analysis_at_another_frame_rate(tmp_path, capsys):
+    analysis, model_path = _train_pulsatile(tmp_path, horizons="0,2")
+    meta = json.loads(analysis.with_suffix(".json").read_text())
+    assert meta["frame_rate"] == 60.0
+    other = tmp_path / "at50"
+    other.mkdir()
+    (other / "analysis.csv").write_bytes(analysis.read_bytes())
+    (other / "analysis.json").write_text(json.dumps(meta | {"frame_rate": 50.0}))
+    capsys.readouterr()
+    assert run("predict", "--model", model_path, "--input", other / "analysis.csv",
+               "--out", tmp_path / "pred") == 2
+    assert "is at 50 Hz but the model was trained at 60 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "pred" / "predictions.csv").exists()
 
 
 def test_confusion_command(tmp_path):

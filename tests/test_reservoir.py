@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,12 +132,12 @@ def test_leaky_integrator_geometric_convergence():
 
 
 def test_leak_zero_recovers_plain_update():
-    cfg = make_config()
-    state = rc.esn_init(cfg)
+    state = rc.esn_init(make_config())
     mux = rc.build_mux(random_sensors(400, seed=4), 2.0, 6, FS)
-    a = rc.esn_run(state, mux, leak=0.0)
-    b = rc.esn_run(state, mux)
-    np.testing.assert_array_equal(a, b)
+    leaky = replace(state, config=make_config(leak=0.3))
+    # the configured leak only pre-integrates the input; leak 0 steps it as given
+    np.testing.assert_array_equal(rc.esn_run(leaky, mux),
+                                  rc.esn_run(state, rc.leaky_integrate(mux.values, 0.3)))
 
 
 def _esn_run_stepwise(state, u, leak):
@@ -357,7 +359,7 @@ def test_horizon_zero_matches_plain_readout():
     washout = 1000
     hm = rc.train_horizons(feats, vz, [0.0, 1.0], washout, FS)
     plain = rc.train_readout(feats, vz, washout)
-    np.testing.assert_allclose(hm.weights[0], plain.weights, atol=1e-12)
+    np.testing.assert_allclose(hm.weights[0], plain.weights[0], atol=1e-12)
 
 
 def test_periodic_data_full_period_horizon_keeps_score():
@@ -372,7 +374,21 @@ def test_untrained_horizon_raises():
     feats, vz, _ = pulsatile_features()
     hm = rc.train_horizons(feats, vz, [0.0], 1000, FS)
     with pytest.raises(UntrainedHorizon):
-        rc.predict_horizons(hm, feats, horizons_s=[0.5])
+        hm.at(0.5)
+
+
+def test_predict_columns_are_horizon_major():
+    feats, vz, _ = pulsatile_features(seconds=100.0)
+    targets = np.column_stack([vz, np.roll(vz, 7)])
+    hm = rc.train_horizons(feats, targets, [0.0, 0.5, 1.0], 1000, FS)
+    assert hm.weights.shape == (3, feats.shape[1] + 1, 2)
+    assert hm.horizon_samples == (0, 30, 60)
+    out = hm.predict(feats)
+    assert out.shape == (feats.shape[0], 6)
+    per_horizon = rc.predict_horizons(hm, feats)
+    for i, h_s in enumerate(hm.horizons_s):
+        np.testing.assert_array_equal(out[:, 2 * i:2 * i + 2], hm.at(h_s).predict(feats))
+        np.testing.assert_array_equal(per_horizon[h_s], out[:, 2 * i:2 * i + 2])
 
 
 def test_r2_trivial_values():

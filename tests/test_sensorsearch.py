@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,37 +13,13 @@ def standardized(rng, n, p):
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# pool
 # ---------------------------------------------------------------------------
-
-def test_enumeration_counts():
-    assert ss.count_subsets(3, 2) == 6
-    assert ss.count_subsets(8, 3) == 8 + 28 + 56
-    assert sum(1 for _ in ss.enumerate_subsets(3, 2)) == 6
-    assert sum(1 for _ in ss.enumerate_subsets(8, 3)) == 92
-
 
 def test_pool_is_30_unique_names():
     assert len(ss.POOL_NAMES) == ss.POOL_SIZE == 30
     assert len(set(ss.POOL_NAMES)) == 30
     assert "inner_radius" in ss.POOL_NAMES and "outer_radius" in ss.POOL_NAMES
-
-
-def test_enumeration_is_lexicographic_and_complete():
-    subsets = list(ss.enumerate_subsets(4, 3))
-    assert subsets == sorted(subsets)
-    assert len(subsets) == len(set(subsets)) == ss.count_subsets(4, 3)
-    expected = set()
-    for k in (1, 2, 3):
-        expected |= set(itertools.combinations(range(4), k))
-    assert set(subsets) == expected
-
-
-def test_enumeration_validates_kmax():
-    with pytest.raises(ValueError):
-        list(ss.enumerate_subsets(5, 0))
-    with pytest.raises(ValueError):
-        list(ss.enumerate_subsets(5, 6))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +58,7 @@ def test_search_deterministic_across_worker_counts():
     for t in tasks:
         assert r1.best[t].subset_idx == r8.best[t].subset_idx
         assert r1.best[t].r2 == r8.best[t].r2
-    assert r1.n_subsets == r8.n_subsets == ss.count_subsets(12, 4)
+    assert r1.n_subsets == r8.n_subsets == sum(math.comb(12, k) for k in range(1, 5))
 
 
 def test_gram_solve_matches_direct_regression():
