@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, criticality, ingest, kinematics, sensorsearch, svgplot, synthgen
+from . import (
+    __version__, criticality, ingest, kinematics, response, sensorsearch, svgplot, synthgen,
+)
 from . import esp as esp_mod
 from . import reservoir as rc
 from .errors import MedusaError, ValidationError, ZeroVariance, require_finite
@@ -72,7 +74,13 @@ class AnalysisTable:
     def read(cls, csv_path: Path) -> "AnalysisTable":
         data = read_csv(csv_path, ANALYSIS_COLUMNS)
         json_path = csv_path.with_suffix(".json")
-        meta = json.loads(json_path.read_text()) if json_path.exists() else {}
+        # the rate cannot be recovered from the %.9g times: at 60 Hz over
+        # 300 s their median spacing reads 59.99988 Hz
+        if not json_path.exists():
+            raise ValidationError(f"{csv_path} has no sidecar {json_path} giving its frame_rate")
+        meta = json.loads(json_path.read_text())
+        if "frame_rate" not in meta:
+            raise ValidationError(f"{json_path} has no frame_rate")
         return cls(data, meta)
 
     @property
@@ -81,9 +89,7 @@ class AnalysisTable:
 
     @property
     def frame_rate(self) -> float:
-        if "frame_rate" in self.meta:
-            return float(self.meta["frame_rate"])
-        return float(1.0 / np.median(np.diff(self.t)))
+        return float(self.meta["frame_rate"])
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, ANALYSIS_COLUMNS.index(name)]
@@ -111,7 +117,8 @@ def _write_analysis(out: Path, table: dict[str, np.ndarray], meta: dict) -> list
 
 
 def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.ndarray:
-    """Filter each contiguous valid stretch; short stretches pass through."""
+    """Filter each contiguous run of valid rows, all columns in one call;
+    short runs pass through."""
     out = x.copy()
     idx = np.flatnonzero(valid)
     if idx.size == 0:
@@ -210,9 +217,7 @@ def cmd_kinematics(args) -> int:
 
     if not args.no_filter:
         flat = trial.positions.reshape(trial.n_frames, -1)
-        filtered = np.column_stack(
-            [_lowpass_valid_segments(flat[:, c], trial.valid_mask, fs) for c in range(24)]
-        )
+        filtered = _lowpass_valid_segments(flat, trial.valid_mask, fs)
         trial = replace(trial, positions=filtered.reshape(trial.n_frames, 8, 3))
 
     lengths = kinematics.pairwise_lengths(trial)
@@ -317,8 +322,6 @@ def cmd_soc(args) -> int:
 
 
 def cmd_phase(args) -> int:
-    from . import response  # loads scipy.stats, which only phase and esp need
-
     out = _out_dir(args)
     started = time.perf_counter()
     path = _resolve_input(args.input)
@@ -398,8 +401,6 @@ def _esp_one_condition(paths, params):
 
 
 def cmd_esp(args) -> int:
-    from . import response
-
     out = _out_dir(args)
     started = time.perf_counter()
     params = esp_mod.EspParams(transient_s=args.transient, horizon_s=args.horizon)

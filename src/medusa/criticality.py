@@ -70,6 +70,26 @@ def _loglog_ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
+def _welch(x: np.ndarray, frame_rate: float, nper: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided Welch (1967) density: periodic Hann, 50% overlap, mean.
+
+    The result is bitwise scipy.signal.welch's (``detrend=False``): the
+    same window, scaled the same way before the FFT, the same segments,
+    and the mean over segments taken along contiguous memory, so numpy
+    sums it in the same (pairwise) order.
+    """
+    step = nper - nper // 2
+    n_seg = (x.shape[0] - nper // 2) // step
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nper + 1))[:nper]
+    # builtin sum: scipy scales by a sequential sum, not np.sum's pairwise one
+    window = window * (1 / np.sqrt(sum(window**2) / (1 / frame_rate)))
+    segments = np.lib.stride_tricks.sliding_window_view(x, nper)[::step][:n_seg]
+    spectra = np.fft.rfft(segments * window, axis=1)
+    power = np.ascontiguousarray((spectra.real**2 + spectra.imag**2).T)
+    power[1:None if nper % 2 else -1] *= 2
+    return np.fft.rfftfreq(nper, 1 / frame_rate), power.mean(axis=1)
+
+
 def psd(
     series: np.ndarray,
     frame_rate: float,
@@ -98,8 +118,6 @@ def psd(
         series variance exactly, which keeps the Parseval check tight for
         arbitrary finite input.
     """
-    from scipy import signal as sp_signal
-
     x = np.asarray(series, dtype=float)
     if x.ndim != 1:
         raise ValueError("psd expects a single channel")
@@ -107,16 +125,7 @@ def psd(
     if n < MIN_PSD_SAMPLES:
         raise TooShort(f"psd needs at least {MIN_PSD_SAMPLES} samples, got {n}")
     x = x - x.mean()
-    nper = min(segment_samples, n)
-    freqs, power = sp_signal.welch(
-        x,
-        fs=frame_rate,
-        window="hann",
-        nperseg=nper,
-        noverlap=nper // 2,
-        detrend=False,
-        scaling="density",
-    )
+    freqs, power = _welch(x, frame_rate, min(segment_samples, n))
     df = freqs[1] - freqs[0]
     variance = float(np.mean(x**2))
     total = float(power.sum() * df)
@@ -257,17 +266,3 @@ def fit_power_law_events(
         r2_loglog=r2,
         n_points=int(occupied.sum()),
     )
-
-
-def fit_power_law_ml(values: np.ndarray, xmin: float | None = None) -> float:
-    """Continuous maximum-likelihood exponent, as a cross-check on the OLS fit.
-
-    Returns the density exponent alpha of p(x) ~ x^alpha for x >= xmin.
-    """
-    x = np.asarray(values, dtype=float)
-    if xmin is None:
-        xmin = float(x[x > 0].min())
-    x = x[x >= xmin]
-    if x.size < 2:
-        raise InsufficientEvents("too few values above xmin for an ML fit")
-    return float(-1.0 - x.size / np.sum(np.log(x / xmin)))

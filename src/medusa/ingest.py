@@ -51,7 +51,6 @@ CONDITIONS: tuple[str, ...] = ("spontaneous", "control_no_stim", "stimulated")
 
 TANK_MM = 150.0
 CONFIDENCE_THRESHOLD = 0.6
-STANDARD_PERIODS_S = (0.5, 1.0, 1.5, 2.0)
 DEFAULT_FRAME_RATE = 60.0
 
 
@@ -133,13 +132,6 @@ class TrialRecording:
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) / self.frame_rate
 
-    @property
-    def nonstandard_period(self) -> bool:
-        """True for stimulated trials whose period is off the standard grid."""
-        if self.condition != "stimulated" or self.period_s is None:
-            return False
-        return not any(abs(self.period_s - p) < 1e-9 for p in STANDARD_PERIODS_S)
-
 
 # ---------------------------------------------------------------------------
 # Homography rectification
@@ -180,21 +172,6 @@ def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
 def rect_corners(rect_size: tuple[float, float] = (TANK_MM, TANK_MM)) -> np.ndarray:
     w, hgt = rect_size
     return np.array([[0.0, 0.0], [w, 0.0], [w, hgt], [0.0, hgt]])
-
-
-def rectify_homography(
-    corners: np.ndarray,
-    points: np.ndarray,
-    rect_size: tuple[float, float] = (TANK_MM, TANK_MM),
-) -> np.ndarray:
-    """Map image points into tank-face coordinates.
-
-    ``corners`` are the 4 observed corner landmarks; the returned transform
-    sends them exactly onto the declared rectangle (default the 150 mm
-    square tank face) and maps ``points`` with the same transform.
-    """
-    h = solve_homography(corners, rect_corners(rect_size))
-    return apply_homography(h, points)
 
 
 def rectify_view(

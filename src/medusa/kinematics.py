@@ -7,6 +7,7 @@ All operations are pure functions over a TrialRecording.  Invalid frames
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,25 +244,150 @@ def local_velocities(trial: TrialRecording, pose: BodyFrameSeries) -> np.ndarray
     return v_local
 
 
+_FORGET_TOL = 1e-17
+
+
+def _butter_lowpass(cutoff_hz: float, frame_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Digital 2nd-order Butterworth low-pass coefficients (b, a).
+
+    The steps and their order are scipy.signal.butter's, so the
+    coefficients come out bitwise equal to it: analog prototype poles,
+    cutoff pre-warped and scaled in, bilinear transform (both zeros go to
+    Nyquist), then the polynomials by np.poly.
+    """
+    order = 2
+    wn = cutoff_hz / (frame_rate / 2)
+    m = np.arange(-order + 1, order, 2, dtype=float)
+    poles = -np.exp(1j * np.pi * m / (2 * order))
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))
+    poles = warped * poles
+    gain = warped**order * np.real(1.0 / np.prod(4.0 - poles))
+    return gain * np.poly(-np.ones(order)), np.poly((4.0 + poles) / (4.0 - poles))
+
+
+def _forgetting_steps(step: np.ndarray) -> int:
+    """Steps after which a recursion's start state no longer shows.
+
+    In the direct-form-II-transposed recursion of a 2nd-order filter the
+    error of a wrong start state evolves as e_k = A^k e_0, with ``step``
+    A = [[-a1, 1], [-a2, 0]].  Returns the smallest k with
+    ‖A^k‖₂ <= 1e-17 (σ_max(A) > 1, so ‖A‖ alone gives no bound).
+    """
+    power = np.eye(2)
+    done = 0
+    while True:
+        powers = []
+        for _ in range(64):
+            power = power @ step
+            powers.append(power)
+        hit = np.flatnonzero(np.linalg.norm(np.array(powers), 2, axis=(1, 2)) <= _FORGET_TOL)
+        if hit.size:
+            return done + int(hit[0]) + 1
+        done += 64
+
+
+def _df2t_step(xj: np.ndarray, z: np.ndarray, y: np.ndarray, tmp: np.ndarray,
+               b: tuple[float, ...], a: tuple[float, ...]) -> None:
+    """One step of the recursion on rows ``xj``: output into ``y``, states
+    ``z`` = (z0, z1) updated in place.  The operations and their order are
+    scipy.signal.lfilter's: y = z0 + b0·x, z0 = z1 + x·b1 - y·a1,
+    z1 = x·b2 - y·a2."""
+    z0, z1 = z
+    np.multiply(xj, b[0], out=y)
+    y += z0
+    np.multiply(xj, b[1], out=z0)
+    z0 += z1
+    np.multiply(y, a[1], out=tmp)
+    z0 -= tmp
+    np.multiply(xj, b[2], out=z1)
+    np.multiply(y, a[2], out=tmp)
+    z1 -= tmp
+
+
+def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, state: np.ndarray,
+          warmup: int) -> np.ndarray:
+    """Filter (n, c) rows with the 2nd-order recursion, from ``state`` (2, c).
+
+    The result is bitwise that of one sequential pass (`_df2t_step` from
+    row 0), which is scipy.signal.lfilter's.  The rows are stepped in K
+    time chunks together.  Chunk 0 starts from ``state``; every later
+    chunk starts from zero ``warmup`` rows before its first row, so by
+    then its state is within rounding of the sequential one (see
+    `_forgetting_steps`).  Rounding can leave it an ulp off, so each
+    chunk's start state is then checked against the end state of the chunk
+    before it.  Where they differ, the chunk is stepped again from that
+    end state beside its first run until the two states agree bitwise
+    (typically within a few dozen rows), and from there on the first run's
+    rows are the sequential ones.  On fewer than 4·warmup rows K is 1.
+    """
+    b, a = tuple(float(v) for v in b), tuple(float(v) for v in a)
+    n, c = x.shape
+    if n < 4 * warmup:
+        k, warmup = 1, 0
+    else:
+        # (n - 1) // warmup keeps every chunk longer than its warm-up
+        k = min((n - 1) // warmup, round(2.0 * math.sqrt(n / warmup)))
+    length = -(-n // k)
+    # step-major layout (length, k, c): each step reads one contiguous block
+    rows = np.zeros((k, length, c))
+    rows.reshape(k * length, c)[:n] = x
+    xt = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    yt = np.empty_like(xt)
+    z = np.zeros((2, k, c))
+    z[:, 0] = state
+    tmp, scratch = np.empty((k, c)), np.empty((k - 1, c))
+    # warm chunks 1..k-1 up on the last rows of the chunk before each
+    for j in range(length - warmup, length):
+        _df2t_step(xt[j, :-1], z[:, 1:], scratch, tmp[1:], b, a)
+    starts = z.copy()
+    for j in range(length):
+        _df2t_step(xt[j], z, yt[j], tmp, b, a)
+    # z holds each chunk's end state; chunk i's rows are sequential once its
+    # start agrees with chunk i-1's end state and that chunk is sequential
+    while k > 1 and not np.array_equal(starts[:, 1:], z[:, :-1], equal_nan=True):
+        exact, first = z[:, :-1].copy(), starts[:, 1:].copy()
+        starts[:, 1:] = exact
+        for j in range(length):
+            _df2t_step(xt[j, 1:], exact, yt[j, 1:], tmp[1:], b, a)
+            _df2t_step(xt[j, 1:], first, scratch, tmp[1:], b, a)
+            if np.array_equal(exact, first):
+                break
+        else:
+            # some chunk never agreed, so its end state changed: check again
+            z[:, 1:] = exact
+    return yt.transpose(1, 0, 2).reshape(k * length, c)[:n]
+
+
 def lowpass_3hz(series: np.ndarray, frame_rate: float, cutoff_hz: float = 3.0) -> np.ndarray:
     """Zero-phase 2nd-order Butterworth low-pass (forward-backward).
 
+    ``series`` is one channel (n,) or several (n, c), filtered along time.
     Requires a uniform sampling rate of at least 10 Hz and a series at
-    least three settle lengths long.
+    least three settle lengths long.  The result is bitwise
+    scipy.signal.filtfilt's with odd padding: each pass starts from the
+    step-response steady state scaled by its first sample (Gustafsson
+    1996), and long series are stepped in time chunks (`_df2t`).
     """
-    from scipy import signal as sp_signal
-
     if frame_rate < 10.0:
         raise ValueError("lowpass_3hz requires a sampling rate of at least 10 Hz")
     x = np.asarray(series, dtype=float)
-    b, a = sp_signal.butter(2, cutoff_hz, fs=frame_rate)
     # pad three settle lengths so edge transients decay fully; this keeps the
     # forward-backward pass symmetric under time reversal
     settle = int(np.ceil(2.0 * frame_rate / cutoff_hz))
     padlen = 3 * settle
     if x.shape[0] <= padlen:
         raise TooShort(f"series of length {x.shape[0]} needs more than {padlen} samples")
-    return sp_signal.filtfilt(b, a, x, axis=0, padlen=padlen)
+    b, a = _butter_lowpass(cutoff_hz, frame_rate)
+    cols = x.reshape(x.shape[0], -1)
+    ext = np.concatenate([2 * cols[:1] - cols[padlen:0:-1], cols,
+                          2 * cols[-1:] - cols[-2:-(padlen + 2):-1]])
+    step = np.array([[-a[1], 1.0], [-a[2], 0.0]])
+    # steady state of the step response: zi = A·zi + (b[1:] - a[1:]·b0)
+    zi = np.linalg.solve(np.eye(2) - step, b[1:] - a[1:] * b[0])
+    warmup = _forgetting_steps(step)
+    y = _df2t(b, a, ext, np.outer(zi, ext[0]), warmup)
+    y = _df2t(b, a, y[::-1], np.outer(zi, y[-1]), warmup)[::-1]
+    return y[padlen:-padlen].reshape(x.shape)
 
 
 def standardize(series: np.ndarray) -> np.ndarray:

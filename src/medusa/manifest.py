@@ -9,7 +9,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 
@@ -64,7 +63,6 @@ def write_manifest(
         "versions": {
             "medusa": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "elapsed_s": elapsed_s,

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .errors import DegenerateGroups, TooFewOnsets, TooShort
 
@@ -62,6 +62,81 @@ def phase_response(
     )
 
 
+_BETACF_MAX_TERMS = 10_000
+_EPS = math.ulp(1.0)
+
+
+def _betacf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz
+    method (Press et al., Numerical Recipes, 3rd ed., §6.4)."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, _BETACF_MAX_TERMS + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + aa / c
+            c = c if abs(c) >= tiny else tiny
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= _EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with y = 1 - x given exactly.
+
+    Taking y from the caller keeps 1 - x free of cancellation when x is
+    near 1.  The continued fraction converges fast below the mean
+    (a + 1) / (a + b + 2); above it the symmetry I_x(a, b) = 1 - I_y(b, a)
+    is used.
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, y) / b
+
+
+def _f_sf(f: float, dfn: float, dfd: float) -> float:
+    """Survival function of the F(dfn, dfd) distribution at f >= 0."""
+    return _betainc(0.5 * dfd, 0.5 * dfn, dfd / (dfd + dfn * f), dfn * f / (dfd + dfn * f))
+
+
+def _welch_ttest(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Welch's unequal-variance t-test (Welch 1947): (t, two-sided p).
+
+    The statistic is computed in scipy.stats.ttest_ind's order of
+    operations.  Two constant groups give t = ±inf and p = 0 when their
+    means differ, and t = p = nan when they do not.
+    """
+    n1, n2 = x.size, y.size
+    vn1 = np.mean((x - x.mean()) ** 2) * (n1 / (n1 - 1)) / n1
+    vn2 = np.mean((y - y.mean()) ** 2) * (n2 / (n2 - 1)) / n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (vn1 + vn2) ** 2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
+        t = float(np.divide(x.mean() - y.mean(), np.sqrt(vn1 + vn2)))
+    if math.isnan(t):
+        return t, math.nan
+    if math.isinf(t):
+        return t, 0.0
+    # scipy's convention: an undefined df (variances that square to 0 or inf)
+    # is replaced by 1
+    df = 1.0 if math.isnan(df) else float(df)
+    return t, _betainc(0.5 * df, 0.5, df / (df + t * t), t * t / (df + t * t))
+
+
 def _validate_groups(groups) -> list[np.ndarray]:
     gs = [np.asarray(g, dtype=float).ravel() for g in groups]
     if len(gs) < 2:
@@ -88,7 +163,7 @@ def one_way_anova(groups) -> tuple[float, float]:
         raise DegenerateGroups("zero within-group variance")
     df1, df2 = k - 1, n_total - k
     f_stat = (ssb / df1) / (ssw / df2)
-    return float(f_stat), float(sp_stats.f.sf(f_stat, df1, df2))
+    return float(f_stat), _f_sf(float(f_stat), df1, df2)
 
 
 @dataclass
@@ -160,12 +235,12 @@ def pairwise_tests(
     p_adj = (1 + exceed) / (n_permutations + 1)
     results = []
     for idx, (i, j) in enumerate(pairs):
-        t_res = sp_stats.ttest_ind(gs[i], gs[j], equal_var=False)
+        t_stat, p_welch = _welch_ttest(gs[i], gs[j])
         results.append(
             PairwiseComparison(
                 pair=(i, j),
-                t_statistic=float(t_res.statistic),
-                p_welch=float(t_res.pvalue),
+                t_statistic=t_stat,
+                p_welch=p_welch,
                 q_statistic=float(q_obs[idx]),
                 p_adjusted=float(p_adj[idx]),
             )

@@ -71,28 +71,6 @@ def _eval_chunk(args):
     return picks
 
 
-def subset_r2(
-    data: np.ndarray,
-    target: np.ndarray,
-    subset,
-    washout: int = 1_000,
-    ridge: float = 1e-8,
-) -> float:
-    """Post-washout R-squared of one sensor subset, via the Gram path."""
-    x = np.asarray(data, dtype=float)[washout:]
-    y = np.asarray(target, dtype=float)[washout:]
-    f = np.hstack([x, np.ones((x.shape[0], 1))])
-    gram = f.T @ f
-    moments = f.T @ y[:, None]
-    sst = np.array([np.sum((y - y.mean()) ** 2)])
-    if sst[0] == 0:
-        raise DegenerateTask("target is constant after washout")
-    yty = np.array([np.sum(y**2)])
-    idx = np.array([tuple(subset)], dtype=np.intp)
-    picks = _eval_chunk((idx, gram, moments, yty, sst, ridge))
-    return picks[0][0]
-
-
 def search_best(
     data: np.ndarray,
     tasks: dict[str, np.ndarray],

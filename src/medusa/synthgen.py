@@ -42,15 +42,6 @@ class StimulusSchedule:
     duty: float = DUTY
     amplitude_v: float = AMPLITUDE_V
 
-    @property
-    def carrier_cycles_per_burst(self) -> float:
-        return self.burst_duration_s * self.carrier_hz
-
-    @property
-    def carrier_high_s(self) -> float:
-        """High time of one carrier cycle."""
-        return self.duty / self.carrier_hz
-
     def burst_active(self, frame_rate: float, n_samples: int) -> np.ndarray:
         """Binary series, 1 while a burst is being delivered."""
         t = np.arange(n_samples) / frame_rate

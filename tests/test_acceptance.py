@@ -13,6 +13,7 @@ from scipy import stats as sp_stats
 from medusa import criticality, esp, kinematics, response, sensorsearch, synthgen
 from medusa import reservoir as rc
 from medusa.esp import EspParams
+from test_sensorsearch import subset_r2
 
 FS = 60.0
 
@@ -226,7 +227,7 @@ def test_c09_gram_equivalence_and_search_speed():
     for _ in range(200):
         k = int(rng.integers(1, 6))
         subset = tuple(sorted(rng.choice(30, size=k, replace=False)))
-        gram_r2 = sensorsearch.subset_r2(data, target, subset, washout=washout)
+        gram_r2 = subset_r2(data, target, subset, washout=washout)
         f = np.column_stack([xp[:, list(subset)], np.ones(xp.shape[0])])
         w, *_ = np.linalg.lstsq(f, yp, rcond=None)
         direct = 1.0 - np.sum((f @ w - yp) ** 2) / sst

@@ -243,6 +243,11 @@ def _malformed_input(tmp_path, case):
     elif case == "trial_missing_sidecar":
         trial_csv.with_suffix(".json").unlink()
         return kinematics, trial_csv.with_suffix(".json")
+    elif case == "analysis_missing_sidecar":
+        analysis = analysis_for(tmp_path, trial_csv)
+        analysis.with_suffix(".json").unlink()
+        argv = ["train", "--input", analysis, "--pulsatile", "--horizons", "0"]
+        return argv, analysis.with_suffix(".json")
     elif case == "view_header":
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
@@ -255,8 +260,9 @@ def _malformed_input(tmp_path, case):
     return kinematics, trial_csv
 
 
-@pytest.mark.parametrize("case", ["analysis_header_only", "trial_ragged_row", "trial_header",
-                                  "trial_missing_sidecar", "view_header"])
+@pytest.mark.parametrize("case", ["analysis_header_only", "analysis_missing_sidecar",
+                                  "trial_ragged_row", "trial_header", "trial_missing_sidecar",
+                                  "view_header"])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, bad = _malformed_input(tmp_path, case)
     assert run(*argv, "--out", tmp_path / "out") == 2
@@ -364,12 +370,37 @@ def test_predict_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):
     assert not (tmp_path / "pred" / "predictions.csv").exists()
 
 
-def test_light_commands_do_not_import_scipy_submodules():
-    code = ("import sys; import medusa.cli; "
-            "from medusa import synthgen, kinematics, reservoir, sensorsearch; "
-            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
+NO_SCIPY_CODE = """
+import importlib, pkgutil, sys
+import numpy as np
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, BlockScipy())
+import medusa
+for info in pkgutil.iter_modules(medusa.__path__):
+    importlib.import_module(f"medusa.{info.name}")
+from medusa import criticality, kinematics, response
+
+rng = np.random.default_rng(0)
+x = rng.normal(size=(2000, 24))
+kinematics.lowpass_3hz(x, 60.0)
+criticality.psd(x[:, 0], 60.0)
+groups = [rng.normal(k, 1.0, size=8) for k in range(3)]
+response.one_way_anova(groups)
+response.pairwise_tests(groups, n_permutations=100)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_no_medusa_module_imports_scipy():
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE], capture_output=True,
+                         text=True, check=True).stdout
     assert out.strip() == "[]"
 
 

@@ -15,8 +15,15 @@ def random_projective(rng, scale=1.0):
     return h
 
 
+def rectify(corners, points, rect_size=(ingest.TANK_MM, ingest.TANK_MM)):
+    """Map image points by the homography that sends ``corners`` onto the
+    rectangle, as `ingest.rectify_view` does for a whole view."""
+    h = ingest.solve_homography(corners, ingest.rect_corners(rect_size))
+    return ingest.apply_homography(h, points)
+
+
 def test_rectify_identity_on_unit_rectangle():
-    out = ingest.rectify_homography(UNIT_RECT, np.array([[0.5, 0.5]]), rect_size=(1.0, 1.0))
+    out = rectify(UNIT_RECT, np.array([[0.5, 0.5]]), rect_size=(1.0, 1.0))
     np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -27,14 +34,14 @@ def test_rectify_inverts_random_projective_transform():
         corners = ingest.apply_homography(h, UNIT_RECT)
         truth = rng.uniform(0.05, 0.95, (10, 2))
         image = ingest.apply_homography(h, truth)
-        recovered = ingest.rectify_homography(corners, image, rect_size=(1.0, 1.0))
+        recovered = rectify(corners, image, rect_size=(1.0, 1.0))
         np.testing.assert_allclose(recovered, truth, atol=1e-9)
 
 
 def test_rectify_collinear_corners_raise():
     corners = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
     with pytest.raises(DegenerateCorners):
-        ingest.rectify_homography(corners, np.zeros((1, 2)))
+        rectify(corners, np.zeros((1, 2)))
 
 
 def test_rectification_is_idempotent():
@@ -42,9 +49,9 @@ def test_rectification_is_idempotent():
     h = random_projective(rng, scale=150.0)
     rect = ingest.rect_corners((150.0, 150.0))
     corners = ingest.apply_homography(h, rect)
-    once = ingest.rectify_homography(corners, corners)
+    once = rectify(corners, corners)
     np.testing.assert_allclose(once, rect, atol=1e-9 * 150)
-    twice = ingest.rectify_homography(once, once)
+    twice = rectify(once, once)
     assert np.abs(twice - once).max() < 1e-9 * 150
 
 
@@ -240,11 +247,3 @@ def test_trial_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(back.positions, pos, rtol=1e-6, equal_nan=True)
     np.testing.assert_array_equal(back.stimulus, stim)
     np.testing.assert_array_equal(back.valid_mask, trial.valid_mask)
-
-
-def test_nonstandard_period_is_flagged():
-    pos = ring_positions(5)
-    t1 = ingest.TrialRecording("a", "stimulated", pos, np.zeros(5), period_s=2.0)
-    t2 = ingest.TrialRecording("a", "stimulated", pos, np.zeros(5), period_s=0.7)
-    assert not t1.nonstandard_period
-    assert t2.nonstandard_period

@@ -240,6 +240,48 @@ def test_lowpass_passes_slow_oscillation():
     assert ratio == pytest.approx(_filtfilt_gain(0.45), abs=0.02)
 
 
+def test_butter_coefficients_bitwise_equal_to_scipy():
+    for fs in (10.0, 25.0, 30.0, 50.0, 59.94, 60.0, 100.0, 120.0, 240.0, 1000.0):
+        for cutoff in (0.5, 1.0, 2.0, 3.0, 4.5, 4.9):
+            b, a = kinematics._butter_lowpass(cutoff, fs)
+            want_b, want_a = sp_signal.butter(2, cutoff, fs=fs)
+            assert np.array_equal(b, want_b) and np.array_equal(a, want_a), (cutoff, fs)
+
+
+def test_lowpass_forgetting_steps_at_3hz_60hz():
+    _, a = sp_signal.butter(2, 3.0, fs=60.0)
+    step = np.array([[-a[1], 1.0], [-a[2], 0.0]])
+    w = kinematics._forgetting_steps(step)
+    assert w == 180
+    assert np.linalg.norm(np.linalg.matrix_power(step, w), 2) <= 1e-17
+    assert np.linalg.norm(np.linalg.matrix_power(step, w - 1), 2) > 1e-17
+
+
+@pytest.mark.parametrize("channels", [1, 24])
+def test_lowpass_bitwise_equal_to_scipy_filtfilt(channels):
+    fs = 60.0
+    b, a = sp_signal.butter(2, 3.0, fs=fs)
+    rng = np.random.default_rng(channels)
+    # 121 and 300 rows are short valid runs; 479 pads to 4W - 1 = 719 rows,
+    # the longest series stepped as one chunk; 2101 and 36 001 pad to
+    # primes, so no chunk count divides them; 36 000 is the reference
+    # trial's length
+    for n in (121, 300, 479, 2101, 36_000, 36_001):
+        x = 100.0 + np.cumsum(rng.normal(size=(n, channels)), axis=0)
+        if channels == 1:
+            x = x[:, 0]
+        want = sp_signal.filtfilt(b, a, x, axis=0, padlen=120)
+        assert np.array_equal(kinematics.lowpass_3hz(x, fs), want), n
+
+
+def test_lowpass_propagates_nan_like_scipy():
+    x = np.random.default_rng(4).normal(size=(3000, 3))
+    x[1000:1003, 1] = np.nan
+    b, a = sp_signal.butter(2, 3.0, fs=60.0)
+    want = sp_signal.filtfilt(b, a, x, axis=0, padlen=120)
+    assert np.array_equal(kinematics.lowpass_3hz(x, 60.0), want, equal_nan=True)
+
+
 def test_lowpass_too_short_raises():
     with pytest.raises(TooShort):
         kinematics.lowpass_3hz(np.zeros(10), 60.0)

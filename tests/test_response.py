@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats as sp_stats
@@ -83,6 +86,30 @@ def test_anova_hand_computed_case():
     assert p == pytest.approx(sp_stats.f.sf(8.0, 1, 2), abs=1e-12)
 
 
+def test_f_sf_matches_scipy():
+    tails = 0
+    for dfn in (1, 2, 3, 5, 9, 19, 40):
+        for dfd in (1, 2, 3, 4, 8, 16, 76, 150, 400):
+            for f in (0.0, 1e-8, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 20.0, 100.0,
+                      1e3, 1e5, 1e8):
+                want = sp_stats.f.sf(f, dfn, dfd)
+                tails += 0 < want <= 1e-10
+                got = response._f_sf(f, dfn, dfd)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-300), (f, dfn, dfd)
+    assert tails > 50
+
+
+def test_anova_p_matches_scipy():
+    rng = np.random.default_rng(6)
+    for sizes in ((2, 2), (3, 5, 4), (20, 20, 20, 20), (2, 40)):
+        for shift in (0.0, 0.5, 3.0, 30.0):
+            groups = [rng.normal(k * shift, 1.0, size=n) for k, n in enumerate(sizes)]
+            f, p = response.one_way_anova(groups)
+            want = sp_stats.f_oneway(*groups)
+            assert f == pytest.approx(want.statistic, rel=1e-12)
+            assert p == pytest.approx(want.pvalue, rel=1e-12, abs=1e-300)
+
+
 def test_anova_null_pvalues_uniform():
     rng = np.random.default_rng(42)
     pvals = [
@@ -166,6 +193,58 @@ def test_adjusted_p_monotone_in_effect_size():
                                        n_permutations=3000, seed=1)
         ps.append(rows[0].p_adjusted)
     assert ps[0] >= ps[1] >= ps[2]
+
+
+def _scipy_welch(x, y):
+    with warnings.catch_warnings():
+        # scipy warns of precision loss on constant groups
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = sp_stats.ttest_ind(x, y, equal_var=False)
+    return float(res.statistic), float(res.pvalue)
+
+
+def test_welch_t_matches_scipy():
+    rng = np.random.default_rng(2)
+    tails = 0
+    for n1 in (2, 3, 5, 20, 200):
+        for n2 in (2, 4, 30):
+            for shift in (0.0, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0):
+                for sd in (0.01, 1.0, 10.0):
+                    x, y = rng.normal(size=n1), rng.normal(shift, sd, size=n2)
+                    t, p = response._welch_ttest(x, y)
+                    want_t, want_p = _scipy_welch(x, y)
+                    tails += 0 < want_p <= 1e-10
+                    assert t == want_t
+                    assert p == pytest.approx(want_p, rel=1e-12, abs=1e-300), (n1, n2, shift, sd)
+    assert tails > 20
+
+
+def test_welch_t_degenerate_groups_match_scipy_without_warnings():
+    cases = [
+        ([1.0, 1.0, 1.0], [2.0, 2.0]),        # both constant, means differ
+        ([1.0, 1.0], [1.0, 1.0, 1.0]),        # both constant, same mean
+        ([1.0, 1.0, 1.0], [0.0, 1.0, 2.0]),   # one constant
+        ([0.0, 1.0, 2.0], [5.0, 5.0]),
+        ([1e-170, 2e-170], [3e-170, 5e-170]),  # variances square to 0
+    ]
+    for x, y in cases:
+        x, y = np.array(x), np.array(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = response._welch_ttest(x, y)
+        want = _scipy_welch(x, y)
+        for g, w in zip(got, want):
+            assert (math.isnan(g) and math.isnan(w)) or g == pytest.approx(w, rel=1e-12)
+
+
+def test_pairwise_welch_columns_match_scipy():
+    rng = np.random.default_rng(8)
+    groups = [np.full(4, 2.0), np.full(3, 5.0), rng.normal(size=6), rng.normal(3.0, 2.0, size=9)]
+    rows = response.pairwise_tests(groups, n_permutations=200, seed=0)
+    for row in rows:
+        want_t, want_p = _scipy_welch(groups[row.pair[0]], groups[row.pair[1]])
+        assert row.t_statistic == want_t
+        assert row.p_welch == pytest.approx(want_p, rel=1e-12, abs=1e-300)
 
 
 def test_pairwise_degenerate_groups():
