@@ -26,7 +26,7 @@ from . import esp as esp_mod
 from . import reservoir as rc
 from .errors import MedusaError, ValidationError, ZeroVariance, require_finite
 from .manifest import write_manifest
-from .table import read_csv, write_csv
+from .table import float_cells, read_csv, write_csv
 
 DATA_DIR_ENV = "MEDUSA_DATA_DIR"
 DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
@@ -74,8 +74,8 @@ class AnalysisTable:
     def read(cls, csv_path: Path) -> "AnalysisTable":
         data = read_csv(csv_path, ANALYSIS_COLUMNS)
         json_path = csv_path.with_suffix(".json")
-        # the rate cannot be recovered from the %.9g times: at 60 Hz over
-        # 300 s their median spacing reads 59.99988 Hz
+        # the rate cannot be recovered from the nine-digit times: at 60 Hz
+        # over 300 s their median spacing reads 59.99988 Hz
         if not json_path.exists():
             raise ValidationError(f"{csv_path} has no sidecar {json_path} giving its frame_rate")
         meta = json.loads(json_path.read_text())
@@ -597,6 +597,8 @@ def _load_model(path: Path):
 
 
 def cmd_predict(args) -> int:
+    if args.stride_out < 1:
+        raise ValidationError(f"--stride-out must be at least 1, got {args.stride_out}")
     out = _out_dir(args)
     started = time.perf_counter()
     model_path = _resolve_input(args.model)
@@ -619,30 +621,30 @@ def cmd_predict(args) -> int:
     features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
     predictions = rc.predict_horizons(model, features)
 
-    t = table.t
+    # t and each actual series repeat in every block: format them once
+    t_cells = float_cells(table.t)
+    actual_cells = [float_cells(series) for series in targets.values.T]
     shifts = dict(zip(model.horizons_s, model.horizon_samples))
-    parts = []      # per (horizon, target): the five predictions.csv columns
+    blocks = []     # per (horizon, target): its rows of predictions.csv
     score_rows = []
     heat = np.full((len(targets.names), len(model.horizons_s)), np.nan)
     for col, h_s in enumerate(sorted(predictions)):
         pred = np.atleast_2d(predictions[h_s].T).T
         h = shifts[h_s]
         stop = pred.shape[0] - h
+        kept = slice(model.washout, stop, args.stride_out)   # input rows written
         for row, name in enumerate(targets.names):
             actual = targets.values[model.washout + h:, row]
             est = pred[model.washout:stop, row]
-            kept = slice(0, est.shape[0], max(1, args.stride_out))
-            predicted = est[kept]
-            parts.append((t[model.washout:][kept], np.full(predicted.size, name, dtype=object),
-                          np.full(predicted.size, h_s), predicted, actual[kept]))
+            blocks.append((t_cells[kept], name, h_s, pred[kept, row],
+                           actual_cells[row][h:][kept]))
             score = rc.r2(est, actual)
             heat[row, col] = score
             score_rows.append((name, h_s, score))
 
     outputs = []
     p = out / "predictions.csv"
-    write_csv(p, ["t", "target", "horizon_s", "predicted", "actual"],
-              [np.concatenate(column) for column in zip(*parts)])
+    write_csv(p, ["t", "target", "horizon_s", "predicted", "actual"], *blocks)
     outputs.append(p)
     p = out / "scores.csv"
     write_csv(p, ["target", "horizon_s", "r2"], zip(*score_rows))

@@ -18,11 +18,29 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK_ROWS = 8192   # rows formatted per write; bounds a write's memory
+_FLOAT = "%.9g"
 _SPECIAL = (",", '"', "\r", "\n")
 
 
+class Cells(np.ndarray):
+    """Float cells formatted once by `float_cells`, written as they are.
+
+    A slice of it is a view of the same type, so several blocks can share
+    one formatted column.
+    """
+
+
+def float_cells(values) -> Cells:
+    """Format a float64 column once, for a table that repeats its values."""
+    values = np.asarray(values)
+    if values.dtype != np.float64 or values.ndim != 1:
+        raise ValueError("float_cells takes a one-dimensional float64 array")
+    text = ((_FLOAT + ",") * values.size % tuple(values.tolist())).split(",")
+    return np.array(text[:-1], dtype=object).view(Cells)
+
+
 def _cells(values) -> list[str]:
-    texts = [f"{v:.9g}" if isinstance(v, float) else str(v) for v in values]
+    texts = [_FLOAT % v if isinstance(v, float) else str(v) for v in values]
     joined = "".join(texts)
     if any(c in joined for c in _SPECIAL):
         texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in _SPECIAL) else t
@@ -30,35 +48,48 @@ def _cells(values) -> list[str]:
     return texts
 
 
-def _conversion(column) -> str:
-    """One %-conversion for a whole float64 or integer array; ``%s`` otherwise."""
-    if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return "%.9g"
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return "%d"
-    return "%s"
+def _conversion(column):
+    """A column's part of the row format, and how to list a chunk's cells.
 
-
-def write_csv(path: str | Path, header, columns) -> None:
-    """Write ``header`` and one equal-length sequence per header field.
-
-    An empty ``columns`` writes the header alone, so a list of row tuples
-    is written as ``write_csv(path, header, zip(*rows))``.
+    A scalar is a constant cell: it is formatted once into the row format
+    and lists no cells.
     """
-    columns = list(columns) or [()] * len(header)
-    n = len(columns[0])
-    if len(columns) != len(header) or any(len(c) != n for c in columns):
-        raise ValueError("need one column per header field, all of one length")
-    conversions = [_conversion(c) for c in columns]
-    row_format = ",".join(conversions) + "\r\n"
+    if np.isscalar(column):
+        return _cells([column])[0].replace("%", "%%"), None
+    if isinstance(column, Cells):
+        return "%s", np.ndarray.tolist
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return _FLOAT, np.ndarray.tolist
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return "%d", np.ndarray.tolist
+    return "%s", _cells
+
+
+def write_csv(path: str | Path, header, *blocks) -> None:
+    """Write ``header``, then the rows of each block in turn.
+
+    A block holds one column per header field: an equal-length sequence
+    (`Cells` are written as they are, other cells formatted per chunk), or
+    a scalar repeated on every row of the block.  An empty block writes
+    no rows, so a list of row tuples is written as
+    ``write_csv(path, header, zip(*rows))``.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_cells(header)) + "\r\n")
-        for start in range(0, n, CHUNK_ROWS):
-            chunk = [c[start:start + CHUNK_ROWS] for c in columns]
-            cells = [c.tolist() if conv != "%s" else _cells(c)
-                     for conv, c in zip(conversions, chunk)]
-            fh.write(row_format * len(cells[0])
-                     % tuple(itertools.chain.from_iterable(zip(*cells))))
+        for block in blocks:
+            columns = list(block) or [()] * len(header)
+            conversions = [_conversion(c) for c in columns]
+            varying = [(c, cells) for c, (_, cells) in zip(columns, conversions) if cells]
+            lengths = {len(c) for c, _ in varying}
+            if len(columns) != len(header) or len(lengths) != 1:
+                raise ValueError("need one column per header field and at least one "
+                                 "sequence, all sequences of one length")
+            n, = lengths
+            row_format = ",".join(conv for conv, _ in conversions) + "\r\n"
+            for start in range(0, n, CHUNK_ROWS):
+                chunk = [cells(c[start:start + CHUNK_ROWS]) for c, cells in varying]
+                fh.write(row_format * len(chunk[0])
+                         % tuple(itertools.chain.from_iterable(zip(*chunk))))
 
 
 def read_csv(path: str | Path, header) -> np.ndarray:

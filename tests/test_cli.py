@@ -8,6 +8,7 @@ import pytest
 
 from medusa import cli, ingest, kinematics
 from medusa import reservoir as rc
+from medusa.table import write_csv
 from test_ingest import make_views, random_projective, ring_positions
 
 
@@ -182,6 +183,64 @@ def test_predict_rejects_an_analysis_at_another_frame_rate(tmp_path, capsys):
                "--out", tmp_path / "pred") == 2
     assert "is at 50 Hz but the model was trained at 60 Hz" in capsys.readouterr().err
     assert not (tmp_path / "pred" / "predictions.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def two_horizon_model(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("two_horizon")
+    return _train_pulsatile(tmp_path, horizons="0,0.5")
+
+
+def _whole_column_predictions(path, model_path, analysis, stride_out):
+    """Write predictions.csv as predict did before it streamed blocks: five
+    concatenated columns through one write_csv call.  Returns the block
+    lengths before striding."""
+    config, model, extras = cli._load_model(model_path)
+    table = cli.AnalysisTable.read(analysis)
+    sensors = kinematics.standardize(table.columns(extras["sensor_names"]))
+    targets = cli._targets_from_table(table, model.target_names, extras["pulsatile"])
+    features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
+    predictions = rc.predict_horizons(model, features)
+    shifts = dict(zip(model.horizons_s, model.horizon_samples))
+    parts, lengths = [], []
+    for h_s in sorted(predictions):
+        pred = np.atleast_2d(predictions[h_s].T).T
+        h = shifts[h_s]
+        for row, name in enumerate(targets.names):
+            actual = targets.values[model.washout + h:, row]
+            est = pred[model.washout:pred.shape[0] - h, row]
+            kept = slice(0, est.shape[0], stride_out)
+            predicted = est[kept]
+            parts.append((table.t[model.washout:][kept], np.full(predicted.size, name, dtype=object),
+                          np.full(predicted.size, h_s), predicted, actual[kept]))
+            lengths.append(est.shape[0])
+    write_csv(path, ["t", "target", "horizon_s", "predicted", "actual"],
+              [np.concatenate(column) for column in zip(*parts)])
+    return lengths
+
+
+@pytest.mark.parametrize("stride_out", [1, 7])
+def test_streamed_predictions_match_the_whole_column_writer(tmp_path, two_horizon_model,
+                                                            stride_out):
+    analysis, model_path = two_horizon_model
+    assert run("predict", "--model", model_path, "--input", analysis,
+               "--stride-out", stride_out, "--out", tmp_path / "pred") == 0
+    lengths = _whole_column_predictions(tmp_path / "reference.csv", model_path, analysis,
+                                        stride_out)
+    assert len(lengths) == 2 * 9 and len(set(lengths)) == 2
+    assert stride_out == 1 or all(n % stride_out for n in lengths)
+    assert ((tmp_path / "pred" / "predictions.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
+
+
+@pytest.mark.parametrize("stride_out", [0, -3])
+def test_predict_rejects_a_stride_out_below_one(tmp_path, capsys, two_horizon_model, stride_out):
+    analysis, model_path = two_horizon_model
+    capsys.readouterr()
+    assert run("predict", "--model", model_path, "--input", analysis,
+               "--stride-out", stride_out, "--out", tmp_path / "pred") == 2
+    assert "--stride-out" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()
 
 
 def test_confusion_command(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -181,6 +182,22 @@ def test_permutation_reproducible_for_fixed_seed():
     a = response.pairwise_tests(groups, n_permutations=1000, seed=7)
     b = response.pairwise_tests(groups, n_permutations=1000, seed=7)
     assert [r.p_adjusted for r in a] == [r.p_adjusted for r in b]
+
+
+def test_adjusted_p_does_not_hang_on_the_sample_order():
+    # every regrouping but the observed one (and its mirror) has a far smaller
+    # q, so p_adjusted counts the draws that reproduce the observed grouping,
+    # about 2 in 20; their q ties with the observed q only up to rounding,
+    # which reordering the samples moves
+    a = np.array([0.517, 0.541, 0.523])
+    b = np.array([0.905, 0.930, 0.911])
+    ps = {
+        response.pairwise_tests([a[list(i)], b[list(j)]], n_permutations=2000,
+                                seed=0)[0].p_adjusted
+        for i in itertools.permutations(range(3)) for j in itertools.permutations(range(3))
+    }
+    assert len(ps) == 1
+    assert abs(ps.pop() - 0.1) < 0.02
 
 
 def test_adjusted_p_monotone_in_effect_size():

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,41 @@ def test_write_matches_csv_module_bytes(tmp_path, monkeypatch, chunk_rows):
     rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns])
     reference_write(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, table.CHUNK_ROWS])
+def test_constant_and_formatted_cells_match_cell_by_cell(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(table, "CHUNK_ROWS", chunk_rows)
+    x = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0 / 3.0, 1e300, -2.5e-7, 7.0, 0.1])
+    y = x[::-1].copy()
+    x_cells = table.float_cells(x)
+    constants = ["a,b", 'say "hi"', "50%", "%s%%d", "x\ny", np.nan, np.inf, -np.inf, -0.0,
+                 5e-324, 0.5, np.float64(0.25), 3, np.int64(-4)]
+    header = ["t", "label", "value", "h"]
+    blocks, rows = [], []
+    for i, const in enumerate(constants):
+        kept = slice(i % 3, None, 1 + i % 4)   # views of the formatted column
+        blocks.append((x_cells[kept], const, y[kept], -0.0 if i % 2 else "%"))
+        rows += [(a, const, b, -0.0 if i % 2 else "%")
+                 for a, b in zip(x[kept].tolist(), y[kept].tolist())]
+    blocks.append(zip(*[]))
+    table.write_csv(tmp_path / "new.csv", header, *blocks)
+    reference_write(tmp_path / "old.csv", header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_a_block_needs_one_sequence_of_one_length(tmp_path):
+    with pytest.raises(ValueError):
+        table.write_csv(tmp_path / "a.csv", ["a", "b"], ("x", 1.0))
+    with pytest.raises(ValueError):
+        table.write_csv(tmp_path / "b.csv", ["a", "b"], (np.zeros(2), table.float_cells(np.zeros(3))))
+
+
+def test_only_the_table_module_formats_nine_digit_floats():
+    # one table-I/O path: every %.9g cell is written by medusa.table
+    package = Path(table.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if p.name != "table.py" and ".9g" in p.read_text()] == []
 
 
 def test_write_rows_and_empty_table(tmp_path):
