@@ -1,9 +1,9 @@
 """Command-line front end: orchestrates the pipeline and writes reports/plots.
 
-Every command reads canonical CSV/JSON, writes CSV results plus SVG plots
-into ``--out``, and records a manifest.json describing inputs, arguments
-and versions.  Exit codes: 0 success, 2 argument/input validation error,
-1 runtime failure.
+Every command reads canonical CSV/JSON through its `Run` and writes CSV
+results plus SVG plots into ``--out`` through it; `main` then records the
+run in a manifest.json describing inputs, outputs, arguments and versions.
+Exit codes: 0 success, 2 argument/input validation error, 1 runtime failure.
 """
 
 from __future__ import annotations
@@ -39,21 +39,33 @@ VELOCITY_CHANNELS = ("vx", "vy", "vz")
 # small I/O helpers
 # ---------------------------------------------------------------------------
 
-def _resolve_input(path_str: str) -> Path:
-    path = Path(path_str)
-    if not path.exists() and not path.is_absolute():
-        root = os.environ.get(DATA_DIR_ENV)
-        if root and (Path(root) / path).exists():
-            return Path(root) / path
-    if not path.exists():
-        raise ValidationError(f"input not found: {path_str}")
-    return path
+class Run:
+    """The files one command reads and writes, in order; `main` records them
+    in the run's manifest.json."""
 
+    def __init__(self, out: str):
+        self.out = Path(out)
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    def input(self, path_str: str) -> Path:
+        """Resolve an input path, relative ones also under $MEDUSA_DATA_DIR."""
+        path = Path(path_str)
+        if not path.exists() and not path.is_absolute():
+            root = os.environ.get(DATA_DIR_ENV)
+            if root and (Path(root) / path).exists():
+                path = Path(root) / path
+        if not path.exists():
+            raise ValidationError(f"input not found: {path_str}")
+        self.inputs.append(path)
+        return path
+
+    def output(self, name: str) -> Path:
+        """The path of result file ``name``; ``--out`` is made at the first one."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        path = self.out / name
+        self.outputs.append(path)
+        return path
 
 
 ANALYSIS_COLUMNS = (
@@ -107,13 +119,12 @@ class AnalysisTable:
         return np.flatnonzero(rising)
 
 
-def _write_analysis(out: Path, table: dict[str, np.ndarray], meta: dict) -> list[Path]:
-    csv_path = out / "analysis.csv"
+def _write_analysis(run: Run, table: dict[str, np.ndarray], meta: dict) -> Path:
+    csv_path = run.output("analysis.csv")
     data = np.column_stack([table[name] for name in ANALYSIS_COLUMNS])
     write_csv(csv_path, ANALYSIS_COLUMNS, data.T)
-    json_path = out / "analysis.json"
-    json_path.write_text(json.dumps(meta, indent=2, default=str) + "\n")
-    return [csv_path, json_path]
+    run.output("analysis.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
+    return csv_path
 
 
 def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.ndarray:
@@ -133,13 +144,15 @@ def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.n
     return out
 
 
-def _parse_labeled_inputs(items) -> dict[str, Path]:
+def _parse_labeled_inputs(run: Run, items) -> dict[str, Path]:
     out: dict[str, Path] = {}
     for item in items:
         if "=" not in item:
             raise ValidationError(f"expected label=path, got {item!r}")
         label, path = item.split("=", 1)
-        out[label] = _resolve_input(path)
+        if label in out:
+            raise ValidationError(f"label {label!r} given twice")
+        out[label] = run.input(path)
     if len(out) < 2:
         raise ValidationError("need at least two label=path datasets")
     return out
@@ -149,10 +162,7 @@ def _parse_labeled_inputs(items) -> dict[str, Path]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    outputs = []
+def cmd_synth(args, run: Run) -> None:
     schedule = synthgen.pwm_schedule(args.tau, args.seconds) if args.tau else None
     for i in range(args.trials):
         params = synthgen.SyntheticJellyfishParams(
@@ -160,24 +170,15 @@ def cmd_synth(args) -> int:
         )
         trial, _ = synthgen.gen_jellyfish(params, schedule, args.seconds)
         stem = "trial" if args.trials == 1 else f"trial_{i:03d}"
-        csv_path = out / f"{stem}.csv"
-        ingest.write_trial_csv(trial, csv_path)
-        outputs += [csv_path, csv_path.with_suffix(".json")]
-    write_manifest(out, "synth", vars(args), [], outputs,
-                   seed=args.seed, elapsed_s=time.perf_counter() - started)
-    print(f"synth: wrote {args.trials} trial(s) to {out}")
-    return 0
+        ingest.write_trial_csv(trial, run.output(f"{stem}.csv"))
+        run.output(f"{stem}.json")
+    print(f"synth: wrote {args.trials} trial(s) to {run.out}")
 
 
-def cmd_ingest(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
+def cmd_ingest(args, run: Run) -> None:
     prefix = args.input
-    paths = {}
-    for view in ingest.VIEW_NAMES:
-        paths[view] = _resolve_input(f"{prefix}_{view}.csv")
-    meta_path = _resolve_input(f"{prefix}.json")
-    meta = json.loads(Path(meta_path).read_text())
+    paths = {view: run.input(f"{prefix}_{view}.csv") for view in ingest.VIEW_NAMES}
+    meta = json.loads(run.input(f"{prefix}.json").read_text())
     frame_rate = float(meta.get("frame_rate", ingest.DEFAULT_FRAME_RATE))
 
     views = {
@@ -197,22 +198,15 @@ def cmd_ingest(args) -> int:
         trial = replace(trial, stimulus=active)
     trial = ingest.interpolate_gaps(trial, args.max_gap)
 
-    csv_path = out / "trial.csv"
+    csv_path = run.output("trial.csv")
     ingest.write_trial_csv(trial, csv_path)
-    outputs = [csv_path, csv_path.with_suffix(".json")]
-    write_manifest(out, "ingest", vars(args),
-                   list(paths.values()) + [meta_path], outputs,
-                   elapsed_s=time.perf_counter() - started)
+    run.output("trial.json")
     n_valid = int(trial.valid_mask.sum())
     print(f"ingest: {trial.n_frames} frames ({n_valid} valid) -> {csv_path}")
-    return 0
 
 
-def cmd_kinematics(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    trial_path = _resolve_input(args.input)
-    trial = ingest.read_trial_csv(trial_path)
+def cmd_kinematics(args, run: Run) -> None:
+    trial = ingest.read_trial_csv(run.input(args.input))
     fs = trial.frame_rate
 
     if not args.no_filter:
@@ -240,11 +234,8 @@ def cmd_kinematics(args) -> int:
         "frame_rate": fs,
         "filtered": not args.no_filter,
     }
-    outputs = _write_analysis(out, table, meta)
-    write_manifest(out, "kinematics", vars(args), [trial_path], outputs,
-                   elapsed_s=time.perf_counter() - started)
-    print(f"kinematics: {trial.n_frames} frames -> {outputs[0]}")
-    return 0
+    csv_path = _write_analysis(run, table, meta)
+    print(f"kinematics: {trial.n_frames} frames -> {csv_path}")
 
 
 def _soc_channels(table: AnalysisTable) -> dict[str, np.ndarray]:
@@ -259,11 +250,8 @@ def _soc_channels(table: AnalysisTable) -> dict[str, np.ndarray]:
     return channels
 
 
-def cmd_soc(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    path = _resolve_input(args.input)
-    table = AnalysisTable.read(path)
+def cmd_soc(args, run: Run) -> None:
+    table = AnalysisTable.read(run.input(args.input))
     fs = table.frame_rate
 
     channels = _soc_channels(table)
@@ -297,35 +285,23 @@ def cmd_soc(args) -> int:
             except MedusaError:
                 pass
 
-    outputs = []
-    p = out / "psd.csv"
-    write_csv(p, ["channel", "freq_hz", "power"], zip(*psd_rows))
-    outputs.append(p)
-    p = out / "events.csv"
-    write_csv(p, ["channel", "onset_s", "duration_s", "size"], zip(*event_rows))
-    outputs.append(p)
-    p = out / "fits.csv"
-    write_csv(p, ["channel", "kind", "alpha", "intercept", "lo", "hi", "r2_loglog", "n_points"],
+    write_csv(run.output("psd.csv"), ["channel", "freq_hz", "power"], zip(*psd_rows))
+    write_csv(run.output("events.csv"), ["channel", "onset_s", "duration_s", "size"],
+              zip(*event_rows))
+    write_csv(run.output("fits.csv"),
+              ["channel", "kind", "alpha", "intercept", "lo", "hi", "r2_loglog", "n_points"],
               zip(*fit_rows))
-    outputs.append(p)
     if freqs is not None:
-        p = out / "psd_loglog.svg"
         show = {k: v for k, v in psd_curves.items() if k in SOC_LENGTH_CHANNELS}
-        svgplot.line_plot(p, freqs, show or psd_curves, title="power spectral density",
-                          xlabel="frequency [Hz]", ylabel="power", log_x=True, log_y=True)
-        outputs.append(p)
-    write_manifest(out, "soc", vars(args), [path], outputs,
-                   elapsed_s=time.perf_counter() - started)
+        svgplot.line_plot(run.output("psd_loglog.svg"), freqs, show or psd_curves,
+                          title="power spectral density", xlabel="frequency [Hz]",
+                          ylabel="power", log_x=True, log_y=True)
     print(f"soc: {len(psd_curves)} channels, {len(event_rows)} events, "
-          f"{len(fit_rows)} fits -> {out}")
-    return 0
+          f"{len(fit_rows)} fits -> {run.out}")
 
 
-def cmd_phase(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    path = _resolve_input(args.input)
-    table = AnalysisTable.read(path)
+def cmd_phase(args, run: Run) -> None:
+    table = AnalysisTable.read(run.input(args.input))
     fs = table.frame_rate
     onsets = table.stim_onsets() / fs
     if onsets.size < 2:
@@ -347,31 +323,22 @@ def cmd_phase(args) -> int:
             for ph, m, s in zip(pr.phase, pr.mean, pr.sd)
         ]
 
-    outputs = []
-    p = out / "phase.csv"
-    write_csv(p, ["channel", "phase", "mean", "sd", "n_segments"], zip(*rows))
-    outputs.append(p)
-    p = out / "phase_means.svg"
+    write_csv(run.output("phase.csv"), ["channel", "phase", "mean", "sd", "n_segments"],
+              zip(*rows))
     svgplot.line_plot(
-        p,
+        run.output("phase_means.svg"),
         next(iter(ribbons.values())).phase,
         {name: pr.mean for name, pr in ribbons.items()},
         title=f"phase response (period {next(iter(ribbons.values())).period_s:.2f} s)",
         xlabel="phase", ylabel="mean response",
     )
-    outputs.append(p)
     pick = args.ribbon_channel
     if pick in ribbons:
         pr = ribbons[pick]
-        p = out / f"phase_ribbon_{pick}.svg"
-        svgplot.ribbon_plot(p, pr.phase, pr.mean, pr.sd,
+        svgplot.ribbon_plot(run.output(f"phase_ribbon_{pick}.svg"), pr.phase, pr.mean, pr.sd,
                             title=f"{pick} phase response", xlabel="phase", ylabel=pick)
-        outputs.append(p)
-    write_manifest(out, "phase", vars(args), [path], outputs,
-                   elapsed_s=time.perf_counter() - started)
     print(f"phase: {len(ribbons)} channels over {next(iter(ribbons.values())).n_segments} "
-          f"segments -> {out}")
-    return 0
+          f"segments -> {run.out}")
 
 
 def _esp_channel_sets(tables, n) -> dict[str, list[np.ndarray]]:
@@ -400,35 +367,32 @@ def _esp_one_condition(paths, params):
     return conditions.pop(), results
 
 
-def cmd_esp(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
+def cmd_esp(args, run: Run) -> None:
     params = esp_mod.EspParams(transient_s=args.transient, horizon_s=args.horizon)
 
     grouped = all("=" in item for item in args.inputs)
     if grouped:
         groups = {}
-        all_paths = []
         for item in args.inputs:
             label, listed = item.split("=", 1)
-            paths = [_resolve_input(p) for p in listed.split(",")]
+            if label in groups:
+                raise ValidationError(f"label {label!r} given twice")
+            paths = [run.input(p) for p in listed.split(",")]
             if len(paths) < 2:
                 raise ValidationError(f"group {label!r} needs at least two trials")
             groups[label] = paths
-            all_paths += paths
     else:
         if any("=" in item for item in args.inputs):
             raise ValidationError("mix of plain paths and label=paths inputs")
-        paths = [_resolve_input(p) for p in args.inputs]
+        paths = [run.input(p) for p in args.inputs]
         if len(paths) < 2:
             raise ValidationError("esp needs at least two trial analyses")
-        all_paths = paths
         groups = None
 
     rows = []
     stats_rows = []
     if groups is None:
-        condition, results = _esp_one_condition(all_paths, params)
+        condition, results = _esp_one_condition(paths, params)
         per_label = {condition: results}
     else:
         per_label = {}
@@ -454,18 +418,14 @@ def cmd_esp(args) -> int:
         for name, result in results.items():
             rows.append((label, name, "pooled", result.n_comparisons, result.value))
 
-    outputs = []
-    p = out / "esp.csv"
-    write_csv(p, ["condition", "channel_set", "reference", "P", "index"], zip(*rows))
-    outputs.append(p)
+    write_csv(run.output("esp.csv"), ["condition", "channel_set", "reference", "P", "index"],
+              zip(*rows))
     if stats_rows:
-        p = out / "stats.csv"
-        write_csv(p, ["test", "channel_set", "groups", "statistic", "p", "p_adjusted"],
+        write_csv(run.output("stats.csv"),
+                  ["test", "channel_set", "groups", "statistic", "p", "p_adjusted"],
                   zip(*stats_rows))
-        outputs.append(p)
-    p = out / "esp_bars.svg"
     svgplot.bar_chart(
-        p,
+        run.output("esp_bars.svg"),
         [f"{label}:{name}" for label in per_label for name in per_label[label]],
         [r.value for label in per_label for r in per_label[label].values()],
         errors=[r.pair_deltas.std() for label in per_label
@@ -473,15 +433,11 @@ def cmd_esp(args) -> int:
         title="response consistency index",
         ylabel="index",
     )
-    outputs.append(p)
-    write_manifest(out, "esp", vars(args), all_paths, outputs,
-                   seed=None, elapsed_s=time.perf_counter() - started)
     summary = ", ".join(
         f"{label}/{name}={r.value:.3f}"
         for label in per_label for name, r in per_label[label].items()
     )
     print(f"esp: {summary}")
-    return 0
 
 
 def _parse_names(names: str) -> tuple[str, ...]:
@@ -527,11 +483,8 @@ def _washout_value(args, pulsatile: bool) -> int:
     return rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
 
 
-def cmd_train(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    path = _resolve_input(args.input)
-    table = AnalysisTable.read(path)
+def cmd_train(args, run: Run) -> None:
+    table = AnalysisTable.read(run.input(args.input))
     fs = table.frame_rate
     sensor_names = _parse_names(args.sensors)
     target_names = _parse_names(args.targets)
@@ -549,9 +502,8 @@ def cmd_train(args) -> int:
     )
     scores = rc.evaluate_horizons(model, features, targets.values)
 
-    model_path = out / "model.npz"
     np.savez(
-        model_path,
+        run.output("model.npz"),
         config=json.dumps(vars(config) | {"__class__": "ReservoirConfig"}),
         horizons_s=np.array(model.horizons_s),
         horizon_samples=np.array(model.horizon_samples),
@@ -563,16 +515,10 @@ def cmd_train(args) -> int:
         ridge=rc.RIDGE_DEFAULT,
         pulsatile=args.pulsatile,
     )
-    outputs = [model_path]
-    p = out / "train_scores.csv"
-    write_csv(p, ["horizon_s", "r2_insample"],
+    write_csv(run.output("train_scores.csv"), ["horizon_s", "r2_insample"],
               [model.horizons_s, [scores[h] for h in model.horizons_s]])
-    outputs.append(p)
-    write_manifest(out, "train", vars(args), [path], outputs,
-                   seed=args.seed, elapsed_s=time.perf_counter() - started)
     print("train: in-sample R2 " + ", ".join(f"{h:g}s={scores[h]:.3f}"
                                              for h in model.horizons_s))
-    return 0
 
 
 def _load_model(path: Path):
@@ -596,14 +542,11 @@ def _load_model(path: Path):
     return config, model, extras
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, run: Run) -> None:
     if args.stride_out < 1:
         raise ValidationError(f"--stride-out must be at least 1, got {args.stride_out}")
-    out = _out_dir(args)
-    started = time.perf_counter()
-    model_path = _resolve_input(args.model)
-    config, model, extras = _load_model(model_path)
-    path = _resolve_input(args.input)
+    config, model, extras = _load_model(run.input(args.model))
+    path = run.input(args.input)
     table = AnalysisTable.read(path)
     sensors = kinematics.standardize(table.columns(extras["sensor_names"]))
     targets = _targets_from_table(table, model.target_names, extras["pulsatile"])
@@ -642,28 +585,17 @@ def cmd_predict(args) -> int:
             heat[row, col] = score
             score_rows.append((name, h_s, score))
 
-    outputs = []
-    p = out / "predictions.csv"
-    write_csv(p, ["t", "target", "horizon_s", "predicted", "actual"], *blocks)
-    outputs.append(p)
-    p = out / "scores.csv"
-    write_csv(p, ["target", "horizon_s", "r2"], zip(*score_rows))
-    outputs.append(p)
-    p = out / "r2_heatmap.svg"
-    svgplot.heatmap(p, heat, targets.names, [f"{h:g}s" for h in sorted(predictions)],
-                    title="R2 by target and horizon")
-    outputs.append(p)
-    write_manifest(out, "predict", vars(args), [model_path, path], outputs,
-                   elapsed_s=time.perf_counter() - started)
+    write_csv(run.output("predictions.csv"), ["t", "target", "horizon_s", "predicted", "actual"],
+              *blocks)
+    write_csv(run.output("scores.csv"), ["target", "horizon_s", "r2"], zip(*score_rows))
+    svgplot.heatmap(run.output("r2_heatmap.svg"), heat, targets.names,
+                    [f"{h:g}s" for h in sorted(predictions)], title="R2 by target and horizon")
     mean_r2 = float(np.nanmean(heat))
     print(f"predict: mean R2 {mean_r2:.3f} over {heat.size} target/horizon cells")
-    return 0
 
 
-def cmd_confusion(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    labeled = _parse_labeled_inputs(args.inputs)
+def cmd_confusion(args, run: Run) -> None:
+    labeled = _parse_labeled_inputs(run, args.inputs)
     target_names = _parse_names(args.targets)
     sensor_names = _parse_names(args.sensors)
 
@@ -687,26 +619,16 @@ def cmd_confusion(args) -> int:
     }
     result = rc.cross_predict(datasets, washout)
 
-    outputs = []
-    p = out / "confusion.csv"
     header = ["train\\eval"] + result.names
-    write_csv(p, header, [result.names, *result.matrix.astype(float).T])
-    outputs.append(p)
-    p = out / "confusion_heatmap.svg"
-    svgplot.heatmap(p, result.matrix, result.names, result.names,
-                    title="cross-training R2 (rows: trained on)")
-    outputs.append(p)
-    write_manifest(out, "confusion", vars(args), list(labeled.values()), outputs,
-                   seed=args.seed, elapsed_s=time.perf_counter() - started)
-    print(f"confusion: {len(result.names)}x{len(result.names)} matrix -> {out}")
-    return 0
+    write_csv(run.output("confusion.csv"), header,
+              [result.names, *result.matrix.astype(float).T])
+    svgplot.heatmap(run.output("confusion_heatmap.svg"), result.matrix, result.names,
+                    result.names, title="cross-training R2 (rows: trained on)")
+    print(f"confusion: {len(result.names)}x{len(result.names)} matrix -> {run.out}")
 
 
-def cmd_search_sensors(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    path = _resolve_input(args.input)
-    table = AnalysisTable.read(path)
+def cmd_search_sensors(args, run: Run) -> None:
+    table = AnalysisTable.read(run.input(args.input))
     pool_cols = list(kinematics.PAIR_NAMES) + ["inner_radius", "outer_radius"]
     data = kinematics.standardize(table.columns(pool_cols))
 
@@ -718,15 +640,10 @@ def cmd_search_sensors(args) -> int:
     report = sensorsearch.search_best(
         data, tasks, washout=args.washout, k_max=args.kmax, n_workers=args.threads
     )
-    outputs = []
-    p = out / "search_best.csv"
-    write_csv(p, ["task", "best_subset", "r2"],
+    write_csv(run.output("search_best.csv"), ["task", "best_subset", "r2"],
               zip(*[(t, "+".join(r.subset), r.r2) for t, r in report.best.items()]))
-    outputs.append(p)
-    p = out / "search_tally.csv"
-    write_csv(p, ["sensor", "tally"],
+    write_csv(run.output("search_tally.csv"), ["sensor", "tally"],
               [report.pool_names, [report.tally[name] for name in report.pool_names]])
-    outputs.append(p)
     summary = {
         "n_subsets": report.n_subsets,
         "n_tasks": report.n_tasks,
@@ -735,40 +652,26 @@ def cmd_search_sensors(args) -> int:
         "top_sensors": sensorsearch.top_sensors(report, 4),
         "stats": report.stats,
     }
-    p = out / "search_summary.json"
-    p.write_text(json.dumps(summary, indent=2) + "\n")
-    outputs.append(p)
-    write_manifest(out, "search-sensors", vars(args), [path], outputs,
-                   elapsed_s=time.perf_counter() - started)
+    run.output("search_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"search-sensors: evaluated {report.n_subsets} subsets over "
           f"{report.n_tasks} tasks in {report.elapsed_s:.1f} s "
           f"({report.n_workers} workers); top: {', '.join(summary['top_sensors'])}")
-    return 0
 
 
-def cmd_export_model(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    model_path = _resolve_input(args.model)
-    config, model, _ = _load_model(model_path)
+def cmd_export_model(args, run: Run) -> None:
+    config, model, _ = _load_model(run.input(args.model))
     readout = model if args.all_horizons else model.at(args.horizon)
     state = None if config.architecture == "prc" else rc.esn_init(config)
     blob = rc.export_compact(readout, config, state)
-    blob_path = out / "model.bin"
+    blob_path = run.output("model.bin")
     blob_path.write_bytes(blob)
     evaluator = rc.CompactEvaluator(rc.load_compact(blob))
-    outputs = [blob_path]
-    write_manifest(out, "export-model", vars(args), [model_path], outputs,
-                   elapsed_s=time.perf_counter() - started)
     print(f"export-model: {len(blob)} byte blob, "
           f"{evaluator.working_set_bytes} byte working set -> {blob_path}")
-    return 0
 
 
-def cmd_report(args) -> int:
-    out = _out_dir(args)
-    started = time.perf_counter()
-    root = _resolve_input(args.input)
+def cmd_report(args, run: Run) -> None:
+    root = run.input(args.input)
     records = []
     for manifest_path in sorted(Path(root).rglob("manifest.json")):
         data = json.loads(manifest_path.read_text())
@@ -780,14 +683,11 @@ def cmd_report(args) -> int:
             "outputs": data.get("outputs", []),
         })
     summary = {"root": str(root), "n_runs": len(records), "runs": records}
-    p = out / "report.json"
+    p = run.output("report.json")
     p.write_text(json.dumps(summary, indent=2) + "\n")
-    write_manifest(out, "report", vars(args), [], [p],
-                   elapsed_s=time.perf_counter() - started)
     for r in records:
         print(f"{r['command']:>16}  {r['dir']}")
     print(f"report: {len(records)} runs -> {p}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -909,19 +809,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = Run(args.out)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        args.func(args, run)
+        run.out.mkdir(parents=True, exist_ok=True)
+        write_manifest(run.out, args.command, vars(args), run.inputs, run.outputs,
+                       seed=getattr(args, "seed", None),
+                       elapsed_s=time.perf_counter() - started)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MedusaError as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

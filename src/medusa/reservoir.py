@@ -105,13 +105,7 @@ class MuxedInput:
 
     values: np.ndarray     # (n_samples, n_sensors * n_lags)
     scale: float
-    n_sensors: int
     n_lags: int
-    stride: int
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 def build_mux(
@@ -148,13 +142,7 @@ def build_mux(
     if scale is None:
         peak = float(np.abs(raw.sum(axis=1)).max())
         scale = 1.0 / peak if peak > 0 else 1.0
-    return MuxedInput(
-        values=raw * scale,
-        scale=scale,
-        n_sensors=n_sensors,
-        n_lags=n_lags,
-        stride=stride,
-    )
+    return MuxedInput(values=raw * scale, scale=scale, n_lags=n_lags)
 
 
 def shared_mux_scale(
@@ -591,7 +579,6 @@ class TargetSeries:
 
     names: tuple[str, ...]
     values: np.ndarray
-    kind: str   # 'aggregate' or 'pulsatile'
 
 
 def detect_pulse_onsets(
@@ -676,11 +663,7 @@ def build_targets(
         if euler is not None:
             blocks.append(rezero_at_onsets(euler, onset_indices))
             names += ["ea", "eb", "eg"][: np.atleast_2d(euler).shape[-1]]
-    return TargetSeries(
-        names=tuple(names),
-        values=np.hstack(blocks),
-        kind="pulsatile" if pulsatile else "aggregate",
-    )
+    return TargetSeries(names=tuple(names), values=np.hstack(blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,10 @@ def pairwise_tests(
     distribution of the familywise maximum.  Results are deterministic for
     a fixed seed.
     """
-    gs = _validate_groups(groups)
+    given = _validate_groups(groups)
+    # the draws index into the pooled samples, so sort each group: then the
+    # groupings drawn, and p_adjusted, do not hang on the samples' order
+    gs = [np.sort(g) for g in given]
     k = len(gs)
     sizes = np.array([g.size for g in gs])
     pool = np.concatenate(gs)
@@ -242,7 +245,7 @@ def pairwise_tests(
     p_adj = (1 + exceed) / (n_permutations + 1)
     results = []
     for idx, (i, j) in enumerate(pairs):
-        t_stat, p_welch = _welch_ttest(gs[i], gs[j])
+        t_stat, p_welch = _welch_ttest(given[i], given[j])   # scipy's sum order
         results.append(
             PairwiseComparison(
                 pair=(i, j),

@@ -1,13 +1,16 @@
+import importlib
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from medusa import cli, ingest, kinematics
 from medusa import reservoir as rc
+from medusa.manifest import sha256_file
 from medusa.table import write_csv
 from test_ingest import make_views, random_projective, ring_positions
 
@@ -282,6 +285,7 @@ def test_unknown_command_exits_2():
 
 def test_missing_input_exits_2(tmp_path):
     assert run("soc", "--input", tmp_path / "nope.csv", "--out", tmp_path / "o") == 2
+    assert not (tmp_path / "o").exists()
 
 
 def _malformed_input(tmp_path, case):
@@ -347,6 +351,85 @@ def test_manifest_written_once_with_stable_hash(tmp_path):
     assert len(list(out.glob("manifest.json"))) == 1
     assert manifest_1["command"] == "synth"
     assert manifest_1["versions"]["medusa"]
+
+
+@pytest.fixture(scope="module")
+def inventory_dir(tmp_path_factory):
+    """One input of each kind the commands read, under one directory."""
+    d = tmp_path_factory.mktemp("inventory")
+    synth_trial(d, seconds=70.0, seed=7)
+    analysis_for(d, d / "raw" / "trial.csv")
+    for label, tau, seed in (("a", 1.5, 20), ("b", 2.0, 40)):
+        raw = synth_trial(d, name=f"raw_{label}", tau=tau, seconds=35.0, seed=seed, trials=3)
+        for i in range(3):
+            analysis_for(d, raw / f"trial_{i:03d}.csv", name=f"{label}{i}")
+    for name, view in make_views(ring_positions(400)).items():
+        ingest.write_view_csv(d / f"jf_{name}.csv", view)
+    (d / "jf.json").write_text(json.dumps({"condition": "spontaneous", "frame_rate": 60.0}))
+    assert run("train", "--input", d / "kin" / "analysis.csv", "--pulsatile",
+               "--horizons", "0,0.5", "--out", d / "train") == 0
+    return d
+
+
+def _inventory(d):
+    """command -> (its arguments, the files it reads, the files it writes in
+    order, the seed its manifest records)."""
+    a = d / "kin" / "analysis.csv"
+    model = d / "train" / "model.npz"
+    group = {label: [d / f"{label}{i}" / "analysis.csv" for i in range(3)] for label in "ab"}
+    views = [d / f"jf_{name}.csv" for name in ingest.VIEW_NAMES] + [d / "jf.json"]
+    return {
+        "synth": (["--tau", 2.0, "--seconds", 10.0, "--trials", 2, "--seed", 5], [],
+                  ["trial_000.csv", "trial_000.json", "trial_001.csv", "trial_001.json"], 5),
+        "ingest": (["--input", d / "jf"], views, ["trial.csv", "trial.json"], None),
+        "kinematics": (["--input", d / "raw" / "trial.csv"], [d / "raw" / "trial.csv"],
+                       ["analysis.csv", "analysis.json"], None),
+        "soc": (["--input", a], [a], ["psd.csv", "events.csv", "fits.csv", "psd_loglog.svg"],
+                None),
+        "phase": (["--input", a], [a], ["phase.csv", "phase_means.svg", "phase_ribbon_vz.svg"],
+                  None),
+        "esp": (["--inputs", *(f"{label}=" + ",".join(map(str, paths))
+                               for label, paths in group.items()), "--horizon", 30.0],
+                group["a"] + group["b"], ["esp.csv", "stats.csv", "esp_bars.svg"], None),
+        "train": (["--input", a, "--pulsatile", "--horizons", "0,0.5", "--seed", 3], [a],
+                  ["model.npz", "train_scores.csv"], 3),
+        "predict": (["--model", model, "--input", a, "--stride-out", 50], [model, a],
+                    ["predictions.csv", "scores.csv", "r2_heatmap.svg"], None),
+        "confusion": (["--inputs", f"x={a}", f"y={group['a'][0]}", "--arch", "prc",
+                       "--targets", "vz", "--seed", 2], [a, group["a"][0]],
+                      ["confusion.csv", "confusion_heatmap.svg"], 2),
+        "search-sensors": (["--input", a, "--kmax", 1], [a],
+                           ["search_best.csv", "search_tally.csv", "search_summary.json"], None),
+        "export-model": (["--model", model], [model], ["model.bin"], None),
+        # a directory is not hashed
+        "report": (["--input", d / "kin"], [], ["report.json"], None),
+    }
+
+
+@pytest.mark.parametrize("command", ["synth", "ingest", "kinematics", "soc", "phase", "esp",
+                                     "train", "predict", "confusion", "search-sensors",
+                                     "export-model", "report"])
+def test_manifest_lists_what_the_command_read_and_wrote(tmp_path, inventory_dir, command):
+    argv, inputs, outputs, seed = _inventory(inventory_dir)[command]
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["outputs"] == [str(out / name) for name in outputs]
+    assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
+    assert manifest["inputs"] == [{"path": str(p), "sha256": sha256_file(p)} for p in inputs]
+    assert manifest["seed"] == seed
+
+
+@pytest.mark.parametrize("command", ["confusion", "esp"])
+def test_a_label_given_twice_exits_2(tmp_path, capsys, inventory_dir, command):
+    a, b, c = (inventory_dir / f"a{i}" / "analysis.csv" for i in range(3))
+    # esp groups list trials, confusion labels one analysis each
+    items = ([f"x={a},{b}", f"x={b},{c}", f"y={a},{c}"] if command == "esp"
+             else [f"x={a}", f"x={b}", f"y={c}"])
+    assert run(command, "--inputs", *items, "--out", tmp_path / "out") == 2
+    assert "label 'x' given twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_env_data_dir_resolves_relative_inputs(tmp_path, monkeypatch):
@@ -461,6 +544,18 @@ def test_no_medusa_module_imports_scipy():
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_every_perfbench_trace_target_resolves(monkeypatch):
+    # the benchmark wraps medusa's functions by name and reports a renamed
+    # one as missing rather than failing
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == {}
+    finally:
+        tracer.uninstall()
 
 
 def test_soc_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):

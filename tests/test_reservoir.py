@@ -37,7 +37,7 @@ def random_sensors(n, s=4, seed=0):
 def test_mux_single_sensor_no_lags_is_scaled_passthrough():
     x = random_sensors(100, s=1, seed=1)
     mux = rc.build_mux(x, 0.0, 6, FS)
-    assert mux.width == 1
+    assert mux.values.shape[1] == 1
     np.testing.assert_allclose(mux.values[:, 0], x[:, 0] * mux.scale)
 
 
@@ -45,7 +45,7 @@ def test_mux_width_arithmetic():
     x = random_sensors(400, s=4, seed=2)
     mux = rc.build_mux(x, 2.0, 6, FS)
     assert mux.n_lags == 21
-    assert mux.width == 84
+    assert mux.values.shape[1] == 84
 
 
 def test_mux_constant_ones_scale():

@@ -185,19 +185,25 @@ def test_permutation_reproducible_for_fixed_seed():
 
 
 def test_adjusted_p_does_not_hang_on_the_sample_order():
-    # every regrouping but the observed one (and its mirror) has a far smaller
-    # q, so p_adjusted counts the draws that reproduce the observed grouping,
-    # about 2 in 20; their q ties with the observed q only up to rounding,
-    # which reordering the samples moves
-    a = np.array([0.517, 0.541, 0.523])
-    b = np.array([0.905, 0.930, 0.911])
-    ps = {
-        response.pairwise_tests([a[list(i)], b[list(j)]], n_permutations=2000,
-                                seed=0)[0].p_adjusted
-        for i in itertools.permutations(range(3)) for j in itertools.permutations(range(3))
-    }
-    assert len(ps) == 1
-    assert abs(ps.pop() - 0.1) < 0.02
+    cases = [
+        # every regrouping but the observed one (and its mirror) has a far
+        # smaller q, so p_adjusted counts the draws that reproduce the observed
+        # grouping, about 2 in 20; their q ties with the observed q only up to
+        # rounding, which reordering the samples moves
+        ([0.517, 0.541, 0.523], [0.905, 0.930, 0.911], 2000, 0.1),
+        # overlapping groups: many groupings exceed, so reordering the samples
+        # would change which of them the draws hit; the exact p over all 20 is 0.6
+        ([0.517, 0.541, 0.517], [0.485, 0.595, 0.572], 999, 0.6),
+    ]
+    for a, b, n_permutations, want in cases:
+        a, b = np.array(a), np.array(b)
+        ps = {
+            response.pairwise_tests([a[list(i)], b[list(j)]], n_permutations=n_permutations,
+                                    seed=0)[0].p_adjusted
+            for i in itertools.permutations(range(3)) for j in itertools.permutations(range(3))
+        }
+        assert len(ps) == 1, (a, b)
+        assert abs(ps.pop() - want) < 0.02
 
 
 def test_adjusted_p_monotone_in_effect_size():
