@@ -647,7 +647,6 @@ def cmd_search_sensors(args, run: Run) -> None:
     summary = {
         "n_subsets": report.n_subsets,
         "n_tasks": report.n_tasks,
-        "elapsed_s": report.elapsed_s,
         "n_workers": report.n_workers,
         "top_sensors": sensorsearch.top_sensors(report, 4),
         "stats": report.stats,
@@ -674,7 +673,7 @@ def cmd_report(args, run: Run) -> None:
     root = run.input(args.input)
     records = []
     for manifest_path in sorted(Path(root).rglob("manifest.json")):
-        data = json.loads(manifest_path.read_text())
+        data = json.loads(run.input(str(manifest_path)).read_text())
         records.append({
             "dir": str(manifest_path.parent),
             "command": data.get("command"),

@@ -15,11 +15,13 @@ into the future on a horizon grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BlobCorrupt,
@@ -114,6 +116,8 @@ def build_mux(
     stride: int,
     frame_rate: float,
     scale: float | None = None,
+    *,
+    _out: np.ndarray | None = None,
 ) -> MuxedInput:
     """Stack strided lagged copies of each sensor and bound the summed input.
 
@@ -123,6 +127,7 @@ def build_mux(
     mean).  The whole block is scaled by one scalar so that
     max_T |sum_components U(T)| equals 1; pass ``scale`` explicitly to
     share one factor across several datasets (see `shared_mux_scale`).
+    ``_out``, an (n_samples, n_sensors * n_lags) array, receives the values.
     """
     x = np.asarray(sensors, dtype=float)
     if x.ndim == 1:
@@ -133,16 +138,17 @@ def build_mux(
     if n <= span_samples:
         raise TooShort(f"need more than {span_samples} samples, got {n}")
 
-    raw = np.zeros((n, n_sensors * n_lags))
-    for s in range(n_sensors):
-        for lag in range(n_lags):
-            shift = lag * stride
-            col = s * n_lags + lag
-            raw[shift:, col] = x[: n - shift, s]
+    padded = np.zeros((span_samples + n, n_sensors))
+    padded[span_samples:] = x
+    # window t holds samples t - span .. t; lag l is its entry span - l * stride
+    windows = sliding_window_view(padded, span_samples + 1, axis=0)
+    raw = np.empty((n, n_sensors * n_lags)) if _out is None else _out
+    np.copyto(raw.reshape(n, n_sensors, n_lags), windows[:, :, span_samples::-stride])
     if scale is None:
         peak = float(np.abs(raw.sum(axis=1)).max())
         scale = 1.0 / peak if peak > 0 else 1.0
-    return MuxedInput(values=raw * scale, scale=scale, n_lags=n_lags)
+    raw *= scale
+    return MuxedInput(values=raw, scale=scale, n_lags=n_lags)
 
 
 def shared_mux_scale(
@@ -194,30 +200,38 @@ def esn_init(config: ReservoirConfig) -> EsnState:
     from one substream per (sensor, lag), so growing the mux horizon
     appends new lag columns without redrawing the existing ones.  The
     recurrent matrix is rescaled to the configured spectral radius.
+
+    Each draw is made once per process and shared: the returned weights
+    and start state are read-only, so copy them before modifying.
     """
     if config.architecture == "prc":
         raise ValueError("a pure sensor readout has no reservoir to initialize")
-    n = config.n_nodes
-    width = config.input_width
-    a = np.empty((n, width))
-    for s in range(config.n_sensors):
-        for lag in range(config.n_lags):
-            rng = _substream(config.seed, 1, s, lag)
-            a[:, s * config.n_lags + lag] = rng.uniform(-0.5, 0.5, n)
-    a *= config.input_scale
+    a, b, x0 = _draw_reservoir(config.seed, config.n_nodes, config.n_sensors,
+                               config.n_lags, config.spectral_radius, config.input_scale)
+    return EsnState(input_weights=a, recurrent_weights=b, state=x0, config=config)
+
+
+@functools.lru_cache(maxsize=8)
+def _draw_reservoir(seed: int, n: int, n_sensors: int, n_lags: int,
+                    radius: float, input_scale: float):
+    """(A, B, zero state) of `esn_init`, read-only; the key is all it depends on."""
+    a = np.empty((n, n_sensors * n_lags))
+    for s in range(n_sensors):
+        for lag in range(n_lags):
+            rng = _substream(seed, 1, s, lag)
+            a[:, s * n_lags + lag] = rng.uniform(-0.5, 0.5, n)
+    a *= input_scale
 
     for attempt in range(5):
-        rng = _substream(config.seed, 2, attempt)
+        rng = _substream(seed, 2, attempt)
         b = rng.uniform(-0.5, 0.5, (n, n))
         rho = spectral_radius(b)
         if rho > 1e-12:
-            b *= config.spectral_radius / rho
-            return EsnState(
-                input_weights=a,
-                recurrent_weights=b,
-                state=np.zeros(n),
-                config=config,
-            )
+            b *= radius / rho
+            x0 = np.zeros(n)
+            for arr in (a, b, x0):
+                arr.flags.writeable = False
+            return a, b, x0
     raise SeedCollapse("recurrent draws repeatedly yielded zero spectral radius")
 
 
@@ -242,16 +256,34 @@ def _forgetting_steps(recurrent_weights: np.ndarray) -> int | None:
     1-Lipschitz).  Returns the smallest k with c^k·√n <= 1e-17, below half
     an ulp of a state, or None when c >= 1 gives no bound.
     """
-    c = float(np.linalg.norm(recurrent_weights, 2))
+    b = np.ascontiguousarray(recurrent_weights, dtype=float)
+    return _forgetting_steps_of(b.tobytes(), b.shape[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
+    """`_forgetting_steps` keyed by B's bytes: its 2-norm SVD runs once per matrix."""
+    c = float(np.linalg.norm(np.frombuffer(b_bytes).reshape(n, n), 2))
     if c >= 1.0:
         return None
     if c == 0.0:
         return 1
-    n = recurrent_weights.shape[0]
     return math.ceil(math.log(_FORGET_TOL / math.sqrt(n)) / math.log(c))
 
 
-def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray) -> np.ndarray:
+def _chunking(t_len: int, recurrent_weights: np.ndarray) -> tuple[int, int, int]:
+    """(K chunks, rows per chunk, warm-up W) that `esn_run` steps t_len rows in."""
+    w = _forgetting_steps(recurrent_weights)
+    if w is None or t_len < 4 * w:
+        return 1, t_len, 0
+    # (t_len - 1) // w keeps every chunk longer than w, so each warm-up
+    # starts from a tanh output (inside the √n bound), never before row 0
+    k = min((t_len - 1) // w, round(2.0 * math.sqrt(t_len / w)))
+    return k, -(-t_len // k), w
+
+
+def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
+            _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
     The input is pre-integrated with the configured leak before entering
@@ -267,6 +299,9 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray) -> np.ndarray:
     W is the reservoir's forgetting bound (`_forgetting_steps`), so its
     states agree with a single sequential pass to rounding.  Without a
     bound, or on fewer than 4W rows, K is 1 and there is no warm-up.
+
+    ``_out`` is a (K·L, n) array to step in, L = ceil(T / K) (see
+    `_chunking`); the result is a view of its first T rows.
     """
     u = inputs.values if isinstance(inputs, MuxedInput) else np.asarray(inputs, dtype=float)
     if u.ndim == 1:
@@ -277,15 +312,10 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray) -> np.ndarray:
     if state.config.leak != 0.0:
         u = leaky_integrate(u, state.config.leak)
     t_len, n = u.shape[0], a.shape[0]
-    w = _forgetting_steps(b)
-    if w is None or t_len < 4 * w:
-        k, w = 1, 0
-    else:
-        # (t_len - 1) // w keeps every chunk longer than w, so each warm-up
-        # starts from a tanh output (inside the √n bound), never before row 0
-        k = min((t_len - 1) // w, round(2.0 * math.sqrt(t_len / w)))
-    length = -(-t_len // k)
-    traj = np.empty((k * length, n))
+    k, length, w = _chunking(t_len, b)
+    traj = np.empty((k * length, n)) if _out is None else _out
+    if traj.shape != (k * length, n):
+        raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
     np.matmul(u, a.T, out=traj[:t_len])
     traj[t_len:] = 0.0
     chunks = traj.reshape(k, length, n)
@@ -327,7 +357,13 @@ def reservoir_features(
     config: ReservoirConfig,
     mux_scale: float | None = None,
 ) -> np.ndarray:
-    """Build mux, run the reservoir if needed, and assemble readout features."""
+    """Build mux, run the reservoir if needed, and assemble readout features.
+
+    The features are built in place in one buffer laid out as
+    [states | mux | 1], with the states and mux blocks present as the
+    architecture uses them; the result is its (T, d) left block, which
+    the readout trains on with the ones column as its bias without a copy.
+    """
     x = np.asarray(sensors, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -337,12 +373,23 @@ def reservoir_features(
         )
     # one NaN input would carry through the recurrence into every later state
     require_finite(x, "sensor input")
+    t_len = x.shape[0]
+    arch = config.architecture
+    state = None if arch == "prc" else esn_init(config)
+    n_states = 0 if state is None else config.n_nodes
+    width = _feature_width(arch, n_states, config.input_width)
+    rows = t_len
+    if state is not None:
+        # esn_run steps K chunks of L rows in place; rows past T are padding
+        k, length, _ = _chunking(t_len, state.recurrent_weights)
+        rows = k * length
+    buf = np.empty((rows, width + 1))
+    buf[:, -1] = 1.0
     mux = build_mux(x, config.mux_horizon_s, config.mux_stride, config.frame_rate,
-                    scale=mux_scale)
-    if config.architecture == "prc":
-        return assemble_features("prc", None, mux)
-    states = esn_run(esn_init(config), mux)
-    return assemble_features(config.architecture, states, mux)
+                    scale=mux_scale, _out=None if arch == "esn" else buf[:t_len, n_states:width])
+    if state is not None:
+        esn_run(state, mux, _out=buf[:, :n_states])
+    return buf[:t_len, :width]
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +494,35 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
         architecture=architecture,
         target_names=tuple(target_names),
     )
-    for w, h_s, h in zip(model.weights, horizons_s, model.horizon_samples):
-        n_rows = n - h - washout
-        if n_rows < 3 * d_aug:
+    n_rows = [n - h - washout for h in model.horizon_samples]
+    for h_s, rows in zip(horizons_s, n_rows):
+        if rows < 3 * d_aug:
             raise TooShort(
-                f"{n_rows} post-washout samples for horizon {h_s:g} s and {d_aug} "
+                f"{rows} post-washout samples for horizon {h_s:g} s and {d_aug} "
                 f"features; need at least {3 * d_aug}"
             )
-        f_aug = np.hstack([f[washout:n - h], np.ones((n_rows, 1))])
-        w[...] = _solve_readout(f_aug, y[washout + h:])
+    # every horizon's rows are a leading slice of the post-washout block
+    f_aug = _with_bias(f, washout)
+    for w, h, rows in zip(model.weights, model.horizon_samples, n_rows):
+        w[...] = _solve_readout(f_aug[:rows], y[washout + h:])
     return model
+
+
+def _with_bias(features: np.ndarray, start: int) -> np.ndarray:
+    """[features, 1] from row ``start`` on.
+
+    A view when ``features`` is the left block of a C-contiguous buffer
+    whose last column is ones, as `reservoir_features` returns; otherwise
+    one copy.
+    """
+    base = features.base
+    if (isinstance(base, np.ndarray) and base.ndim == 2 and base.dtype == features.dtype
+            and base.flags.c_contiguous and base.shape[1] == features.shape[1] + 1
+            and features.strides == base.strides
+            and features.__array_interface__["data"][0] == base.__array_interface__["data"][0]
+            and np.all(base[:features.shape[0], -1] == 1.0)):
+        return base[start:features.shape[0]]
+    return np.hstack([features[start:], np.ones((features.shape[0] - start, 1))])
 
 
 def train_readout(

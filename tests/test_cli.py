@@ -271,6 +271,17 @@ def test_search_sensors_full_pool_count(tmp_path, capsys):
     assert len(summary["top_sensors"]) == 4
 
 
+def test_search_sensors_reruns_give_identical_result_files(tmp_path, inventory_dir):
+    analysis = inventory_dir / "kin" / "analysis.csv"
+    for name in ("s1", "s2"):
+        assert run("search-sensors", "--input", analysis, "--kmax", 2,
+                   "--out", tmp_path / name) == 0
+    names = sorted(p.name for p in (tmp_path / "s1").iterdir() if p.name != "manifest.json")
+    assert "search_summary.json" in names
+    for name in names:
+        assert (tmp_path / "s1" / name).read_bytes() == (tmp_path / "s2" / name).read_bytes()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         run("soc", "--bogus-flag", "x", "--out", tmp_path / "o")
@@ -401,8 +412,9 @@ def _inventory(d):
         "search-sensors": (["--input", a, "--kmax", 1], [a],
                            ["search_best.csv", "search_tally.csv", "search_summary.json"], None),
         "export-model": (["--model", model], [model], ["model.bin"], None),
-        # a directory is not hashed
-        "report": (["--input", d / "kin"], [], ["report.json"], None),
+        # the directory is not hashed; each manifest read under it is
+        "report": (["--input", d / "kin"], [d / "kin" / "manifest.json"], ["report.json"],
+                   None),
     }
 
 
@@ -594,3 +606,20 @@ def test_config_hash_equal_across_processes(tmp_path):
         assert "func" not in manifest["args"]
         hashes.append(manifest["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_report_records_the_manifests_it_reads(tmp_path):
+    root = tmp_path / "runs"
+    synth_trial(root, name="runA", seconds=10.0, seed=0)
+    synth_trial(root, name="runB", seconds=10.0, seed=1)
+    manifests = sorted(root.rglob("manifest.json"))
+
+    def report_manifest():
+        assert run("report", "--input", root, "--out", tmp_path / "rep") == 0
+        return json.loads((tmp_path / "rep" / "manifest.json").read_text())
+
+    first = report_manifest()
+    assert first["inputs"] == [{"path": str(p), "sha256": sha256_file(p)} for p in manifests]
+    assert report_manifest()["config_hash"] == first["config_hash"]
+    synth_trial(root, name="runB", seconds=10.0, seed=2)
+    assert report_manifest()["config_hash"] != first["config_hash"]

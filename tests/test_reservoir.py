@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,37 @@ def test_shared_scale_keeps_bound_on_every_set():
     assert max(peaks) == pytest.approx(1.0)
 
 
+def _build_mux_column_loop(sensors, mux_horizon_s, stride, frame_rate, scale=None):
+    """The per-column loop build_mux replaced: (values, scale)."""
+    x = np.asarray(sensors, dtype=float)
+    n, n_sensors = x.shape
+    n_lags = round(mux_horizon_s * frame_rate) // stride + 1
+    raw = np.zeros((n, n_sensors * n_lags))
+    for s in range(n_sensors):
+        for lag in range(n_lags):
+            shift = lag * stride
+            raw[shift:, s * n_lags + lag] = x[: n - shift, s]
+    if scale is None:
+        peak = float(np.abs(raw.sum(axis=1)).max())
+        scale = 1.0 / peak if peak > 0 else 1.0
+    return raw * scale, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sensors=st.integers(1, 8), stride=st.sampled_from([1, 2, 3, 6, 10]),
+       n_lags=st.integers(1, 8), extra=st.integers(1, 40), explicit=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_build_mux_matches_the_column_loop(n_sensors, stride, n_lags, extra, explicit, seed):
+    span = (n_lags - 1) * stride
+    x = np.random.default_rng(seed).normal(size=(span + extra, n_sensors))
+    scale = 0.37 if explicit else None
+    got = rc.build_mux(x, span / FS, stride, FS, scale=scale)
+    values, want_scale = _build_mux_column_loop(x, span / FS, stride, FS, scale)
+    assert got.n_lags == n_lags
+    assert got.scale == want_scale
+    np.testing.assert_array_equal(got.values, values)
+
+
 # ---------------------------------------------------------------------------
 # reservoir init / run
 # ---------------------------------------------------------------------------
@@ -94,6 +126,27 @@ def test_esn_init_deterministic():
     b = rc.esn_init(make_config(seed=5))
     assert np.array_equal(a.input_weights, b.input_weights)
     assert np.array_equal(a.recurrent_weights, b.recurrent_weights)
+
+
+def test_esn_init_shares_one_read_only_draw():
+    cfg = make_config(seed=13)
+    first = rc.esn_init(cfg)
+    # leak and architecture are not part of the draw
+    again = rc.esn_init(replace(cfg, leak=0.2, architecture="esn"))
+    assert again.input_weights is first.input_weights
+    assert again.recurrent_weights is first.recurrent_weights
+    for arr in (first.input_weights, first.recurrent_weights, first.state):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    rc._draw_reservoir.cache_clear()
+    fresh = rc.esn_init(cfg)
+    assert fresh.input_weights is not first.input_weights
+    uncached = rc._draw_reservoir.__wrapped__(13, 100, 4, cfg.n_lags, 0.35, 1.0)
+    for got, want in zip((first.input_weights, first.recurrent_weights, first.state),
+                         uncached):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(fresh.input_weights, first.input_weights)
+    np.testing.assert_array_equal(fresh.recurrent_weights, first.recurrent_weights)
 
 
 def test_esn_input_columns_stable_as_mux_grows():
@@ -194,6 +247,19 @@ def test_forgetting_steps_bound():
     # near unit spectral radius σ_max(B) exceeds 1: no bound, one chunk
     assert rc._forgetting_steps(rc.esn_init(make_config(spectral_radius=0.95))
                                 .recurrent_weights) is None
+
+
+def test_forgetting_steps_follow_the_matrix_not_a_stale_memo():
+    b = rc.esn_init(make_config(seed=42)).recurrent_weights
+    w = rc._forgetting_steps(b)
+    mine = np.array(b)          # a hand-built, writable reservoir
+    assert rc._forgetting_steps(mine) == w
+    mine *= 0.5
+    c = np.linalg.norm(mine, 2)
+    w_half = rc._forgetting_steps(mine)
+    assert c ** w_half * 10.0 <= 1e-17 < c ** (w_half - 1) * 10.0
+    assert w_half < w
+    assert rc._forgetting_steps(b) == w
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, "prime"])
@@ -429,6 +495,78 @@ def test_cross_predict_diagonal_is_self_evaluation():
         self_score = rc.r2(model.predict(f[200:]), y[200:])
         assert result.matrix[i, i] == pytest.approx(self_score, abs=1e-12)
     assert result.matrix[0, 0] > result.matrix[0, 1]
+
+
+def _features_by_copies(sensors, cfg):
+    """The path reservoir_features replaced: mux, states and features apart."""
+    mux = rc.build_mux(sensors, cfg.mux_horizon_s, cfg.mux_stride, cfg.frame_rate)
+    states = None if cfg.architecture == "prc" else rc.esn_run(rc.esn_init(cfg), mux)
+    return rc.assemble_features(cfg.architecture, states, mux)
+
+
+def _fit_by_hstack(features, targets, horizon_samples, washout):
+    """Per-horizon weights through an hstack copy of [features, 1] each."""
+    n = features.shape[0]
+    slabs = []
+    for h in horizon_samples:
+        f_aug = np.hstack([features[washout:n - h], np.ones((n - h - washout, 1))])
+        slabs.append(rc._solve_readout(f_aug, targets[washout + h:]))
+    return np.stack(slabs)
+
+
+# 700 rows fill K = 5 chunks exactly, 3001 leave padding rows in K = 11, and
+# radius 0.95 (σ_max(B) > 1) runs one chunk
+@pytest.mark.parametrize("n,radius", [(700, 0.35), (3001, 0.35), (700, 0.95)])
+@pytest.mark.parametrize("arch", ["hybrid", "esn", "prc"])
+def test_feature_buffer_trains_and_predicts_like_copied_features(n, radius, arch):
+    cfg = make_config(architecture=arch, seed=4, spectral_radius=radius)
+    sensors = random_sensors(n, seed=n)
+    targets = np.random.default_rng(7).normal(size=(n, 2))
+    feats = rc.reservoir_features(sensors, cfg)
+    plain = _features_by_copies(sensors, cfg)
+    np.testing.assert_array_equal(feats, plain)
+
+    washout = 100 if n < 1000 else 300
+    horizons = [0.0] if n < 1000 else [0.0, 0.5, 1.0]
+    samples = [round(h * FS) for h in horizons]
+    # a caller's own array, in either memory order, as a reshaped flat array or
+    # as the left block of a wider array whose last column is not ones, trains
+    # as it did before
+    wider = np.hstack([plain, np.full((n, 1), 2.0)])
+    flat = plain.ravel().copy()
+    for f in (feats, plain, np.asfortranarray(plain), flat.reshape(plain.shape), wider[:, :-1]):
+        model = rc.train_horizons(f, targets, horizons, washout, FS)
+        np.testing.assert_array_equal(model.weights,
+                                      _fit_by_hstack(f, targets, samples, washout))
+    oracle = _fit_by_hstack(plain, targets, samples, washout)
+    same_time = rc.train_readout(feats, targets, washout)
+    np.testing.assert_array_equal(same_time.weights[0], oracle[0])
+    np.testing.assert_array_equal(same_time.predict(feats[washout:]),
+                                  same_time.predict(plain[washout:]))
+
+
+def test_cross_predict_on_feature_buffers_matches_copied_features():
+    cfg = make_config(seed=8)
+    sets = {name: (random_sensors(2500, seed=s), np.random.default_rng(s).normal(size=2500))
+            for s, name in enumerate(("a", "b", "c"))}
+    scale = rc.shared_mux_scale([x for x, _ in sets.values()], 2.0, 6, FS)
+    built = {name: (rc.reservoir_features(x, cfg, mux_scale=scale), y)
+             for name, (x, y) in sets.items()}
+    copied = {name: (np.array(f), y) for name, (f, y) in built.items()}
+    np.testing.assert_array_equal(rc.cross_predict(built, washout=500).matrix,
+                                  rc.cross_predict(copied, washout=500).matrix)
+
+
+def test_training_on_reservoir_features_copies_no_feature_matrix():
+    feats = rc.reservoir_features(random_sensors(4000, seed=5), make_config(seed=3))
+    targets = np.random.default_rng(6).normal(size=(4000, 3))
+    tracemalloc.start()
+    try:
+        rc.train_horizons(feats, targets, [0.0, 0.5, 1.0], 300, FS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < feats.nbytes
 
 
 def test_cross_predict_rejects_mismatched_layouts():
