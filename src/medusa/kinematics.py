@@ -87,17 +87,40 @@ class BodyFrameSeries:
     v_local: np.ndarray | None = None
 
 
+def _planes(positions: np.ndarray) -> np.ndarray:
+    """(n, 8, 3) marker positions as one contiguous (3, 8, n) array: a
+    coordinate plane per axis, a row of n samples per marker."""
+    return np.ascontiguousarray(positions.transpose(2, 1, 0))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product over the first (3-long) axis, summed in np.sum's order."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the first (3-long) axis in np.linalg.norm's order."""
+    return np.sqrt(_dot(v, v))
+
+
 def pairwise_lengths(trial: TrialRecording) -> LengthSeries:
-    """Euclidean distances for all 28 unordered marker pairs, per frame."""
-    pos = trial.positions
-    i_idx = np.array([p[0] for p in PAIR_INDICES])
-    j_idx = np.array([p[1] for p in PAIR_INDICES])
-    diffs = pos[:, i_idx, :] - pos[:, j_idx, :]
-    return LengthSeries(
-        names=PAIR_NAMES,
-        values=np.linalg.norm(diffs, axis=2),
-        frame_rate=trial.frame_rate,
-    )
+    """Euclidean distances for all 28 unordered marker pairs, per frame.
+
+    Computed on coordinate planes and bitwise equal to
+    ``np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)`` per pair;
+    ``values`` is a column-major (n, 28) array.
+    """
+    planes = _planes(trial.positions)
+    sq = np.empty((3, len(PAIR_INDICES), planes.shape[2]))
+    k = 0
+    for i in range(7):      # the pairs (i, i+1..7), in PAIR_INDICES order
+        np.subtract(planes[:, i:i + 1], planes[:, i + 1:], out=sq[:, k:k + 7 - i])
+        k += 7 - i
+    np.multiply(sq, sq, out=sq)
+    lengths = sq[0] + sq[1]
+    lengths += sq[2]
+    np.sqrt(lengths, out=lengths)
+    return LengthSeries(names=PAIR_NAMES, values=lengths.T, frame_rate=trial.frame_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +163,35 @@ def matrix_to_euler_zyz(m: np.ndarray) -> np.ndarray:
     return np.stack([alpha, beta, gamma], axis=-1)
 
 
-def _second_moment_rank2(points: np.ndarray) -> np.ndarray:
-    """True where the centered points span at least a plane (not collinear)."""
-    centered = points - points.mean(axis=1, keepdims=True)
-    moment = np.einsum("nij,nik->njk", centered, centered)
-    eig = np.linalg.eigvalsh(moment)
-    scale = np.maximum(eig[:, 2], np.finfo(float).tiny)
-    return eig[:, 1] > 1e-12 * scale
+def _second_moment_rank2(ring: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """True where a ring's points span at least a plane (not collinear).
+
+    ``ring`` is (3, k, m) coordinate planes of k points per frame and
+    ``center`` their (3, m) mean.  The decision is that of the eigenvalues
+    λ0 <= λ1 <= λ2 of the centered second-moment matrix, λ1 > 1e-12·λ2.
+    Its trace T and the sum I2 of its 2×2 principal minors settle most
+    frames without them: I2 <= 3·λ1·λ2 and λ2 <= T give
+    λ1/λ2 >= I2/(3·T²), so I2 > 3e-6·T² means rank 2 with a margin of 1e6
+    over the threshold and over rounding.  Only the other frames are
+    decided by the eigenvalues.
+    """
+    centered = ring - center[:, None]
+    xx, yy, zz = (np.einsum("km,km->m", c, c) for c in centered)
+    xy, xz, yz = (np.einsum("km,km->m", centered[a], centered[b])
+                  for a, b in ((0, 1), (0, 2), (1, 2)))
+    trace = xx + yy + zz
+    minors = (xx * yy - xy * xy) + (xx * zz - xz * xz) + (yy * zz - yz * yz)
+    rank2 = minors > 3e-6 * trace * trace
+    undecided = np.flatnonzero(~rank2)
+    if undecided.size:
+        # (frames, k, 3) with point-major memory, the layout the eigenvalue
+        # test has always been given, so its einsum rounds as it always has
+        pts = np.ascontiguousarray(centered.transpose(1, 2, 0)[:, undecided]).transpose(1, 0, 2)
+        moment = np.einsum("nij,nik->njk", pts, pts)
+        eig = np.linalg.eigvalsh(moment)
+        scale = np.maximum(eig[:, 2], np.finfo(float).tiny)
+        rank2[undecided] = eig[:, 1] > 1e-12 * scale
+    return rank2
 
 
 def body_frame(trial: TrialRecording) -> BodyFrameSeries:
@@ -158,7 +203,8 @@ def body_frame(trial: TrialRecording) -> BodyFrameSeries:
     x-z plane with a positive x-component.
 
     Raises DegenerateRing when a ring's markers are collinear (checked on
-    valid frames only).
+    valid frames only).  Every step runs on coordinate planes in the order
+    of the numpy reduction it stands for (ring means, norms, np.cross).
     """
     pos = trial.positions
     n = trial.n_frames
@@ -171,35 +217,39 @@ def body_frame(trial: TrialRecording) -> BodyFrameSeries:
 
     idx = np.flatnonzero(valid)
     if idx.size:
-        inner = pos[idx][:, INNER_IDX, :]
-        outer = pos[idx][:, OUTER_IDX, :]
-        if not np.all(_second_moment_rank2(inner)):
-            raise DegenerateRing("inner ring markers are collinear on a valid frame")
-        if not np.all(_second_moment_rank2(outer)):
-            raise DegenerateRing("outer ring markers are collinear on a valid frame")
-
+        planes = _planes(pos[idx] if idx.size < n else pos)
+        inner = planes[:, INNER_IDX]
+        outer = planes[:, OUTER_IDX]
         c = inner.mean(axis=1)
         outer_center = outer.mean(axis=1)
+        if not np.all(_second_moment_rank2(inner, c)):
+            raise DegenerateRing("inner ring markers are collinear on a valid frame")
+        if not np.all(_second_moment_rank2(outer, outer_center)):
+            raise DegenerateRing("outer ring markers are collinear on a valid frame")
+
         axis = c - outer_center
-        axis_norm = np.linalg.norm(axis, axis=1)
+        axis_norm = _norm(axis)
         if np.any(axis_norm < 1e-12):
             raise DegenerateRing("ring centers coincide; body axis undefined")
-        e_z = axis / axis_norm[:, None]
+        e_z = axis / axis_norm
 
-        d = pos[idx, _IDX["O2"], :] - pos[idx, _IDX["Y2"], :]
-        d_perp = d - np.sum(d * e_z, axis=1)[:, None] * e_z
-        d_norm = np.linalg.norm(d_perp, axis=1)
+        d = planes[:, _IDX["O2"]] - planes[:, _IDX["Y2"]]
+        d_perp = d - _dot(d, e_z) * e_z
+        d_norm = _norm(d_perp)
         if np.any(d_norm < 1e-12):
             raise DegenerateRing("Y2->O2 segment is parallel to the body axis")
-        e_x = d_perp / d_norm[:, None]
-        e_y = np.cross(e_z, e_x)
+        e_x = d_perp / d_norm
+        # np.cross(e_z, e_x)
+        e_y = np.stack([e_z[1] * e_x[2] - e_z[2] * e_x[1],
+                        e_z[2] * e_x[0] - e_z[0] * e_x[2],
+                        e_z[0] * e_x[1] - e_z[1] * e_x[0]])
 
-        r_wb = np.stack([e_x, e_y, e_z], axis=1)  # rows = body axes in world
-        com[idx] = c
-        inner_r[idx] = np.linalg.norm(inner - c[:, None, :], axis=2).mean(axis=1)
-        outer_r[idx] = np.linalg.norm(outer - c[:, None, :], axis=2).mean(axis=1)
-        rot[idx] = r_wb
-        euler[idx] = matrix_to_euler_zyz(np.swapaxes(r_wb, 1, 2))
+        r_wb = np.stack([e_x, e_y, e_z])  # (body axis, world coordinate, frame)
+        com[idx] = c.T
+        inner_r[idx] = _norm(inner - c[:, None]).mean(axis=0)
+        outer_r[idx] = _norm(outer - c[:, None]).mean(axis=0)
+        rot[idx] = r_wb.transpose(2, 0, 1)
+        euler[idx] = matrix_to_euler_zyz(r_wb.transpose(2, 1, 0))
 
     return BodyFrameSeries(
         com=com,
@@ -212,14 +262,21 @@ def body_frame(trial: TrialRecording) -> BodyFrameSeries:
 
 
 def moving_average(x: np.ndarray, window: int = 5) -> np.ndarray:
-    """Centered moving average; windows shrink at the series ends."""
+    """Centered moving average; windows shrink at the series ends.
+
+    Row t averages rows t - (window-1)//2 .. t + window//2 that exist, so
+    a series shorter than ``window`` keeps its length.
+    """
     x = np.asarray(x, dtype=float)
+    n = x.shape[0]
     kernel = np.ones(window)
-    if x.ndim == 1:
-        sums = np.convolve(x, kernel, mode="same")
-    else:
-        sums = np.apply_along_axis(lambda c: np.convolve(c, kernel, mode="same"), 0, x)
-    counts = np.convolve(np.ones(x.shape[0]), kernel, mode="same")
+    lead = (window - 1) // 2
+
+    def centered(c):
+        return np.convolve(c, kernel)[lead:lead + n]
+
+    sums = centered(x) if x.ndim == 1 else np.apply_along_axis(centered, 0, x)
+    counts = centered(np.ones(n))
     if x.ndim > 1:
         counts = counts[:, None]
     return sums / counts
@@ -328,10 +385,17 @@ def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, state: np.ndarray,
         # (n - 1) // warmup keeps every chunk longer than its warm-up
         k = min((n - 1) // warmup, round(2.0 * math.sqrt(n / warmup)))
     length = -(-n // k)
-    # step-major layout (length, k, c): each step reads one contiguous block
-    rows = np.zeros((k, length, c))
-    rows.reshape(k * length, c)[:n] = x
-    xt = np.ascontiguousarray(rows.transpose(1, 0, 2))
+    # step-major layout (length, k, c): each step reads one contiguous block;
+    # x goes in once through the chunk-major view, and the last chunk's
+    # rows past n are zero
+    xt = np.empty((length, k, c))
+    chunks = xt.transpose(1, 0, 2)
+    q, r = divmod(n, length)
+    chunks[:q] = x[:q * length].reshape(q, length, c)
+    if q < k:
+        chunks[q, :r] = x[q * length:]
+        chunks[q, r:] = 0.0
+        chunks[q + 1:] = 0.0
     yt = np.empty_like(xt)
     z = np.zeros((2, k, c))
     z[:, 0] = state

@@ -110,6 +110,27 @@ class MuxedInput:
     n_lags: int
 
 
+def _lagged(x: np.ndarray, n_lags: int, stride: int, out: np.ndarray,
+            padded: np.ndarray) -> None:
+    """Write the (n, n_sensors) series' strided lags into ``out``
+    (n, n_sensors * n_lags), sensor-major, zero before the series start;
+    ``padded`` is (span + n, n_sensors) scratch."""
+    n = x.shape[0]
+    span_samples = (n_lags - 1) * stride
+    if n <= span_samples:
+        raise TooShort(f"need more than {span_samples} samples, got {n}")
+    padded[:span_samples] = 0.0
+    padded[span_samples:] = x
+    # window t holds samples t - span .. t; lag l is its entry span - l * stride
+    windows = sliding_window_view(padded, span_samples + 1, axis=0)
+    np.copyto(out.reshape(n, -1, n_lags), windows[:, :, span_samples::-stride])
+
+
+def _as_columns(sensors) -> np.ndarray:
+    x = np.asarray(sensors, dtype=float)
+    return x[:, None] if x.ndim == 1 else x
+
+
 def build_mux(
     sensors: np.ndarray,
     mux_horizon_s: float,
@@ -129,21 +150,11 @@ def build_mux(
     share one factor across several datasets (see `shared_mux_scale`).
     ``_out``, an (n_samples, n_sensors * n_lags) array, receives the values.
     """
-    x = np.asarray(sensors, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(sensors)
     n, n_sensors = x.shape
     n_lags = _mux_lags(mux_horizon_s, stride, frame_rate)
-    span_samples = (n_lags - 1) * stride
-    if n <= span_samples:
-        raise TooShort(f"need more than {span_samples} samples, got {n}")
-
-    padded = np.zeros((span_samples + n, n_sensors))
-    padded[span_samples:] = x
-    # window t holds samples t - span .. t; lag l is its entry span - l * stride
-    windows = sliding_window_view(padded, span_samples + 1, axis=0)
     raw = np.empty((n, n_sensors * n_lags)) if _out is None else _out
-    np.copyto(raw.reshape(n, n_sensors, n_lags), windows[:, :, span_samples::-stride])
+    _lagged(x, n_lags, stride, raw, np.empty(((n_lags - 1) * stride + n, n_sensors)))
     if scale is None:
         peak = float(np.abs(raw.sum(axis=1)).max())
         scale = 1.0 / peak if peak > 0 else 1.0
@@ -161,12 +172,21 @@ def shared_mux_scale(
 
     The factor is 1 over the largest summed-input magnitude across all the
     sets, so the |sum U(T)| <= 1 bound holds on every one of them while
-    models trained on one set stay applicable to the others.
+    models trained on one set stay applicable to the others.  Each set's
+    unscaled mux goes into one scratch block reused across the sets.
     """
+    sets = [_as_columns(s) for s in sensor_sets]
+    n_lags = _mux_lags(mux_horizon_s, stride, frame_rate)
+    span_samples = (n_lags - 1) * stride
+    raw_buf = np.empty(max((x.size * n_lags for x in sets), default=0))
+    pad_buf = np.empty(max(((len(x) + span_samples) * x.shape[1] for x in sets), default=0))
     peak = 0.0
-    for sensors in sensor_sets:
-        mux = build_mux(sensors, mux_horizon_s, stride, frame_rate, scale=1.0)
-        peak = max(peak, float(np.abs(mux.values.sum(axis=1)).max()))
+    for x in sets:
+        n, n_sensors = x.shape
+        raw = raw_buf[:x.size * n_lags].reshape(n, n_sensors * n_lags)
+        padded = pad_buf[:(span_samples + n) * n_sensors].reshape(span_samples + n, n_sensors)
+        _lagged(x, n_lags, stride, raw, padded)
+        peak = max(peak, float(np.abs(raw.sum(axis=1)).max()))
     return 1.0 / peak if peak > 0 else 1.0
 
 

@@ -476,6 +476,20 @@ def test_ingest_cli_roundtrip(tmp_path):
     assert trial.animal_id == "JF9"
 
 
+def test_unfiltered_kinematics_on_a_four_frame_trial(tmp_path):
+    raw = synth_trial(tmp_path, seconds=10.0)
+    trial = ingest.read_trial_csv(raw / "trial.csv")
+    short = tmp_path / "short" / "trial.csv"
+    short.parent.mkdir()
+    ingest.write_trial_csv(replace(trial, positions=trial.positions[:4],
+                                   stimulus=trial.stimulus[:4], valid_mask=None), short)
+    out = tmp_path / "kin"
+    assert run("kinematics", "--input", short, "--no-filter", "--out", out) == 0
+    data = np.loadtxt(out / "analysis.csv", delimiter=",", skiprows=1)
+    assert data.shape[0] == 4
+    assert np.isfinite(data).all()
+
+
 def test_report_lists_runs(tmp_path, capsys):
     synth_trial(tmp_path, name="runA", seed=0)
     synth_trial(tmp_path, name="runB", seed=1)

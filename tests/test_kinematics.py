@@ -1,7 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from medusa import ingest, kinematics, synthgen
@@ -156,6 +159,202 @@ def test_rigid_body_invariance():
 
 
 # ---------------------------------------------------------------------------
+# coordinate-plane kernels against the per-frame ones they replaced
+# ---------------------------------------------------------------------------
+
+def pairwise_lengths_per_frame(trial):
+    """pairwise_lengths as it was: fancy-indexed (n, 28, 3) differences."""
+    pos = trial.positions
+    i_idx = np.array([p[0] for p in kinematics.PAIR_INDICES])
+    j_idx = np.array([p[1] for p in kinematics.PAIR_INDICES])
+    return np.linalg.norm(pos[:, i_idx, :] - pos[:, j_idx, :], axis=2)
+
+
+def second_moment_rank2_per_frame(points):
+    """_second_moment_rank2 as it was: eigenvalues of every (m, k, 3) frame."""
+    centered = points - points.mean(axis=1, keepdims=True)
+    moment = np.einsum("nij,nik->njk", centered, centered)
+    eig = np.linalg.eigvalsh(moment)
+    scale = np.maximum(eig[:, 2], np.finfo(float).tiny)
+    return eig[:, 1] > 1e-12 * scale
+
+
+def body_frame_per_frame(trial):
+    """body_frame as it was: (m, k, 3) ring arrays and numpy reductions."""
+    pos = trial.positions
+    n = trial.n_frames
+    com = np.full((n, 3), np.nan)
+    inner_r = np.full(n, np.nan)
+    outer_r = np.full(n, np.nan)
+    euler = np.full((n, 3), np.nan)
+    rot = np.full((n, 3, 3), np.nan)
+    idx = np.flatnonzero(trial.valid_mask)
+    if idx.size:
+        inner = pos[idx][:, kinematics.INNER_IDX, :]
+        outer = pos[idx][:, kinematics.OUTER_IDX, :]
+        if not np.all(second_moment_rank2_per_frame(inner)):
+            raise DegenerateRing("inner ring markers are collinear on a valid frame")
+        if not np.all(second_moment_rank2_per_frame(outer)):
+            raise DegenerateRing("outer ring markers are collinear on a valid frame")
+        c = inner.mean(axis=1)
+        axis = c - outer.mean(axis=1)
+        axis_norm = np.linalg.norm(axis, axis=1)
+        if np.any(axis_norm < 1e-12):
+            raise DegenerateRing("ring centers coincide; body axis undefined")
+        e_z = axis / axis_norm[:, None]
+        d = pos[idx, 5, :] - pos[idx, 3, :]     # Y2 -> O2
+        d_perp = d - np.sum(d * e_z, axis=1)[:, None] * e_z
+        d_norm = np.linalg.norm(d_perp, axis=1)
+        if np.any(d_norm < 1e-12):
+            raise DegenerateRing("Y2->O2 segment is parallel to the body axis")
+        e_x = d_perp / d_norm[:, None]
+        r_wb = np.stack([e_x, np.cross(e_z, e_x), e_z], axis=1)
+        com[idx] = c
+        inner_r[idx] = np.linalg.norm(inner - c[:, None, :], axis=2).mean(axis=1)
+        outer_r[idx] = np.linalg.norm(outer - c[:, None, :], axis=2).mean(axis=1)
+        rot[idx] = r_wb
+        euler[idx] = kinematics.matrix_to_euler_zyz(np.swapaxes(r_wb, 1, 2))
+    return kinematics.BodyFrameSeries(com=com, inner_radius=inner_r, outer_radius=outer_r,
+                                      euler_zyz=euler, rotation=rot,
+                                      frame_rate=trial.frame_rate)
+
+
+def layout(a):
+    """Contiguity flags and the strides of every axis longer than 1 (the
+    stride of a length-1 axis is never stepped)."""
+    return (a.flags.c_contiguous, a.flags.f_contiguous,
+            tuple(step for step, size in zip(a.strides, a.shape) if size > 1))
+
+
+POSE_FIELDS = ("com", "inner_radius", "outer_radius", "euler_zyz", "rotation")
+
+
+def assert_kernels_bitwise(trial):
+    """Lengths (values and strides) and pose equal the per-frame kernels',
+    or both raise DegenerateRing."""
+    got = kinematics.pairwise_lengths(trial).values
+    want = pairwise_lengths_per_frame(trial)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert layout(got) == layout(want)
+    try:
+        want_pose = body_frame_per_frame(trial)
+    except DegenerateRing as err:
+        with pytest.raises(DegenerateRing, match=str(err)):
+            kinematics.body_frame(trial)
+        return
+    pose = kinematics.body_frame(trial)
+    for field in POSE_FIELDS:
+        assert np.array_equal(getattr(pose, field), getattr(want_pose, field), equal_nan=True), field
+
+
+def generated_trial(seed, tau, seconds=20.0):
+    schedule = synthgen.pwm_schedule(tau, seconds) if tau else None
+    params = synthgen.SyntheticJellyfishParams(seed=seed, noise_sd_mm=0.05)
+    return synthgen.gen_jellyfish(params, schedule, seconds)[0]
+
+
+def with_positions(trial, positions):
+    return replace(trial, positions=positions, stimulus=trial.stimulus[:len(positions)],
+                   valid_mask=None)
+
+
+@pytest.mark.parametrize("seed,tau", [(7, 2.0), (3, 0.5), (11, None), (4, None)])
+def test_plane_kernels_bitwise_on_generated_trials(seed, tau):
+    assert_kernels_bitwise(generated_trial(seed, tau))
+
+
+def test_plane_kernels_bitwise_on_a_trial_read_back_from_csv(tmp_path):
+    trial = generated_trial(5, 1.5, seconds=10.0)
+    ingest.write_trial_csv(trial, tmp_path / "trial.csv")
+    assert_kernels_bitwise(ingest.read_trial_csv(tmp_path / "trial.csv"))
+
+
+def test_plane_kernels_bitwise_with_nan_gaps():
+    trial = generated_trial(6, 2.0)
+    pos = trial.positions.copy()
+    pos[100:140, 3] = np.nan          # one marker, 40 frames
+    pos[500:502, :, 2] = np.nan       # every z, 2 frames
+    pos[-1, 0, 0] = np.nan            # the last frame
+    assert_kernels_bitwise(with_positions(trial, pos))
+
+
+def test_plane_kernels_bitwise_with_no_valid_frame():
+    trial = generated_trial(6, None, seconds=10.0)
+    pos = trial.positions.copy()
+    pos[:, 0] = np.nan
+    gappy = with_positions(trial, pos)
+    assert not gappy.valid_mask.any()
+    assert_kernels_bitwise(gappy)
+    assert np.isnan(kinematics.body_frame(gappy).rotation).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_plane_kernels_bitwise_on_one_to_three_frames(n):
+    trial = generated_trial(8, 2.0, seconds=10.0)
+    assert_kernels_bitwise(with_positions(trial, trial.positions[:n].copy()))
+
+
+def near_collinear_positions(seed, k, ring):
+    """Three aligned frames whose middle one has ``ring`` on a line: integer
+    points (exactly collinear) plus a perturbation of relative size 10^-k,
+    none when k is None."""
+    rng = np.random.default_rng(seed)
+    pos = aligned_positions(3) + rng.uniform(-40.0, 40.0, 3)
+    origin = rng.integers(-50, 50, 3).astype(float)
+    direction = rng.integers(-3, 4, 3).astype(float)
+    direction[rng.integers(3)] = rng.choice([-4.0, 4.0])
+    line = origin + np.sort(rng.integers(-5, 6, 4))[:, None] * direction
+    if k is not None:
+        line = line + rng.normal(size=(4, 3)) * np.abs(direction).max() * 10.0 ** -k
+    idx = kinematics.INNER_IDX if ring == "inner" else kinematics.OUTER_IDX
+    pos[1, list(idx)] = line
+    return pos, list(idx)
+
+
+def assert_rank_decisions_match(pos, idx):
+    trial = make_trial(pos)
+    ring = np.ascontiguousarray(pos[:, idx].transpose(2, 1, 0))
+    got = kinematics._second_moment_rank2(ring, ring.mean(axis=1))
+    want = second_moment_rank2_per_frame(pos[:, idx, :])
+    assert np.array_equal(got, want)
+    assert_kernels_bitwise(trial)
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.one_of(st.none(), st.integers(0, 14)),
+       ring=st.sampled_from(["inner", "outer"]))
+def test_near_collinear_ring_decisions_match_the_eigenvalue_test(seed, k, ring):
+    assert_rank_decisions_match(*near_collinear_positions(seed, k, ring))
+
+
+def test_only_near_collinear_frames_reach_the_eigenvalue_test(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    kinematics.body_frame(generated_trial(7, 2.0))
+    assert calls == []
+    decided_by_eigenvalues = set()
+    for k in [None, *range(15)]:
+        for seed in range(4):
+            pos, idx = near_collinear_positions(seed, k, "inner")
+            ring = np.ascontiguousarray(pos[:, idx].transpose(2, 1, 0))
+            calls.clear()
+            rank2 = kinematics._second_moment_rank2(ring, ring.mean(axis=1))
+            if calls:
+                assert calls == [1]          # the middle frame alone
+                decided_by_eigenvalues.add(bool(rank2[1]))
+            assert_rank_decisions_match(pos, idx)
+    # near-collinear rings of both outcomes are left to the eigenvalues
+    assert decided_by_eigenvalues == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # velocities
 # ---------------------------------------------------------------------------
 
@@ -192,6 +391,14 @@ def test_sinusoid_velocity_matches_discrete_transfer_gain():
     np.testing.assert_allclose(v[2:-4, 2], expected[2:-4], atol=1e-6)
     gain = fs * 2 * np.sin(w / 2) * dirichlet / (2 * np.pi * f0)
     assert np.abs(v[2:-4, 2]).max() == pytest.approx(2 * np.pi * f0 * amp * gain, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_moving_average_keeps_the_length_of_a_short_series(n):
+    x = np.random.default_rng(n).normal(size=(n, 3))
+    want = np.array([x[max(t - 2, 0):t + 3].mean(axis=0) for t in range(n)])
+    np.testing.assert_allclose(kinematics.moving_average(x, 5), want, rtol=1e-12)
+    np.testing.assert_allclose(kinematics.moving_average(x[:, 0], 5), want[:, 0], rtol=1e-12)
 
 
 def test_moving_average_shrinks_at_edges():

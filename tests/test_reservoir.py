@@ -79,6 +79,42 @@ def test_shared_scale_keeps_bound_on_every_set():
     assert max(peaks) == pytest.approx(1.0)
 
 
+def _shared_mux_scale_via_mux(sensor_sets, mux_horizon_s, stride, frame_rate):
+    """shared_mux_scale as it was: one whole unscaled mux per set."""
+    peak = 0.0
+    for sensors in sensor_sets:
+        mux = rc.build_mux(sensors, mux_horizon_s, stride, frame_rate, scale=1.0)
+        peak = max(peak, float(np.abs(mux.values.sum(axis=1)).max()))
+    return 1.0 / peak if peak > 0 else 1.0
+
+
+@pytest.mark.parametrize("shapes", [
+    [(9000, 4)] * 4,                          # one cohort seed: 4 conditions x 150 s
+    [(400, 4), (9001, 4), (121, 4), (500,)],  # ragged lengths, a 1-D set
+    [(300, 1), (2000, 7)],                    # different sensor counts
+])
+def test_shared_mux_scale_equals_the_peak_of_each_whole_mux(shapes):
+    rng = np.random.default_rng(len(shapes))
+    sets = [rng.normal(size=shape) * rng.uniform(0.1, 10.0) for shape in shapes]
+    for stride in (1, 6):
+        assert (rc.shared_mux_scale(sets, 2.0, stride, FS)
+                == _shared_mux_scale_via_mux(sets, 2.0, stride, FS))
+
+
+def test_shared_mux_scale_of_cohort_sensors_equals_the_peak_of_each_whole_mux():
+    sets = []
+    for i, tau in enumerate((None, 0.5, 1.5, 2.0)):
+        schedule = synthgen.pwm_schedule(tau, 30.0) if tau else None
+        params = synthgen.SyntheticJellyfishParams(seed=70 + i, noise_sd_mm=0.05)
+        trial, _ = synthgen.gen_jellyfish(params, schedule, 30.0)
+        lengths = kinematics.pairwise_lengths(trial)
+        pose = kinematics.body_frame(trial)
+        sets.append(kinematics.standardize(np.column_stack([
+            pose.inner_radius, pose.outer_radius,
+            lengths.channel("Y2-O1"), lengths.channel("R2-O2")])))
+    assert rc.shared_mux_scale(sets, 2.0, 6, FS) == _shared_mux_scale_via_mux(sets, 2.0, 6, FS)
+
+
 def _build_mux_column_loop(sensors, mux_horizon_s, stride, frame_rate, scale=None):
     """The per-column loop build_mux replaced: (values, scale)."""
     x = np.asarray(sensors, dtype=float)
