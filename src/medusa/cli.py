@@ -26,7 +26,8 @@ from . import esp as esp_mod
 from . import reservoir as rc
 from .errors import MedusaError, ValidationError, ZeroVariance, require_finite
 from .manifest import write_manifest
-from .table import float_cells, read_csv, write_csv
+from .series import runs
+from .table import float_cells, read_csv, read_json, write_csv
 
 DATA_DIR_ENV = "MEDUSA_DATA_DIR"
 DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
@@ -90,7 +91,7 @@ class AnalysisTable:
         # over 300 s their median spacing reads 59.99988 Hz
         if not json_path.exists():
             raise ValidationError(f"{csv_path} has no sidecar {json_path} giving its frame_rate")
-        meta = json.loads(json_path.read_text())
+        meta = read_json(json_path)
         if "frame_rate" not in meta:
             raise ValidationError(f"{json_path} has no frame_rate")
         return cls(data, meta)
@@ -114,9 +115,7 @@ class AnalysisTable:
         return self.column("stim").astype(np.uint8)
 
     def stim_onsets(self) -> np.ndarray:
-        active = self.stim > 0
-        rising = active & ~np.concatenate(([False], active[:-1]))
-        return np.flatnonzero(rising)
+        return runs(self.stim > 0)[0]
 
 
 def _write_analysis(run: Run, table: dict[str, np.ndarray], meta: dict) -> Path:
@@ -131,17 +130,19 @@ def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.n
     """Filter each contiguous run of valid rows, all columns in one call;
     short runs pass through."""
     out = x.copy()
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
-        return out
-    splits = np.flatnonzero(np.diff(idx) > 1) + 1
-    for run in np.split(idx, splits):
-        seg = slice(run[0], run[-1] + 1)
+    for start, stop in zip(*runs(valid)):
         try:
-            out[seg] = kinematics.lowpass_3hz(x[seg], fs)
+            out[start:stop] = kinematics.lowpass_3hz(x[start:stop], fs)
         except MedusaError:
             pass
     return out
+
+
+def _require_rate(path: Path, rate: float, expected: float, source: str) -> None:
+    """Exit 2 naming ``path`` unless it is at the ``expected`` frame rate: mux
+    lags, washouts and horizons are counted in samples."""
+    if not math.isclose(rate, expected, rel_tol=1e-9):
+        raise ValidationError(f"{path} is at {rate:g} Hz but {source} {expected:g} Hz")
 
 
 def _parse_labeled_inputs(run: Run, items) -> dict[str, Path]:
@@ -178,7 +179,7 @@ def cmd_synth(args, run: Run) -> None:
 def cmd_ingest(args, run: Run) -> None:
     prefix = args.input
     paths = {view: run.input(f"{prefix}_{view}.csv") for view in ingest.VIEW_NAMES}
-    meta = json.loads(run.input(f"{prefix}.json").read_text())
+    meta = read_json(run.input(f"{prefix}.json"))
     frame_rate = float(meta.get("frame_rate", ingest.DEFAULT_FRAME_RATE))
 
     views = {
@@ -359,6 +360,8 @@ def _esp_one_condition(paths, params):
     if len(conditions) > 1:
         raise ValidationError(f"trials mix conditions: {sorted(conditions)}")
     fs = tables[0].frame_rate
+    for path, table in zip(paths[1:], tables[1:]):
+        _require_rate(path, table.frame_rate, fs, f"{paths[0]} is at")
     n = min(t.data.shape[0] for t in tables)
     results = {
         name: esp_mod.esp_index(trials, params, fs)
@@ -555,12 +558,7 @@ def cmd_predict(args, run: Run) -> None:
             f"rebuilt targets {targets.names} do not match the model's "
             f"{model.target_names}"
         )
-    # the mux lags and the horizon shifts are counted in the model's samples
-    if not math.isclose(table.frame_rate, config.frame_rate, rel_tol=1e-9):
-        raise ValidationError(
-            f"{path} is at {table.frame_rate:g} Hz but the model was trained at "
-            f"{config.frame_rate:g} Hz"
-        )
+    _require_rate(path, table.frame_rate, config.frame_rate, "the model was trained at")
     features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
     predictions = rc.predict_horizons(model, features)
 
@@ -603,7 +601,9 @@ def cmd_confusion(args, run: Run) -> None:
     fs = None
     for label, path in labeled.items():
         table = AnalysisTable.read(path)
-        fs = fs or table.frame_rate
+        if fs is None:
+            first, fs = path, table.frame_rate
+        _require_rate(path, table.frame_rate, fs, f"{first} is at")
         sensors = kinematics.standardize(table.columns(sensor_names))
         targets = _targets_from_table(table, target_names, pulsatile=False)
         sets[label] = (sensors, targets.values)
@@ -628,6 +628,9 @@ def cmd_confusion(args, run: Run) -> None:
 
 
 def cmd_search_sensors(args, run: Run) -> None:
+    for flag, value in (("--kmax", args.kmax), ("--threads", args.threads)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {value}")
     table = AnalysisTable.read(run.input(args.input))
     pool_cols = list(kinematics.PAIR_NAMES) + ["inner_radius", "outer_radius"]
     data = kinematics.standardize(table.columns(pool_cols))

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBins, InsufficientEvents, TooShort
+from .series import runs
 
 MIN_PSD_SAMPLES = 256
-DEFAULT_SEGMENT_SAMPLES = 512
+SEGMENT_SAMPLES = 512
 MIN_PEAK_FREQ_HZ = 0.05
 BINS_PER_DECADE = 8
 MIN_FIT_POINTS = 5
@@ -90,12 +91,7 @@ def _welch(x: np.ndarray, frame_rate: float, nper: int) -> tuple[np.ndarray, np.
     return np.fft.rfftfreq(nper, 1 / frame_rate), power.mean(axis=1)
 
 
-def psd(
-    series: np.ndarray,
-    frame_rate: float,
-    segment_samples: int = DEFAULT_SEGMENT_SAMPLES,
-    min_peak_freq: float = MIN_PEAK_FREQ_HZ,
-) -> PsdEstimate:
+def psd(series: np.ndarray, frame_rate: float) -> PsdEstimate:
     """Averaged-periodogram PSD with exact variance normalization.
 
     Parameters
@@ -104,12 +100,11 @@ def psd(
         Input series, at least 256 samples.
     frame_rate : float
         Sampling rate in Hz.
-    segment_samples : int
-        Segment length for the averaged periodogram (Hann window, 50%
-        overlap); shrinks automatically for shorter series.
-    min_peak_freq : float
-        The reported peak is the power argmax over frequencies strictly
-        above this floor.
+
+    The averaged periodogram takes segments of ``SEGMENT_SAMPLES`` (Hann
+    window, 50% overlap), fewer for a shorter series.  The reported peak
+    is the power argmax over frequencies strictly above
+    ``MIN_PEAK_FREQ_HZ``.
 
     Returns
     -------
@@ -125,7 +120,7 @@ def psd(
     if n < MIN_PSD_SAMPLES:
         raise TooShort(f"psd needs at least {MIN_PSD_SAMPLES} samples, got {n}")
     x = x - x.mean()
-    freqs, power = _welch(x, frame_rate, min(segment_samples, n))
+    freqs, power = _welch(x, frame_rate, min(SEGMENT_SAMPLES, n))
     df = freqs[1] - freqs[0]
     variance = float(np.mean(x**2))
     total = float(power.sum() * df)
@@ -134,7 +129,7 @@ def psd(
     else:
         power = power * (variance / total)
 
-    above = freqs > min_peak_freq
+    above = freqs > MIN_PEAK_FREQ_HZ
     if not above.any():
         raise TooShort("frequency resolution too coarse to search for a peak")
     k = int(np.argmax(power[above]))
@@ -194,40 +189,26 @@ def extract_pulses(
     if threshold is None:
         threshold = default_threshold(x)
     dt = 1.0 / frame_rate
-    above = x > threshold
-    crossings = np.flatnonzero(above[1:] & ~above[:-1]) + 1
-    if crossings.size < 2:
+    starts, stops = runs(x > threshold)
+    crossing = starts > 0
+    onsets, ends = starts[crossing].tolist(), stops[crossing].tolist()
+    if len(onsets) < 2:
         return []
 
     clipped = np.clip(x - threshold, 0.0, None)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (clipped[:-1] + clipped[1:]) * dt)))
-    below_idx = np.flatnonzero(~above)
-
-    events = []
-    for k in range(crossings.size - 1):
-        i0 = int(crossings[k])
-        run_end = int(below_idx[np.searchsorted(below_idx, i0)]) - 1
-        j0 = i0 - 1
-        j1 = min(run_end + 1, x.shape[0] - 1)
-        events.append(
-            PulseEvent(
-                onset_s=i0 * dt,
-                duration_s=(int(crossings[k + 1]) - i0) * dt,
-                size=float(cum[j1] - cum[j0]),
-            )
-        )
-    return events
+    # a burst followed by a crossing ends inside the series, at its stop
+    return [
+        PulseEvent(onset_s=i0 * dt, duration_s=(i1 - i0) * dt, size=float(cum[end] - cum[i0 - 1]))
+        for i0, i1, end in zip(onsets, onsets[1:], ends)
+    ]
 
 
-def fit_power_law_events(
-    events: list[PulseEvent],
-    field: str = "duration",
-    bins_per_decade: int = BINS_PER_DECADE,
-) -> PowerLawFit:
+def fit_power_law_events(events: list[PulseEvent], field: str = "duration") -> PowerLawFit:
     """Fit the log-binned empirical distribution of event durations or sizes.
 
     Bin edges grow geometrically from the smallest observation at
-    ``bins_per_decade`` bins per decade, counts are normalized to a
+    ``BINS_PER_DECADE`` bins per decade, counts are normalized to a
     density, empty bins are dropped, and the occupied bin centers are fit
     by OLS in log-log coordinates.
     """
@@ -247,8 +228,8 @@ def fit_power_law_events(
     # sample across a bin edge (scale equivariance of the fitted exponent);
     # the half-step offset keeps every edge away from exact data ratios
     ratios = values / vmin
-    n_bins = max(1, math.ceil(math.log10(vmax / vmin) * bins_per_decade + 0.5))
-    edges_q = 10.0 ** ((np.arange(n_bins + 1) - 0.5) / bins_per_decade)
+    n_bins = max(1, math.ceil(math.log10(vmax / vmin) * BINS_PER_DECADE + 0.5))
+    edges_q = 10.0 ** ((np.arange(n_bins + 1) - 0.5) / BINS_PER_DECADE)
     if edges_q[-1] < ratios.max():
         edges_q[-1] = ratios.max() * (1.0 + 1e-12)
     counts, _ = np.histogram(ratios, bins=edges_q)

@@ -8,7 +8,7 @@ at stimulus onset, which is the reproducibility a reservoir readout needs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class EspIndexResult:
     value: float
     n_comparisons: int              # trials compared against each reference
     pair_deltas: np.ndarray         # mean distance per unordered trial pair
-    pairs: list = field(default_factory=list)
     n_trials: int = 0
 
 
@@ -91,6 +90,5 @@ def esp_index(
         value=float(deltas.mean()),
         n_comparisons=len(xs) - 1,
         pair_deltas=deltas,
-        pairs=pairs,
         n_trials=len(xs),
     )

@@ -39,7 +39,8 @@ from .errors import (
     NoOnsetsFound,
     ValidationError,
 )
-from .table import read_csv, write_csv
+from .series import runs
+from .table import read_csv, read_json, write_csv
 
 MARKER_LABELS: tuple[str, ...] = ("R1", "R2", "Y1", "Y2", "O1", "O2", "B1", "B2")
 OUTER_MARKERS: tuple[str, ...] = ("R1", "Y1", "O1", "B1")
@@ -174,26 +175,23 @@ def rect_corners(rect_size: tuple[float, float] = (TANK_MM, TANK_MM)) -> np.ndar
     return np.array([[0.0, 0.0], [w, 0.0], [w, hgt], [0.0, hgt]])
 
 
-def rectify_view(
-    view: RawViewSeries,
-    rect_size: tuple[float, float] = (TANK_MM, TANK_MM),
-    confidence_threshold: float = CONFIDENCE_THRESHOLD,
-) -> RawViewSeries:
+def rectify_view(view: RawViewSeries) -> RawViewSeries:
     """Rectify a whole view using one homography from its corner landmarks.
 
-    The tank corners are physically static, so a single transform is solved
-    from the per-corner median over confident frames; per-frame corner
-    estimates only jitter around it.
+    The corners map onto the ``TANK_MM`` square face.  They are physically
+    static, so a single transform is solved from the per-corner median
+    over confident frames; per-frame corner estimates only jitter around
+    it.
     """
     med = np.empty((4, 2))
     for c in range(4):
-        ok = view.corners_conf[:, c] >= confidence_threshold
+        ok = view.corners_conf[:, c] >= CONFIDENCE_THRESHOLD
         if not np.any(ok):
             ok = np.isfinite(view.corners[:, c]).all(axis=1)
         if not np.any(ok):
             raise DegenerateCorners(f"corner {c + 1} never observed in view {view.view!r}")
         med[c] = np.nanmedian(view.corners[ok, c], axis=0)
-    h = solve_homography(med, rect_corners(rect_size))
+    h = solve_homography(med, rect_corners())
     return replace(
         view,
         corners=apply_homography(h, view.corners),
@@ -213,7 +211,6 @@ def assemble_3d(
     animal_id: str = "",
     condition: str = "spontaneous",
     period_s: float | None = None,
-    confidence_threshold: float = CONFIDENCE_THRESHOLD,
 ) -> TrialRecording:
     """Combine three rectified views into approximate 3D marker positions.
 
@@ -233,9 +230,9 @@ def assemble_3d(
         raise ValueError("views do not share one frame count")
 
     pos = np.full((n, 8, 3), np.nan)
-    top_ok = top.markers_conf >= confidence_threshold
-    behind_ok = behind.markers_conf >= confidence_threshold
-    right_ok = right.markers_conf >= confidence_threshold
+    top_ok = top.markers_conf >= CONFIDENCE_THRESHOLD
+    behind_ok = behind.markers_conf >= CONFIDENCE_THRESHOLD
+    right_ok = right.markers_conf >= CONFIDENCE_THRESHOLD
 
     for m in range(8):
         ok = top_ok[:, m]
@@ -277,17 +274,11 @@ def interpolate_gaps(trial: TrialRecording, max_gap_frames: int = 5) -> TrialRec
     pos = trial.positions.reshape(n, 24).copy()
     for col in range(24):
         x = pos[:, col]
-        missing = ~np.isfinite(x)
-        if not missing.any() or missing.all():
-            continue
-        idx = np.flatnonzero(missing)
-        # split the missing indices into consecutive runs
-        splits = np.flatnonzero(np.diff(idx) > 1) + 1
-        for run in np.split(idx, splits):
-            lo, hi = run[0] - 1, run[-1] + 1
-            if lo < 0 or hi >= n or len(run) > max_gap_frames:
+        for start, stop in zip(*runs(~np.isfinite(x))):
+            if start == 0 or stop == n or stop - start > max_gap_frames:
                 continue
-            x[run] = np.interp(run, [lo, hi], [x[lo], x[hi]])
+            gap = np.arange(start, stop)
+            x[gap] = np.interp(gap, [start - 1, stop], [x[start - 1], x[stop]])
     return replace(trial, positions=pos.reshape(n, 8, 3), valid_mask=None)
 
 
@@ -306,9 +297,7 @@ def align_stimulus(
     active = led > threshold
     if not active.any():
         raise NoOnsetsFound("LED trace never crosses the threshold")
-    rising = active & ~np.concatenate(([False], active[:-1]))
-    onsets = np.flatnonzero(rising) / frame_rate
-    return active.astype(np.uint8), onsets
+    return active.astype(np.uint8), runs(active)[0] / frame_rate
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +360,9 @@ def write_trial_csv(trial: TrialRecording, csv_path: str | Path) -> None:
 def read_trial_csv(csv_path: str | Path) -> TrialRecording:
     """Read a canonical trial CSV (and its JSON sidecar) back into memory."""
     json_path = Path(csv_path).with_suffix(".json")
-    try:
-        meta = json.loads(json_path.read_text())
-    except FileNotFoundError as exc:
-        raise ValidationError(f"trial metadata not found: {json_path}") from exc
+    if not json_path.exists():
+        raise ValidationError(f"trial metadata not found: {json_path}")
+    meta = read_json(json_path)
     data = read_csv(csv_path, TRIAL_COLUMNS)
     n = data.shape[0]
     return TrialRecording(

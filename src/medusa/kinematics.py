@@ -7,17 +7,17 @@ All operations are pure functions over a TrialRecording.  Invalid frames
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateRing, TooShort, ZeroVariance
-from .ingest import MARKER_LABELS, TrialRecording
+from .ingest import INNER_MARKERS, MARKER_LABELS, OUTER_MARKERS, TrialRecording
+from .series import FORGET_TOL, time_chunks
 
 _IDX = {m: i for i, m in enumerate(MARKER_LABELS)}
-INNER_IDX = tuple(_IDX[m] for m in ("R2", "Y2", "O2", "B2"))
-OUTER_IDX = tuple(_IDX[m] for m in ("R1", "Y1", "O1", "B1"))
+INNER_IDX = tuple(_IDX[m] for m in INNER_MARKERS)
+OUTER_IDX = tuple(_IDX[m] for m in OUTER_MARKERS)
 
 PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(8), 2))
 
@@ -33,13 +33,10 @@ PAIR_NAMES: tuple[str, ...] = tuple(
     pair_name(MARKER_LABELS[i], MARKER_LABELS[j]) for i, j in PAIR_INDICES
 )
 RADIAL_PAIR_NAMES: tuple[str, ...] = tuple(
-    pair_name(o, i) for o, i in zip(("R1", "Y1", "O1", "B1"), ("R2", "Y2", "O2", "B2"))
+    pair_name(o, i) for o, i in zip(OUTER_MARKERS, INNER_MARKERS)
 )
-CORONAL_PAIR_NAMES: tuple[str, ...] = (
-    pair_name("R1", "Y1"),
-    pair_name("Y1", "O1"),
-    pair_name("O1", "B1"),
-    pair_name("B1", "R1"),
+CORONAL_PAIR_NAMES: tuple[str, ...] = tuple(   # neighbours around the outer ring
+    pair_name(a, b) for a, b in zip(OUTER_MARKERS, OUTER_MARKERS[1:] + OUTER_MARKERS[:1])
 )
 
 
@@ -301,7 +298,7 @@ def local_velocities(trial: TrialRecording, pose: BodyFrameSeries) -> np.ndarray
     return v_local
 
 
-_FORGET_TOL = 1e-17
+CUTOFF_HZ = 3.0
 
 
 def _butter_lowpass(cutoff_hz: float, frame_rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +325,7 @@ def _forgetting_steps(step: np.ndarray) -> int:
     In the direct-form-II-transposed recursion of a 2nd-order filter the
     error of a wrong start state evolves as e_k = A^k e_0, with ``step``
     A = [[-a1, 1], [-a2, 0]].  Returns the smallest k with
-    ‖A^k‖₂ <= 1e-17 (σ_max(A) > 1, so ‖A‖ alone gives no bound).
+    ‖A^k‖₂ <= ``FORGET_TOL`` (σ_max(A) > 1, so ‖A‖ alone gives no bound).
     """
     power = np.eye(2)
     done = 0
@@ -337,7 +334,7 @@ def _forgetting_steps(step: np.ndarray) -> int:
         for _ in range(64):
             power = power @ step
             powers.append(power)
-        hit = np.flatnonzero(np.linalg.norm(np.array(powers), 2, axis=(1, 2)) <= _FORGET_TOL)
+        hit = np.flatnonzero(np.linalg.norm(np.array(powers), 2, axis=(1, 2)) <= FORGET_TOL)
         if hit.size:
             return done + int(hit[0]) + 1
         done += 64
@@ -367,24 +364,19 @@ def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, state: np.ndarray,
 
     The result is bitwise that of one sequential pass (`_df2t_step` from
     row 0), which is scipy.signal.lfilter's.  The rows are stepped in K
-    time chunks together.  Chunk 0 starts from ``state``; every later
-    chunk starts from zero ``warmup`` rows before its first row, so by
-    then its state is within rounding of the sequential one (see
-    `_forgetting_steps`).  Rounding can leave it an ulp off, so each
-    chunk's start state is then checked against the end state of the chunk
-    before it.  Where they differ, the chunk is stepped again from that
+    time chunks together (`series.time_chunks`).  Chunk 0 starts from
+    ``state``; every later chunk starts from zero ``warmup`` rows before
+    its first row, so by then its state is within rounding of the
+    sequential one (see `_forgetting_steps`).  Rounding can leave it an
+    ulp off, so each chunk's start state is then checked against the end
+    state of the chunk before it.  Where they differ, the chunk is stepped again from that
     end state beside its first run until the two states agree bitwise
     (typically within a few dozen rows), and from there on the first run's
-    rows are the sequential ones.  On fewer than 4·warmup rows K is 1.
+    rows are the sequential ones.
     """
     b, a = tuple(float(v) for v in b), tuple(float(v) for v in a)
     n, c = x.shape
-    if n < 4 * warmup:
-        k, warmup = 1, 0
-    else:
-        # (n - 1) // warmup keeps every chunk longer than its warm-up
-        k = min((n - 1) // warmup, round(2.0 * math.sqrt(n / warmup)))
-    length = -(-n // k)
+    k, length, warmup = time_chunks(n, warmup)
     # step-major layout (length, k, c): each step reads one contiguous block;
     # x goes in once through the chunk-major view, and the last chunk's
     # rows past n are zero
@@ -422,8 +414,8 @@ def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, state: np.ndarray,
     return yt.transpose(1, 0, 2).reshape(k * length, c)[:n]
 
 
-def lowpass_3hz(series: np.ndarray, frame_rate: float, cutoff_hz: float = 3.0) -> np.ndarray:
-    """Zero-phase 2nd-order Butterworth low-pass (forward-backward).
+def lowpass_3hz(series: np.ndarray, frame_rate: float) -> np.ndarray:
+    """Zero-phase 2nd-order Butterworth low-pass at ``CUTOFF_HZ`` (forward-backward).
 
     ``series`` is one channel (n,) or several (n, c), filtered along time.
     Requires a uniform sampling rate of at least 10 Hz and a series at
@@ -437,11 +429,11 @@ def lowpass_3hz(series: np.ndarray, frame_rate: float, cutoff_hz: float = 3.0) -
     x = np.asarray(series, dtype=float)
     # pad three settle lengths so edge transients decay fully; this keeps the
     # forward-backward pass symmetric under time reversal
-    settle = int(np.ceil(2.0 * frame_rate / cutoff_hz))
+    settle = int(np.ceil(2.0 * frame_rate / CUTOFF_HZ))
     padlen = 3 * settle
     if x.shape[0] <= padlen:
         raise TooShort(f"series of length {x.shape[0]} needs more than {padlen} samples")
-    b, a = _butter_lowpass(cutoff_hz, frame_rate)
+    b, a = _butter_lowpass(CUTOFF_HZ, frame_rate)
     cols = x.reshape(x.shape[0], -1)
     ext = np.concatenate([2 * cols[:1] - cols[padlen:0:-1], cols,
                           2 * cols[-1:] - cols[-2:-(padlen + 2):-1]])

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .criticality import default_threshold
 from .errors import (
     BlobCorrupt,
     ConfigMismatch,
@@ -33,6 +34,7 @@ from .errors import (
     UntrainedHorizon,
     require_finite,
 )
+from .series import FORGET_TOL, runs, time_chunks
 
 ARCHITECTURES = ("esn", "prc", "hybrid")
 _ARCH_CODES = {"prc": 0, "esn": 1, "hybrid": 2}
@@ -45,7 +47,6 @@ PULSATILE_WASHOUT_SAMPLES = 1_000
 
 _BLOB_MAGIC = b"MDS1"
 _BLOB_HEADER = struct.Struct("<4sBIIIff")
-_FORGET_TOL = 1e-17
 
 
 @dataclass
@@ -126,8 +127,9 @@ def _lagged(x: np.ndarray, n_lags: int, stride: int, out: np.ndarray,
     np.copyto(out.reshape(n, -1, n_lags), windows[:, :, span_samples::-stride])
 
 
-def _as_columns(sensors) -> np.ndarray:
-    x = np.asarray(sensors, dtype=float)
+def _as_columns(series) -> np.ndarray:
+    """A float (n,) series as an (n, 1) column view; (n, c) as it is."""
+    x = np.asarray(series, dtype=float)
     return x[:, None] if x.ndim == 1 else x
 
 
@@ -273,8 +275,8 @@ def _forgetting_steps(recurrent_weights: np.ndarray) -> int | None:
 
     With c = σ_max(B) < 1, two runs on one input that start from different
     states in [-1, 1]^n differ after k steps by at most c^k·√n (tanh is
-    1-Lipschitz).  Returns the smallest k with c^k·√n <= 1e-17, below half
-    an ulp of a state, or None when c >= 1 gives no bound.
+    1-Lipschitz).  Returns the smallest k with c^k·√n <= ``FORGET_TOL``,
+    or None when c >= 1 gives no bound.
     """
     b = np.ascontiguousarray(recurrent_weights, dtype=float)
     return _forgetting_steps_of(b.tobytes(), b.shape[0])
@@ -288,18 +290,7 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
         return None
     if c == 0.0:
         return 1
-    return math.ceil(math.log(_FORGET_TOL / math.sqrt(n)) / math.log(c))
-
-
-def _chunking(t_len: int, recurrent_weights: np.ndarray) -> tuple[int, int, int]:
-    """(K chunks, rows per chunk, warm-up W) that `esn_run` steps t_len rows in."""
-    w = _forgetting_steps(recurrent_weights)
-    if w is None or t_len < 4 * w:
-        return 1, t_len, 0
-    # (t_len - 1) // w keeps every chunk longer than w, so each warm-up
-    # starts from a tanh output (inside the √n bound), never before row 0
-    k = min((t_len - 1) // w, round(2.0 * math.sqrt(t_len / w)))
-    return k, -(-t_len // k), w
+    return math.ceil(math.log(FORGET_TOL / math.sqrt(n)) / math.log(c))
 
 
 def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
@@ -317,22 +308,21 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
     (K, n) @ Bᵀ product per step.  Chunk 0 starts from ``state.state``;
     every later chunk starts from zero W steps before its first row, where
     W is the reservoir's forgetting bound (`_forgetting_steps`), so its
-    states agree with a single sequential pass to rounding.  Without a
-    bound, or on fewer than 4W rows, K is 1 and there is no warm-up.
+    states agree with a single sequential pass to rounding.  K, L and W
+    come from `series.time_chunks`; every chunk is longer than W, so each
+    warm-up starts from a tanh output (inside the √n bound).
 
-    ``_out`` is a (K·L, n) array to step in, L = ceil(T / K) (see
-    `_chunking`); the result is a view of its first T rows.
+    ``_out`` is a (K·L, n) array to step in; the result is a view of its
+    first T rows.
     """
-    u = inputs.values if isinstance(inputs, MuxedInput) else np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
+    u = _as_columns(inputs.values if isinstance(inputs, MuxedInput) else inputs)
     a, b = state.input_weights, state.recurrent_weights
     if u.shape[1] != a.shape[1]:
         raise ValueError(f"input width {u.shape[1]} does not match weights {a.shape[1]}")
     if state.config.leak != 0.0:
         u = leaky_integrate(u, state.config.leak)
     t_len, n = u.shape[0], a.shape[0]
-    k, length, w = _chunking(t_len, b)
+    k, length, w = time_chunks(t_len, _forgetting_steps(b))
     traj = np.empty((k * length, n)) if _out is None else _out
     if traj.shape != (k * length, n):
         raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
@@ -384,9 +374,7 @@ def reservoir_features(
     architecture uses them; the result is its (T, d) left block, which
     the readout trains on with the ones column as its bias without a copy.
     """
-    x = np.asarray(sensors, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(sensors)
     if x.shape[1] != config.n_sensors:
         raise ConfigMismatch(
             f"data has {x.shape[1]} sensors but the configuration declares {config.n_sensors}"
@@ -401,7 +389,7 @@ def reservoir_features(
     rows = t_len
     if state is not None:
         # esn_run steps K chunks of L rows in place; rows past T are padding
-        k, length, _ = _chunking(t_len, state.recurrent_weights)
+        k, length, _ = time_chunks(t_len, _forgetting_steps(state.recurrent_weights))
         rows = k * length
     buf = np.empty((rows, width + 1))
     buf[:, -1] = 1.0
@@ -496,9 +484,7 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     feature columns (bias included).
     """
     f = np.asarray(features, dtype=float)
-    y = np.asarray(targets, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    y = _as_columns(targets)
     if f.shape[0] != y.shape[0]:
         raise ValueError("features and targets must share one sample count")
     require_finite(y, "target")
@@ -550,11 +536,10 @@ def train_readout(
     targets: np.ndarray,
     washout: int,
     architecture: str = "",
-    target_names: tuple[str, ...] = (),
 ) -> Readout:
     """Same-time readout: the 0 s horizon of `train_horizons`."""
     # a 0 s horizon is 0 samples at any frame rate
-    return _fit_readout(features, targets, (0.0,), washout, 60.0, architecture, target_names)
+    return _fit_readout(features, targets, (0.0,), washout, 60.0, architecture, ())
 
 
 def train_horizons(
@@ -585,14 +570,11 @@ def evaluate_horizons(
     targets: np.ndarray,
 ) -> dict[float, float]:
     """Post-washout R-squared per horizon on a feature/target stream."""
-    y = np.asarray(targets, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
+    y = _as_columns(targets)
     predictions = predict_horizons(model, features)
     scores = {}
     for h_s, h in zip(model.horizons_s, model.horizon_samples):
-        pred = predictions[h_s]
-        p = pred if pred.ndim > 1 else pred[:, None]
+        p = _as_columns(predictions[h_s])
         stop = p.shape[0] - h
         scores[h_s] = r2(p[model.washout:stop], y[model.washout + h:])
     return scores
@@ -633,11 +615,7 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     pairs = []
     for name in names:
         f, y = datasets[name]
-        f = np.asarray(f, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        pairs.append((f, y))
+        pairs.append((np.asarray(f, dtype=float), _as_columns(y)))
     width = pairs[0][0].shape[1]
     n_targets = pairs[0][1].shape[1]
     for (f, y), name in zip(pairs, names):
@@ -648,10 +626,7 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     for i, (f_i, y_i) in enumerate(pairs):
         model = train_readout(f_i, y_i, washout)
         for j, (f_j, y_j) in enumerate(pairs):
-            pred = model.predict(f_j[washout:])
-            if pred.ndim == 1:
-                pred = pred[:, None]
-            matrix[i, j] = r2(pred, y_j[washout:])
+            matrix[i, j] = r2(_as_columns(model.predict(f_j[washout:])), y_j[washout:])
     return CrossPrediction(names=names, matrix=matrix)
 
 
@@ -673,12 +648,15 @@ def detect_pulse_onsets(
     threshold: float | None = None,
     refractory_s: float = 0.5,
 ) -> np.ndarray:
-    """Upward-crossing indices with a refractory period, for pulse resets."""
+    """Upward-crossing indices with a refractory period, for pulse resets.
+
+    The threshold defaults to `criticality.default_threshold`'s.
+    """
     x = np.asarray(series, dtype=float)
     if threshold is None:
-        threshold = float(x.mean() + 0.5 * x.std())
-    above = x > threshold
-    rising = np.flatnonzero(above[1:] & ~above[:-1]) + 1
+        threshold = default_threshold(x)
+    starts, _ = runs(x > threshold)
+    rising = starts[starts > 0]
     keep = []
     gap = refractory_s * frame_rate
     for idx in rising:
@@ -700,9 +678,7 @@ def dead_reckon_positions(
     v_local: np.ndarray, onset_indices: np.ndarray, frame_rate: float
 ) -> np.ndarray:
     """Integrate local velocity into displacement, reset to 0 at each onset."""
-    v = np.asarray(v_local, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
+    v = _as_columns(v_local)
     n = v.shape[0]
     cum = np.vstack([np.zeros((1, v.shape[1])), np.cumsum(v[:-1], axis=0) / frame_rate])
     anchors = _segment_anchors(n, onset_indices)
@@ -711,9 +687,7 @@ def dead_reckon_positions(
 
 def rezero_at_onsets(series: np.ndarray, onset_indices: np.ndarray) -> np.ndarray:
     """Subtract each sample's most recent onset value (relative pose)."""
-    x = np.asarray(series, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = _as_columns(series)
     anchors = _segment_anchors(x.shape[0], onset_indices)
     return x - x[anchors]
 
@@ -732,9 +706,7 @@ def build_targets(
     dead-reckoned displacements (and relative rotations when ``euler`` is
     given), each reset to zero at every pulse onset.
     """
-    v = np.asarray(v_local, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
+    v = _as_columns(v_local)
     if velocity_names is None:
         velocity_names = tuple(("vx", "vy", "vz")[: v.shape[1]])
     if len(velocity_names) != v.shape[1]:
@@ -917,11 +889,10 @@ class CompactEvaluator:
         np.matmul(self._features, self._w, out=self._out)
         return self._out
 
-    def run(self, inputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Evaluate a whole input stream; ``out`` is allocated once if absent."""
+    def run(self, inputs: np.ndarray) -> np.ndarray:
+        """Evaluate a whole input stream into one float32 array."""
         u = np.asarray(inputs)
-        if out is None:
-            out = np.empty((u.shape[0], self.model.n_outputs), dtype=np.float32)
+        out = np.empty((u.shape[0], self.model.n_outputs), dtype=np.float32)
         for t in range(u.shape[0]):
             out[t] = self.step(u[t])
         return out

@@ -11,6 +11,7 @@ import numpy as np
 from .errors import DegenerateGroups, TooFewOnsets, TooShort
 
 PHASE_POINTS = 64
+PERMUTATION_CHUNK = 2_048   # permutations drawn per block; bounds a block's memory
 
 
 @dataclass
@@ -32,12 +33,11 @@ def phase_response(
     series: np.ndarray,
     onsets_s: np.ndarray,
     frame_rate: float = 60.0,
-    n_points: int = PHASE_POINTS,
 ) -> PhaseResponse:
     """Cut a series at consecutive onsets and overlay the cycles.
 
     Each segment between onset k and onset k+1 is linearly resampled onto
-    ``n_points`` phase points covering [0, 1) of the cycle; the stack's
+    ``PHASE_POINTS`` phase points covering [0, 1) of the cycle; the stack's
     per-point mean and population SD summarize the response.
     """
     onsets = np.asarray(onsets_s, dtype=float)
@@ -49,9 +49,10 @@ def phase_response(
         raise TooShort("series does not cover the onset span")
 
     t = np.arange(x.shape[0]) / frame_rate
-    segments = np.empty((onsets.size - 1, n_points))
+    segments = np.empty((onsets.size - 1, PHASE_POINTS))
     for k in range(onsets.size - 1):
-        sample_times = onsets[k] + (onsets[k + 1] - onsets[k]) * np.arange(n_points) / n_points
+        sample_times = (onsets[k] + (onsets[k + 1] - onsets[k])
+                        * np.arange(PHASE_POINTS) / PHASE_POINTS)
         segments[k] = np.interp(sample_times, t, x)
     return PhaseResponse(
         period_s=float(np.mean(np.diff(onsets))),
@@ -173,7 +174,6 @@ class PairwiseComparison:
     pair: tuple[int, int]
     t_statistic: float
     p_welch: float
-    q_statistic: float
     p_adjusted: float
 
 
@@ -181,7 +181,6 @@ def pairwise_tests(
     groups,
     n_permutations: int = 10_000,
     seed: int = 0,
-    chunk: int = 2_048,
 ) -> list[PairwiseComparison]:
     """All-pairs comparison with familywise error control.
 
@@ -220,7 +219,7 @@ def pairwise_tests(
     done = 0
     half_inv = 0.5 * np.array([1 / sizes[i] + 1 / sizes[j] for i, j in pairs])
     while done < n_permutations:
-        c = min(chunk, n_permutations - done)
+        c = min(PERMUTATION_CHUNK, n_permutations - done)
         order = np.argsort(rng.random((c, n_total)), axis=1)
         perm = pool[order]
         mean_g = np.empty((c, k))
@@ -251,7 +250,6 @@ def pairwise_tests(
                 pair=(i, j),
                 t_statistic=t_stat,
                 p_welch=p_welch,
-                q_statistic=float(q_obs[idx]),
                 p_adjusted=float(p_adj[idx]),
             )
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,12 +24,13 @@ POOL_SIZE = 30
 DEFAULT_K_MAX = 5
 RADIUS_NAMES = ("inner_radius", "outer_radius")
 POOL_NAMES: tuple[str, ...] = PAIR_NAMES + RADIUS_NAMES
+RIDGE = 1e-8            # added to each subset's normal equations, for conditioning
+CHUNK_SIZE = 20_000     # subsets scored per block; bounds a block's memory
 _TIE_TOL = 1e-9
 
 
 @dataclass
 class TaskResult:
-    task: str
     subset: tuple[str, ...]
     subset_idx: tuple[int, ...]
     r2: float
@@ -76,10 +78,8 @@ def search_best(
     tasks: dict[str, np.ndarray],
     washout: int = 1_000,
     k_max: int = DEFAULT_K_MAX,
-    ridge: float = 1e-8,
     n_workers: int = 1,
     pool_names: tuple[str, ...] | None = None,
-    chunk_size: int = 20_000,
 ) -> SensorSearchReport:
     """Find the best sensor subset per task by exhaustive search.
 
@@ -88,7 +88,9 @@ def search_best(
     Subsets are scored by post-washout R-squared of the direct linear
     readout.  Ties (within 1e-9) resolve to the smaller subset, then
     lexicographically — this matches the enumeration order, so the first
-    best-scoring subset encountered wins.
+    best-scoring subset encountered wins.  The blocks of ``CHUNK_SIZE``
+    subsets are scored by ``n_workers`` threads and merged in enumeration
+    order, so the report does not depend on the worker count.
     """
     x = np.asarray(data, dtype=float)
     if pool_names is None:
@@ -120,42 +122,34 @@ def search_best(
     moments = f.T @ yp
     yty = np.sum(yp**2, axis=0)
 
-    def chunks():
-        for k in range(1, k_max + 1):
-            combos = itertools.combinations(range(pool), k)
-            while True:
-                block = list(itertools.islice(combos, chunk_size))
-                if not block:
-                    break
-                yield (np.array(block, dtype=np.intp), gram, moments, yty, sst, ridge)
-
     best: dict[str, TaskResult] = {
-        t: TaskResult(task=t, subset=(), subset_idx=(), r2=-np.inf) for t in task_names
+        t: TaskResult(subset=(), subset_idx=(), r2=-np.inf) for t in task_names
     }
-    n_subsets = 0
 
     def merge(picks) -> None:
         # enumeration runs smallest k first and lexicographically within k,
         # so a strict improvement test encodes the tie-breaking rule
         for t, (score, subset) in zip(task_names, picks):
             if score > best[t].r2 + _TIE_TOL:
-                best[t] = TaskResult(
-                    task=t,
-                    subset=tuple(pool_names[i] for i in subset),
-                    subset_idx=subset,
-                    r2=score,
-                )
+                best[t] = TaskResult(subset=tuple(pool_names[i] for i in subset),
+                                     subset_idx=subset, r2=score)
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool_exec:
-            work = list(chunks())
-            n_subsets = sum(w[0].shape[0] for w in work)
-            for picks in pool_exec.map(_eval_chunk, work):
-                merge(picks)
-    else:
-        for w in chunks():
-            n_subsets += w[0].shape[0]
-            merge(_eval_chunk(w))
+    # blocks are submitted as the workers free up, at most n_workers + 1 in
+    # flight (Executor.map would build every block first), and merged in
+    # submission order
+    n_subsets = 0
+    pending: deque = deque()
+    with ThreadPoolExecutor(max_workers=n_workers) as pool_exec:
+        for k in range(1, k_max + 1):
+            combos = itertools.combinations(range(pool), k)
+            while block := list(itertools.islice(combos, CHUNK_SIZE)):
+                n_subsets += len(block)
+                pending.append(pool_exec.submit(
+                    _eval_chunk, (np.array(block, dtype=np.intp), gram, moments, yty, sst, RIDGE)))
+                if len(pending) > n_workers:
+                    merge(pending.popleft().result())
+        while pending:
+            merge(pending.popleft().result())
 
     tally = {name: 0 for name in pool_names}
     for t in task_names:

@@ -13,6 +13,8 @@ PALETTE = (
     "#990066", "#336600",
 )
 _MARGIN = dict(left=64.0, right=16.0, top=28.0, bottom=44.0)
+WIDTH, HEIGHT = 640, 420   # every plot's size in pixels
+RIBBON_COLOR = "#2980b9"
 
 
 def _axis_range(values, log: bool) -> tuple[float, float]:
@@ -34,12 +36,12 @@ def _axis_range(values, log: bool) -> tuple[float, float]:
 class _Frame:
     """Maps data coordinates onto the pixel plot box."""
 
-    def __init__(self, xlim, ylim, width, height, log_x=False, log_y=False):
+    def __init__(self, xlim, ylim, log_x=False, log_y=False):
         self.log_x, self.log_y = log_x, log_y
         self.x0 = _MARGIN["left"]
         self.y0 = _MARGIN["top"]
-        self.x1 = width - _MARGIN["right"]
-        self.y1 = height - _MARGIN["bottom"]
+        self.x1 = WIDTH - _MARGIN["right"]
+        self.y1 = HEIGHT - _MARGIN["bottom"]
         self.xlim = tuple(math.log10(v) for v in xlim) if log_x else xlim
         self.ylim = tuple(math.log10(v) for v in ylim) if log_y else ylim
 
@@ -75,7 +77,7 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _chrome(parts, frame, title, xlabel, ylabel, width, height):
+def _chrome(parts, frame, title, xlabel, ylabel):
     parts.append(
         f'<rect x="{frame.x0}" y="{frame.y0}" width="{frame.x1 - frame.x0}" '
         f'height="{frame.y1 - frame.y0}" fill="none" stroke="#333"/>'
@@ -100,9 +102,9 @@ def _chrome(parts, frame, title, xlabel, ylabel, width, height):
         parts.append(
             f'<text x="{frame.x0 - 6}" y="{y + 3:.1f}" font-size="10" text-anchor="end">{_fmt(tick)}</text>'
         )
-    parts.append(f'<text x="{width / 2}" y="16" font-size="12" text-anchor="middle">{title}</text>')
+    parts.append(f'<text x="{WIDTH / 2}" y="16" font-size="12" text-anchor="middle">{title}</text>')
     parts.append(
-        f'<text x="{(frame.x0 + frame.x1) / 2}" y="{height - 8}" font-size="11" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{(frame.x0 + frame.x1) / 2}" y="{HEIGHT - 8}" font-size="11" text-anchor="middle">{xlabel}</text>'
     )
     parts.append(
         f'<text x="14" y="{(frame.y0 + frame.y1) / 2}" font-size="11" text-anchor="middle" '
@@ -110,7 +112,7 @@ def _chrome(parts, frame, title, xlabel, ylabel, width, height):
     )
 
 
-def _polyline(frame, x, y, color, width=1.2, opacity=1.0) -> str:
+def _polyline(frame, x, y, color, width=1.2) -> str:
     pts = []
     for xi, yi in zip(x, y):
         if not (np.isfinite(xi) and np.isfinite(yi)):
@@ -122,15 +124,15 @@ def _polyline(frame, x, y, color, width=1.2, opacity=1.0) -> str:
         return ""
     return (
         f'<polyline points="{" ".join(pts)}" fill="none" stroke="{color}" '
-        f'stroke-width="{width}" stroke-opacity="{opacity}"/>'
+        f'stroke-width="{width}" stroke-opacity="1.0"/>'
     )
 
 
-def _write(path, parts, width, height):
+def _write(path, parts):
     body = "\n".join(p for p in parts if p)
     doc = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">\n<rect width="100%" height="100%" fill="white"/>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n<rect width="100%" height="100%" fill="white"/>\n'
         f"{body}\n</svg>\n"
     )
     Path(path).write_text(doc)
@@ -145,14 +147,12 @@ def line_plot(
     ylabel: str = "",
     log_x: bool = False,
     log_y: bool = False,
-    width: int = 640,
-    height: int = 420,
 ) -> None:
     """Overlaid line plot; ``series`` maps label -> y array."""
     all_y = np.concatenate([np.asarray(v, dtype=float).ravel() for v in series.values()])
-    frame = _Frame(_axis_range(x, log_x), _axis_range(all_y, log_y), width, height, log_x, log_y)
+    frame = _Frame(_axis_range(x, log_x), _axis_range(all_y, log_y), log_x, log_y)
     parts: list[str] = []
-    _chrome(parts, frame, title, xlabel, ylabel, width, height)
+    _chrome(parts, frame, title, xlabel, ylabel)
     for i, (label, y) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         parts.append(_polyline(frame, x, y, color))
@@ -160,7 +160,7 @@ def line_plot(
             f'<text x="{frame.x1 - 4}" y="{frame.y0 + 12 + 12 * i}" font-size="10" '
             f'text-anchor="end" fill="{color}">{label}</text>'
         )
-    _write(path, parts, width, height)
+    _write(path, parts)
 
 
 def ribbon_plot(
@@ -171,22 +171,19 @@ def ribbon_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    color: str = "#2980b9",
-    width: int = 640,
-    height: int = 420,
 ) -> None:
     """Mean line with a +/- SD band."""
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     lo, hi = mean - sd, mean + sd
-    frame = _Frame(_axis_range(x, False), _axis_range(np.concatenate([lo, hi]), False), width, height)
+    frame = _Frame(_axis_range(x, False), _axis_range(np.concatenate([lo, hi]), False))
     parts: list[str] = []
-    _chrome(parts, frame, title, xlabel, ylabel, width, height)
+    _chrome(parts, frame, title, xlabel, ylabel)
     band = [f"{frame.px(xi):.1f},{frame.py(yi):.1f}" for xi, yi in zip(x, hi)]
     band += [f"{frame.px(xi):.1f},{frame.py(yi):.1f}" for xi, yi in zip(x[::-1], lo[::-1])]
-    parts.append(f'<polygon points="{" ".join(band)}" fill="{color}" fill-opacity="0.25" stroke="none"/>')
-    parts.append(_polyline(frame, x, mean, color, width=1.8))
-    _write(path, parts, width, height)
+    parts.append(f'<polygon points="{" ".join(band)}" fill="{RIBBON_COLOR}" fill-opacity="0.25" stroke="none"/>')
+    parts.append(_polyline(frame, x, mean, RIBBON_COLOR, width=1.8))
+    _write(path, parts)
 
 
 def heatmap(
@@ -195,9 +192,6 @@ def heatmap(
     row_labels,
     col_labels,
     title: str = "",
-    width: int = 640,
-    height: int = 420,
-    fmt: str = ".2f",
 ) -> None:
     """Annotated heatmap; values are clipped to [vmin, vmax] for coloring."""
     m = np.asarray(matrix, dtype=float)
@@ -207,10 +201,10 @@ def heatmap(
     if vmin == vmax:
         vmax = vmin + 1.0
     x0, y0 = _MARGIN["left"] + 20, _MARGIN["top"] + 8
-    x1, y1 = width - _MARGIN["right"], height - _MARGIN["bottom"]
+    x1, y1 = WIDTH - _MARGIN["right"], HEIGHT - _MARGIN["bottom"]
     rows, cols = m.shape
     cw, ch = (x1 - x0) / cols, (y1 - y0) / rows
-    parts = [f'<text x="{width / 2}" y="16" font-size="12" text-anchor="middle">{title}</text>']
+    parts = [f'<text x="{WIDTH / 2}" y="16" font-size="12" text-anchor="middle">{title}</text>']
     for r in range(rows):
         for c in range(cols):
             v = m[r, c]
@@ -226,7 +220,7 @@ def heatmap(
             if np.isfinite(v):
                 parts.append(
                     f'<text x="{x0 + (c + 0.5) * cw:.1f}" y="{y0 + (r + 0.5) * ch + 3:.1f}" '
-                    f'font-size="10" text-anchor="middle" fill="white">{v:{fmt}}</text>'
+                    f'font-size="10" text-anchor="middle" fill="white">{v:.2f}</text>'
                 )
     for r, label in enumerate(row_labels):
         parts.append(
@@ -236,7 +230,7 @@ def heatmap(
         parts.append(
             f'<text x="{x0 + (c + 0.5) * cw:.1f}" y="{y1 + 14}" font-size="10" text-anchor="middle">{label}</text>'
         )
-    _write(path, parts, width, height)
+    _write(path, parts)
 
 
 def bar_chart(
@@ -246,16 +240,14 @@ def bar_chart(
     errors=None,
     title: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> None:
     """Simple bar chart with optional error whiskers."""
     vals = np.asarray(values, dtype=float)
     errs = np.zeros_like(vals) if errors is None else np.asarray(errors, dtype=float)
     top = float(np.nanmax(vals + errs)) if vals.size else 1.0
-    frame = _Frame((0.0, float(len(vals))), (0.0, top * 1.08 or 1.0), width, height)
+    frame = _Frame((0.0, float(len(vals))), (0.0, top * 1.08 or 1.0))
     parts: list[str] = []
-    _chrome(parts, frame, title, "", ylabel, width, height)
+    _chrome(parts, frame, title, "", ylabel)
     for i, (label, v, e) in enumerate(zip(labels, vals, errs)):
         color = PALETTE[i % len(PALETTE)]
         x_left = frame.px(i + 0.15)
@@ -275,4 +267,4 @@ def bar_chart(
             f'<text x="{frame.px(i + 0.5):.1f}" y="{frame.y1 + 16}" font-size="10" '
             f'text-anchor="middle">{label}</text>'
         )
-    _write(path, parts, width, height)
+    _write(path, parts)

@@ -25,9 +25,13 @@ from .ingest import TrialRecording
 from .kinematics import BodyFrameSeries, euler_zyz_to_matrix, matrix_to_euler_zyz
 
 BURST_DURATION_S = 0.1
-CARRIER_HZ = 50.0
 DUTY = 0.5
 AMPLITUDE_V = 3.3
+# gen_avalanche's series: its sampling rate, and the baseline samples
+# between events and before the first and after the last
+AVALANCHE_FRAME_RATE = 60.0
+AVALANCHE_GAP_SAMPLES = 1
+AVALANCHE_LEAD_IN_SAMPLES = 10
 
 
 @dataclass
@@ -35,10 +39,8 @@ class StimulusSchedule:
     """Periodic burst schedule for the pulse-width-modulated stimulator."""
 
     period_s: float
-    window_s: float
     onsets_s: np.ndarray
     burst_duration_s: float = BURST_DURATION_S
-    carrier_hz: float = CARRIER_HZ
     duty: float = DUTY
     amplitude_v: float = AMPLITUDE_V
 
@@ -58,11 +60,7 @@ def pwm_schedule(period_s: float, window_s: float) -> StimulusSchedule:
             f"period {period_s} s must exceed the {BURST_DURATION_S} s burst"
         )
     n = int(np.ceil(window_s / period_s - 1e-12))
-    return StimulusSchedule(
-        period_s=period_s,
-        window_s=window_s,
-        onsets_s=np.arange(n) * period_s,
-    )
+    return StimulusSchedule(period_s=period_s, onsets_s=np.arange(n) * period_s)
 
 
 @dataclass
@@ -107,7 +105,6 @@ class GroundTruth:
     """Everything the generator knows that the pipeline must recover."""
 
     body: BodyFrameSeries
-    contraction: np.ndarray
     response_onsets_s: np.ndarray
     response_amplitudes: np.ndarray | None = None
 
@@ -291,7 +288,6 @@ def gen_jellyfish(
             frame_rate=fs,
             v_local=v_gen,
         ),
-        contraction=contraction,
         response_onsets_s=onset_idx / fs,
         response_amplitudes=amps,
     )
@@ -302,11 +298,8 @@ def gen_avalanche(
     exponent: float,
     n_events: int,
     kernel: str = "rect",
-    frame_rate: float = 60.0,
     size_range: tuple[float, float] = (0.5, 50.0),
-    gap_samples: int = 1,
     amplitude: float = 1.0,
-    lead_in_samples: int = 10,
     seed: int = 0,
 ) -> tuple[np.ndarray, list[PulseEvent]]:
     """Pulse train whose event sizes follow a bounded power law.
@@ -314,14 +307,15 @@ def gen_avalanche(
     Sizes (area above baseline, amplitude x width) are drawn from a density
     proportional to s**exponent on ``size_range``; widths scale with the
     sizes, so extracted durations and sizes share the exponent.  Returns
-    the series and the true event list (onset, width, area); events are
-    separated by ``gap_samples`` baseline samples so every onset is an
-    upward threshold crossing.
+    the series, sampled at ``AVALANCHE_FRAME_RATE``, and the true event
+    list (onset, width, area); events are separated by
+    ``AVALANCHE_GAP_SAMPLES`` baseline samples so every onset is an upward
+    threshold crossing.
     """
     if exponent >= -1.0:
         raise ValueError("exponent must be < -1")
     if n_events == 0:
-        return np.zeros(2 * lead_in_samples), []
+        return np.zeros(2 * AVALANCHE_LEAD_IN_SAMPLES), []
     lo, hi = size_range
     if not 0 < lo < hi:
         raise ValueError("size_range must be positive and increasing")
@@ -330,7 +324,7 @@ def gen_avalanche(
     ap1 = exponent + 1.0
     u = rng.random(n_events)
     sizes = (lo**ap1 + u * (hi**ap1 - lo**ap1)) ** (1.0 / ap1)
-    widths = np.maximum(1, np.round(sizes / amplitude * frame_rate).astype(int))
+    widths = np.maximum(1, np.round(sizes / amplitude * AVALANCHE_FRAME_RATE).astype(int))
 
     if kernel == "rect":
         shapes = [np.full(w, amplitude) for w in widths]
@@ -342,22 +336,22 @@ def gen_avalanche(
     else:
         raise ValueError(f"unknown kernel {kernel!r}")
 
-    chunks = [np.zeros(lead_in_samples)]
+    chunks = [np.zeros(AVALANCHE_LEAD_IN_SAMPLES)]
     onsets = np.empty(n_events, dtype=int)
-    cursor = lead_in_samples
+    cursor = AVALANCHE_LEAD_IN_SAMPLES
     for i, shape in enumerate(shapes):
         onsets[i] = cursor
         chunks.append(shape)
-        chunks.append(np.zeros(gap_samples))
-        cursor += shape.size + gap_samples
-    chunks.append(np.zeros(lead_in_samples))
+        chunks.append(np.zeros(AVALANCHE_GAP_SAMPLES))
+        cursor += shape.size + AVALANCHE_GAP_SAMPLES
+    chunks.append(np.zeros(AVALANCHE_LEAD_IN_SAMPLES))
     series = np.concatenate(chunks)
 
     events = [
         PulseEvent(
-            onset_s=onsets[i] / frame_rate,
-            duration_s=widths[i] / frame_rate,
-            size=amplitude * widths[i] / frame_rate,
+            onset_s=onsets[i] / AVALANCHE_FRAME_RATE,
+            duration_s=widths[i] / AVALANCHE_FRAME_RATE,
+            size=amplitude * widths[i] / AVALANCHE_FRAME_RATE,
         )
         for i in range(n_events)
     ]

@@ -1,4 +1,5 @@
-"""The one CSV format every medusa table is read and written in.
+"""The one CSV format every medusa table is read and written in, and its
+JSON sidecar.
 
 A header row, then data rows, comma-separated with CRLF line ends.  A float
 cell is written as ``%.9g`` (a missing value reads ``nan``), any other cell
@@ -10,6 +11,7 @@ accept CRLF or LF line ends.
 from __future__ import annotations
 
 import itertools
+import json
 import warnings
 from pathlib import Path
 
@@ -110,3 +112,18 @@ def read_csv(path: str | Path, header) -> np.ndarray:
     if data.shape[0] == 0 or data.shape[1] != len(header):
         raise ValidationError(f"expected rows of {len(header)} numbers in {path}")
     return data
+
+
+def read_json(path: str | Path) -> dict:
+    """Read a JSON sidecar holding one object.
+
+    Raises ValidationError, naming the file, when it does not parse or
+    holds something other than an object.
+    """
+    try:
+        meta = json.loads(Path(path).read_text())
+    except ValueError as exc:   # JSONDecodeError, or bytes that are not text
+        raise ValidationError(f"malformed JSON {path}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path} does not hold a JSON object")
+    return meta

@@ -246,6 +246,39 @@ def test_predict_rejects_a_stride_out_below_one(tmp_path, capsys, two_horizon_mo
     assert not (tmp_path / "pred").exists()
 
 
+@pytest.mark.parametrize("flag", ["--kmax", "--threads"])
+def test_search_sensors_rejects_a_bound_below_one(tmp_path, capsys, inventory_dir, flag):
+    capsys.readouterr()
+    assert run("search-sensors", "--input", inventory_dir / "kin" / "analysis.csv",
+               flag, 0, "--out", tmp_path / "search") == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "search").exists()
+
+
+@pytest.mark.parametrize("case", ["confusion", "confusion_swapped", "esp", "esp_grouped"])
+def test_inputs_at_two_frame_rates_exit_2_naming_them(tmp_path, capsys, inventory_dir, case):
+    a = [inventory_dir / f"a{i}" / "analysis.csv" for i in range(3)]
+    b = [inventory_dir / f"b{i}" / "analysis.csv" for i in range(3)]
+    at50 = tmp_path / "at50" / "analysis.csv"
+    at50.parent.mkdir()
+    at50.write_bytes(a[2].read_bytes())
+    meta = json.loads(a[2].with_suffix(".json").read_text())
+    at50.with_suffix(".json").write_text(json.dumps(meta | {"frame_rate": 50.0}))
+    inputs = {
+        "confusion": ["confusion", "--inputs", f"a={a[0]}", f"b={at50}"],
+        "confusion_swapped": ["confusion", "--inputs", f"b={at50}", f"a={a[0]}"],
+        "esp": ["esp", "--inputs", a[0], a[1], at50],
+        "esp_grouped": ["esp", "--inputs", f"a={a[0]},{a[1]},{at50}",
+                        "b=" + ",".join(map(str, b))],
+    }[case]
+    capsys.readouterr()
+    assert run(*inputs, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert str(at50) in err and str(a[0]) in err
+    assert "50 Hz" in err and "60 Hz" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_confusion_command(tmp_path):
     a = synth_trial(tmp_path, name="a", tau=2.0, seconds=45.0, seed=5)
     b = synth_trial(tmp_path, name="b", tau=1.5, seconds=45.0, seed=6)
@@ -322,13 +355,25 @@ def _malformed_input(tmp_path, case):
         analysis.with_suffix(".json").unlink()
         argv = ["train", "--input", analysis, "--pulsatile", "--horizons", "0"]
         return argv, analysis.with_suffix(".json")
-    elif case == "view_header":
+    elif case == "analysis_truncated_sidecar":
+        bad = analysis_for(tmp_path, trial_csv).with_suffix(".json")
+        bad.write_text(bad.read_text()[:20])
+        return ["soc", "--input", bad.with_suffix(".csv")], bad
+    elif case == "trial_truncated_sidecar":
+        bad = trial_csv.with_suffix(".json")
+        bad.write_text(bad.read_text()[:20])
+        return kinematics, bad
+    elif case in ("view_header", "view_truncated_sidecar"):
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
             ingest.write_view_csv(f"{prefix}_{name}.csv", view)
         (tmp_path / "jf.json").write_text(json.dumps({"condition": "spontaneous"}))
-        bad = tmp_path / "jf_behind.csv"
-        bad.write_bytes(bad.read_bytes().replace(b"led_on", b"led_1", 1))
+        if case == "view_truncated_sidecar":
+            bad = tmp_path / "jf.json"
+            bad.write_text(bad.read_text()[:-1])
+        else:
+            bad = tmp_path / "jf_behind.csv"
+            bad.write_bytes(bad.read_bytes().replace(b"led_on", b"led_1", 1))
         return ["ingest", "--input", prefix], bad
     trial_csv.write_bytes("\r\n".join(lines).encode())
     return kinematics, trial_csv
@@ -336,7 +381,8 @@ def _malformed_input(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["analysis_header_only", "analysis_missing_sidecar",
                                   "trial_ragged_row", "trial_header", "trial_missing_sidecar",
-                                  "view_header"])
+                                  "view_header", "analysis_truncated_sidecar",
+                                  "trial_truncated_sidecar", "view_truncated_sidecar"])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, bad = _malformed_input(tmp_path, case)
     assert run(*argv, "--out", tmp_path / "out") == 2

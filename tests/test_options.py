@@ -1,0 +1,83 @@
+"""Every optional parameter of a public medusa function is set by some call.
+
+A default that no call in src/, tests/ or perfbench/ ever overrides is a
+constant, not an option: it belongs in a module constant.  Calls are
+matched by the called name (``f(...)``, ``module.f(...)``, ``obj.f(...)``
+for methods), so a parameter counts as set when any call of that name
+passes it by keyword or by position, or passes ``*args``/``**kwargs``.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src", "tests", "perfbench")
+
+
+def _public_functions():
+    """(qualified name, def, is method, skips self/cls) for src/medusa."""
+    for path in sorted((ROOT / "src" / "medusa").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node, False, 0
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in item.decorator_list)
+                        yield (f"{path.stem}.{node.name}.{item.name}", item, True,
+                               0 if static else 1)
+
+
+def _optional(fn: ast.FunctionDef):
+    """(name, position or None for keyword-only) of each parameter with a default."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _calls():
+    """called name -> (bare-name calls, attribute calls), each a list of
+    (positional count or None for ``*args``, keywords or None for ``**kwargs``)."""
+    calls = defaultdict(lambda: ([], []))
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                star = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                record = (None if star else len(node.args),
+                          None if None in keywords else keywords)
+                if isinstance(node.func, ast.Name):
+                    calls[node.func.id][0].append(record)
+                elif isinstance(node.func, ast.Attribute):
+                    calls[node.func.attr][1].append(record)
+    return calls
+
+
+def unset_parameters() -> list[str]:
+    calls = _calls()
+    unset = []
+    for qualname, fn, is_method, skip in _public_functions():
+        bare, attribute = calls.get(fn.name, ([], []))
+        records = attribute if is_method else bare + attribute
+        for name, position in _optional(fn):
+            passed = any(
+                keywords is None or name in keywords
+                or (position is not None and (count is None or count > position - skip))
+                for count, keywords in records
+            )
+            if not passed:
+                unset.append(f"{qualname}({name})")
+    return unset
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    assert unset_parameters() == []

@@ -68,19 +68,24 @@ def test_tally_counts_task_memberships():
     assert report.tally["a"] == 3
 
 
-def test_search_deterministic_across_worker_counts():
+def test_search_deterministic_across_worker_counts(monkeypatch):
     rng = np.random.default_rng(2)
     data = standardized(rng, 2000, 12)
     tasks = {
         "x": data[:, [2, 5]] @ [1.0, -0.5] + 0.2 * rng.normal(size=2000),
         "y": np.tanh(data[:, 9]) + 0.1 * rng.normal(size=2000),
     }
-    r1 = ss.search_best(data, tasks, washout=200, k_max=4, n_workers=1)
-    r8 = ss.search_best(data, tasks, washout=200, k_max=4, n_workers=8)
-    for t in tasks:
-        assert r1.best[t].subset_idx == r8.best[t].subset_idx
-        assert r1.best[t].r2 == r8.best[t].r2
-    assert r1.n_subsets == r8.n_subsets == sum(math.comb(12, k) for k in range(1, 5))
+    # one block per subset size, and many small blocks in flight at once
+    for chunk_size in (ss.CHUNK_SIZE, 7):
+        monkeypatch.setattr(ss, "CHUNK_SIZE", chunk_size)
+        r1 = ss.search_best(data, tasks, washout=200, k_max=4, n_workers=1)
+        for workers in (2, 8):
+            r8 = ss.search_best(data, tasks, washout=200, k_max=4, n_workers=workers)
+            for t in tasks:
+                assert r1.best[t].subset_idx == r8.best[t].subset_idx
+                assert r1.best[t].r2 == r8.best[t].r2
+            assert r1.tally == r8.tally and r1.stats == r8.stats
+            assert r1.n_subsets == r8.n_subsets == sum(math.comb(12, k) for k in range(1, 5))
 
 
 def test_gram_solve_matches_direct_regression():
