@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,13 +28,19 @@ from . import reservoir as rc
 from .errors import MedusaError, ValidationError, ZeroVariance, require_finite
 from .manifest import write_manifest
 from .series import runs
-from .table import float_cells, read_csv, read_json, write_csv
+from .table import float_cells, read_csv, read_frame_rate, read_json, write_csv, write_json
 
 DATA_DIR_ENV = "MEDUSA_DATA_DIR"
 DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
 DEFAULT_HORIZONS = "0,0.5,1.0,1.5,2.0"
 SOC_LENGTH_CHANNELS = kinematics.RADIAL_PAIR_NAMES + kinematics.CORONAL_PAIR_NAMES
 VELOCITY_CHANNELS = ("vx", "vy", "vz")
+# the least value of each integer flag, checked before a command reads anything
+INT_FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1}
+# the flag that sets each EspParams/ReservoirConfig field a command takes from one
+FIELD_FLAGS = {"transient_s": "--transient", "horizon_s": "--horizon", "n_nodes": "--nodes",
+               "spectral_radius": "--rho", "mux_horizon_s": "--mux", "mux_stride": "--stride",
+               "leak": "--leak"}
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +99,7 @@ class AnalysisTable:
         if not json_path.exists():
             raise ValidationError(f"{csv_path} has no sidecar {json_path} giving its frame_rate")
         meta = read_json(json_path)
-        if "frame_rate" not in meta:
-            raise ValidationError(f"{json_path} has no frame_rate")
+        meta["frame_rate"] = read_frame_rate(meta, json_path)
         return cls(data, meta)
 
     @property
@@ -102,7 +108,7 @@ class AnalysisTable:
 
     @property
     def frame_rate(self) -> float:
-        return float(self.meta["frame_rate"])
+        return self.meta["frame_rate"]
 
     def column(self, name: str) -> np.ndarray:
         return self.data[:, ANALYSIS_COLUMNS.index(name)]
@@ -110,19 +116,15 @@ class AnalysisTable:
     def columns(self, names) -> np.ndarray:
         return np.column_stack([self.column(n) for n in names])
 
-    @property
-    def stim(self) -> np.ndarray:
-        return self.column("stim").astype(np.uint8)
-
     def stim_onsets(self) -> np.ndarray:
-        return runs(self.stim > 0)[0]
+        return runs(self.column("stim") > 0)[0]
 
 
 def _write_analysis(run: Run, table: dict[str, np.ndarray], meta: dict) -> Path:
     csv_path = run.output("analysis.csv")
     data = np.column_stack([table[name] for name in ANALYSIS_COLUMNS])
     write_csv(csv_path, ANALYSIS_COLUMNS, data.T)
-    run.output("analysis.json").write_text(json.dumps(meta, indent=2, default=str) + "\n")
+    write_json(run.output("analysis.json"), meta)
     return csv_path
 
 
@@ -145,18 +147,37 @@ def _require_rate(path: Path, rate: float, expected: float, source: str) -> None
         raise ValidationError(f"{path} is at {rate:g} Hz but {source} {expected:g} Hz")
 
 
-def _parse_labeled_inputs(run: Run, items) -> dict[str, Path]:
-    out: dict[str, Path] = {}
+def _labeled_inputs(run: Run, items) -> dict[str, list[Path]]:
+    """label -> input paths of ``label=a.csv,b.csv,...`` items."""
+    out: dict[str, list[Path]] = {}
     for item in items:
         if "=" not in item:
             raise ValidationError(f"expected label=path, got {item!r}")
-        label, path = item.split("=", 1)
+        label, listed = item.split("=", 1)
         if label in out:
             raise ValidationError(f"label {label!r} given twice")
-        out[label] = run.input(path)
-    if len(out) < 2:
-        raise ValidationError("need at least two label=path datasets")
+        out[label] = [run.input(path) for path in listed.split(",")]
     return out
+
+
+def _check_int_flags(args) -> None:
+    for dest, low in INT_FLAG_MINIMA.items():
+        value = getattr(args, dest, low)
+        if value < low:
+            flag = "--" + dest.replace("_", "-")
+            raise ValidationError(f"{flag} must be at least {low}, got {value}")
+
+
+@contextmanager
+def _flag_errors(args):
+    """Exit 2 on a ValueError from checking flag values, naming the flags
+    behind the fields its message names."""
+    try:
+        yield
+    except ValueError as exc:
+        flags = [f"{flag} {getattr(args, flag[2:])}" for field, flag in FIELD_FLAGS.items()
+                 if field in str(exc).split()]
+        raise ValidationError(f"{', '.join(flags)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +200,9 @@ def cmd_synth(args, run: Run) -> None:
 def cmd_ingest(args, run: Run) -> None:
     prefix = args.input
     paths = {view: run.input(f"{prefix}_{view}.csv") for view in ingest.VIEW_NAMES}
-    meta = read_json(run.input(f"{prefix}.json"))
-    frame_rate = float(meta.get("frame_rate", ingest.DEFAULT_FRAME_RATE))
+    meta_path = run.input(f"{prefix}.json")
+    meta = read_json(meta_path)
+    frame_rate = read_frame_rate(meta, meta_path, ingest.DEFAULT_FRAME_RATE)
 
     views = {
         name: ingest.rectify_view(ingest.read_view_csv(paths[name], name, frame_rate))
@@ -239,9 +261,11 @@ def cmd_kinematics(args, run: Run) -> None:
     print(f"kinematics: {trial.n_frames} frames -> {csv_path}")
 
 
-def _soc_channels(table: AnalysisTable) -> dict[str, np.ndarray]:
+def _channels(table: AnalysisTable, lengths) -> dict[str, np.ndarray]:
+    """The ``lengths`` columns standardized, constant ones left out, then
+    the velocities as they are."""
     channels: dict[str, np.ndarray] = {}
-    for name in SOC_LENGTH_CHANNELS + ("inner_radius", "outer_radius"):
+    for name in lengths:
         try:
             channels[name] = kinematics.standardize(table.column(name))
         except ZeroVariance:
@@ -255,7 +279,7 @@ def cmd_soc(args, run: Run) -> None:
     table = AnalysisTable.read(run.input(args.input))
     fs = table.frame_rate
 
-    channels = _soc_channels(table)
+    channels = _channels(table, SOC_LENGTH_CHANNELS + ("inner_radius", "outer_radius"))
     # checked before the loop: its MedusaError handlers would drop the error
     # and a NaN sample poisons every Welch segment that holds it
     require_finite(np.column_stack(list(channels.values())), "soc input")
@@ -270,21 +294,16 @@ def cmd_soc(args, run: Run) -> None:
         freqs = est.freqs
         psd_curves[name] = est.power
         psd_rows += [(name, float(f), float(p)) for f, p in zip(est.freqs, est.power)]
-        try:
-            fit = criticality.fit_power_law_psd(est)
-            fit_rows.append((name, "psd", fit.alpha, fit.intercept,
-                             fit.fit_range[0], fit.fit_range[1], fit.r2_loglog, fit.n_points))
-        except MedusaError:
-            pass
         events = criticality.extract_pulses(series, frame_rate=fs)
         event_rows += [(name, e.onset_s, e.duration_s, e.size) for e in events]
-        for kind in ("duration", "size"):
+        for kind in ("psd", "duration", "size"):
             try:
-                fit = criticality.fit_power_law_events(events, kind)
-                fit_rows.append((name, kind, fit.alpha, fit.intercept,
-                                 fit.fit_range[0], fit.fit_range[1], fit.r2_loglog, fit.n_points))
+                fit = (criticality.fit_power_law_psd(est) if kind == "psd"
+                       else criticality.fit_power_law_events(events, kind))
             except MedusaError:
-                pass
+                continue
+            fit_rows.append((name, kind, fit.alpha, fit.intercept, *fit.fit_range,
+                             fit.r2_loglog, fit.n_points))
 
     write_csv(run.output("psd.csv"), ["channel", "freq_hz", "power"], zip(*psd_rows))
     write_csv(run.output("events.csv"), ["channel", "onset_s", "duration_s", "size"],
@@ -310,13 +329,7 @@ def cmd_phase(args, run: Run) -> None:
 
     rows = []
     ribbons = {}
-    for name in SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS:
-        series = table.column(name)
-        if name not in VELOCITY_CHANNELS:
-            try:
-                series = kinematics.standardize(series)
-            except ZeroVariance:
-                continue
+    for name, series in _channels(table, SOC_LENGTH_CHANNELS).items():
         pr = response.phase_response(series, onsets, fs)
         ribbons[name] = pr
         rows += [
@@ -371,55 +384,39 @@ def _esp_one_condition(paths, params):
 
 
 def cmd_esp(args, run: Run) -> None:
-    params = esp_mod.EspParams(transient_s=args.transient, horizon_s=args.horizon)
-
-    grouped = all("=" in item for item in args.inputs)
-    if grouped:
-        groups = {}
-        for item in args.inputs:
-            label, listed = item.split("=", 1)
-            if label in groups:
-                raise ValidationError(f"label {label!r} given twice")
-            paths = [run.input(p) for p in listed.split(",")]
-            if len(paths) < 2:
-                raise ValidationError(f"group {label!r} needs at least two trials")
-            groups[label] = paths
-    else:
-        if any("=" in item for item in args.inputs):
-            raise ValidationError("mix of plain paths and label=paths inputs")
-        paths = [run.input(p) for p in args.inputs]
+    with _flag_errors(args):
+        params = esp_mod.EspParams(transient_s=args.transient, horizon_s=args.horizon)
+    labeled = ["=" in item for item in args.inputs]
+    if any(labeled) and not all(labeled):
+        raise ValidationError("mix of plain paths and label=paths inputs")
+    # plain inputs are one group, labelled by the trials' condition
+    groups = (_labeled_inputs(run, args.inputs) if all(labeled)
+              else {None: [run.input(p) for p in args.inputs]})
+    for label, paths in groups.items():
         if len(paths) < 2:
-            raise ValidationError("esp needs at least two trial analyses")
-        groups = None
+            raise ValidationError("esp needs at least two trial analyses" if label is None
+                                  else f"group {label!r} needs at least two trials")
 
-    rows = []
-    stats_rows = []
-    if groups is None:
+    per_label = {}
+    for label, paths in groups.items():
         condition, results = _esp_one_condition(paths, params)
-        per_label = {condition: results}
-    else:
-        per_label = {}
-        for label, group_paths in groups.items():
-            _, per_label[label] = _esp_one_condition(group_paths, params)
-        # compare per-pair distances across groups, per channel set
-        labels = list(per_label)
-        for channel_set in next(iter(per_label.values())):
-            samples = [per_label[g][channel_set].pair_deltas for g in labels]
-            if all(s.size >= 2 for s in samples):
-                f_stat, p_val = response.one_way_anova(samples)
-                stats_rows.append(("anova", channel_set, "|".join(labels),
-                                   f_stat, p_val, ""))
-                for row in response.pairwise_tests(samples, seed=0):
-                    i, j = row.pair
-                    stats_rows.append((
-                        "welch+tukey-perm", channel_set,
-                        f"{labels[i]}:{labels[j]}",
-                        row.t_statistic, row.p_welch, row.p_adjusted,
-                    ))
-
-    for label, results in per_label.items():
-        for name, result in results.items():
-            rows.append((label, name, "pooled", result.n_comparisons, result.value))
+        per_label[condition if label is None else label] = results
+    rows = [(label, name, "pooled", r.n_comparisons, r.value)
+            for label, results in per_label.items() for name, r in results.items()]
+    # compare per-pair distances across groups, per channel set
+    labels = list(per_label)
+    stats_rows = []
+    for channel_set in per_label[labels[0]]:
+        samples = [per_label[g][channel_set].pair_deltas for g in labels]
+        if len(labels) > 1 and all(s.size >= 2 for s in samples):
+            f_stat, p_val = response.one_way_anova(samples)
+            stats_rows.append(("anova", channel_set, "|".join(labels), f_stat, p_val, ""))
+            for row in response.pairwise_tests(samples, seed=0):
+                i, j = row.pair
+                stats_rows.append((
+                    "welch+tukey-perm", channel_set, f"{labels[i]}:{labels[j]}",
+                    row.t_statistic, row.p_welch, row.p_adjusted,
+                ))
 
     write_csv(run.output("esp.csv"), ["condition", "channel_set", "reference", "P", "index"],
               zip(*rows))
@@ -467,38 +464,56 @@ def _targets_from_table(table: AnalysisTable, target_names, pulsatile: bool):
 
 
 def _config_from_args(args, n_sensors: int, frame_rate: float) -> rc.ReservoirConfig:
-    return rc.ReservoirConfig(
-        n_nodes=args.nodes,
-        spectral_radius=args.rho,
-        mux_horizon_s=args.mux,
-        mux_stride=args.stride,
-        leak=args.leak,
-        architecture=args.arch,
-        seed=args.seed,
-        n_sensors=n_sensors,
-        frame_rate=frame_rate,
-    )
+    with _flag_errors(args):
+        config = rc.ReservoirConfig(
+            n_nodes=args.nodes,
+            spectral_radius=args.rho,
+            mux_horizon_s=args.mux,
+            mux_stride=args.stride,
+            leak=args.leak,
+            architecture=args.arch,
+            seed=args.seed,
+            n_sensors=n_sensors,
+            frame_rate=frame_rate,
+        )
+        config.n_lags   # checks that the span is a whole number of strides
+    return config
 
 
 def _washout_value(args, pulsatile: bool) -> int:
-    if args.washout != "auto":
+    if args.washout == "auto":
+        return rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
+    try:
         return int(args.washout)
-    return rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
+    except ValueError:
+        raise ValidationError(
+            f"--washout must be an integer or 'auto', got {args.washout!r}") from None
+
+
+def _model_inputs(table: AnalysisTable, sensor_names, target_names, pulsatile: bool):
+    """A model's standardized sensor columns and its targets, from ``table``."""
+    sensors = kinematics.standardize(table.columns(sensor_names))
+    return sensors, _targets_from_table(table, target_names, pulsatile)
+
+
+def _shared_features(sensor_sets, config: rc.ReservoirConfig):
+    """The mux scale ``sensor_sets`` share, and each set's reservoir features."""
+    scale = rc.shared_mux_scale(sensor_sets, config.mux_horizon_s, config.mux_stride,
+                                config.frame_rate)
+    return scale, [rc.reservoir_features(s, config, mux_scale=scale) for s in sensor_sets]
 
 
 def cmd_train(args, run: Run) -> None:
     table = AnalysisTable.read(run.input(args.input))
     fs = table.frame_rate
     sensor_names = _parse_names(args.sensors)
-    target_names = _parse_names(args.targets)
-    sensors = kinematics.standardize(table.columns(sensor_names))
-    targets = _targets_from_table(table, target_names, args.pulsatile)
+    sensors, targets = _model_inputs(table, sensor_names, _parse_names(args.targets),
+                                     args.pulsatile)
     config = _config_from_args(args, len(sensor_names), fs)
     washout = _washout_value(args, args.pulsatile)
     horizons = [float(h) for h in _parse_names(args.horizons)]
 
-    mux_scale = rc.shared_mux_scale([sensors], config.mux_horizon_s, config.mux_stride, fs)
-    features = rc.reservoir_features(sensors, config, mux_scale=mux_scale)
+    mux_scale, (features,) = _shared_features([sensors], config)
     model = rc.train_horizons(
         features, targets.values, horizons, washout, fs,
         architecture=config.architecture, target_names=targets.names,
@@ -546,13 +561,11 @@ def _load_model(path: Path):
 
 
 def cmd_predict(args, run: Run) -> None:
-    if args.stride_out < 1:
-        raise ValidationError(f"--stride-out must be at least 1, got {args.stride_out}")
     config, model, extras = _load_model(run.input(args.model))
     path = run.input(args.input)
     table = AnalysisTable.read(path)
-    sensors = kinematics.standardize(table.columns(extras["sensor_names"]))
-    targets = _targets_from_table(table, model.target_names, extras["pulsatile"])
+    sensors, targets = _model_inputs(table, extras["sensor_names"], model.target_names,
+                                     extras["pulsatile"])
     if tuple(targets.names) != tuple(model.target_names):
         raise ValidationError(
             f"rebuilt targets {targets.names} do not match the model's "
@@ -593,30 +606,28 @@ def cmd_predict(args, run: Run) -> None:
 
 
 def cmd_confusion(args, run: Run) -> None:
-    labeled = _parse_labeled_inputs(run, args.inputs)
+    labeled = _labeled_inputs(run, args.inputs)
+    if len(labeled) < 2 or any(len(paths) != 1 for paths in labeled.values()):
+        raise ValidationError("confusion takes two or more label=analysis.csv datasets, "
+                              "one analysis per label")
     target_names = _parse_names(args.targets)
     sensor_names = _parse_names(args.sensors)
 
-    sets = {}
+    sensors, targets = {}, {}
     fs = None
-    for label, path in labeled.items():
+    for label, (path,) in labeled.items():
         table = AnalysisTable.read(path)
         if fs is None:
             first, fs = path, table.frame_rate
         _require_rate(path, table.frame_rate, fs, f"{first} is at")
-        sensors = kinematics.standardize(table.columns(sensor_names))
-        targets = _targets_from_table(table, target_names, pulsatile=False)
-        sets[label] = (sensors, targets.values)
+        sensors[label], targets[label] = _model_inputs(table, sensor_names, target_names,
+                                                       pulsatile=False)
 
     config = _config_from_args(args, len(sensor_names), fs)
     # cross-family sets are single trials; 'auto' takes the short washout
     washout = _washout_value(args, pulsatile=True)
-    scale = rc.shared_mux_scale([s for s, _ in sets.values()],
-                                config.mux_horizon_s, config.mux_stride, fs)
-    datasets = {
-        label: (rc.reservoir_features(s, config, mux_scale=scale), y)
-        for label, (s, y) in sets.items()
-    }
+    _, features = _shared_features(list(sensors.values()), config)
+    datasets = {label: (f, targets[label].values) for label, f in zip(sensors, features)}
     result = rc.cross_predict(datasets, washout)
 
     header = ["train\\eval"] + result.names
@@ -628,12 +639,8 @@ def cmd_confusion(args, run: Run) -> None:
 
 
 def cmd_search_sensors(args, run: Run) -> None:
-    for flag, value in (("--kmax", args.kmax), ("--threads", args.threads)):
-        if value < 1:
-            raise ValidationError(f"{flag} must be at least 1, got {value}")
     table = AnalysisTable.read(run.input(args.input))
-    pool_cols = list(kinematics.PAIR_NAMES) + ["inner_radius", "outer_radius"]
-    data = kinematics.standardize(table.columns(pool_cols))
+    data = kinematics.standardize(table.columns(sensorsearch.POOL_NAMES))
 
     tasks: dict[str, np.ndarray] = {a: table.column(a) for a in VELOCITY_CHANNELS}
     stim = table.column("stim")
@@ -654,7 +661,7 @@ def cmd_search_sensors(args, run: Run) -> None:
         "top_sensors": sensorsearch.top_sensors(report, 4),
         "stats": report.stats,
     }
-    run.output("search_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(run.output("search_summary.json"), summary)
     print(f"search-sensors: evaluated {report.n_subsets} subsets over "
           f"{report.n_tasks} tasks in {report.elapsed_s:.1f} s "
           f"({report.n_workers} workers); top: {', '.join(summary['top_sensors'])}")
@@ -676,7 +683,7 @@ def cmd_report(args, run: Run) -> None:
     root = run.input(args.input)
     records = []
     for manifest_path in sorted(Path(root).rglob("manifest.json")):
-        data = json.loads(run.input(str(manifest_path)).read_text())
+        data = read_json(run.input(str(manifest_path)))
         records.append({
             "dir": str(manifest_path.parent),
             "command": data.get("command"),
@@ -686,7 +693,7 @@ def cmd_report(args, run: Run) -> None:
         })
     summary = {"root": str(root), "n_runs": len(records), "runs": records}
     p = run.output("report.json")
-    p.write_text(json.dumps(summary, indent=2) + "\n")
+    write_json(p, summary)
     for r in records:
         print(f"{r['command']:>16}  {r['dir']}")
     print(f"report: {len(records)} runs -> {p}")
@@ -720,92 +727,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"medusa {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="directory for the results and manifest.json")
 
-    p = sub.add_parser("synth", help="generate synthetic trials")
+    def command(name, func, help):
+        p = sub.add_parser(name, parents=[out], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("synth", cmd_synth, "generate synthetic trials")
     p.add_argument("--tau", type=float, default=None, help="stimulus period [s]; omit for spontaneous")
     p.add_argument("--seconds", type=float, default=60.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--noise-sd", type=float, default=0.05, help="marker noise SD [mm]")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="rectify views and assemble a 3D trial")
+    p = command("ingest", cmd_ingest, "rectify views and assemble a 3D trial")
     p.add_argument("--input", required=True,
                    help="path prefix: expects <prefix>_top/behind/right.csv and <prefix>.json")
     p.add_argument("--max-gap", type=int, default=5, help="longest gap to interpolate [frames]")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("kinematics", help="lengths, body frame and local velocities")
+    p = command("kinematics", cmd_kinematics, "lengths, body frame and local velocities")
     p.add_argument("--input", required=True, help="trial CSV")
     p.add_argument("--no-filter", action="store_true", help="skip the 3 Hz low-pass")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_kinematics)
 
-    p = sub.add_parser("soc", help="spectra, pulse statistics and power-law fits")
+    p = command("soc", cmd_soc, "spectra, pulse statistics and power-law fits")
     p.add_argument("--input", required=True, help="analysis CSV")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_soc)
 
-    p = sub.add_parser("phase", help="stimulus-locked phase response")
+    p = command("phase", cmd_phase, "stimulus-locked phase response")
     p.add_argument("--input", required=True, help="analysis CSV")
     p.add_argument("--ribbon-channel", default="vz")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_phase)
 
-    p = sub.add_parser("esp", help="response-consistency index over repeated trials")
+    p = command("esp", cmd_esp, "response-consistency index over repeated trials")
     p.add_argument("--inputs", nargs="+", required=True,
                    help="analysis CSVs of one condition, or label=a.csv,b.csv,... "
-                        "groups to compare conditions (adds stats.csv)")
+                        "groups to compare conditions (two or more add stats.csv)")
     p.add_argument("--transient", type=float, default=2.0)
     p.add_argument("--horizon", type=float, default=esp_mod.DEFAULT_HORIZON_S)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_esp)
 
-    p = sub.add_parser("train", help="train horizon readouts on one trial")
+    p = command("train", cmd_train, "train horizon readouts on one trial")
     p.add_argument("--input", required=True, help="analysis CSV")
     p.add_argument("--horizons", default=DEFAULT_HORIZONS)
     p.add_argument("--pulsatile", action="store_true",
                    help="add dead-reckoned pulse targets and use the short washout")
     _add_reservoir_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="predict with a trained model")
+    p = command("predict", cmd_predict, "predict with a trained model")
     p.add_argument("--model", required=True, help="model.npz from train")
     p.add_argument("--input", required=True, help="analysis CSV")
     p.add_argument("--stride-out", type=int, default=1,
                    help="write every k-th prediction row")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("confusion", help="cross-train/evaluate R2 matrix")
+    p = command("confusion", cmd_confusion, "cross-train/evaluate R2 matrix")
     p.add_argument("--inputs", nargs="+", required=True, help="label=analysis.csv pairs")
     _add_reservoir_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_confusion)
 
-    p = sub.add_parser("search-sensors", help="exhaustive best-subset sensor search")
+    p = command("search-sensors", cmd_search_sensors, "exhaustive best-subset sensor search")
     p.add_argument("--input", required=True, help="analysis CSV")
     p.add_argument("--kmax", type=int, default=sensorsearch.DEFAULT_K_MAX)
     p.add_argument("--washout", type=int, default=1_000)
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_search_sensors)
 
-    p = sub.add_parser("export-model", help="write the compact inference blob")
+    p = command("export-model", cmd_export_model, "write the compact inference blob")
     p.add_argument("--model", required=True, help="model.npz from train")
     p.add_argument("--horizon", type=float, default=0.0)
     p.add_argument("--all-horizons", action="store_true",
                    help="stack every trained horizon into the blob outputs")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_model)
 
-    p = sub.add_parser("report", help="summarize run manifests under a directory")
+    p = command("report", cmd_report, "summarize run manifests under a directory")
     p.add_argument("--input", required=True, help="directory to scan")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
@@ -815,6 +805,7 @@ def main(argv=None) -> int:
     run = Run(args.out)
     started = time.perf_counter()
     try:
+        _check_int_flags(args)
         args.func(args, run)
         run.out.mkdir(parents=True, exist_ok=True)
         write_manifest(run.out, args.command, vars(args), run.inputs, run.outputs,

@@ -27,7 +27,6 @@ Corner order ``c1..c4`` corresponds to face coordinates
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .series import runs
-from .table import read_csv, read_json, write_csv
+from .table import read_csv, read_frame_rate, read_json, write_csv, write_json
 
 MARKER_LABELS: tuple[str, ...] = ("R1", "R2", "Y1", "Y2", "O1", "O2", "B1", "B2")
 OUTER_MARKERS: tuple[str, ...] = ("R1", "Y1", "O1", "B1")
@@ -354,7 +353,7 @@ def write_trial_csv(trial: TrialRecording, csv_path: str | Path) -> None:
         "period_s": trial.period_s,
         "frame_rate": trial.frame_rate,
     }
-    csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_json(csv_path.with_suffix(".json"), meta)
 
 
 def read_trial_csv(csv_path: str | Path) -> TrialRecording:
@@ -369,7 +368,7 @@ def read_trial_csv(csv_path: str | Path) -> TrialRecording:
         animal_id=meta.get("animal_id", ""),
         condition=meta.get("condition", "spontaneous"),
         period_s=meta.get("period_s"),
-        frame_rate=float(meta.get("frame_rate", DEFAULT_FRAME_RATE)),
+        frame_rate=read_frame_rate(meta, json_path, DEFAULT_FRAME_RATE),
         positions=data[:, 2:26].reshape(n, 8, 3),
         stimulus=data[:, 26].astype(np.uint8),
         valid_mask=data[:, 27] > 0.5,

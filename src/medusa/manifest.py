@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .table import write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -69,7 +70,5 @@ def write_manifest(
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     path = out_dir / MANIFEST_NAME
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
-        fh.write("\n")
+    write_json(path, manifest)
     return path

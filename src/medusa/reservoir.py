@@ -98,7 +98,7 @@ def _mux_lags(mux_horizon_s: float, stride: int, frame_rate: float) -> int:
     if abs(span - span_samples) > 1e-9:
         raise ValueError("mux_horizon_s * frame_rate must be an integer sample count")
     if span_samples % stride != 0:
-        raise ValueError("mux span must be divisible by mux_stride")
+        raise ValueError("mux_horizon_s span must be divisible by mux_stride")
     return span_samples // stride + 1
 
 

@@ -25,8 +25,24 @@ from .ingest import TrialRecording
 from .kinematics import BodyFrameSeries, euler_zyz_to_matrix, matrix_to_euler_zyz
 
 BURST_DURATION_S = 0.1
-DUTY = 0.5
-AMPLITUDE_V = 3.3
+FRAME_RATE = 60.0
+# the generator's fixed body and physiology; SyntheticJellyfishParams holds what varies
+REST_INNER_MM = 12.0
+RING_HEIGHT_MM = 8.0
+START_MM = (75.0, 75.0, 75.0)
+CONTRACTION_RISE_S = 0.6
+RELAXATION_TAU_S = 1.0
+SPONTANEOUS_INTERVAL_MEAN_S = 2.2
+SPONTANEOUS_INTERVAL_SD_S = 0.45
+RESPONSIVENESS_FLOOR_S = 1.2    # periods at least this long entrain 1:1
+REFRACTORY_MEAN_S = 1.4
+REFRACTORY_SD_S = 0.30
+PROPULSION_GAIN = 1.6           # thrust per mm of ring contraction [1/s]
+THRUST_CURVATURE = 0.8
+TRANSVERSE_FREQ_HZ = 0.03
+AMPLITUDE_JITTER = 0.10
+STIM_JITTER_S = 0.05
+RESPONSE_JITTER_S = 0.15
 # gen_avalanche's series: its sampling rate, and the baseline samples
 # between events and before the first and after the last
 AVALANCHE_FRAME_RATE = 60.0
@@ -40,16 +56,13 @@ class StimulusSchedule:
 
     period_s: float
     onsets_s: np.ndarray
-    burst_duration_s: float = BURST_DURATION_S
-    duty: float = DUTY
-    amplitude_v: float = AMPLITUDE_V
 
     def burst_active(self, frame_rate: float, n_samples: int) -> np.ndarray:
         """Binary series, 1 while a burst is being delivered."""
         t = np.arange(n_samples) / frame_rate
         active = np.zeros(n_samples, dtype=np.uint8)
         for onset in self.onsets_s:
-            active[(t >= onset - 1e-12) & (t < onset + self.burst_duration_s - 1e-12)] = 1
+            active[(t >= onset - 1e-12) & (t < onset + BURST_DURATION_S - 1e-12)] = 1
         return active
 
 
@@ -65,39 +78,20 @@ def pwm_schedule(period_s: float, window_s: float) -> StimulusSchedule:
 
 @dataclass
 class SyntheticJellyfishParams:
-    """Shape, pulse kinetics, propulsion and noise of the generator."""
+    """What varies between generated animals and trials."""
 
-    rest_inner_mm: float = 12.0
     rest_outer_mm: float = 25.0
-    ring_height_mm: float = 8.0
     contraction_amplitude_mm: float = 5.0
-    contraction_rise_s: float = 0.6
-    relaxation_tau_s: float = 1.0
-    spontaneous_interval_mean_s: float = 2.2
-    spontaneous_interval_sd_s: float = 0.45
-    responsiveness_floor_s: float = 1.2
-    refractory_mean_s: float = 1.4
-    refractory_sd_s: float = 0.30
-    propulsion_gain: float = 1.6   # thrust per mm of ring contraction [1/s]
-    thrust_curvature: float = 0.8
     transverse_drift_mm_s: float = 0.5
-    transverse_freq_hz: float = 0.03
-    amplitude_jitter: float = 0.10
-    stim_jitter_s: float = 0.05
-    response_jitter_s: float = 0.15
     noise_sd_mm: float = 0.0
     orientation_euler: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    start_mm: tuple[float, float, float] = (75.0, 75.0, 75.0)
-    frame_rate: float = 60.0
     seed: int = 0
 
     def __post_init__(self):
-        if not self.rest_inner_mm > self.contraction_amplitude_mm >= 0:
+        if not REST_INNER_MM > self.contraction_amplitude_mm >= 0:
             raise ValueError("require rest radii > contraction amplitude >= 0")
-        if self.rest_outer_mm <= self.rest_inner_mm:
+        if self.rest_outer_mm <= REST_INNER_MM:
             raise ValueError("outer rest radius must exceed the inner one")
-        if self.contraction_rise_s <= 0 or self.relaxation_tau_s <= 0:
-            raise ValueError("pulse time constants must be positive")
 
 
 @dataclass
@@ -115,10 +109,10 @@ _MARKER_LAYOUT = [("R", 1), ("R", 2), ("Y", 1), ("Y", 2),
                   ("O", 1), ("O", 2), ("B", 1), ("B", 2)]
 
 
-def _pulse_kernel(params: SyntheticJellyfishParams, frame_rate: float):
+def _pulse_kernel(frame_rate: float):
     """Sampled contraction kernel and its analytic time derivative."""
-    rise = params.contraction_rise_s
-    tau = params.relaxation_tau_s
+    rise = CONTRACTION_RISE_S
+    tau = RELAXATION_TAU_S
     support = rise + 8.0 * tau
     t = np.arange(int(round(support * frame_rate))) / frame_rate
     k = np.where(
@@ -140,41 +134,36 @@ def _recovery(delta_s: float) -> float:
 
 
 def _response_plan(
-    params: SyntheticJellyfishParams,
     schedule: StimulusSchedule | None,
     duration_s: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pulse response times and amplitudes for one trial."""
-    jitter = params.amplitude_jitter
+    jitter = AMPLITUDE_JITTER
     if schedule is None:
         times, amps = [], []
-        t = float(rng.uniform(0.2, params.spontaneous_interval_mean_s))
+        t = float(rng.uniform(0.2, SPONTANEOUS_INTERVAL_MEAN_S))
         while t < duration_s:
             times.append(t)
             amps.append(1.0 - jitter * rng.random())
-            step = rng.normal(params.spontaneous_interval_mean_s,
-                              params.spontaneous_interval_sd_s)
-            t += max(0.8, step)
+            t += max(0.8, rng.normal(SPONTANEOUS_INTERVAL_MEAN_S, SPONTANEOUS_INTERVAL_SD_S))
         return np.array(times), np.array(amps)
 
     onsets = schedule.onsets_s[schedule.onsets_s < duration_s]
-    if schedule.period_s >= params.responsiveness_floor_s:
+    if schedule.period_s >= RESPONSIVENESS_FLOOR_S:
         amps = _recovery(schedule.period_s) * (1.0 - jitter * rng.random(onsets.size))
-        times = onsets + rng.uniform(-params.stim_jitter_s, params.stim_jitter_s,
-                                     onsets.size)
+        times = onsets + rng.uniform(-STIM_JITTER_S, STIM_JITTER_S, onsets.size)
         return times, amps
     # below the responsiveness floor the muscle follows only pulses it has
     # recovered for, with irregular skipping, reduced amplitude and timing slop
     times, amps = [], []
     last = -np.inf
     for onset in onsets:
-        refractory = rng.normal(params.refractory_mean_s, params.refractory_sd_s)
+        refractory = rng.normal(REFRACTORY_MEAN_S, REFRACTORY_SD_S)
         delta = onset - last
         if delta < refractory:
             continue
-        times.append(onset + rng.uniform(-params.response_jitter_s,
-                                         params.response_jitter_s))
+        times.append(onset + rng.uniform(-RESPONSE_JITTER_S, RESPONSE_JITTER_S))
         amps.append(0.6 * _recovery(min(delta, 2.0)) * (1.0 - 3 * jitter * rng.random()))
         last = onset
     return np.array(times), np.array(amps)
@@ -198,13 +187,13 @@ def gen_jellyfish(
     """
     if duration_s < 10.0:
         raise ValueError("generator trials must span at least 10 s")
-    fs = params.frame_rate
+    fs = FRAME_RATE
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs
     rng = np.random.default_rng(params.seed)
 
-    times, amps = _response_plan(params, schedule, duration_s, rng)
-    kernel, kernel_rate = _pulse_kernel(params, fs)
+    times, amps = _response_plan(schedule, duration_s, rng)
+    kernel, kernel_rate = _pulse_kernel(fs)
     contraction = np.zeros(n)
     rate = np.zeros(n)
     onset_idx = np.round(times * fs).astype(int)
@@ -219,17 +208,17 @@ def gen_jellyfish(
     # follows the physical contraction rate with a mild state dependence
     v_gen = np.zeros((n, 3))
     v_gen[:, 2] = (
-        params.propulsion_gain
+        PROPULSION_GAIN
         * params.contraction_amplitude_mm
         * rate
-        * (1.0 + params.thrust_curvature * contraction)
+        * (1.0 + THRUST_CURVATURE * contraction)
     )
     phase = rng.uniform(0, 2 * np.pi)
     v_gen[:, 0] = params.transverse_drift_mm_s * np.sin(
-        2 * np.pi * params.transverse_freq_hz * t + phase
+        2 * np.pi * TRANSVERSE_FREQ_HZ * t + phase
     )
     v_gen[:, 1] = 0.6 * params.transverse_drift_mm_s * np.cos(
-        2 * np.pi * params.transverse_freq_hz * t + phase
+        2 * np.pi * TRANSVERSE_FREQ_HZ * t + phase
     )
 
     # body axes in world coordinates; the x-axis follows the Y2->O2 chord
@@ -239,12 +228,12 @@ def gen_jellyfish(
     m_bw = r_p @ m0
     v_world = v_gen @ m_bw.T
 
-    com = np.asarray(params.start_mm, dtype=float) + np.vstack(
+    com = np.asarray(START_MM, dtype=float) + np.vstack(
         [np.zeros(3), np.cumsum(v_world[:-1], axis=0) / fs]
     )
 
-    scale = params.rest_inner_mm / params.rest_outer_mm
-    r_inner = params.rest_inner_mm - params.contraction_amplitude_mm * scale * contraction
+    scale = REST_INNER_MM / params.rest_outer_mm
+    r_inner = REST_INNER_MM - params.contraction_amplitude_mm * scale * contraction
     r_outer = params.rest_outer_mm - params.contraction_amplitude_mm * contraction
 
     positions = np.empty((n, 8, 3))
@@ -255,7 +244,7 @@ def gen_jellyfish(
         offset[:, 0] = radius * np.cos(angle)
         offset[:, 1] = radius * np.sin(angle)
         if ring == 1:
-            offset[:, 2] = -params.ring_height_mm
+            offset[:, 2] = -RING_HEIGHT_MM
         positions[:, m, :] = com + offset @ r_p.T
     if params.noise_sd_mm > 0:
         positions = positions + rng.normal(0.0, params.noise_sd_mm, positions.shape)
@@ -282,7 +271,7 @@ def gen_jellyfish(
         body=BodyFrameSeries(
             com=com,
             inner_radius=r_inner,
-            outer_radius=np.sqrt(r_outer**2 + params.ring_height_mm**2),
+            outer_radius=np.sqrt(r_outer**2 + RING_HEIGHT_MM**2),
             euler_zyz=euler,
             rotation=rot_wb,
             frame_rate=fs,

@@ -1,5 +1,5 @@
-"""The one CSV format every medusa table is read and written in, and its
-JSON sidecar.
+"""The one CSV format every medusa table is read and written in, and the
+one JSON format of its sidecars, manifests and summaries.
 
 A header row, then data rows, comma-separated with CRLF line ends.  A float
 cell is written as ``%.9g`` (a missing value reads ``nan``), any other cell
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -127,3 +128,22 @@ def read_json(path: str | Path) -> dict:
     if not isinstance(meta, dict):
         raise ValidationError(f"{path} does not hold a JSON object")
     return meta
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON and a newline, a value JSON lacks as its ``str``."""
+    Path(path).write_text(json.dumps(obj, indent=2, default=str) + "\n")
+
+
+def read_frame_rate(meta: dict, path: str | Path, default: float | None = None) -> float:
+    """Sidecar ``meta``'s frame_rate, or ``default`` when the key is missing.
+
+    Raises ValidationError, naming ``path``, for a missing rate with no
+    default, or a rate that is not a finite positive number.
+    """
+    if "frame_rate" not in meta and default is None:
+        raise ValidationError(f"{path} has no frame_rate")
+    rate = meta.get("frame_rate", default)
+    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
+        raise ValidationError(f"{path} gives frame_rate {rate!r}, not a finite positive number")
+    return float(rate)

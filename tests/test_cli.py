@@ -246,12 +246,35 @@ def test_predict_rejects_a_stride_out_below_one(tmp_path, capsys, two_horizon_mo
     assert not (tmp_path / "pred").exists()
 
 
-@pytest.mark.parametrize("flag", ["--kmax", "--threads"])
+def _out_of_range(d, flag):
+    """argv that sets ``flag`` out of its range, and what the error must say."""
+    a = d / "kin" / "analysis.csv"
+    b0, b1 = (d / f"b{i}" / "analysis.csv" for i in range(2))
+    train = ["train", "--input", a, "--pulsatile", "--horizons", "0"]
+    return {
+        "--kmax": (["search-sensors", "--input", a, "--kmax", 0], "--kmax must be at least 1"),
+        "--threads": (["search-sensors", "--input", a, "--threads", 0],
+                      "--threads must be at least 1"),
+        "--max-gap": (["ingest", "--input", d / "jf", "--max-gap", -1],
+                      "--max-gap must be at least 0, got -1"),
+        "--transient": (["esp", "--inputs", b0, b1, "--transient", 5, "--horizon", 3],
+                        "--transient 5.0, --horizon 3.0: "),
+        "--rho": (train + ["--rho", 1.5], "--rho 1.5: "),
+        "--leak": (train + ["--leak", 1.0], "--leak 1.0: "),
+        "--stride": (train + ["--stride", 0], "--stride 0: "),
+        "--mux": (train + ["--mux", 0.05], "--mux 0.05, --stride 6: "),
+        "--nodes": (train + ["--nodes", 0], "--nodes 0: "),
+        "--washout": (train + ["--washout", "abc"], "--washout must be an integer or 'auto'"),
+    }[flag]
+
+
+@pytest.mark.parametrize("flag", ["--kmax", "--threads", "--max-gap", "--transient", "--rho",
+                                  "--leak", "--stride", "--mux", "--nodes", "--washout"])
 def test_search_sensors_rejects_a_bound_below_one(tmp_path, capsys, inventory_dir, flag):
+    argv, message = _out_of_range(inventory_dir, flag)
     capsys.readouterr()
-    assert run("search-sensors", "--input", inventory_dir / "kin" / "analysis.csv",
-               flag, 0, "--out", tmp_path / "search") == 2
-    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert run(*argv, "--out", tmp_path / "search") == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "search").exists()
 
 
@@ -332,6 +355,11 @@ def test_missing_input_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+# sidecar frame rates that are not a finite positive number, as JSON text
+BAD_RATES = {"nan": "NaN", "negative": "-60", "string": '"sixty"', "null": "null", "zero": "0",
+             "overflow": "1e400"}
+
+
 def _malformed_input(tmp_path, case):
     """Write one malformed input; return (argv, the file to be named)."""
     trial = ingest.TrialRecording("JF1", "spontaneous", ring_positions(30), np.zeros(30))
@@ -363,12 +391,22 @@ def _malformed_input(tmp_path, case):
         bad = trial_csv.with_suffix(".json")
         bad.write_text(bad.read_text()[:20])
         return kinematics, bad
-    elif case in ("view_header", "view_truncated_sidecar"):
+    elif case.startswith(("analysis_rate_", "trial_rate_")):
+        on_analysis = case.startswith("analysis")
+        csv = analysis_for(tmp_path, trial_csv) if on_analysis else trial_csv
+        bad = csv.with_suffix(".json")
+        rate = BAD_RATES[case.rsplit("_", 1)[1]]
+        bad.write_text(bad.read_text().replace('"frame_rate": 60.0', f'"frame_rate": {rate}'))
+        return (["soc", "--input", csv] if on_analysis else kinematics), bad
+    elif case in ("view_header", "view_truncated_sidecar", "view_rate_string"):
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
             ingest.write_view_csv(f"{prefix}_{name}.csv", view)
         (tmp_path / "jf.json").write_text(json.dumps({"condition": "spontaneous"}))
-        if case == "view_truncated_sidecar":
+        if case == "view_rate_string":
+            bad = tmp_path / "jf.json"
+            bad.write_text(json.dumps({"condition": "spontaneous", "frame_rate": "sixty"}))
+        elif case == "view_truncated_sidecar":
             bad = tmp_path / "jf.json"
             bad.write_text(bad.read_text()[:-1])
         else:
@@ -382,7 +420,9 @@ def _malformed_input(tmp_path, case):
 @pytest.mark.parametrize("case", ["analysis_header_only", "analysis_missing_sidecar",
                                   "trial_ragged_row", "trial_header", "trial_missing_sidecar",
                                   "view_header", "analysis_truncated_sidecar",
-                                  "trial_truncated_sidecar", "view_truncated_sidecar"])
+                                  "trial_truncated_sidecar", "view_truncated_sidecar",
+                                  *(f"analysis_rate_{r}" for r in BAD_RATES),
+                                  "trial_rate_string", "trial_rate_negative", "view_rate_string"])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, bad = _malformed_input(tmp_path, case)
     assert run(*argv, "--out", tmp_path / "out") == 2
@@ -488,6 +528,26 @@ def test_a_label_given_twice_exits_2(tmp_path, capsys, inventory_dir, command):
     assert run(command, "--inputs", *items, "--out", tmp_path / "out") == 2
     assert "label 'x' given twice" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_confusion_takes_one_analysis_per_label(tmp_path, capsys, inventory_dir):
+    a0, a1, b0 = (inventory_dir / name / "analysis.csv" for name in ("a0", "a1", "b0"))
+    assert run("confusion", "--inputs", f"x={a0},{a1}", f"y={b0}",
+               "--out", tmp_path / "out") == 2
+    assert "one analysis per label" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_single_labelled_esp_group_is_the_plain_esp_without_stats(tmp_path, inventory_dir):
+    paths = [inventory_dir / f"b{i}" / "analysis.csv" for i in range(3)]
+    assert run("esp", "--inputs", "b=" + ",".join(map(str, paths)), "--horizon", 30.0,
+               "--out", tmp_path / "one") == 0
+    assert run("esp", "--inputs", *paths, "--horizon", 30.0, "--out", tmp_path / "plain") == 0
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == [
+        "esp.csv", "esp_bars.svg", "manifest.json"]
+    plain = (tmp_path / "plain" / "esp.csv").read_text()
+    assert plain.count("\nstimulated,") == 4
+    assert (tmp_path / "one" / "esp.csv").read_text() == plain.replace("\nstimulated,", "\nb,")
 
 
 def test_env_data_dir_resolves_relative_inputs(tmp_path, monkeypatch):
@@ -666,6 +726,16 @@ def test_config_hash_equal_across_processes(tmp_path):
         assert "func" not in manifest["args"]
         hashes.append(manifest["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+def test_report_on_a_truncated_manifest_exits_2_naming_it(tmp_path, capsys):
+    synth_trial(tmp_path / "runs", name="runA", seconds=10.0, seed=0)
+    bad = tmp_path / "runs" / "runA" / "manifest.json"
+    bad.write_text(bad.read_text()[:40])
+    capsys.readouterr()
+    assert run("report", "--input", tmp_path / "runs", "--out", tmp_path / "rep") == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_records_the_manifests_it_reads(tmp_path):

@@ -1,10 +1,14 @@
-"""Every optional parameter of a public medusa function is set by some call.
+"""Every optional parameter of a public medusa function, and every
+defaulted field of a public medusa dataclass, is set by some call.
 
 A default that no call in src/, tests/ or perfbench/ ever overrides is a
 constant, not an option: it belongs in a module constant.  Calls are
 matched by the called name (``f(...)``, ``module.f(...)``, ``obj.f(...)``
 for methods), so a parameter counts as set when any call of that name
 passes it by keyword or by position, or passes ``*args``/``**kwargs``.
+A dataclass field counts as set when a call of the class sets it that
+way, or any ``replace(...)`` call passes it by keyword or passes
+``**kwargs``.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ def _calls():
     return calls
 
 
+def _passed(records, name: str, position: int | None, skip: int = 0) -> bool:
+    return any(
+        keywords is None or name in keywords
+        or (position is not None and (count is None or count > position - skip))
+        for count, keywords in records
+    )
+
+
 def unset_parameters() -> list[str]:
     calls = _calls()
     unset = []
@@ -69,15 +81,42 @@ def unset_parameters() -> list[str]:
         bare, attribute = calls.get(fn.name, ([], []))
         records = attribute if is_method else bare + attribute
         for name, position in _optional(fn):
-            passed = any(
-                keywords is None or name in keywords
-                or (position is not None and (count is None or count > position - skip))
-                for count, keywords in records
-            )
-            if not passed:
+            if not _passed(records, name, position, skip):
                 unset.append(f"{qualname}({name})")
+    return unset
+
+
+def _defaulted_fields():
+    """(qualified name, class name, field, position) of each field with a
+    default of a public dataclass in src/medusa."""
+    for path in sorted((ROOT / "src" / "medusa").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                    and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                continue
+            fields = [item for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            for position, item in enumerate(fields):
+                if item.value is not None:
+                    name = item.target.id
+                    yield f"{path.stem}.{node.name}.{name}", node.name, name, position
+
+
+def unset_fields() -> list[str]:
+    calls = _calls()
+    bare, attribute = calls.get("replace", ([], []))
+    replaces = [(0, keywords) for _, keywords in bare + attribute]   # by keyword only
+    unset = []
+    for qualname, cls, name, position in _defaulted_fields():
+        bare, attribute = calls.get(cls, ([], []))
+        if not _passed(bare + attribute + replaces, name, position):
+            unset.append(qualname)
     return unset
 
 
 def test_every_optional_parameter_is_set_by_some_call():
     assert unset_parameters() == []
+
+
+def test_every_defaulted_dataclass_field_is_set_by_some_call():
+    assert unset_fields() == []

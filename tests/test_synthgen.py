@@ -18,12 +18,6 @@ def test_pwm_onset_count_and_spacing():
     assert sched.onsets_s[0] == 0.0
 
 
-def test_pwm_carrier_arithmetic():
-    sched = synthgen.pwm_schedule(2.0, 10.0)
-    assert sched.amplitude_v == pytest.approx(3.3)
-    assert sched.duty == pytest.approx(0.5)
-
-
 def test_pwm_period_too_short():
     with pytest.raises(PeriodTooShort):
         synthgen.pwm_schedule(0.05, 10.0)
