@@ -35,8 +35,9 @@ DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
 DEFAULT_HORIZONS = "0,0.5,1.0,1.5,2.0"
 SOC_LENGTH_CHANNELS = kinematics.RADIAL_PAIR_NAMES + kinematics.CORONAL_PAIR_NAMES
 VELOCITY_CHANNELS = ("vx", "vy", "vz")
-# the least value of each integer flag, checked before a command reads anything
-INT_FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1}
+# the least value of each numeric flag, checked before a command reads anything
+FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1, "trials": 1,
+               "seconds": synthgen.MIN_DURATION_S}
 # the flag that sets each EspParams/ReservoirConfig field a command takes from one
 FIELD_FLAGS = {"transient_s": "--transient", "horizon_s": "--horizon", "n_nodes": "--nodes",
                "spectral_radius": "--rho", "mux_horizon_s": "--mux", "mux_stride": "--stride",
@@ -160,10 +161,10 @@ def _labeled_inputs(run: Run, items) -> dict[str, list[Path]]:
     return out
 
 
-def _check_int_flags(args) -> None:
-    for dest, low in INT_FLAG_MINIMA.items():
+def _check_flag_minima(args) -> None:
+    for dest, low in FLAG_MINIMA.items():
         value = getattr(args, dest, low)
-        if value < low:
+        if not value >= low:    # a NaN fails too
             flag = "--" + dest.replace("_", "-")
             raise ValidationError(f"{flag} must be at least {low}, got {value}")
 
@@ -356,14 +357,11 @@ def cmd_phase(args, run: Run) -> None:
 
 
 def _esp_channel_sets(tables, n) -> dict[str, list[np.ndarray]]:
-    channel_sets: dict[str, list[np.ndarray]] = {"lengths": []}
+    """Per channel set, each trial's first ``n`` rows standardized."""
+    channel_sets = {"lengths": [kinematics.standardize(t.columns(SOC_LENGTH_CHANNELS)[:n])
+                                for t in tables]}
     for axis in VELOCITY_CHANNELS:
-        channel_sets[axis] = []
-    for t in tables:
-        lengths = t.columns(SOC_LENGTH_CHANNELS)[:n]
-        channel_sets["lengths"].append(kinematics.standardize(lengths))
-        for axis in VELOCITY_CHANNELS:
-            channel_sets[axis].append(kinematics.standardize(t.column(axis)[:n]))
+        channel_sets[axis] = [kinematics.standardize(t.column(axis)[:n]) for t in tables]
     return channel_sets
 
 
@@ -373,8 +371,15 @@ def _esp_one_condition(paths, params):
     if len(conditions) > 1:
         raise ValidationError(f"trials mix conditions: {sorted(conditions)}")
     fs = tables[0].frame_rate
+    period = tables[0].meta.get("period_s")
     for path, table in zip(paths[1:], tables[1:]):
         _require_rate(path, table.frame_rate, fs, f"{paths[0]} is at")
+        # the index compares responses to one input; period_s is null if unstimulated
+        other = table.meta.get("period_s")
+        if other != period and not (other and period and math.isclose(other, period)):
+            raise ValidationError(f"{path} has period_s {json.dumps(other)} but {paths[0]} has "
+                                  f"period_s {json.dumps(period)}: esp compares trials of one "
+                                  "stimulus")
     n = min(t.data.shape[0] for t in tables)
     results = {
         name: esp_mod.esp_index(trials, params, fs)
@@ -401,8 +406,9 @@ def cmd_esp(args, run: Run) -> None:
     for label, paths in groups.items():
         condition, results = _esp_one_condition(paths, params)
         per_label[condition if label is None else label] = results
-    rows = [(label, name, "pooled", r.n_comparisons, r.value)
-            for label, results in per_label.items() for name, r in results.items()]
+    flat = [(label, name, r) for label, results in per_label.items()
+            for name, r in results.items()]
+    rows = [(label, name, "pooled", r.n_comparisons, r.value) for label, name, r in flat]
     # compare per-pair distances across groups, per channel set
     labels = list(per_label)
     stats_rows = []
@@ -426,40 +432,55 @@ def cmd_esp(args, run: Run) -> None:
                   zip(*stats_rows))
     svgplot.bar_chart(
         run.output("esp_bars.svg"),
-        [f"{label}:{name}" for label in per_label for name in per_label[label]],
-        [r.value for label in per_label for r in per_label[label].values()],
-        errors=[r.pair_deltas.std() for label in per_label
-                for r in per_label[label].values()],
+        [f"{label}:{name}" for label, name, _ in flat],
+        [r.value for *_, r in flat],
+        errors=[r.pair_deltas.std() for *_, r in flat],
         title="response consistency index",
         ylabel="index",
     )
-    summary = ", ".join(
-        f"{label}/{name}={r.value:.3f}"
-        for label in per_label for name, r in per_label[label].items()
-    )
-    print(f"esp: {summary}")
+    print("esp: " + ", ".join(f"{label}/{name}={r.value:.3f}" for label, name, r in flat))
 
 
-def _parse_names(names: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in names.split(",") if s.strip())
+def _flag_items(args, dest: str, allowed=None) -> tuple[str, ...]:
+    """The comma-separated items of ``--dest``; exit 2 naming the flag when
+    it lists none, or an item not in ``allowed``."""
+    flag, value = "--" + dest, getattr(args, dest)
+    items = tuple(s.strip() for s in value.split(",") if s.strip())
+    if not items:
+        raise ValidationError(f"{flag} lists nothing, got {value!r}")
+    for item in items:
+        if allowed is not None and item not in allowed:
+            raise ValidationError(f"{flag}: {item!r} is not one of {', '.join(allowed)}")
+    return items
+
+
+def _horizons(args) -> list[float]:
+    """--horizons in seconds, each finite and at least 0."""
+    horizons = []
+    for item in _flag_items(args, "horizons"):
+        try:
+            h = float(item)
+        except ValueError:
+            h = math.nan
+        if not 0 <= h < math.inf:
+            raise ValidationError(f"--horizons: {item!r} is not a number of seconds >= 0")
+        horizons.append(h)
+    return horizons
 
 
 def _targets_from_table(table: AnalysisTable, target_names, pulsatile: bool):
+    """The targets named, rebuilt from their velocities (and, when
+    ``pulsatile``, the pulse onsets and pose)."""
     velocity_names = tuple(n for n in target_names if n in VELOCITY_CHANNELS)
-    if not velocity_names:
-        raise ValidationError("targets must include at least one of vx, vy, vz")
-    v = table.columns(velocity_names)
+    onsets = euler = None
     if pulsatile:
         onsets = table.stim_onsets()
         if onsets.size == 0:
-            onsets = rc.detect_pulse_onsets(
-                kinematics.standardize(table.column("vz")), table.frame_rate
-            )
+            onsets = rc.detect_pulse_onsets(kinematics.standardize(table.column("vz")),
+                                            table.frame_rate)
         euler = table.columns(["ea", "eb", "eg"])
-        return rc.build_targets(v, table.frame_rate, onset_indices=onsets,
-                                euler=euler, pulsatile=True,
-                                velocity_names=velocity_names)
-    return rc.build_targets(v, table.frame_rate, pulsatile=False,
+    return rc.build_targets(table.columns(velocity_names), table.frame_rate,
+                            onset_indices=onsets, euler=euler, pulsatile=pulsatile,
                             velocity_names=velocity_names)
 
 
@@ -480,14 +501,20 @@ def _config_from_args(args, n_sensors: int, frame_rate: float) -> rc.ReservoirCo
     return config
 
 
-def _washout_value(args, pulsatile: bool) -> int:
-    if args.washout == "auto":
-        return rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
+def _washout_value(args, pulsatile: bool, n_rows: int) -> int:
+    """--washout in samples, at least 0 and below ``n_rows``; 'auto' is the
+    washout of the target kind."""
+    auto = rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
     try:
-        return int(args.washout)
+        washout = auto if args.washout == "auto" else int(args.washout)
     except ValueError:
         raise ValidationError(
             f"--washout must be an integer or 'auto', got {args.washout!r}") from None
+    if not 0 <= washout < n_rows:
+        shown = f"auto ({washout})" if args.washout == "auto" else washout
+        raise ValidationError(f"--washout {shown} must be at least 0 and below the "
+                              f"{n_rows} rows of the analysis")
+    return washout
 
 
 def _model_inputs(table: AnalysisTable, sensor_names, target_names, pulsatile: bool):
@@ -504,14 +531,14 @@ def _shared_features(sensor_sets, config: rc.ReservoirConfig):
 
 
 def cmd_train(args, run: Run) -> None:
+    sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
+    target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
+    horizons = _horizons(args)
     table = AnalysisTable.read(run.input(args.input))
     fs = table.frame_rate
-    sensor_names = _parse_names(args.sensors)
-    sensors, targets = _model_inputs(table, sensor_names, _parse_names(args.targets),
-                                     args.pulsatile)
+    sensors, targets = _model_inputs(table, sensor_names, target_names, args.pulsatile)
     config = _config_from_args(args, len(sensor_names), fs)
-    washout = _washout_value(args, args.pulsatile)
-    horizons = [float(h) for h in _parse_names(args.horizons)]
+    washout = _washout_value(args, args.pulsatile, table.data.shape[0])
 
     mux_scale, (features,) = _shared_features([sensors], config)
     model = rc.train_horizons(
@@ -606,12 +633,12 @@ def cmd_predict(args, run: Run) -> None:
 
 
 def cmd_confusion(args, run: Run) -> None:
+    target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
+    sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     labeled = _labeled_inputs(run, args.inputs)
     if len(labeled) < 2 or any(len(paths) != 1 for paths in labeled.values()):
         raise ValidationError("confusion takes two or more label=analysis.csv datasets, "
                               "one analysis per label")
-    target_names = _parse_names(args.targets)
-    sensor_names = _parse_names(args.sensors)
 
     sensors, targets = {}, {}
     fs = None
@@ -625,7 +652,7 @@ def cmd_confusion(args, run: Run) -> None:
 
     config = _config_from_args(args, len(sensor_names), fs)
     # cross-family sets are single trials; 'auto' takes the short washout
-    washout = _washout_value(args, pulsatile=True)
+    washout = _washout_value(args, True, min(len(s) for s in sensors.values()))
     _, features = _shared_features(list(sensors.values()), config)
     datasets = {label: (f, targets[label].values) for label, f in zip(sensors, features)}
     result = rc.cross_predict(datasets, washout)
@@ -648,7 +675,8 @@ def cmd_search_sensors(args, run: Run) -> None:
         tasks["stim"] = stim
 
     report = sensorsearch.search_best(
-        data, tasks, washout=args.washout, k_max=args.kmax, n_workers=args.threads
+        data, tasks, sensorsearch.POOL_NAMES, washout=_washout_value(args, True, len(data)),
+        k_max=args.kmax, n_workers=args.threads,
     )
     write_csv(run.output("search_best.csv"), ["task", "best_subset", "r2"],
               zip(*[(t, "+".join(r.subset), r.r2) for t, r in report.best.items()]))
@@ -670,8 +698,7 @@ def cmd_search_sensors(args, run: Run) -> None:
 def cmd_export_model(args, run: Run) -> None:
     config, model, _ = _load_model(run.input(args.model))
     readout = model if args.all_horizons else model.at(args.horizon)
-    state = None if config.architecture == "prc" else rc.esn_init(config)
-    blob = rc.export_compact(readout, config, state)
+    blob = rc.export_compact(readout, config)
     blob_path = run.output("model.bin")
     blob_path.write_bytes(blob)
     evaluator = rc.CompactEvaluator(rc.load_compact(blob))
@@ -805,7 +832,7 @@ def main(argv=None) -> int:
     run = Run(args.out)
     started = time.perf_counter()
     try:
-        _check_int_flags(args)
+        _check_flag_minima(args)
         args.func(args, run)
         run.out.mkdir(parents=True, exist_ok=True)
         write_manifest(run.out, args.command, vars(args), run.inputs, run.outputs,

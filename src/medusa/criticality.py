@@ -171,11 +171,8 @@ def default_threshold(series: np.ndarray) -> float:
     return float(x.mean() + 0.5 * x.std())
 
 
-def extract_pulses(
-    series: np.ndarray,
-    threshold: float | None = None,
-    frame_rate: float = 60.0,
-) -> list[PulseEvent]:
+def extract_pulses(series: np.ndarray, frame_rate: float,
+                   threshold: float | None = None) -> list[PulseEvent]:
     """Extract threshold-crossing pulses from a series.
 
     Each upward crossing opens an event whose duration runs to the *next*

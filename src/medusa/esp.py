@@ -39,24 +39,17 @@ class EspIndexResult:
     value: float
     n_comparisons: int              # trials compared against each reference
     pair_deltas: np.ndarray         # mean distance per unordered trial pair
-    n_trials: int = 0
 
 
-def esp_index(
-    trials,
-    params: EspParams,
-    frame_rate: float = 60.0,
-    schedules=None,
-) -> EspIndexResult:
+def esp_index(trials, params: EspParams, frame_rate: float) -> EspIndexResult:
     """Mean pairwise distance between aligned standardized trial responses.
 
     For each unordered pair of trials the per-sample Euclidean distance
     across the channel set is averaged over the window
     (transient_s, horizon_s]; the index is the mean of those pair averages,
     which equals the reference-averaged form with duplicate pairs removed.
-
-    ``schedules``, when given, must hold one stimulus series (or onset
-    array) per trial; any mismatch raises MisalignedTrials.
+    The trials must share one stimulus schedule: the index compares the
+    responses to one input (Jaeger 2001), so the caller checks it.
     """
     xs = [np.atleast_2d(np.asarray(t, dtype=float).T).T for t in trials]
     if len(xs) < 2:
@@ -64,12 +57,6 @@ def esp_index(
     shape = xs[0].shape
     if any(x.shape != shape for x in xs):
         raise MisalignedTrials("trials do not share one shape")
-    if schedules is not None:
-        ref = np.asarray(schedules[0])
-        for s in schedules[1:]:
-            s = np.asarray(s)
-            if s.shape != ref.shape or not np.array_equal(s, ref):
-                raise MisalignedTrials("trials do not share one stimulus schedule")
 
     n = shape[0]
     if (n - 1) / frame_rate < params.horizon_s - 1e-9:
@@ -90,5 +77,4 @@ def esp_index(
         value=float(deltas.mean()),
         n_comparisons=len(xs) - 1,
         pair_deltas=deltas,
-        n_trials=len(xs),
     )

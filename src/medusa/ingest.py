@@ -50,6 +50,9 @@ VIEW_NAMES: tuple[str, ...] = ("top", "behind", "right")
 CONDITIONS: tuple[str, ...] = ("spontaneous", "control_no_stim", "stimulated")
 
 TANK_MM = 150.0
+# corners c1..c4 on the rectified face, read-only
+RECT_CORNERS = np.array([[0.0, 0.0], [TANK_MM, 0.0], [TANK_MM, TANK_MM], [0.0, TANK_MM]])
+RECT_CORNERS.flags.writeable = False
 CONFIDENCE_THRESHOLD = 0.6
 DEFAULT_FRAME_RATE = 60.0
 
@@ -64,7 +67,7 @@ class RawViewSeries:
     markers: np.ndarray        # (n, 8, 2)
     markers_conf: np.ndarray   # (n, 8)
     led: np.ndarray            # (n, 2) intensities, columns (on, off)
-    frame_rate: float = DEFAULT_FRAME_RATE
+    frame_rate: float
     rectified: bool = False
 
     def __post_init__(self):
@@ -99,8 +102,8 @@ class TrialRecording:
     condition: str
     positions: np.ndarray
     stimulus: np.ndarray
+    frame_rate: float
     period_s: float | None = None
-    frame_rate: float = DEFAULT_FRAME_RATE
     valid_mask: np.ndarray | None = None
 
     def __post_init__(self):
@@ -169,18 +172,13 @@ def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out.reshape(pts.shape)
 
 
-def rect_corners(rect_size: tuple[float, float] = (TANK_MM, TANK_MM)) -> np.ndarray:
-    w, hgt = rect_size
-    return np.array([[0.0, 0.0], [w, 0.0], [w, hgt], [0.0, hgt]])
-
-
 def rectify_view(view: RawViewSeries) -> RawViewSeries:
     """Rectify a whole view using one homography from its corner landmarks.
 
-    The corners map onto the ``TANK_MM`` square face.  They are physically
-    static, so a single transform is solved from the per-corner median
-    over confident frames; per-frame corner estimates only jitter around
-    it.
+    The corners map onto ``RECT_CORNERS``, the ``TANK_MM`` square face.
+    They are physically static, so a single transform is solved from the
+    per-corner median over confident frames; per-frame corner estimates
+    only jitter around it.
     """
     med = np.empty((4, 2))
     for c in range(4):
@@ -190,7 +188,7 @@ def rectify_view(view: RawViewSeries) -> RawViewSeries:
         if not np.any(ok):
             raise DegenerateCorners(f"corner {c + 1} never observed in view {view.view!r}")
         med[c] = np.nanmedian(view.corners[ok, c], axis=0)
-    h = solve_homography(med, rect_corners())
+    h = solve_homography(med, RECT_CORNERS)
     return replace(
         view,
         corners=apply_homography(h, view.corners),
@@ -281,9 +279,8 @@ def interpolate_gaps(trial: TrialRecording, max_gap_frames: int = 5) -> TrialRec
     return replace(trial, positions=pos.reshape(n, 8, 3), valid_mask=None)
 
 
-def align_stimulus(
-    led_series: np.ndarray, threshold: float, frame_rate: float = DEFAULT_FRAME_RATE
-) -> tuple[np.ndarray, np.ndarray]:
+def align_stimulus(led_series: np.ndarray, threshold: float,
+                   frame_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Threshold an ON-LED intensity trace into a burst-active series.
 
     Returns ``(active, onsets_s)`` where ``active`` is 1 while the LED is
@@ -321,9 +318,7 @@ def write_view_csv(path: str | Path, view: RawViewSeries) -> None:
     write_csv(path, VIEW_COLUMNS, columns)
 
 
-def read_view_csv(
-    path: str | Path, view_name: str, frame_rate: float = DEFAULT_FRAME_RATE
-) -> RawViewSeries:
+def read_view_csv(path: str | Path, view_name: str, frame_rate: float) -> RawViewSeries:
     """Read one view CSV written in the canonical layout."""
     data = read_csv(path, VIEW_COLUMNS)
     n = data.shape[0]

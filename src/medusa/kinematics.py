@@ -72,7 +72,7 @@ class BodyFrameSeries:
     the body axes expressed in world coordinates); ``euler_zyz`` holds the
     intrinsic z-y-z angles of the body-to-world orientation, each in
     (-pi, pi], with the first z-angle set to 0 when the middle angle
-    vanishes.  ``v_local`` is filled by `local_velocities`.
+    vanishes.  Only `synthgen`'s ground truth sets ``v_local``.
     """
 
     com: np.ndarray            # (n, 3) mm
@@ -288,14 +288,11 @@ def local_velocities(trial: TrialRecording, pose: BodyFrameSeries) -> np.ndarray
     the same instant.
     """
     com = pose.com
-    fs = pose.frame_rate
     v = np.empty_like(com)
-    v[:-1] = (com[1:] - com[:-1]) * fs
+    v[:-1] = (com[1:] - com[:-1]) * pose.frame_rate
     v[-1] = v[-2] if len(com) > 1 else 0.0
     v = moving_average(v, 5)
-    v_local = np.einsum("nij,nj->ni", pose.rotation, v)
-    pose.v_local = v_local
-    return v_local
+    return np.einsum("nij,nj->ni", pose.rotation, v)
 
 
 CUTOFF_HZ = 3.0

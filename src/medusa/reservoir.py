@@ -19,6 +19,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,17 +37,30 @@ from .errors import (
 )
 from .series import FORGET_TOL, runs, time_chunks
 
-ARCHITECTURES = ("esn", "prc", "hybrid")
-_ARCH_CODES = {"prc": 0, "esn": 1, "hybrid": 2}
-_ARCH_NAMES = {v: k for k, v in _ARCH_CODES.items()}
-
 DEFAULT_SPECTRAL_RADIUS = 0.35
 RIDGE_DEFAULT = 1e-8
 AGGREGATE_WASHOUT_SAMPLES = 10_000
 PULSATILE_WASHOUT_SAMPLES = 1_000
+PULSE_REFRACTORY_S = 0.5
 
 _BLOB_MAGIC = b"MDS1"
 _BLOB_HEADER = struct.Struct("<4sBIIIff")
+
+
+class Architecture(NamedTuple):
+    """The feature blocks an architecture's readout reads, left to right."""
+
+    code: int       # its byte in the MDS1 blob header
+    states: bool    # the reservoir activations
+    mux: bool       # the multiplexed sensor inputs
+
+
+# the one place an architecture name decides anything
+ARCHITECTURES = {
+    "esn": Architecture(code=1, states=True, mux=False),
+    "prc": Architecture(code=0, states=False, mux=True),
+    "hybrid": Architecture(code=2, states=True, mux=True),
+}
 
 
 @dataclass
@@ -75,8 +89,8 @@ class ReservoirConfig:
             raise ValueError("mux_stride must be >= 1")
         if not 0.0 <= self.leak < 1.0:
             raise ValueError("leak must lie in [0, 1)")
-        if self.architecture != "prc" and self.n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1 for esn/hybrid")
+        if ARCHITECTURES[self.architecture].states and self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1 for {self.architecture}")
         if self.n_sensors < 1:
             raise ValueError("n_sensors must be >= 1")
         if self.frame_rate <= 0:
@@ -226,8 +240,8 @@ def esn_init(config: ReservoirConfig) -> EsnState:
     Each draw is made once per process and shared: the returned weights
     and start state are read-only, so copy them before modifying.
     """
-    if config.architecture == "prc":
-        raise ValueError("a pure sensor readout has no reservoir to initialize")
+    if not ARCHITECTURES[config.architecture].states:
+        raise ValueError(f"architecture {config.architecture!r} has no reservoir to initialize")
     a, b, x0 = _draw_reservoir(config.seed, config.n_nodes, config.n_sensors,
                                config.n_lags, config.spectral_radius, config.input_scale)
     return EsnState(input_weights=a, recurrent_weights=b, state=x0, config=config)
@@ -350,16 +364,14 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
 def assemble_features(architecture: str, states: np.ndarray | None,
                       mux: MuxedInput | np.ndarray) -> np.ndarray:
     """Feature matrix per architecture (bias column is added at training)."""
-    u = mux.values if isinstance(mux, MuxedInput) else np.asarray(mux, dtype=float)
-    if architecture == "prc":
-        return u
-    if states is None:
+    blocks = ARCHITECTURES.get(architecture)
+    if blocks is None:
+        raise ValueError(f"unknown architecture {architecture!r}")
+    if blocks.states and states is None:
         raise ValueError(f"architecture {architecture!r} needs reservoir states")
-    if architecture == "esn":
-        return states
-    if architecture == "hybrid":
-        return np.hstack([states, u])
-    raise ValueError(f"unknown architecture {architecture!r}")
+    u = mux.values if isinstance(mux, MuxedInput) else np.asarray(mux, dtype=float)
+    parts = [block for block, used in ((states, blocks.states), (u, blocks.mux)) if used]
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
 def reservoir_features(
@@ -382,10 +394,10 @@ def reservoir_features(
     # one NaN input would carry through the recurrence into every later state
     require_finite(x, "sensor input")
     t_len = x.shape[0]
-    arch = config.architecture
-    state = None if arch == "prc" else esn_init(config)
-    n_states = 0 if state is None else config.n_nodes
-    width = _feature_width(arch, n_states, config.input_width)
+    blocks = ARCHITECTURES[config.architecture]
+    state = esn_init(config) if blocks.states else None
+    n_states = config.n_nodes if blocks.states else 0
+    width = _feature_width(config.architecture, n_states, config.input_width)
     rows = t_len
     if state is not None:
         # esn_run steps K chunks of L rows in place; rows past T are padding
@@ -394,7 +406,7 @@ def reservoir_features(
     buf = np.empty((rows, width + 1))
     buf[:, -1] = 1.0
     mux = build_mux(x, config.mux_horizon_s, config.mux_stride, config.frame_rate,
-                    scale=mux_scale, _out=None if arch == "esn" else buf[:t_len, n_states:width])
+                    scale=mux_scale, _out=buf[:t_len, n_states:width] if blocks.mux else None)
     if state is not None:
         esn_run(state, mux, _out=buf[:, :n_states])
     return buf[:t_len, :width]
@@ -491,6 +503,8 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     horizons_s = tuple(float(h) for h in horizons_s)
     if not horizons_s or any(h < 0 for h in horizons_s):
         raise ValueError("need at least one horizon, none negative")
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
     n, d_aug = f.shape[0], f.shape[1] + 1
     model = Readout(
         weights=np.empty((len(horizons_s), d_aug, y.shape[1])),
@@ -547,7 +561,7 @@ def train_horizons(
     targets: np.ndarray,
     horizons_s,
     washout: int,
-    frame_rate: float = 60.0,
+    frame_rate: float,
     architecture: str = "",
     target_names: tuple[str, ...] = (),
 ) -> Readout:
@@ -642,23 +656,15 @@ class TargetSeries:
     values: np.ndarray
 
 
-def detect_pulse_onsets(
-    series: np.ndarray,
-    frame_rate: float = 60.0,
-    threshold: float | None = None,
-    refractory_s: float = 0.5,
-) -> np.ndarray:
-    """Upward-crossing indices with a refractory period, for pulse resets.
-
-    The threshold defaults to `criticality.default_threshold`'s.
-    """
+def detect_pulse_onsets(series: np.ndarray, frame_rate: float) -> np.ndarray:
+    """Upward crossings of `criticality.default_threshold`, for pulse
+    resets; a crossing within ``PULSE_REFRACTORY_S`` of the last kept one
+    is skipped."""
     x = np.asarray(series, dtype=float)
-    if threshold is None:
-        threshold = default_threshold(x)
-    starts, _ = runs(x > threshold)
+    starts, _ = runs(x > default_threshold(x))
     rising = starts[starts > 0]
     keep = []
-    gap = refractory_s * frame_rate
+    gap = PULSE_REFRACTORY_S * frame_rate
     for idx in rising:
         if not keep or idx - keep[-1] >= gap:
             keep.append(int(idx))
@@ -736,7 +742,6 @@ class CompactModel:
     n_nodes: int
     input_width: int
     n_outputs: int
-    spectral_radius: float
     leak: float
     input_weights: np.ndarray
     recurrent_weights: np.ndarray
@@ -749,7 +754,8 @@ class CompactModel:
 
 def _feature_width(architecture: str, n_nodes: int, input_width: int) -> int:
     """Readout feature count per architecture (bias excluded)."""
-    return {"prc": input_width, "esn": n_nodes, "hybrid": n_nodes + input_width}[architecture]
+    blocks = ARCHITECTURES[architecture]
+    return n_nodes * blocks.states + input_width * blocks.mux
 
 
 def export_compact(
@@ -763,20 +769,17 @@ def export_compact(
     (nodes, input width, outputs), spectral radius and leak as f32, then
     the input, recurrent and readout weights as f32 in row-major order.
     The outputs are the columns of ``model.predict``: output j is horizon
-    j // n_targets, target j % n_targets.
+    j // n_targets, target j % n_targets.  The reservoir weights are
+    ``state``'s, or `esn_init(config)`'s; a model without states has 0 nodes.
     """
-    arch = config.architecture
-    width = config.input_width
-    if arch == "prc":
-        a = np.empty((0, 0))
-        b = np.empty((0, 0))
-        n_nodes = 0
-    else:
-        if state is None:
-            raise ValueError("esn/hybrid export needs the reservoir state")
+    blocks = ARCHITECTURES[config.architecture]
+    if blocks.states:
+        state = esn_init(config) if state is None else state
         a, b = state.input_weights, state.recurrent_weights
-        n_nodes = config.n_nodes
-    expected = _feature_width(arch, n_nodes, width)
+    else:
+        a = b = np.empty((0, 0))
+    n_nodes, width = a.shape[0], config.input_width
+    expected = _feature_width(config.architecture, n_nodes, width)
     if model.n_features != expected:
         raise ConfigMismatch(
             f"model has {model.n_features} features, configuration implies {expected}"
@@ -785,7 +788,7 @@ def export_compact(
     readout = model.weights.transpose(1, 0, 2).reshape(d_aug, n_h * n_t)
     header = _BLOB_HEADER.pack(
         _BLOB_MAGIC,
-        _ARCH_CODES[arch],
+        blocks.code,
         n_nodes,
         width,
         n_h * n_t,
@@ -802,12 +805,13 @@ def load_compact(blob: bytes) -> CompactModel:
     """Parse and validate a compact blob."""
     if len(blob) < _BLOB_HEADER.size:
         raise BlobCorrupt("blob shorter than its header")
-    magic, arch_code, n_nodes, width, n_out, rho, leak = _BLOB_HEADER.unpack_from(blob)
+    # the spectral radius in the header is not needed to run the blob
+    magic, arch_code, n_nodes, width, n_out, _, leak = _BLOB_HEADER.unpack_from(blob)
     if magic != _BLOB_MAGIC:
         raise BlobCorrupt(f"bad magic {magic!r}")
-    if arch_code not in _ARCH_NAMES:
+    arch = next((name for name, e in ARCHITECTURES.items() if e.code == arch_code), None)
+    if arch is None:
         raise BlobCorrupt(f"unknown architecture code {arch_code}")
-    arch = _ARCH_NAMES[arch_code]
     n_features = _feature_width(arch, n_nodes, width)
     n_a = n_nodes * width
     n_b = n_nodes * n_nodes
@@ -821,7 +825,6 @@ def load_compact(blob: bytes) -> CompactModel:
         n_nodes=n_nodes,
         input_width=width,
         n_outputs=n_out,
-        spectral_radius=float(rho),
         leak=float(leak),
         input_weights=flat[:n_a].reshape(n_nodes, width).copy(),
         recurrent_weights=flat[n_a:n_a + n_b].reshape(n_nodes, n_nodes).copy(),
@@ -854,6 +857,9 @@ class CompactEvaluator:
         self._pre2 = np.zeros(n, dtype=f4)
         self._features = np.zeros(model.n_features + 1, dtype=f4)
         self._features[-1] = 1.0
+        # the feature blocks; a model without reservoir states has zero nodes
+        self._states = self._features[:n]
+        self._mux = self._features[n:-1] if ARCHITECTURES[model.architecture].mux else None
         self._out = np.zeros(model.n_outputs, dtype=f4)
 
     @property
@@ -867,25 +873,20 @@ class CompactEvaluator:
 
     def step(self, u: np.ndarray) -> np.ndarray:
         """Consume one muxed input row; returns a view of the output buffer."""
-        m = self.model
-        if m.leak == 0.0:
+        if self.model.leak == 0.0:
             np.copyto(self._u_tilde, u)
         else:
             self._u_tilde *= self._leak
             np.multiply(u, self._one_minus_leak, out=self._u_tmp, casting="unsafe")
             self._u_tilde += self._u_tmp
-        if m.architecture != "prc":
+        if self._x.size:    # zero for a model without reservoir states
             np.matmul(self._a, self._u_tilde, out=self._pre)
             np.matmul(self._b, self._x, out=self._pre2)
             self._pre += self._pre2
             np.tanh(self._pre, out=self._x)
-        if m.architecture == "prc":
-            np.copyto(self._features[: m.input_width], u, casting="unsafe")
-        elif m.architecture == "esn":
-            self._features[: m.n_nodes] = self._x
-        else:
-            self._features[: m.n_nodes] = self._x
-            np.copyto(self._features[m.n_nodes:-1], u, casting="unsafe")
+            self._states[...] = self._x
+        if self._mux is not None:
+            np.copyto(self._mux, u, casting="unsafe")
         np.matmul(self._features, self._w, out=self._out)
         return self._out
 

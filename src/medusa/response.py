@@ -29,11 +29,7 @@ class PhaseResponse:
         return np.arange(self.segments.shape[1]) / self.segments.shape[1]
 
 
-def phase_response(
-    series: np.ndarray,
-    onsets_s: np.ndarray,
-    frame_rate: float = 60.0,
-) -> PhaseResponse:
+def phase_response(series: np.ndarray, onsets_s: np.ndarray, frame_rate: float) -> PhaseResponse:
     """Cut a series at consecutive onsets and overlay the cycles.
 
     Each segment between onset k and onset k+1 is linearly resampled onto

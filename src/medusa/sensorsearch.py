@@ -20,7 +20,6 @@ import numpy as np
 from .errors import DegenerateTask, require_finite
 from .kinematics import PAIR_NAMES
 
-POOL_SIZE = 30
 DEFAULT_K_MAX = 5
 RADIUS_NAMES = ("inner_radius", "outer_radius")
 POOL_NAMES: tuple[str, ...] = PAIR_NAMES + RADIUS_NAMES
@@ -76,15 +75,15 @@ def _eval_chunk(args):
 def search_best(
     data: np.ndarray,
     tasks: dict[str, np.ndarray],
+    pool_names: tuple[str, ...],
     washout: int = 1_000,
     k_max: int = DEFAULT_K_MAX,
     n_workers: int = 1,
-    pool_names: tuple[str, ...] | None = None,
 ) -> SensorSearchReport:
     """Find the best sensor subset per task by exhaustive search.
 
-    ``data`` holds the standardized candidate sensors (columns in pool
-    order); ``tasks`` maps a task label to its aligned target series.
+    ``data`` holds the standardized candidate sensors, one column per name
+    of ``pool_names``; ``tasks`` maps a task label to its aligned target series.
     Subsets are scored by post-washout R-squared of the direct linear
     readout.  Ties (within 1e-9) resolve to the smaller subset, then
     lexicographically — this matches the enumeration order, so the first
@@ -93,12 +92,10 @@ def search_best(
     order, so the report does not depend on the worker count.
     """
     x = np.asarray(data, dtype=float)
-    if pool_names is None:
-        pool_names = POOL_NAMES if x.shape[1] == POOL_SIZE else tuple(
-            f"s{i}" for i in range(x.shape[1])
-        )
     if len(pool_names) != x.shape[1]:
         raise ValueError("pool_names length does not match the data width")
+    if washout < 0:
+        raise ValueError(f"washout must be >= 0, got {washout}")
     pool = x.shape[1]
     task_names = list(tasks)
     y = np.column_stack([np.asarray(tasks[t], dtype=float) for t in task_names])

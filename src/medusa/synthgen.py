@@ -26,6 +26,7 @@ from .kinematics import BodyFrameSeries, euler_zyz_to_matrix, matrix_to_euler_zy
 
 BURST_DURATION_S = 0.1
 FRAME_RATE = 60.0
+MIN_DURATION_S = 10.0
 # the generator's fixed body and physiology; SyntheticJellyfishParams holds what varies
 REST_INNER_MM = 12.0
 RING_HEIGHT_MM = 8.0
@@ -185,8 +186,8 @@ def gen_jellyfish(
     configured distribution; stimulated mode follows the schedule subject
     to the responsiveness floor.
     """
-    if duration_s < 10.0:
-        raise ValueError("generator trials must span at least 10 s")
+    if duration_s < MIN_DURATION_S:
+        raise ValueError(f"generator trials must span at least {MIN_DURATION_S:g} s")
     fs = FRAME_RATE
     n = int(round(duration_s * fs))
     t = np.arange(n) / fs

@@ -58,7 +58,8 @@ def length_channels(trial):
 def test_c01_subset_enumeration_count():
     gate = Gate(1, "pool 30, k<=5 search scores exactly 174,436 subsets", 1.0)
     x = np.random.default_rng(1).normal(size=(200, 30))
-    report = sensorsearch.search_best(x, {"y": x @ np.arange(30.0)}, washout=0, k_max=5)
+    report = sensorsearch.search_best(x, {"y": x @ np.arange(30.0)}, sensorsearch.POOL_NAMES,
+                                      washout=0, k_max=5)
     gate.done(report.n_subsets == 174_436, f"count={report.n_subsets}")
 
 
@@ -239,7 +240,8 @@ def test_c09_gram_equivalence_and_search_speed():
         "c": np.tanh(data[:, 28]) + 0.05 * rng.normal(size=10_000),
         "d": data[:, 3] * data[:, 17] + rng.normal(size=10_000),
     }
-    report = sensorsearch.search_best(data, tasks, washout=washout, k_max=5, n_workers=8)
+    report = sensorsearch.search_best(data, tasks, sensorsearch.POOL_NAMES, washout=washout,
+                                      k_max=5, n_workers=8)
     ok = worst < 1e-9 and report.n_subsets == 174_436 and report.elapsed_s < 60.0
     gate.done(ok, f"worst dR2={worst:.1e}; search {report.elapsed_s:.1f}s, "
                   f"{report.n_workers} workers, {report.n_subsets} subsets")

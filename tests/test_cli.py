@@ -302,6 +302,54 @@ def test_inputs_at_two_frame_rates_exit_2_naming_them(tmp_path, capsys, inventor
     assert not (tmp_path / "out").exists()
 
 
+def _bad_argument(d, case):
+    """argv with one bad argument, and the strings the error must hold."""
+    a, a0, b0 = (d / name / "analysis.csv" for name in ("kin", "a0", "b0"))
+    train = ["train", "--input", a, "--pulsatile", "--horizons", "0"]
+    return {
+        # the 70 s analysis has 4200 rows, the 35 s ones 2100
+        "train_washout_negative": (train + ["--washout", -5], ["--washout -5", "4200 rows"]),
+        "train_washout_long": (train + ["--washout", 999999], ["--washout 999999", "4200 rows"]),
+        "train_washout_auto": (["train", "--input", a0, "--horizons", "0"],
+                               ["--washout auto (10000)", "2100 rows"]),
+        "confusion_washout": (["confusion", "--inputs", f"x={a}", f"y={a0}", "--arch", "prc",
+                               "--washout", -3], ["--washout -3", "2100 rows"]),
+        "search_washout": (["search-sensors", "--input", a, "--kmax", 1, "--washout", -5],
+                           ["--washout -5", "4200 rows"]),
+        "search_washout_long": (["search-sensors", "--input", a, "--kmax", 1,
+                                 "--washout", 999999], ["--washout 999999", "4200 rows"]),
+        "horizons_word": (train[:-1] + ["abc"], ["--horizons", "'abc'"]),
+        "horizons_negative": (train[:-1] + ["0,-1"], ["--horizons", "'-1'"]),
+        "horizons_nan": (train[:-1] + ["nan"], ["--horizons", "'nan'"]),
+        "sensors_empty": (train + ["--sensors", ","], ["--sensors lists nothing"]),
+        "sensors_unknown": (train + ["--sensors", "inner_radius,foo"], ["--sensors", "'foo'"]),
+        "targets_unknown": (train + ["--targets", "vx,foo"], ["--targets", "'foo'"]),
+        "confusion_targets": (["confusion", "--inputs", f"x={a}", f"y={a0}",
+                               "--targets", "vz,px"], ["--targets", "'px'"]),
+        "synth_seconds": (["synth", "--seconds", 5], ["--seconds must be at least 10", "5.0"]),
+        "synth_trials": (["synth", "--trials", 0], ["--trials must be at least 1, got 0"]),
+        "esp_periods": (["esp", "--inputs", a0, b0],
+                        [str(a0), str(b0), "period_s 1.5", "period_s 2.0"]),
+        "esp_group_periods": (["esp", "--inputs", f"g={a0},{b0}", f"h={b0},{a0}"],
+                              [str(a0), str(b0), "period_s 1.5", "period_s 2.0"]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "train_washout_negative", "train_washout_long", "train_washout_auto", "confusion_washout",
+    "search_washout", "search_washout_long", "horizons_word", "horizons_negative",
+    "horizons_nan", "sensors_empty", "sensors_unknown", "targets_unknown", "confusion_targets",
+    "synth_seconds", "synth_trials", "esp_periods", "esp_group_periods"])
+def test_a_bad_argument_exits_2_naming_it(tmp_path, capsys, inventory_dir, case):
+    argv, messages = _bad_argument(inventory_dir, case)
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_confusion_command(tmp_path):
     a = synth_trial(tmp_path, name="a", tau=2.0, seconds=45.0, seed=5)
     b = synth_trial(tmp_path, name="b", tau=1.5, seconds=45.0, seed=6)
@@ -362,7 +410,7 @@ BAD_RATES = {"nan": "NaN", "negative": "-60", "string": '"sixty"', "null": "null
 
 def _malformed_input(tmp_path, case):
     """Write one malformed input; return (argv, the file to be named)."""
-    trial = ingest.TrialRecording("JF1", "spontaneous", ring_positions(30), np.zeros(30))
+    trial = ingest.TrialRecording("JF1", "spontaneous", ring_positions(30), np.zeros(30), 60.0)
     trial_csv = tmp_path / "trial.csv"
     ingest.write_trial_csv(trial, trial_csv)
     lines = trial_csv.read_bytes().decode().split("\r\n")

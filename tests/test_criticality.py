@@ -121,7 +121,7 @@ def test_square_wave_durations_and_sizes():
 
 
 def test_series_below_threshold_gives_no_events():
-    assert criticality.extract_pulses(np.zeros(500), threshold=0.5) == []
+    assert criticality.extract_pulses(np.zeros(500), FS, threshold=0.5) == []
 
 
 def test_durations_tile_the_crossing_timeline():

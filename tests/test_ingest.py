@@ -15,15 +15,15 @@ def random_projective(rng, scale=1.0):
     return h
 
 
-def rectify(corners, points, rect_size=(ingest.TANK_MM, ingest.TANK_MM)):
+def rectify(corners, points, rect=ingest.RECT_CORNERS):
     """Map image points by the homography that sends ``corners`` onto the
     rectangle, as `ingest.rectify_view` does for a whole view."""
-    h = ingest.solve_homography(corners, ingest.rect_corners(rect_size))
+    h = ingest.solve_homography(corners, rect)
     return ingest.apply_homography(h, points)
 
 
 def test_rectify_identity_on_unit_rectangle():
-    out = rectify(UNIT_RECT, np.array([[0.5, 0.5]]), rect_size=(1.0, 1.0))
+    out = rectify(UNIT_RECT, np.array([[0.5, 0.5]]), rect=UNIT_RECT)
     np.testing.assert_allclose(out, [[0.5, 0.5]], atol=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_rectify_inverts_random_projective_transform():
         corners = ingest.apply_homography(h, UNIT_RECT)
         truth = rng.uniform(0.05, 0.95, (10, 2))
         image = ingest.apply_homography(h, truth)
-        recovered = rectify(corners, image, rect_size=(1.0, 1.0))
+        recovered = rectify(corners, image, rect=UNIT_RECT)
         np.testing.assert_allclose(recovered, truth, atol=1e-9)
 
 
@@ -47,7 +47,7 @@ def test_rectify_collinear_corners_raise():
 def test_rectification_is_idempotent():
     rng = np.random.default_rng(11)
     h = random_projective(rng, scale=150.0)
-    rect = ingest.rect_corners((150.0, 150.0))
+    rect = ingest.RECT_CORNERS
     corners = ingest.apply_homography(h, rect)
     once = rectify(corners, corners)
     np.testing.assert_allclose(once, rect, atol=1e-9 * 150)
@@ -65,7 +65,7 @@ def make_views(points_mm, conf=None, led=None, pixel_h=None, rng=None):
         "behind": points_mm[:, :, [0, 2]],
         "right": points_mm[:, :, [1, 2]],
     }
-    rect = ingest.rect_corners((150.0, 150.0))
+    rect = ingest.RECT_CORNERS
     views = {}
     for name in ingest.VIEW_NAMES:
         h = np.eye(3) if pixel_h is None else pixel_h[name]
@@ -76,6 +76,7 @@ def make_views(points_mm, conf=None, led=None, pixel_h=None, rng=None):
             markers=ingest.apply_homography(h, face[name]),
             markers_conf=conf.copy(),
             led=led.copy(),
+            frame_rate=60.0,
         )
     return views
 
@@ -157,6 +158,7 @@ def make_trial(positions, stim=None):
         condition="spontaneous",
         positions=positions,
         stimulus=np.zeros(n, dtype=np.uint8) if stim is None else stim,
+        frame_rate=60.0,
     )
 
 
@@ -208,7 +210,7 @@ def test_align_stimulus_square_trace():
 
 def test_align_stimulus_never_crossing_raises():
     with pytest.raises(NoOnsetsFound):
-        ingest.align_stimulus(np.zeros(100), 0.5)
+        ingest.align_stimulus(np.zeros(100), 0.5, 60.0)
 
 
 def test_align_stimulus_single_pulse_frames():
@@ -227,7 +229,7 @@ def test_view_csv_roundtrip(tmp_path):
     views = make_views(pos, led=led)
     path = tmp_path / "v_top.csv"
     ingest.write_view_csv(path, views["top"])
-    back = ingest.read_view_csv(path, "top")
+    back = ingest.read_view_csv(path, "top", 60.0)
     np.testing.assert_allclose(back.markers, views["top"].markers, rtol=1e-6)
     np.testing.assert_allclose(back.led, led, rtol=1e-6)
 
@@ -237,7 +239,7 @@ def test_trial_csv_roundtrip(tmp_path):
     pos[5, 2, 1] = np.nan
     stim = np.zeros(40, dtype=np.uint8)
     stim[10:16] = 1
-    trial = ingest.TrialRecording("JF01", "stimulated", pos, stim, period_s=2.0)
+    trial = ingest.TrialRecording("JF01", "stimulated", pos, stim, 60.0, period_s=2.0)
     path = tmp_path / "trial.csv"
     ingest.write_trial_csv(trial, path)
     back = ingest.read_trial_csv(path)

@@ -120,3 +120,55 @@ def test_every_optional_parameter_is_set_by_some_call():
 
 def test_every_defaulted_dataclass_field_is_set_by_some_call():
     assert unset_fields() == []
+
+
+# perfbench builds ReservoirConfig without a rate, and model.npz files store
+# the rate in it; every other rate is the caller's to pass
+FRAME_RATE_DEFAULT_ALLOWED = {"reservoir.ReservoirConfig.frame_rate"}
+
+
+def frame_rate_defaults() -> list[str]:
+    """Public functions and dataclass fields that default a ``frame_rate``."""
+    found = [f"{qualname}(frame_rate)" for qualname, fn, _, _ in _public_functions()
+             if any(name == "frame_rate" for name, _ in _optional(fn))]
+    found += [qualname for qualname, _, name, _ in _defaulted_fields()
+              if name == "frame_rate" and qualname not in FRAME_RATE_DEFAULT_ALLOWED]
+    return found
+
+
+def test_no_public_api_defaults_a_frame_rate():
+    assert frame_rate_defaults() == []
+
+
+def architecture_branches() -> list[str]:
+    """Places in src/medusa that name an architecture outside the one table.
+
+    An architecture name may key `reservoir.ARCHITECTURES` and be the
+    default of an ``architecture`` field or of a ``default=`` keyword;
+    anywhere else it is a branch the table should decide.
+    """
+    from medusa.reservoir import ARCHITECTURES
+
+    found = []
+    for path in sorted((ROOT / "src" / "medusa").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                    and any(isinstance(t, ast.Name) and t.id == "ARCHITECTURES"
+                            for t in node.targets)):
+                allowed.update(map(id, node.value.keys))
+            elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and node.target.id == "architecture"):
+                allowed.add(id(node.value))
+            elif isinstance(node, ast.keyword) and node.arg == "default":
+                allowed.add(id(node.value))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and node.value in ARCHITECTURES
+                    and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    return found
+
+
+def test_only_the_architecture_table_names_an_architecture():
+    assert architecture_branches() == []

@@ -428,6 +428,16 @@ def test_train_readout_needs_enough_samples():
         rc.train_readout(feats, np.zeros(feats.shape[0]), washout=300)
 
 
+def test_a_negative_washout_raises():
+    x = random_sensors(3000, seed=8)
+    feats = rc.reservoir_features(x, make_config(architecture="prc"))
+    target = np.random.default_rng(3).normal(size=3000)
+    with pytest.raises(ValueError, match="washout must be >= 0, got -3"):
+        rc.train_readout(feats, target, washout=-3)
+    with pytest.raises(ValueError, match="washout must be >= 0, got -3"):
+        rc.train_horizons(feats, target, [0.0, 0.5], -3, FS)
+
+
 def test_readout_deterministic():
     x = random_sensors(3000, seed=9)
     cfg = make_config()
@@ -682,7 +692,7 @@ def test_detect_pulse_onsets_refractory():
     x = np.zeros(600)
     for k in (50, 60, 200, 400):
         x[k:k + 10] = 5.0
-    onsets = rc.detect_pulse_onsets(x, FS, threshold=1.0, refractory_s=0.5)
+    onsets = rc.detect_pulse_onsets(x, FS)
     assert onsets.tolist() == [50, 200, 400]
 
 
@@ -719,6 +729,12 @@ def test_compact_roundtrip_accuracy(arch):
     ref = model.predict(feats[:1000])
     scale = np.abs(ref).max()
     assert np.abs(out - ref).max() <= 1e-4 * scale
+
+
+@pytest.mark.parametrize("arch", ["hybrid", "esn", "prc"])
+def test_export_draws_the_reservoir_it_is_not_given(arch):
+    cfg, state, _, _, model = compact_setup(arch)
+    assert rc.export_compact(model, cfg) == rc.export_compact(model, cfg, state)
 
 
 def test_blob_size_formula():

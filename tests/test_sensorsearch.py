@@ -29,6 +29,10 @@ def subset_r2(
     return picks[0][0]
 
 
+def sensor_names(p):
+    return tuple(f"s{i}" for i in range(p))
+
+
 def standardized(rng, n, p):
     x = rng.normal(size=(n, p))
     return (x - x.mean(0)) / x.std(0)
@@ -39,7 +43,7 @@ def standardized(rng, n, p):
 # ---------------------------------------------------------------------------
 
 def test_pool_is_30_unique_names():
-    assert len(ss.POOL_NAMES) == ss.POOL_SIZE == 30
+    assert len(ss.POOL_NAMES) == 30
     assert len(set(ss.POOL_NAMES)) == 30
     assert "inner_radius" in ss.POOL_NAMES and "outer_radius" in ss.POOL_NAMES
 
@@ -52,7 +56,7 @@ def test_planted_subset_recovered():
     rng = np.random.default_rng(0)
     data = standardized(rng, 4000, 30)
     target = 2.0 * data[:, 3] - 1.5 * data[:, 17]
-    report = ss.search_best(data, {"planted": target}, washout=500, k_max=3)
+    report = ss.search_best(data, {"planted": target}, ss.POOL_NAMES, washout=500, k_max=3)
     best = report.best["planted"]
     assert best.subset_idx == (3, 17)
     assert best.r2 == pytest.approx(1.0, abs=1e-9)
@@ -62,8 +66,7 @@ def test_tally_counts_task_memberships():
     rng = np.random.default_rng(1)
     data = standardized(rng, 3000, 6)
     tasks = {f"t{k}": data[:, 0] + 0.01 * k * data[:, 1] for k in range(3)}
-    report = ss.search_best(data, tasks, washout=300, k_max=2,
-                            pool_names=tuple("abcdef"))
+    report = ss.search_best(data, tasks, tuple("abcdef"), washout=300, k_max=2)
     assert sum(report.tally.values()) == sum(len(r.subset) for r in report.best.values())
     assert report.tally["a"] == 3
 
@@ -78,9 +81,10 @@ def test_search_deterministic_across_worker_counts(monkeypatch):
     # one block per subset size, and many small blocks in flight at once
     for chunk_size in (ss.CHUNK_SIZE, 7):
         monkeypatch.setattr(ss, "CHUNK_SIZE", chunk_size)
-        r1 = ss.search_best(data, tasks, washout=200, k_max=4, n_workers=1)
+        r1 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4, n_workers=1)
         for workers in (2, 8):
-            r8 = ss.search_best(data, tasks, washout=200, k_max=4, n_workers=workers)
+            r8 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4,
+                                n_workers=workers)
             for t in tasks:
                 assert r1.best[t].subset_idx == r8.best[t].subset_idx
                 assert r1.best[t].r2 == r8.best[t].r2
@@ -111,8 +115,8 @@ def test_best_score_monotone_in_kmax():
     rng = np.random.default_rng(4)
     data = standardized(rng, 2500, 10)
     tasks = {"t": np.sin(data[:, 0]) + data[:, 3] * data[:, 7]}
-    r4 = ss.search_best(data, tasks, washout=200, k_max=4)
-    r5 = ss.search_best(data, tasks, washout=200, k_max=5)
+    r4 = ss.search_best(data, tasks, sensor_names(10), washout=200, k_max=4)
+    r5 = ss.search_best(data, tasks, sensor_names(10), washout=200, k_max=5)
     assert r5.best["t"].r2 >= r4.best["t"].r2 - 1e-12
 
 
@@ -122,8 +126,7 @@ def test_ties_prefer_smaller_then_lexicographic():
     data[:, 4] = data[:, 1]  # duplicate sensor: ties at equal R2
     data[:, 3] = data[:, 0]
     target = data[:, 0] + data[:, 1]
-    report = ss.search_best(data, {"t": target}, washout=100, k_max=3,
-                            pool_names=tuple("abcde"))
+    report = ss.search_best(data, {"t": target}, tuple("abcde"), washout=100, k_max=3)
     assert report.best["t"].subset_idx == (0, 1)
 
 
@@ -131,7 +134,14 @@ def test_degenerate_task_raises():
     rng = np.random.default_rng(6)
     data = standardized(rng, 1500, 4)
     with pytest.raises(DegenerateTask):
-        ss.search_best(data, {"flat": np.ones(1500)}, washout=100, k_max=2)
+        ss.search_best(data, {"flat": np.ones(1500)}, sensor_names(4), washout=100, k_max=2)
+
+
+def test_a_negative_washout_raises():
+    rng = np.random.default_rng(6)
+    data = standardized(rng, 1500, 4)
+    with pytest.raises(ValueError, match="washout must be >= 0, got -5"):
+        ss.search_best(data, {"t": data[:, 0]}, sensor_names(4), washout=-5, k_max=2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +173,6 @@ def test_top_sensors_recover_planted_generators():
     for k in range(6):
         coef = rng.normal(size=4)
         tasks[f"t{k}"] = data[:, gens] @ coef + 0.01 * rng.normal(size=4000)
-    report = ss.search_best(data, tasks, washout=400, k_max=4)
+    report = ss.search_best(data, tasks, sensor_names(12), washout=400, k_max=4)
     names = [report.pool_names[g] for g in gens]
     assert sorted(ss.top_sensors(report, 4)) == sorted(names)

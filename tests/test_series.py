@@ -202,7 +202,7 @@ def gappy(trial, seed):
         start, length = rng.integers(0, trial.n_frames), rng.integers(1, 9)
         pos[start:start + length, rng.integers(8), rng.integers(3)] = np.nan
     return ingest.TrialRecording(trial.animal_id, trial.condition, pos, trial.stimulus,
-                                 trial.period_s, trial.frame_rate)
+                                 trial.frame_rate, trial.period_s)
 
 
 TRIALS = {
@@ -234,12 +234,13 @@ def event_table(events):
 def test_pulses_and_onsets_equal_the_old_implementations(name):
     for series in channels(TRIALS[name]).values():
         for threshold in (None, 0.0, 0.5):
-            new = criticality.extract_pulses(series, threshold=threshold)
+            new = criticality.extract_pulses(series, 60.0, threshold=threshold)
             np.testing.assert_array_equal(event_table(new),
                                           event_table(old_extract_pulses(series, threshold)))
             assert all(type(v) is float for e in new for v in (e.onset_s, e.duration_s, e.size))
-            np.testing.assert_array_equal(rc.detect_pulse_onsets(series, threshold=threshold),
-                                          old_detect_pulse_onsets(series, threshold=threshold))
+        # the onsets take the default threshold and refractory period only
+        np.testing.assert_array_equal(rc.detect_pulse_onsets(series, 60.0),
+                                      old_detect_pulse_onsets(series))
 
 
 def test_pulses_equal_the_old_implementation_on_avalanches():
@@ -247,7 +248,7 @@ def test_pulses_equal_the_old_implementation_on_avalanches():
         series, _ = synthgen.gen_avalanche(-1.6, 200, kernel=kernel, seed=5)
         for threshold in (None, 0.0, 0.3):
             np.testing.assert_array_equal(
-                event_table(criticality.extract_pulses(series, threshold=threshold)),
+                event_table(criticality.extract_pulses(series, 60.0, threshold=threshold)),
                 event_table(old_extract_pulses(series, threshold)))
 
 

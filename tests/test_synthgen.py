@@ -137,7 +137,7 @@ def test_avalanche_truth_aligns_with_extraction():
 def test_avalanche_empty():
     series, truth = synthgen.gen_avalanche(-1.5, 0, seed=0)
     assert truth == []
-    assert criticality.extract_pulses(series, threshold=0.5) == []
+    assert criticality.extract_pulses(series, FS, threshold=0.5) == []
 
 
 def test_avalanche_sizes_proportional_to_durations():
