@@ -25,16 +25,17 @@ from . import (
 )
 from . import esp as esp_mod
 from . import reservoir as rc
-from .errors import MedusaError, ValidationError, ZeroVariance, require_finite
+from .errors import MedusaError, UntrainedHorizon, ValidationError, ZeroVariance, require_finite
 from .manifest import write_manifest
 from .series import runs
-from .table import float_cells, read_csv, read_frame_rate, read_json, write_csv, write_json
+from .table import float_cells, read_csv, read_json, write_csv, write_json
 
 DATA_DIR_ENV = "MEDUSA_DATA_DIR"
 DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
 DEFAULT_HORIZONS = "0,0.5,1.0,1.5,2.0"
 SOC_LENGTH_CHANNELS = kinematics.RADIAL_PAIR_NAMES + kinematics.CORONAL_PAIR_NAMES
 VELOCITY_CHANNELS = ("vx", "vy", "vz")
+PHASE_CHANNELS = SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS    # the channels phase writes
 # the least value of each numeric flag, checked before a command reads anything
 FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1, "trials": 1,
                "seconds": synthgen.MIN_DURATION_S}
@@ -69,11 +70,23 @@ class Run:
         self.inputs.append(path)
         return path
 
+    def table(self, path_str: str) -> Path:
+        """Resolve a table's CSV as `input` does and record it, then its sidecar."""
+        path = self.input(path_str)
+        self.input(str(ingest.sidecar_path(path)))
+        return path
+
     def output(self, name: str) -> Path:
         """The path of result file ``name``; ``--out`` is made at the first one."""
         self.out.mkdir(parents=True, exist_ok=True)
         path = self.out / name
         self.outputs.append(path)
+        return path
+
+    def output_table(self, name: str) -> Path:
+        """The path of result table ``name``, recorded with its sidecar."""
+        path = self.output(name)
+        self.output(ingest.sidecar_path(name))
         return path
 
 
@@ -93,15 +106,10 @@ class AnalysisTable:
 
     @classmethod
     def read(cls, csv_path: Path) -> "AnalysisTable":
-        data = read_csv(csv_path, ANALYSIS_COLUMNS)
-        json_path = csv_path.with_suffix(".json")
         # the rate cannot be recovered from the nine-digit times: at 60 Hz
         # over 300 s their median spacing reads 59.99988 Hz
-        if not json_path.exists():
-            raise ValidationError(f"{csv_path} has no sidecar {json_path} giving its frame_rate")
-        meta = read_json(json_path)
-        meta["frame_rate"] = read_frame_rate(meta, json_path)
-        return cls(data, meta)
+        return cls(read_csv(csv_path, ANALYSIS_COLUMNS),
+                   ingest.read_sidecar(ingest.sidecar_path(csv_path)))
 
     @property
     def t(self) -> np.ndarray:
@@ -119,14 +127,6 @@ class AnalysisTable:
 
     def stim_onsets(self) -> np.ndarray:
         return runs(self.column("stim") > 0)[0]
-
-
-def _write_analysis(run: Run, table: dict[str, np.ndarray], meta: dict) -> Path:
-    csv_path = run.output("analysis.csv")
-    data = np.column_stack([table[name] for name in ANALYSIS_COLUMNS])
-    write_csv(csv_path, ANALYSIS_COLUMNS, data.T)
-    write_json(run.output("analysis.json"), meta)
-    return csv_path
 
 
 def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.ndarray:
@@ -157,7 +157,7 @@ def _labeled_inputs(run: Run, items) -> dict[str, list[Path]]:
         label, listed = item.split("=", 1)
         if label in out:
             raise ValidationError(f"label {label!r} given twice")
-        out[label] = [run.input(path) for path in listed.split(",")]
+        out[label] = [run.table(path) for path in listed.split(",")]
     return out
 
 
@@ -193,28 +193,21 @@ def cmd_synth(args, run: Run) -> None:
         )
         trial, _ = synthgen.gen_jellyfish(params, schedule, args.seconds)
         stem = "trial" if args.trials == 1 else f"trial_{i:03d}"
-        ingest.write_trial_csv(trial, run.output(f"{stem}.csv"))
-        run.output(f"{stem}.json")
+        ingest.write_trial_csv(trial, run.output_table(f"{stem}.csv"))
     print(f"synth: wrote {args.trials} trial(s) to {run.out}")
 
 
 def cmd_ingest(args, run: Run) -> None:
     prefix = args.input
     paths = {view: run.input(f"{prefix}_{view}.csv") for view in ingest.VIEW_NAMES}
-    meta_path = run.input(f"{prefix}.json")
-    meta = read_json(meta_path)
-    frame_rate = read_frame_rate(meta, meta_path, ingest.DEFAULT_FRAME_RATE)
+    meta = ingest.read_sidecar(run.input(f"{prefix}.json"), ingest.DEFAULT_FRAME_RATE)
+    frame_rate = meta.pop("frame_rate")     # the views carry it into the trial
 
     views = {
         name: ingest.rectify_view(ingest.read_view_csv(paths[name], name, frame_rate))
         for name in ingest.VIEW_NAMES
     }
-    trial = ingest.assemble_3d(
-        views["top"], views["behind"], views["right"],
-        animal_id=meta.get("animal_id", ""),
-        condition=meta.get("condition", "spontaneous"),
-        period_s=meta.get("period_s"),
-    )
+    trial = ingest.assemble_3d(views["top"], views["behind"], views["right"], **meta)
     led = views["top"].led[:, 0]
     if trial.condition == "stimulated":
         threshold = 0.5 * (led.max() + led.min())
@@ -222,15 +215,14 @@ def cmd_ingest(args, run: Run) -> None:
         trial = replace(trial, stimulus=active)
     trial = ingest.interpolate_gaps(trial, args.max_gap)
 
-    csv_path = run.output("trial.csv")
+    csv_path = run.output_table("trial.csv")
     ingest.write_trial_csv(trial, csv_path)
-    run.output("trial.json")
     n_valid = int(trial.valid_mask.sum())
     print(f"ingest: {trial.n_frames} frames ({n_valid} valid) -> {csv_path}")
 
 
 def cmd_kinematics(args, run: Run) -> None:
-    trial = ingest.read_trial_csv(run.input(args.input))
+    trial = ingest.read_trial_csv(run.table(args.input))
     fs = trial.frame_rate
 
     if not args.no_filter:
@@ -242,23 +234,14 @@ def cmd_kinematics(args, run: Run) -> None:
     pose = kinematics.body_frame(trial)
     v_local = kinematics.local_velocities(trial, pose)
 
-    table = {"t": trial.times}
-    for i, name in enumerate(lengths.names):
-        table[name] = lengths.values[:, i]
-    table["inner_radius"] = pose.inner_radius
-    table["outer_radius"] = pose.outer_radius
-    table["ea"], table["eb"], table["eg"] = pose.euler_zyz.T
-    table["vx"], table["vy"], table["vz"] = v_local.T
-    table["stim"] = trial.stimulus.astype(float)
-    table["valid"] = trial.valid_mask.astype(float)
-    meta = {
-        "animal_id": trial.animal_id,
-        "condition": trial.condition,
-        "period_s": trial.period_s,
-        "frame_rate": fs,
-        "filtered": not args.no_filter,
-    }
-    csv_path = _write_analysis(run, table, meta)
+    csv_path = run.output_table("analysis.csv")
+    write_csv(csv_path, ANALYSIS_COLUMNS, [    # lengths.names are kinematics.PAIR_NAMES
+        trial.times, *lengths.values.T, pose.inner_radius, pose.outer_radius,
+        *pose.euler_zyz.T, *v_local.T, trial.stimulus.astype(float),
+        trial.valid_mask.astype(float),
+    ])
+    write_json(ingest.sidecar_path(csv_path),
+               ingest.sidecar_fields(trial) | {"filtered": not args.no_filter})
     print(f"kinematics: {trial.n_frames} frames -> {csv_path}")
 
 
@@ -277,7 +260,7 @@ def _channels(table: AnalysisTable, lengths) -> dict[str, np.ndarray]:
 
 
 def cmd_soc(args, run: Run) -> None:
-    table = AnalysisTable.read(run.input(args.input))
+    table = AnalysisTable.read(run.table(args.input))
     fs = table.frame_rate
 
     channels = _channels(table, SOC_LENGTH_CHANNELS + ("inner_radius", "outer_radius"))
@@ -322,7 +305,11 @@ def cmd_soc(args, run: Run) -> None:
 
 
 def cmd_phase(args, run: Run) -> None:
-    table = AnalysisTable.read(run.input(args.input))
+    pick = args.ribbon_channel
+    if pick not in PHASE_CHANNELS:
+        raise ValidationError(f"--ribbon-channel: {pick!r} is not one of "
+                              f"{', '.join(PHASE_CHANNELS)}")
+    table = AnalysisTable.read(run.table(args.input))
     fs = table.frame_rate
     onsets = table.stim_onsets() / fs
     if onsets.size < 2:
@@ -340,20 +327,16 @@ def cmd_phase(args, run: Run) -> None:
 
     write_csv(run.output("phase.csv"), ["channel", "phase", "mean", "sd", "n_segments"],
               zip(*rows))
-    svgplot.line_plot(
-        run.output("phase_means.svg"),
-        next(iter(ribbons.values())).phase,
-        {name: pr.mean for name, pr in ribbons.items()},
-        title=f"phase response (period {next(iter(ribbons.values())).period_s:.2f} s)",
-        xlabel="phase", ylabel="mean response",
-    )
-    pick = args.ribbon_channel
-    if pick in ribbons:
+    first = next(iter(ribbons.values()))
+    svgplot.line_plot(run.output("phase_means.svg"), first.phase,
+                      {name: pr.mean for name, pr in ribbons.items()},
+                      title=f"phase response (period {first.period_s:.2f} s)",
+                      xlabel="phase", ylabel="mean response")
+    if pick in ribbons:     # a constant length has no ribbon
         pr = ribbons[pick]
         svgplot.ribbon_plot(run.output(f"phase_ribbon_{pick}.svg"), pr.phase, pr.mean, pr.sd,
                             title=f"{pick} phase response", xlabel="phase", ylabel=pick)
-    print(f"phase: {len(ribbons)} channels over {next(iter(ribbons.values())).n_segments} "
-          f"segments -> {run.out}")
+    print(f"phase: {len(ribbons)} channels over {first.n_segments} segments -> {run.out}")
 
 
 def _esp_channel_sets(tables, n) -> dict[str, list[np.ndarray]]:
@@ -367,15 +350,15 @@ def _esp_channel_sets(tables, n) -> dict[str, list[np.ndarray]]:
 
 def _esp_one_condition(paths, params):
     tables = [AnalysisTable.read(p) for p in paths]
-    conditions = {t.meta.get("condition", "?") for t in tables}
+    conditions = {t.meta["condition"] for t in tables}
     if len(conditions) > 1:
         raise ValidationError(f"trials mix conditions: {sorted(conditions)}")
     fs = tables[0].frame_rate
-    period = tables[0].meta.get("period_s")
+    period = tables[0].meta["period_s"]
     for path, table in zip(paths[1:], tables[1:]):
         _require_rate(path, table.frame_rate, fs, f"{paths[0]} is at")
         # the index compares responses to one input; period_s is null if unstimulated
-        other = table.meta.get("period_s")
+        other = table.meta["period_s"]
         if other != period and not (other and period and math.isclose(other, period)):
             raise ValidationError(f"{path} has period_s {json.dumps(other)} but {paths[0]} has "
                                   f"period_s {json.dumps(period)}: esp compares trials of one "
@@ -396,7 +379,7 @@ def cmd_esp(args, run: Run) -> None:
         raise ValidationError("mix of plain paths and label=paths inputs")
     # plain inputs are one group, labelled by the trials' condition
     groups = (_labeled_inputs(run, args.inputs) if all(labeled)
-              else {None: [run.input(p) for p in args.inputs]})
+              else {None: [run.table(p) for p in args.inputs]})
     for label, paths in groups.items():
         if len(paths) < 2:
             raise ValidationError("esp needs at least two trial analyses" if label is None
@@ -454,9 +437,10 @@ def _flag_items(args, dest: str, allowed=None) -> tuple[str, ...]:
     return items
 
 
-def _horizons(args) -> list[float]:
-    """--horizons in seconds, each finite and at least 0."""
-    horizons = []
+def _horizons(args, frame_rate: float) -> list[float]:
+    """--horizons in seconds, each finite, at least 0 and a number of samples
+    at ``frame_rate`` that no other one rounds to."""
+    horizons, items = [], {}     # samples -> the item that rounds to them
     for item in _flag_items(args, "horizons"):
         try:
             h = float(item)
@@ -464,6 +448,11 @@ def _horizons(args) -> list[float]:
             h = math.nan
         if not 0 <= h < math.inf:
             raise ValidationError(f"--horizons: {item!r} is not a number of seconds >= 0")
+        n = round(h * frame_rate)
+        if n in items:
+            raise ValidationError(f"--horizons: {items[n]!r} and {item!r} are both {n} "
+                                  f"samples at {frame_rate:g} Hz")
+        items[n] = item
         horizons.append(h)
     return horizons
 
@@ -533,9 +522,9 @@ def _shared_features(sensor_sets, config: rc.ReservoirConfig):
 def cmd_train(args, run: Run) -> None:
     sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
-    horizons = _horizons(args)
-    table = AnalysisTable.read(run.input(args.input))
+    table = AnalysisTable.read(run.table(args.input))
     fs = table.frame_rate
+    horizons = _horizons(args, fs)
     sensors, targets = _model_inputs(table, sensor_names, target_names, args.pulsatile)
     config = _config_from_args(args, len(sensor_names), fs)
     washout = _washout_value(args, args.pulsatile, table.data.shape[0])
@@ -589,7 +578,7 @@ def _load_model(path: Path):
 
 def cmd_predict(args, run: Run) -> None:
     config, model, extras = _load_model(run.input(args.model))
-    path = run.input(args.input)
+    path = run.table(args.input)
     table = AnalysisTable.read(path)
     sensors, targets = _model_inputs(table, extras["sensor_names"], model.target_names,
                                      extras["pulsatile"])
@@ -666,7 +655,7 @@ def cmd_confusion(args, run: Run) -> None:
 
 
 def cmd_search_sensors(args, run: Run) -> None:
-    table = AnalysisTable.read(run.input(args.input))
+    table = AnalysisTable.read(run.table(args.input))
     data = kinematics.standardize(table.columns(sensorsearch.POOL_NAMES))
 
     tasks: dict[str, np.ndarray] = {a: table.column(a) for a in VELOCITY_CHANNELS}
@@ -697,7 +686,11 @@ def cmd_search_sensors(args, run: Run) -> None:
 
 def cmd_export_model(args, run: Run) -> None:
     config, model, _ = _load_model(run.input(args.model))
-    readout = model if args.all_horizons else model.at(args.horizon)
+    try:
+        readout = model if args.all_horizons else model.at(args.horizon)
+    except UntrainedHorizon:
+        raise ValidationError(f"--horizon {args.horizon:g} is not on the trained grid of "
+                              f"{', '.join(f'{h:g}' for h in model.horizons_s)} s") from None
     blob = rc.export_compact(readout, config)
     blob_path = run.output("model.bin")
     blob_path.write_bytes(blob)

@@ -30,11 +30,6 @@ class PsdEstimate:
     freqs: np.ndarray
     power: np.ndarray
     peak_freq: float
-    peak_power: float
-
-    @property
-    def df(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
 
 
 @dataclass
@@ -132,10 +127,8 @@ def psd(series: np.ndarray, frame_rate: float) -> PsdEstimate:
     above = freqs > MIN_PEAK_FREQ_HZ
     if not above.any():
         raise TooShort("frequency resolution too coarse to search for a peak")
-    k = int(np.argmax(power[above]))
-    peak_freq = float(freqs[above][k])
-    peak_power = float(power[above][k])
-    return PsdEstimate(freqs=freqs, power=power, peak_freq=peak_freq, peak_power=peak_power)
+    peak_freq = float(freqs[above][np.argmax(power[above])])
+    return PsdEstimate(freqs=freqs, power=power, peak_freq=peak_freq)
 
 
 def fit_power_law_psd(

@@ -10,6 +10,9 @@ tracked points (tank corners ``c1..c4``, then the eight body markers
     {"animal_id": "JF41", "condition": "stimulated", "period_s": 2.0,
      "frame_rate": 60.0}
 
+Each trial and analysis table has a sidecar of these fields next to it
+(`sidecar_path`); `read_sidecar` is the one reader and checker of them.
+
 View geometry
 -------------
 All three views come from a single camera (one top view plus two mirrors),
@@ -27,6 +30,7 @@ Corner order ``c1..c4`` corresponds to face coordinates
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .series import runs
-from .table import read_csv, read_frame_rate, read_json, write_csv, write_json
+from .table import read_csv, read_json, write_csv, write_json
 
 MARKER_LABELS: tuple[str, ...] = ("R1", "R2", "Y1", "Y2", "O1", "O2", "B1", "B2")
 OUTER_MARKERS: tuple[str, ...] = ("R1", "Y1", "O1", "B1")
@@ -48,6 +52,9 @@ CORNER_LABELS: tuple[str, ...] = ("c1", "c2", "c3", "c4")
 LED_LABELS: tuple[str, ...] = ("led_on", "led_off")
 VIEW_NAMES: tuple[str, ...] = ("top", "behind", "right")
 CONDITIONS: tuple[str, ...] = ("spontaneous", "control_no_stim", "stimulated")
+# a trial's sidecar fields but frame_rate (whose default depends on the table), and
+# the value of each that a sidecar leaves out
+SIDECAR_DEFAULTS = {"animal_id": "", "condition": "spontaneous", "period_s": None}
 
 TANK_MM = 150.0
 # corners c1..c4 on the rectified face, read-only
@@ -334,36 +341,58 @@ def read_view_csv(path: str | Path, view_name: str, frame_rate: float) -> RawVie
     )
 
 
+def sidecar_path(csv_path: str | Path) -> Path:
+    """The JSON sidecar of a table: its CSV path with a .json suffix."""
+    return Path(csv_path).with_suffix(".json")
+
+
+def sidecar_fields(trial: TrialRecording) -> dict:
+    """The sidecar fields of ``trial``, in the order they are written."""
+    return {key: getattr(trial, key) for key in (*SIDECAR_DEFAULTS, "frame_rate")}
+
+
+def read_sidecar(path: str | Path, default_rate: float | None = None) -> dict:
+    """The checked fields of a sidecar, each one left out at its default
+    (frame_rate at ``default_rate``; with none it is required).  Raises
+    ValidationError naming ``path`` for a field that fails its check."""
+    meta = read_json(path)
+    if "frame_rate" not in meta and default_rate is None:
+        raise ValidationError(f"{path} has no frame_rate")
+    rate = meta.get("frame_rate", default_rate)
+    fields = {key: meta.get(key, value) for key, value in SIDECAR_DEFAULTS.items()}
+    condition, period = fields["condition"], fields["period_s"]
+    # a bool is no number here; a JSON integer can outgrow every float
+    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
+        raise ValidationError(f"{path} gives frame_rate {rate!r}, not a finite positive number")
+    if condition not in CONDITIONS:
+        raise ValidationError(f"{path} gives condition {condition!r}, not one of "
+                              f"{', '.join(CONDITIONS)}")
+    if period is not None and (type(period) not in (int, float)
+                               or not 0 < period <= sys.float_info.max):
+        raise ValidationError(f"{path} gives period_s {period!r}, not null or a finite "
+                              "positive number")
+    if period is None and condition == "stimulated":
+        raise ValidationError(f"{path} gives no period_s for its stimulated trial")
+    return fields | {"frame_rate": float(rate)}
+
+
 def write_trial_csv(trial: TrialRecording, csv_path: str | Path) -> None:
     """Write the canonical trial CSV plus its JSON metadata sidecar."""
-    csv_path = Path(csv_path)
     n = trial.n_frames
     write_csv(csv_path, TRIAL_COLUMNS, [
         np.arange(n), trial.times, *trial.positions.reshape(n, 24).T,
         trial.stimulus, trial.valid_mask.astype(np.uint8),
     ])
-    meta = {
-        "animal_id": trial.animal_id,
-        "condition": trial.condition,
-        "period_s": trial.period_s,
-        "frame_rate": trial.frame_rate,
-    }
-    write_json(csv_path.with_suffix(".json"), meta)
+    write_json(sidecar_path(csv_path), sidecar_fields(trial))
 
 
 def read_trial_csv(csv_path: str | Path) -> TrialRecording:
     """Read a canonical trial CSV (and its JSON sidecar) back into memory."""
-    json_path = Path(csv_path).with_suffix(".json")
-    if not json_path.exists():
-        raise ValidationError(f"trial metadata not found: {json_path}")
-    meta = read_json(json_path)
+    meta = read_sidecar(sidecar_path(csv_path), DEFAULT_FRAME_RATE)
     data = read_csv(csv_path, TRIAL_COLUMNS)
     n = data.shape[0]
     return TrialRecording(
-        animal_id=meta.get("animal_id", ""),
-        condition=meta.get("condition", "spontaneous"),
-        period_s=meta.get("period_s"),
-        frame_rate=read_frame_rate(meta, json_path, DEFAULT_FRAME_RATE),
+        **meta,
         positions=data[:, 2:26].reshape(n, 8, 3),
         stimulus=data[:, 26].astype(np.uint8),
         valid_mask=data[:, 27] > 0.5,

@@ -31,7 +31,6 @@ _TIE_TOL = 1e-9
 @dataclass
 class TaskResult:
     subset: tuple[str, ...]
-    subset_idx: tuple[int, ...]
     r2: float
 
 
@@ -119,17 +118,14 @@ def search_best(
     moments = f.T @ yp
     yty = np.sum(yp**2, axis=0)
 
-    best: dict[str, TaskResult] = {
-        t: TaskResult(subset=(), subset_idx=(), r2=-np.inf) for t in task_names
-    }
+    best = {t: TaskResult(subset=(), r2=-np.inf) for t in task_names}
 
     def merge(picks) -> None:
         # enumeration runs smallest k first and lexicographically within k,
         # so a strict improvement test encodes the tie-breaking rule
         for t, (score, subset) in zip(task_names, picks):
             if score > best[t].r2 + _TIE_TOL:
-                best[t] = TaskResult(subset=tuple(pool_names[i] for i in subset),
-                                     subset_idx=subset, r2=score)
+                best[t] = TaskResult(subset=tuple(pool_names[i] for i in subset), r2=score)
 
     # blocks are submitted as the workers free up, at most n_workers + 1 in
     # flight (Executor.map would build every block first), and merged in

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import sys
 import warnings
 from pathlib import Path
 
@@ -118,13 +117,13 @@ def read_csv(path: str | Path, header) -> np.ndarray:
 def read_json(path: str | Path) -> dict:
     """Read a JSON sidecar holding one object.
 
-    Raises ValidationError, naming the file, when it does not parse or
-    holds something other than an object.
+    Raises ValidationError, naming the file, when it cannot be read, does
+    not parse or holds something other than an object.
     """
     try:
         meta = json.loads(Path(path).read_text())
-    except ValueError as exc:   # JSONDecodeError, or bytes that are not text
-        raise ValidationError(f"malformed JSON {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:   # ValueError: malformed JSON, or not text
+        raise ValidationError(f"cannot read JSON {path}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValidationError(f"{path} does not hold a JSON object")
     return meta
@@ -133,17 +132,3 @@ def read_json(path: str | Path) -> dict:
 def write_json(path: str | Path, obj) -> None:
     """Write ``obj`` as indented JSON and a newline, a value JSON lacks as its ``str``."""
     Path(path).write_text(json.dumps(obj, indent=2, default=str) + "\n")
-
-
-def read_frame_rate(meta: dict, path: str | Path, default: float | None = None) -> float:
-    """Sidecar ``meta``'s frame_rate, or ``default`` when the key is missing.
-
-    Raises ValidationError, naming ``path``, for a missing rate with no
-    default, or a rate that is not a finite positive number.
-    """
-    if "frame_rate" not in meta and default is None:
-        raise ValidationError(f"{path} has no frame_rate")
-    rate = meta.get("frame_rate", default)
-    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
-        raise ValidationError(f"{path} gives frame_rate {rate!r}, not a finite positive number")
-    return float(rate)

@@ -112,7 +112,7 @@ def test_c05_psd_peak_tracks_stimulus():
         coronal = kinematics.standardize(kinematics.pairwise_lengths(trial).coronal)
         for c in range(4):
             est = criticality.psd(coronal[:, c], FS)
-            df = est.df
+            df = est.freqs[1] - est.freqs[0]
             worst = max(worst, abs(est.peak_freq - f0))
     gate.done(worst <= df, f"worst offset={worst:.3f} Hz, bin={df:.3f} Hz")
 

@@ -126,7 +126,7 @@ def test_train_predict_export(tmp_path):
     assert len(stacked) > len(blob)  # one output channel per (target, horizon)
 
     assert run("export-model", "--model", model_dir / "model.npz",
-               "--horizon", 1.7, "--out", tmp_path / "export_bad") == 1
+               "--horizon", 1.7, "--out", tmp_path / "export_bad") == 2
 
 
 def _train_pulsatile(tmp_path, horizons="0,0.5,1"):
@@ -332,6 +332,15 @@ def _bad_argument(d, case):
                         [str(a0), str(b0), "period_s 1.5", "period_s 2.0"]),
         "esp_group_periods": (["esp", "--inputs", f"g={a0},{b0}", f"h={b0},{a0}"],
                               [str(a0), str(b0), "period_s 1.5", "period_s 2.0"]),
+        # two horizons of one sample count would train one slab twice
+        "horizons_repeated": (train[:-1] + ["0.5,0,0.5"],
+                              ["--horizons", "'0.5' and '0.5' are both 30 samples at 60 Hz"]),
+        "horizons_one_sample": (train[:-1] + ["0,0.001"],
+                                ["--horizons", "'0' and '0.001' are both 0 samples"]),
+        "export_horizon": (["export-model", "--model", d / "train" / "model.npz",
+                            "--horizon", 0.3], ["--horizon 0.3", "grid of 0, 0.5 s"]),
+        "ribbon_channel": (["phase", "--input", a, "--ribbon-channel", "nosuch"],
+                           ["--ribbon-channel", "'nosuch'", "R1-Y1", "vz"]),
     }[case]
 
 
@@ -339,7 +348,8 @@ def _bad_argument(d, case):
     "train_washout_negative", "train_washout_long", "train_washout_auto", "confusion_washout",
     "search_washout", "search_washout_long", "horizons_word", "horizons_negative",
     "horizons_nan", "sensors_empty", "sensors_unknown", "targets_unknown", "confusion_targets",
-    "synth_seconds", "synth_trials", "esp_periods", "esp_group_periods"])
+    "synth_seconds", "synth_trials", "esp_periods", "esp_group_periods", "horizons_repeated",
+    "horizons_one_sample", "export_horizon", "ribbon_channel"])
 def test_a_bad_argument_exits_2_naming_it(tmp_path, capsys, inventory_dir, case):
     argv, messages = _bad_argument(inventory_dir, case)
     capsys.readouterr()
@@ -406,6 +416,10 @@ def test_missing_input_exits_2(tmp_path):
 # sidecar frame rates that are not a finite positive number, as JSON text
 BAD_RATES = {"nan": "NaN", "negative": "-60", "string": '"sixty"', "null": "null", "zero": "0",
              "overflow": "1e400"}
+# other sidecar fields that fail their checks
+BAD_FIELDS = {"condition": {"condition": "bogus"}, "period_string": {"period_s": "two"},
+              "period_zero": {"period_s": 0}, "period_list": {"period_s": [2.0]},
+              "stimulated_without_period": {"condition": "stimulated", "period_s": None}}
 
 
 def _malformed_input(tmp_path, case):
@@ -418,6 +432,7 @@ def _malformed_input(tmp_path, case):
     if case == "analysis_header_only":
         bad = tmp_path / "analysis.csv"
         bad.write_bytes((",".join(cli.ANALYSIS_COLUMNS) + "\r\n").encode())
+        bad.with_suffix(".json").write_text(json.dumps({"frame_rate": 60.0}))
         return ["soc", "--input", bad], bad
     if case == "trial_ragged_row":
         lines[5] = lines[5].rsplit(",", 1)[0]
@@ -446,7 +461,13 @@ def _malformed_input(tmp_path, case):
         rate = BAD_RATES[case.rsplit("_", 1)[1]]
         bad.write_text(bad.read_text().replace('"frame_rate": 60.0', f'"frame_rate": {rate}'))
         return (["soc", "--input", csv] if on_analysis else kinematics), bad
-    elif case in ("view_header", "view_truncated_sidecar", "view_rate_string"):
+    elif case.startswith(("analysis_field_", "trial_field_")):
+        on_analysis = case.startswith("analysis")
+        csv = analysis_for(tmp_path, trial_csv) if on_analysis else trial_csv
+        bad = csv.with_suffix(".json")
+        bad.write_text(json.dumps(json.loads(bad.read_text()) | BAD_FIELDS[case.split("_", 2)[2]]))
+        return (["soc", "--input", csv] if on_analysis else kinematics), bad
+    elif case in ("view_header", "view_truncated_sidecar", "view_rate_string", "view_condition"):
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
             ingest.write_view_csv(f"{prefix}_{name}.csv", view)
@@ -454,6 +475,9 @@ def _malformed_input(tmp_path, case):
         if case == "view_rate_string":
             bad = tmp_path / "jf.json"
             bad.write_text(json.dumps({"condition": "spontaneous", "frame_rate": "sixty"}))
+        elif case == "view_condition":
+            bad = tmp_path / "jf.json"
+            bad.write_text(json.dumps({"condition": "bogus"}))
         elif case == "view_truncated_sidecar":
             bad = tmp_path / "jf.json"
             bad.write_text(bad.read_text()[:-1])
@@ -470,11 +494,16 @@ def _malformed_input(tmp_path, case):
                                   "view_header", "analysis_truncated_sidecar",
                                   "trial_truncated_sidecar", "view_truncated_sidecar",
                                   *(f"analysis_rate_{r}" for r in BAD_RATES),
-                                  "trial_rate_string", "trial_rate_negative", "view_rate_string"])
+                                  "trial_rate_string", "trial_rate_negative", "view_rate_string",
+                                  *(f"trial_field_{f}" for f in BAD_FIELDS),
+                                  "analysis_field_condition", "analysis_field_period_string",
+                                  "view_condition"])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, bad = _malformed_input(tmp_path, case)
+    capsys.readouterr()
     assert run(*argv, "--out", tmp_path / "out") == 2
     assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reruns_are_bit_identical(tmp_path):
@@ -523,27 +552,31 @@ def _inventory(d):
     model = d / "train" / "model.npz"
     group = {label: [d / f"{label}{i}" / "analysis.csv" for i in range(3)] for label in "ab"}
     views = [d / f"jf_{name}.csv" for name in ingest.VIEW_NAMES] + [d / "jf.json"]
+
+    def read(*tables):    # each table read is recorded with its sidecar after it
+        return [path for csv in tables for path in (csv, csv.with_suffix(".json"))]
+
     return {
         "synth": (["--tau", 2.0, "--seconds", 10.0, "--trials", 2, "--seed", 5], [],
                   ["trial_000.csv", "trial_000.json", "trial_001.csv", "trial_001.json"], 5),
         "ingest": (["--input", d / "jf"], views, ["trial.csv", "trial.json"], None),
-        "kinematics": (["--input", d / "raw" / "trial.csv"], [d / "raw" / "trial.csv"],
+        "kinematics": (["--input", d / "raw" / "trial.csv"], read(d / "raw" / "trial.csv"),
                        ["analysis.csv", "analysis.json"], None),
-        "soc": (["--input", a], [a], ["psd.csv", "events.csv", "fits.csv", "psd_loglog.svg"],
+        "soc": (["--input", a], read(a), ["psd.csv", "events.csv", "fits.csv", "psd_loglog.svg"],
                 None),
-        "phase": (["--input", a], [a], ["phase.csv", "phase_means.svg", "phase_ribbon_vz.svg"],
-                  None),
+        "phase": (["--input", a], read(a),
+                  ["phase.csv", "phase_means.svg", "phase_ribbon_vz.svg"], None),
         "esp": (["--inputs", *(f"{label}=" + ",".join(map(str, paths))
                                for label, paths in group.items()), "--horizon", 30.0],
-                group["a"] + group["b"], ["esp.csv", "stats.csv", "esp_bars.svg"], None),
-        "train": (["--input", a, "--pulsatile", "--horizons", "0,0.5", "--seed", 3], [a],
+                read(*group["a"], *group["b"]), ["esp.csv", "stats.csv", "esp_bars.svg"], None),
+        "train": (["--input", a, "--pulsatile", "--horizons", "0,0.5", "--seed", 3], read(a),
                   ["model.npz", "train_scores.csv"], 3),
-        "predict": (["--model", model, "--input", a, "--stride-out", 50], [model, a],
+        "predict": (["--model", model, "--input", a, "--stride-out", 50], [model, *read(a)],
                     ["predictions.csv", "scores.csv", "r2_heatmap.svg"], None),
         "confusion": (["--inputs", f"x={a}", f"y={group['a'][0]}", "--arch", "prc",
-                       "--targets", "vz", "--seed", 2], [a, group["a"][0]],
+                       "--targets", "vz", "--seed", 2], read(a, group["a"][0]),
                       ["confusion.csv", "confusion_heatmap.svg"], 2),
-        "search-sensors": (["--input", a, "--kmax", 1], [a],
+        "search-sensors": (["--input", a, "--kmax", 1], read(a),
                            ["search_best.csv", "search_tally.csv", "search_summary.json"], None),
         "export-model": (["--model", model], [model], ["model.bin"], None),
         # the directory is not hashed; each manifest read under it is
@@ -565,6 +598,22 @@ def test_manifest_lists_what_the_command_read_and_wrote(tmp_path, inventory_dir,
     assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
     assert manifest["inputs"] == [{"path": str(p), "sha256": sha256_file(p)} for p in inputs]
     assert manifest["seed"] == seed
+
+
+def test_config_hash_changes_with_the_sidecar_alone(tmp_path, inventory_dir):
+    analysis = tmp_path / "copy" / "analysis.csv"
+    analysis.parent.mkdir()
+    analysis.write_bytes((inventory_dir / "a0" / "analysis.csv").read_bytes())
+    meta = json.loads((inventory_dir / "a0" / "analysis.json").read_text())
+    runs = []
+    for rate in (60.0, 50.0):
+        analysis.with_suffix(".json").write_text(json.dumps(meta | {"frame_rate": rate}))
+        assert run("soc", "--input", analysis, "--out", tmp_path / "soc") == 0
+        manifest = json.loads((tmp_path / "soc" / "manifest.json").read_text())
+        runs.append((manifest["config_hash"], (tmp_path / "soc" / "psd.csv").read_bytes()))
+    # the rate changes the result, so the hash of what was read must change too
+    assert runs[0][1] != runs[1][1]
+    assert runs[0][0] != runs[1][0]
 
 
 @pytest.mark.parametrize("command", ["confusion", "esp"])

@@ -58,7 +58,7 @@ def test_planted_subset_recovered():
     target = 2.0 * data[:, 3] - 1.5 * data[:, 17]
     report = ss.search_best(data, {"planted": target}, ss.POOL_NAMES, washout=500, k_max=3)
     best = report.best["planted"]
-    assert best.subset_idx == (3, 17)
+    assert best.subset == (ss.POOL_NAMES[3], ss.POOL_NAMES[17])
     assert best.r2 == pytest.approx(1.0, abs=1e-9)
 
 
@@ -86,7 +86,7 @@ def test_search_deterministic_across_worker_counts(monkeypatch):
             r8 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4,
                                 n_workers=workers)
             for t in tasks:
-                assert r1.best[t].subset_idx == r8.best[t].subset_idx
+                assert r1.best[t].subset == r8.best[t].subset
                 assert r1.best[t].r2 == r8.best[t].r2
             assert r1.tally == r8.tally and r1.stats == r8.stats
             assert r1.n_subsets == r8.n_subsets == sum(math.comb(12, k) for k in range(1, 5))
@@ -127,7 +127,7 @@ def test_ties_prefer_smaller_then_lexicographic():
     data[:, 3] = data[:, 0]
     target = data[:, 0] + data[:, 1]
     report = ss.search_best(data, {"t": target}, tuple("abcde"), washout=100, k_max=3)
-    assert report.best["t"].subset_idx == (0, 1)
+    assert report.best["t"].subset == ("a", "b")
 
 
 def test_degenerate_task_raises():

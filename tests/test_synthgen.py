@@ -66,7 +66,7 @@ def test_stimulated_psd_peak_at_drive_frequency():
     coronal = kinematics.standardize(kinematics.pairwise_lengths(trial).coronal)
     for c in range(4):
         est = criticality.psd(coronal[:, c], FS)
-        assert abs(est.peak_freq - 0.5) <= est.df
+        assert abs(est.peak_freq - 0.5) <= est.freqs[1] - est.freqs[0]
 
 
 def test_pipeline_recovers_ground_truth_pose_and_velocity():
