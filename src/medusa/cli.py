@@ -35,7 +35,8 @@ DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
 DEFAULT_HORIZONS = "0,0.5,1.0,1.5,2.0"
 SOC_LENGTH_CHANNELS = kinematics.RADIAL_PAIR_NAMES + kinematics.CORONAL_PAIR_NAMES
 VELOCITY_CHANNELS = ("vx", "vy", "vz")
-PHASE_CHANNELS = SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS    # the channels phase writes
+# the channels phase writes and esp compares: the lengths set, then one per axis
+RESPONSE_CHANNELS = SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS
 # the least value of each numeric flag, checked before a command reads anything
 FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1, "trials": 1,
                "seconds": synthgen.MIN_DURATION_S}
@@ -225,9 +226,9 @@ def cmd_kinematics(args, run: Run) -> None:
     trial = ingest.read_trial_csv(run.table(args.input))
     fs = trial.frame_rate
 
-    if not args.no_filter:
-        flat = trial.positions.reshape(trial.n_frames, -1)
-        filtered = _lowpass_valid_segments(flat, trial.valid_mask, fs)
+    if not args.no_filter:     # the unfiltered positions go with the old trial
+        filtered = _lowpass_valid_segments(trial.positions.reshape(trial.n_frames, -1),
+                                           trial.valid_mask, fs)
         trial = replace(trial, positions=filtered.reshape(trial.n_frames, 8, 3))
 
     lengths = kinematics.pairwise_lengths(trial)
@@ -306,9 +307,9 @@ def cmd_soc(args, run: Run) -> None:
 
 def cmd_phase(args, run: Run) -> None:
     pick = args.ribbon_channel
-    if pick not in PHASE_CHANNELS:
+    if pick not in RESPONSE_CHANNELS:
         raise ValidationError(f"--ribbon-channel: {pick!r} is not one of "
-                              f"{', '.join(PHASE_CHANNELS)}")
+                              f"{', '.join(RESPONSE_CHANNELS)}")
     table = AnalysisTable.read(run.table(args.input))
     fs = table.frame_rate
     onsets = table.stim_onsets() / fs
@@ -339,34 +340,44 @@ def cmd_phase(args, run: Run) -> None:
     print(f"phase: {len(ribbons)} channels over {first.n_segments} segments -> {run.out}")
 
 
-def _esp_channel_sets(tables, n) -> dict[str, list[np.ndarray]]:
+def _esp_trial(path: Path) -> tuple[dict, np.ndarray]:
+    """A trial's sidecar fields and its `RESPONSE_CHANNELS`; the table is let go."""
+    table = AnalysisTable.read(path)
+    return table.meta, table.columns(RESPONSE_CHANNELS)
+
+
+def _esp_channel_sets(columns, n) -> dict[str, list[np.ndarray]]:
     """Per channel set, each trial's first ``n`` rows standardized."""
-    channel_sets = {"lengths": [kinematics.standardize(t.columns(SOC_LENGTH_CHANNELS)[:n])
-                                for t in tables]}
-    for axis in VELOCITY_CHANNELS:
-        channel_sets[axis] = [kinematics.standardize(t.column(axis)[:n]) for t in tables]
+    k = len(SOC_LENGTH_CHANNELS)
+    channel_sets = {"lengths": [kinematics.standardize(c[:n, :k]) for c in columns]}
+    for i, axis in enumerate(VELOCITY_CHANNELS, k):
+        channel_sets[axis] = [kinematics.standardize(c[:n, i]) for c in columns]
     return channel_sets
 
 
 def _esp_one_condition(paths, params):
-    tables = [AnalysisTable.read(p) for p in paths]
-    conditions = {t.meta["condition"] for t in tables}
+    metas, columns = zip(*map(_esp_trial, paths))
+    conditions = {meta["condition"] for meta in metas}
     if len(conditions) > 1:
         raise ValidationError(f"trials mix conditions: {sorted(conditions)}")
-    fs = tables[0].frame_rate
-    period = tables[0].meta["period_s"]
-    for path, table in zip(paths[1:], tables[1:]):
-        _require_rate(path, table.frame_rate, fs, f"{paths[0]} is at")
+    fs = metas[0]["frame_rate"]
+    period = metas[0]["period_s"]
+    for path, meta in zip(paths[1:], metas[1:]):
+        _require_rate(path, meta["frame_rate"], fs, f"{paths[0]} is at")
         # the index compares responses to one input; period_s is null if unstimulated
-        other = table.meta["period_s"]
+        other = meta["period_s"]
         if other != period and not (other and period and math.isclose(other, period)):
             raise ValidationError(f"{path} has period_s {json.dumps(other)} but {paths[0]} has "
                                   f"period_s {json.dumps(period)}: esp compares trials of one "
                                   "stimulus")
-    n = min(t.data.shape[0] for t in tables)
+    n = min(c.shape[0] for c in columns)
+    # a NaN row in the window would turn every index of its set NaN
+    rows = esp_mod.evaluation_rows(n, params, fs)
+    for path, c in zip(paths, columns):
+        require_finite(c[rows], f"esp window of {path}", first_row=rows.start)
     results = {
         name: esp_mod.esp_index(trials, params, fs)
-        for name, trials in _esp_channel_sets(tables, n).items()
+        for name, trials in _esp_channel_sets(columns, n).items()
     }
     return conditions.pop(), results
 
@@ -528,6 +539,7 @@ def cmd_train(args, run: Run) -> None:
     sensors, targets = _model_inputs(table, sensor_names, target_names, args.pulsatile)
     config = _config_from_args(args, len(sensor_names), fs)
     washout = _washout_value(args, args.pulsatile, table.data.shape[0])
+    del table   # the readout reads the sensors and targets only
 
     mux_scale, (features,) = _shared_features([sensors], config)
     model = rc.train_horizons(
@@ -576,9 +588,9 @@ def _load_model(path: Path):
     return config, model, extras
 
 
-def cmd_predict(args, run: Run) -> None:
-    config, model, extras = _load_model(run.input(args.model))
-    path = run.table(args.input)
+def _predict_inputs(path: Path, config: rc.ReservoirConfig, model: rc.Readout, extras):
+    """The times, sensors and targets ``model`` predicts from; the table
+    they come from is let go on return."""
     table = AnalysisTable.read(path)
     sensors, targets = _model_inputs(table, extras["sensor_names"], model.target_names,
                                      extras["pulsatile"])
@@ -588,11 +600,18 @@ def cmd_predict(args, run: Run) -> None:
             f"{model.target_names}"
         )
     _require_rate(path, table.frame_rate, config.frame_rate, "the model was trained at")
-    features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
-    predictions = rc.predict_horizons(model, features)
+    return table.t.copy(), sensors, targets
+
+
+def cmd_predict(args, run: Run) -> None:
+    config, model, extras = _load_model(run.input(args.model))
+    t, sensors, targets = _predict_inputs(run.table(args.input), config, model, extras)
+    # the feature buffer is the peak: only the predictions outlive it
+    predictions = rc.predict_horizons(
+        model, rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"]))
 
     # t and each actual series repeat in every block: format them once
-    t_cells = float_cells(table.t)
+    t_cells = float_cells(t)
     actual_cells = [float_cells(series) for series in targets.values.T]
     shifts = dict(zip(model.horizons_s, model.horizon_samples))
     blocks = []     # per (horizon, target): its rows of predictions.csv

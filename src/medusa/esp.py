@@ -41,6 +41,20 @@ class EspIndexResult:
     pair_deltas: np.ndarray         # mean distance per unordered trial pair
 
 
+def evaluation_rows(n: int, params: EspParams, frame_rate: float) -> slice:
+    """The rows of ``n``-row trials that `esp_index` compares: those at
+    (transient_s, horizon_s] from the first."""
+    if (n - 1) / frame_rate < params.horizon_s - 1e-9:
+        raise TooShort(
+            f"trials span {(n - 1) / frame_rate:.2f} s, need {params.horizon_s} s"
+        )
+    t = np.arange(n) / frame_rate
+    rows = np.flatnonzero((t > params.transient_s) & (t <= params.horizon_s + 1e-12))
+    if rows.size == 0:
+        raise TooShort("evaluation window contains no samples")
+    return slice(int(rows[0]), int(rows[-1]) + 1)
+
+
 def esp_index(trials, params: EspParams, frame_rate: float) -> EspIndexResult:
     """Mean pairwise distance between aligned standardized trial responses.
 
@@ -58,16 +72,7 @@ def esp_index(trials, params: EspParams, frame_rate: float) -> EspIndexResult:
     if any(x.shape != shape for x in xs):
         raise MisalignedTrials("trials do not share one shape")
 
-    n = shape[0]
-    if (n - 1) / frame_rate < params.horizon_s - 1e-9:
-        raise TooShort(
-            f"trials span {(n - 1) / frame_rate:.2f} s, need {params.horizon_s} s"
-        )
-    t = np.arange(n) / frame_rate
-    window = (t > params.transient_s) & (t <= params.horizon_s + 1e-12)
-    if not window.any():
-        raise TooShort("evaluation window contains no samples")
-
+    window = evaluation_rows(shape[0], params, frame_rate)
     pairs = list(itertools.combinations(range(len(xs)), 2))
     deltas = np.empty(len(pairs))
     for k, (i, j) in enumerate(pairs):

@@ -108,14 +108,17 @@ def pairwise_lengths(trial: TrialRecording) -> LengthSeries:
     ``values`` is a column-major (n, 28) array.
     """
     planes = _planes(trial.positions)
-    sq = np.empty((3, len(PAIR_INDICES), planes.shape[2]))
-    k = 0
-    for i in range(7):      # the pairs (i, i+1..7), in PAIR_INDICES order
-        np.subtract(planes[:, i:i + 1], planes[:, i + 1:], out=sq[:, k:k + 7 - i])
-        k += 7 - i
-    np.multiply(sq, sq, out=sq)
-    lengths = sq[0] + sq[1]
-    lengths += sq[2]
+    lengths = np.empty((len(PAIR_INDICES), planes.shape[2]))
+    scratch = np.empty_like(lengths)
+    for axis, plane in enumerate(planes):   # summed as (x² + y²) + z²
+        sq = lengths if axis == 0 else scratch
+        k = 0
+        for i in range(7):      # the pairs (i, i+1..7), in PAIR_INDICES order
+            np.subtract(plane[i:i + 1], plane[i + 1:], out=sq[k:k + 7 - i])
+            k += 7 - i
+        np.multiply(sq, sq, out=sq)
+        if axis:
+            lengths += scratch
     np.sqrt(lengths, out=lengths)
     return LengthSeries(names=PAIR_NAMES, values=lengths.T, frame_rate=trial.frame_rate)
 

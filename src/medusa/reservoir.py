@@ -466,7 +466,9 @@ class Readout:
         h = round(horizon_s * self.frame_rate)
         if h not in samples:
             raise UntrainedHorizon(f"horizon {horizon_s} s is not on the trained grid")
-        i = samples.index(h)
+        return self._slab(samples.index(h))
+
+    def _slab(self, i: int) -> Readout:
         return replace(self, weights=self.weights[i:i + 1], horizons_s=(self.horizons_s[i],))
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -583,12 +585,15 @@ def evaluate_horizons(
     features: np.ndarray,
     targets: np.ndarray,
 ) -> dict[float, float]:
-    """Post-washout R-squared per horizon on a feature/target stream."""
+    """Post-washout R-squared per horizon on a feature/target stream.
+
+    One horizon's predictions are held at a time; they equal that
+    horizon's columns of ``model.predict`` bitwise.
+    """
     y = _as_columns(targets)
-    predictions = predict_horizons(model, features)
     scores = {}
-    for h_s, h in zip(model.horizons_s, model.horizon_samples):
-        p = _as_columns(predictions[h_s])
+    for i, (h_s, h) in enumerate(zip(model.horizons_s, model.horizon_samples)):
+        p = _as_columns(model._slab(i).predict(features))
         stop = p.shape[0] - h
         scores[h_s] = r2(p[model.washout:stop], y[model.washout + h:])
     return scores

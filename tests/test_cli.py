@@ -795,6 +795,21 @@ def test_soc_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):
     assert not (tmp_path / "soc" / "psd.csv").exists()
 
 
+def test_esp_on_invalid_frames_exits_1_naming_the_trial(tmp_path, capsys):
+    analysis = _gappy_analysis(tmp_path)
+    clean = analysis_for(tmp_path, synth_trial(tmp_path, seconds=60.0) / "trial.csv")
+    assert run("esp", "--inputs", clean, analysis, "--out", tmp_path / "esp") == 1
+    err = capsys.readouterr().err
+    assert (f"InvalidFrames: esp window of {analysis} has 25 non-finite rows of 1680 "
+            "(first at row 1497)") in err
+    assert not (tmp_path / "esp").exists()
+    # a window that ends before the gap compares valid rows only
+    assert run("esp", "--inputs", clean, analysis, "--horizon", 20.0,
+               "--out", tmp_path / "early") == 0
+    rows = (tmp_path / "early" / "esp.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and "nan" not in "".join(rows)
+
+
 def test_search_sensors_checks_only_the_rows_it_uses(tmp_path, capsys):
     analysis = _gappy_analysis(tmp_path)
     assert run("search-sensors", "--input", analysis, "--kmax", 2,
