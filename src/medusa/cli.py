@@ -208,8 +208,9 @@ def cmd_ingest(args, run: Run) -> None:
         name: ingest.rectify_view(ingest.read_view_csv(paths[name], name, frame_rate))
         for name in ingest.VIEW_NAMES
     }
+    led = views["top"].led[:, 0].copy()
     trial = ingest.assemble_3d(views["top"], views["behind"], views["right"], **meta)
-    led = views["top"].led[:, 0]
+    del views   # the trial and its LED column are all the write reads
     if trial.condition == "stimulated":
         threshold = 0.5 * (led.max() + led.min())
         active, _ = ingest.align_stimulus(led, threshold, frame_rate)
@@ -523,13 +524,6 @@ def _model_inputs(table: AnalysisTable, sensor_names, target_names, pulsatile: b
     return sensors, _targets_from_table(table, target_names, pulsatile)
 
 
-def _shared_features(sensor_sets, config: rc.ReservoirConfig):
-    """The mux scale ``sensor_sets`` share, and each set's reservoir features."""
-    scale = rc.shared_mux_scale(sensor_sets, config.mux_horizon_s, config.mux_stride,
-                                config.frame_rate)
-    return scale, [rc.reservoir_features(s, config, mux_scale=scale) for s in sensor_sets]
-
-
 def cmd_train(args, run: Run) -> None:
     sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
@@ -541,7 +535,9 @@ def cmd_train(args, run: Run) -> None:
     washout = _washout_value(args, args.pulsatile, table.data.shape[0])
     del table   # the readout reads the sensors and targets only
 
-    mux_scale, (features,) = _shared_features([sensors], config)
+    # the stream holds the reservoir states, not the feature matrix
+    mux_scale = rc.shared_mux_scale([sensors], config.mux_horizon_s, config.mux_stride, fs)
+    features = rc.feature_stream(sensors, config, mux_scale)
     model = rc.train_horizons(
         features, targets.values, horizons, washout, fs,
         architecture=config.architecture, target_names=targets.names,
@@ -606,9 +602,9 @@ def _predict_inputs(path: Path, config: rc.ReservoirConfig, model: rc.Readout, e
 def cmd_predict(args, run: Run) -> None:
     config, model, extras = _load_model(run.input(args.model))
     t, sensors, targets = _predict_inputs(run.table(args.input), config, model, extras)
-    # the feature buffer is the peak: only the predictions outlive it
+    # the reservoir states are the peak: only the predictions outlive them
     predictions = rc.predict_horizons(
-        model, rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"]))
+        model, rc.feature_stream(sensors, config, extras["mux_scale"]))
 
     # t and each actual series repeat in every block: format them once
     t_cells = float_cells(t)
@@ -661,8 +657,10 @@ def cmd_confusion(args, run: Run) -> None:
     config = _config_from_args(args, len(sensor_names), fs)
     # cross-family sets are single trials; 'auto' takes the short washout
     washout = _washout_value(args, True, min(len(s) for s in sensors.values()))
-    _, features = _shared_features(list(sensors.values()), config)
-    datasets = {label: (f, targets[label].values) for label, f in zip(sensors, features)}
+    scale = rc.shared_mux_scale(list(sensors.values()), config.mux_horizon_s,
+                                config.mux_stride, fs)
+    datasets = {label: (rc.reservoir_features(s, config, mux_scale=scale), targets[label].values)
+                for label, s in sensors.items()}
     result = rc.cross_predict(datasets, washout)
 
     header = ["train\\eval"] + result.names

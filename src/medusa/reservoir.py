@@ -10,7 +10,8 @@ Temporal multiplexing (`build_mux`) augments each sensor with strided
 lagged copies of its recent history and rescales the block so the largest
 possible summed input magnitude is 1.  Readouts are trained by least
 squares on the post-washout samples, optionally against targets shifted
-into the future on a horizon grid.
+into the future on a horizon grid, from one set of normal equations that
+reads the features a block of rows at a time (`FeatureStream`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ RIDGE_DEFAULT = 1e-8
 AGGREGATE_WASHOUT_SAMPLES = 10_000
 PULSATILE_WASHOUT_SAMPLES = 1_000
 PULSE_REFRACTORY_S = 0.5
+BLOCK_ROWS = 2_048      # feature rows per streamed block; bounds a block's memory
 
 _BLOB_MAGIC = b"MDS1"
 _BLOB_HEADER = struct.Struct("<4sBIIIff")
@@ -125,20 +127,51 @@ class MuxedInput:
     n_lags: int
 
 
-def _lagged(x: np.ndarray, n_lags: int, stride: int, out: np.ndarray,
-            padded: np.ndarray) -> None:
-    """Write the (n, n_sensors) series' strided lags into ``out``
-    (n, n_sensors * n_lags), sensor-major, zero before the series start;
-    ``padded`` is (span + n, n_sensors) scratch."""
-    n = x.shape[0]
-    span_samples = (n_lags - 1) * stride
-    if n <= span_samples:
-        raise TooShort(f"need more than {span_samples} samples, got {n}")
-    padded[:span_samples] = 0.0
-    padded[span_samples:] = x
-    # window t holds samples t - span .. t; lag l is its entry span - l * stride
-    windows = sliding_window_view(padded, span_samples + 1, axis=0)
-    np.copyto(out.reshape(n, -1, n_lags), windows[:, :, span_samples::-stride])
+class _MuxRows:
+    """`build_mux`'s rows made on demand, any row range at a time, from a
+    zero-padded copy of the sensors; ``scale`` None takes the rows' own."""
+
+    def __init__(self, sensors, mux_horizon_s: float, stride: int, frame_rate: float,
+                 scale: float | None):
+        x = _as_columns(sensors)
+        n, n_sensors = x.shape
+        self.n_lags = _mux_lags(mux_horizon_s, stride, frame_rate)
+        self.stride = stride
+        self.width = n_sensors * self.n_lags
+        self.span = (self.n_lags - 1) * stride
+        if n <= self.span:
+            raise TooShort(f"need more than {self.span} samples, got {n}")
+        self.padded = np.zeros((self.span + n, n_sensors))
+        self.padded[self.span:] = x
+        if scale is None:
+            peak = self.peak()
+            scale = 1.0 / peak if peak > 0 else 1.0
+        # each lag is a copy of one sample, so scaling the samples once
+        # gives the rows bitwise as scaling every row would
+        self.padded *= scale
+        self.scale = scale
+
+    def __len__(self) -> int:
+        return self.padded.shape[0] - self.span
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Rows start..stop into ``out``, sensor-major."""
+        # window t holds samples t - span .. t; lag l is its entry span - l * stride
+        windows = sliding_window_view(self.padded[start:stop + self.span], self.span + 1, axis=0)
+        np.copyto(out.reshape(stop - start, -1, self.n_lags),
+                  windows[:, :, self.span::-self.stride])
+        return out
+
+    def peak(self) -> float:
+        """max_T |sum_components U(T)| of the rows, a block at a time."""
+        buf = np.empty((min(BLOCK_ROWS, len(self)), self.width))
+        return max(float(np.abs(self.fill(start, stop, buf[:stop - start]).sum(axis=1)).max())
+                   for start, stop in _row_blocks(0, len(self)))
+
+
+def _row_blocks(start: int, stop: int) -> list[tuple[int, int]]:
+    """Rows start..stop as consecutive ranges of at most `BLOCK_ROWS` rows."""
+    return [(s, min(s + BLOCK_ROWS, stop)) for s in range(start, stop, BLOCK_ROWS)]
 
 
 def _as_columns(series) -> np.ndarray:
@@ -166,16 +199,10 @@ def build_mux(
     share one factor across several datasets (see `shared_mux_scale`).
     ``_out``, an (n_samples, n_sensors * n_lags) array, receives the values.
     """
-    x = _as_columns(sensors)
-    n, n_sensors = x.shape
-    n_lags = _mux_lags(mux_horizon_s, stride, frame_rate)
-    raw = np.empty((n, n_sensors * n_lags)) if _out is None else _out
-    _lagged(x, n_lags, stride, raw, np.empty(((n_lags - 1) * stride + n, n_sensors)))
-    if scale is None:
-        peak = float(np.abs(raw.sum(axis=1)).max())
-        scale = 1.0 / peak if peak > 0 else 1.0
-    raw *= scale
-    return MuxedInput(values=raw, scale=scale, n_lags=n_lags)
+    rows = _MuxRows(sensors, mux_horizon_s, stride, frame_rate, scale)
+    values = np.empty((len(rows), rows.width)) if _out is None else _out
+    return MuxedInput(values=rows.fill(0, len(rows), values), scale=rows.scale,
+                      n_lags=rows.n_lags)
 
 
 def shared_mux_scale(
@@ -189,20 +216,10 @@ def shared_mux_scale(
     The factor is 1 over the largest summed-input magnitude across all the
     sets, so the |sum U(T)| <= 1 bound holds on every one of them while
     models trained on one set stay applicable to the others.  Each set's
-    unscaled mux goes into one scratch block reused across the sets.
+    unscaled mux is built a block at a time.
     """
-    sets = [_as_columns(s) for s in sensor_sets]
-    n_lags = _mux_lags(mux_horizon_s, stride, frame_rate)
-    span_samples = (n_lags - 1) * stride
-    raw_buf = np.empty(max((x.size * n_lags for x in sets), default=0))
-    pad_buf = np.empty(max(((len(x) + span_samples) * x.shape[1] for x in sets), default=0))
-    peak = 0.0
-    for x in sets:
-        n, n_sensors = x.shape
-        raw = raw_buf[:x.size * n_lags].reshape(n, n_sensors * n_lags)
-        padded = pad_buf[:(span_samples + n) * n_sensors].reshape(span_samples + n, n_sensors)
-        _lagged(x, n_lags, stride, raw, padded)
-        peak = max(peak, float(np.abs(raw.sum(axis=1)).max()))
+    peak = max((_MuxRows(x, mux_horizon_s, stride, frame_rate, 1.0).peak()
+                for x in sensor_sets), default=0.0)
     return 1.0 / peak if peak > 0 else 1.0
 
 
@@ -276,10 +293,15 @@ def leaky_integrate(inputs: np.ndarray, leak: float) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if leak == 0.0:
         return x.copy()
+    return _leak(x, leak, np.zeros(x.shape[1:]))
+
+
+def _leak(x: np.ndarray, leak: float, acc: np.ndarray) -> np.ndarray:
+    """`leaky_integrate`'s recursion from ``acc``, which is left holding
+    the last output, so that a series can be integrated a block at a time."""
     out = np.empty_like(x)
-    acc = np.zeros(x.shape[1:]) if x.ndim > 1 else 0.0
     for t in range(x.shape[0]):
-        acc = leak * acc + (1.0 - leak) * x[t]
+        acc[...] = leak * acc + (1.0 - leak) * x[t]
         out[t] = acc
     return out
 
@@ -307,7 +329,7 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
     return math.ceil(math.log(FORGET_TOL / math.sqrt(n)) / math.log(c))
 
 
-def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
+def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray | _MuxRows, *,
             _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
@@ -317,7 +339,9 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
     is not mutated.
 
     The input drive A·ũ does not depend on the state, so it is computed
-    for every step at once (one matrix product into the result buffer).
+    into the result buffer before stepping, one matrix product per block of
+    `BLOCK_ROWS` input rows; mux rows made on demand (`_MuxRows`) are built
+    a block at a time into one scratch block.
     The recurrence is then stepped over K time chunks together, one
     (K, n) @ Bᵀ product per step.  Chunk 0 starts from ``state.state``;
     every later chunk starts from zero W steps before its first row, where
@@ -329,18 +353,28 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
     ``_out`` is a (K·L, n) array to step in; the result is a view of its
     first T rows.
     """
-    u = _as_columns(inputs.values if isinstance(inputs, MuxedInput) else inputs)
+    if isinstance(inputs, _MuxRows):
+        u, width = inputs, inputs.width
+        scratch = np.empty((min(BLOCK_ROWS, len(inputs)), width))
+    else:
+        u = _as_columns(inputs.values if isinstance(inputs, MuxedInput) else inputs)
+        width = u.shape[1]
     a, b = state.input_weights, state.recurrent_weights
-    if u.shape[1] != a.shape[1]:
-        raise ValueError(f"input width {u.shape[1]} does not match weights {a.shape[1]}")
-    if state.config.leak != 0.0:
-        u = leaky_integrate(u, state.config.leak)
-    t_len, n = u.shape[0], a.shape[0]
+    if width != a.shape[1]:
+        raise ValueError(f"input width {width} does not match weights {a.shape[1]}")
+    leak = state.config.leak
+    t_len, n = len(u), a.shape[0]
     k, length, w = time_chunks(t_len, _forgetting_steps(b))
     traj = np.empty((k * length, n)) if _out is None else _out
     if traj.shape != (k * length, n):
         raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
-    np.matmul(u, a.T, out=traj[:t_len])
+    acc = np.zeros(width)
+    for start, stop in _row_blocks(0, t_len):
+        rows = (u.fill(start, stop, scratch[:stop - start]) if isinstance(u, _MuxRows)
+                else u[start:stop])
+        if leak != 0.0:
+            rows = _leak(rows, leak, acc)
+        np.matmul(rows, a.T, out=traj[start:stop])
     traj[t_len:] = 0.0
     chunks = traj.reshape(k, length, n)
     bt = np.ascontiguousarray(b.T)
@@ -374,6 +408,18 @@ def assemble_features(architecture: str, states: np.ndarray | None,
     return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
+def _checked_sensors(sensors, config: ReservoirConfig) -> np.ndarray:
+    """The sensors as (T, n_sensors) columns, checked against ``config``."""
+    x = _as_columns(sensors)
+    if x.shape[1] != config.n_sensors:
+        raise ConfigMismatch(
+            f"data has {x.shape[1]} sensors but the configuration declares {config.n_sensors}"
+        )
+    # one NaN input would carry through the recurrence into every later state
+    require_finite(x, "sensor input")
+    return x
+
+
 def reservoir_features(
     sensors: np.ndarray,
     config: ReservoirConfig,
@@ -385,14 +431,9 @@ def reservoir_features(
     [states | mux | 1], with the states and mux blocks present as the
     architecture uses them; the result is its (T, d) left block, which
     the readout trains on with the ones column as its bias without a copy.
+    Its rows equal `feature_stream`'s bitwise.
     """
-    x = _as_columns(sensors)
-    if x.shape[1] != config.n_sensors:
-        raise ConfigMismatch(
-            f"data has {x.shape[1]} sensors but the configuration declares {config.n_sensors}"
-        )
-    # one NaN input would carry through the recurrence into every later state
-    require_finite(x, "sensor input")
+    x = _checked_sensors(sensors, config)
     t_len = x.shape[0]
     blocks = ARCHITECTURES[config.architecture]
     state = esn_init(config) if blocks.states else None
@@ -412,14 +453,59 @@ def reservoir_features(
     return buf[:t_len, :width]
 
 
+class FeatureStream:
+    """The [states | mux | 1] rows of one recording, a block at a time.
+
+    It holds the reservoir states and a zero-padded copy of the scaled
+    sensors, not the feature matrix: `blocks` copies each block's states
+    and builds its mux rows into one buffer.  ``shape`` is the (T, d) of
+    the matrix `reservoir_features` returns, whose rows these equal bitwise.
+    """
+
+    def __init__(self, states: np.ndarray | None, mux: _MuxRows | None, n_rows: int):
+        self._states = states       # (T, n_nodes), or None without a reservoir
+        self._mux = mux             # None when the readout reads no mux
+        self._n_states = 0 if states is None else states.shape[1]
+        self.shape = (n_rows, self._n_states + (0 if mux is None else mux.width))
+
+    def blocks(self, start: int = 0, stop: int | None = None):
+        """(first row, [features | 1] rows) over rows start..stop, `BLOCK_ROWS`
+        at a time; each block is a view of one buffer that the next overwrites."""
+        stop = self.shape[0] if stop is None else stop
+        n_states, width = self._n_states, self.shape[1]
+        buf = np.empty((min(BLOCK_ROWS, stop - start), width + 1))
+        buf[:, -1] = 1.0
+        for first, last in _row_blocks(start, stop):
+            block = buf[:last - first]
+            if self._states is not None:
+                block[:, :n_states] = self._states[first:last]
+            if self._mux is not None:
+                self._mux.fill(first, last, block[:, n_states:width])
+            yield first, block
+
+
+def feature_stream(
+    sensors: np.ndarray,
+    config: ReservoirConfig,
+    mux_scale: float | None,
+) -> FeatureStream:
+    """`reservoir_features` as a `FeatureStream`: the reservoir is run once,
+    by the same drive and step, and only its states are held."""
+    x = _checked_sensors(sensors, config)
+    blocks = ARCHITECTURES[config.architecture]
+    mux = _MuxRows(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
+    states = esn_run(esn_init(config), mux) if blocks.states else None
+    return FeatureStream(states, mux if blocks.mux else None, x.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # Linear readout
 # ---------------------------------------------------------------------------
 
-def _solve_readout(f_aug: np.ndarray, y: np.ndarray) -> np.ndarray:
-    gram = f_aug.T @ f_aug
+def _solve_readout(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """Weights of the normal equations ``gram`` w = ``moment``, with
+    `RIDGE_DEFAULT` added to ``gram``'s diagonal in place."""
     gram[np.diag_indices_from(gram)] += RIDGE_DEFAULT
-    moment = f_aug.T @ y
     try:
         w = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError:
@@ -471,35 +557,45 @@ class Readout:
     def _slab(self, i: int) -> Readout:
         return replace(self, weights=self.weights[i:i + 1], horizons_s=(self.horizons_s[i],))
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """One column per (horizon, target), horizon-major; 1-D for one column."""
-        f = np.asarray(features, dtype=float)
-        if f.shape[1] != self.n_features:
-            raise ConfigMismatch(
-                f"features have width {f.shape[1]}, model expects {self.n_features}"
-            )
+    def predict(self, features: np.ndarray | FeatureStream) -> np.ndarray:
+        """One column per (horizon, target), horizon-major; 1-D for one column.
+
+        A `FeatureStream` is read a block at a time into the one result."""
+        stream = isinstance(features, FeatureStream)
+        f = features if stream else np.asarray(features, dtype=float)
+        d = self.n_features
+        if f.shape[1] != d:
+            raise ConfigMismatch(f"features have width {f.shape[1]}, model expects {d}")
         n_h, _, n_t = self.weights.shape
         out = np.empty((f.shape[0], n_h, n_t))
-        # one product per horizon, written in place into its columns: a single
-        # product over every horizon's columns rounds differently for one target
-        by_horizon = out.transpose(1, 0, 2)
-        np.matmul(f, self.weights[:, :-1], out=by_horizon)
-        by_horizon += self.weights[:, -1:]
+        for start, block in (f.blocks() if stream else [(0, f)]):
+            # one product per horizon, written in place into its columns: a single
+            # product over every horizon's columns rounds differently for one target
+            by_horizon = out[start:start + block.shape[0]].transpose(1, 0, 2)
+            np.matmul(block[:, :d], self.weights[:, :-1], out=by_horizon)
+            by_horizon += self.weights[:, -1:]
         out = out.reshape(f.shape[0], n_h * n_t)
         return out[:, 0] if n_h * n_t == 1 else out
 
 
 def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
                  architecture: str, target_names) -> Readout:
-    """Least-squares readout per horizon over the post-washout samples.
+    """Least-squares readout per horizon over the post-washout samples,
+    from one set of normal equations (Lukoševičius 2012, §4).
 
-    A small ridge (`RIDGE_DEFAULT`) is added to the normal equations purely
-    for conditioning.  Each horizon needs at least 3x as many samples as
-    feature columns (bias included).
+    ``features`` is a whole matrix, read as one block, or a
+    `FeatureStream`, read a block at a time.  The Gram G₀ of [features, 1]
+    is built once over the post-washout rows.  Horizon h pairs row t with
+    target row t + h, so it drops the last h rows: its Gram is
+    G₀ − F_tailᵀF_tail over those rows, and its moment Fᵀy is summed over
+    its own rows in the same pass.  A small ridge (`RIDGE_DEFAULT`) is
+    added to the normal equations purely for conditioning.  Each horizon
+    needs at least 3x as many samples as feature columns (bias included).
     """
-    f = np.asarray(features, dtype=float)
+    if not isinstance(features, FeatureStream):
+        features = np.asarray(features, dtype=float)
     y = _as_columns(targets)
-    if f.shape[0] != y.shape[0]:
+    if features.shape[0] != y.shape[0]:
         raise ValueError("features and targets must share one sample count")
     require_finite(y, "target")
     horizons_s = tuple(float(h) for h in horizons_s)
@@ -507,7 +603,7 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
         raise ValueError("need at least one horizon, none negative")
     if washout < 0:
         raise ValueError(f"washout must be >= 0, got {washout}")
-    n, d_aug = f.shape[0], f.shape[1] + 1
+    n, d_aug = features.shape[0], features.shape[1] + 1
     model = Readout(
         weights=np.empty((len(horizons_s), d_aug, y.shape[1])),
         horizons_s=horizons_s,
@@ -516,18 +612,40 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
         architecture=architecture,
         target_names=tuple(target_names),
     )
-    n_rows = [n - h - washout for h in model.horizon_samples]
-    for h_s, rows in zip(horizons_s, n_rows):
+    shifts = model.horizon_samples
+    for h_s, rows in zip(horizons_s, [n - h - washout for h in shifts]):
         if rows < 3 * d_aug:
             raise TooShort(
                 f"{rows} post-washout samples for horizon {h_s:g} s and {d_aug} "
                 f"features; need at least {3 * d_aug}"
             )
-    # every horizon's rows are a leading slice of the post-washout block
-    f_aug = _with_bias(f, washout)
-    for w, h, rows in zip(model.weights, model.horizon_samples, n_rows):
-        w[...] = _solve_readout(f_aug[:rows], y[washout + h:])
+    gram = None     # there is at least one post-washout row
+    moments = np.zeros((len(shifts), d_aug, y.shape[1]))
+    for start, block in _biased_blocks(features, washout, n):
+        if gram is None:
+            gram = block.T @ block
+        else:
+            gram += block.T @ block
+        for moment, h in zip(moments, shifts):
+            rows = min(block.shape[0], n - h - start)
+            if rows > 0:
+                moment += block[:rows].T @ y[start + h:start + h + rows]
+    for i, (w, moment, h) in enumerate(zip(model.weights, moments, shifts)):
+        # the solve adds the ridge in place: the last horizon takes G₀ itself
+        gram_h = gram if i == len(shifts) - 1 else gram.copy()
+        for _, tail in _biased_blocks(features, n - h, n):
+            gram_h -= tail.T @ tail
+        w[...] = _solve_readout(gram_h, moment)
     return model
+
+
+def _biased_blocks(features, start: int, stop: int):
+    """(first row, [features, 1] rows) over rows start..stop: a stream's
+    blocks, or one block of a whole matrix; none when the range is empty."""
+    if isinstance(features, FeatureStream):
+        yield from features.blocks(start, stop)
+    elif stop > start:
+        yield start, _with_bias(features, start)[:stop - start]
 
 
 def _with_bias(features: np.ndarray, start: int) -> np.ndarray:
@@ -559,7 +677,7 @@ def train_readout(
 
 
 def train_horizons(
-    features: np.ndarray,
+    features: np.ndarray | FeatureStream,
     targets: np.ndarray,
     horizons_s,
     washout: int,
@@ -572,7 +690,8 @@ def train_horizons(
                         architecture, target_names)
 
 
-def predict_horizons(model: Readout, features: np.ndarray) -> dict[float, np.ndarray]:
+def predict_horizons(model: Readout,
+                     features: np.ndarray | FeatureStream) -> dict[float, np.ndarray]:
     """Predictions per horizon; row t estimates the target at t + horizon."""
     out = model.predict(features).reshape(-1, len(model.horizons_s), model.n_targets)
     if model.n_targets == 1:
@@ -582,13 +701,14 @@ def predict_horizons(model: Readout, features: np.ndarray) -> dict[float, np.nda
 
 def evaluate_horizons(
     model: Readout,
-    features: np.ndarray,
+    features: np.ndarray | FeatureStream,
     targets: np.ndarray,
 ) -> dict[float, float]:
     """Post-washout R-squared per horizon on a feature/target stream.
 
-    One horizon's predictions are held at a time; they equal that
-    horizon's columns of ``model.predict`` bitwise.
+    One horizon's predictions are held at a time, each from its own pass
+    over a `FeatureStream`; they equal that horizon's columns of
+    ``model.predict`` bitwise.
     """
     y = _as_columns(targets)
     scores = {}

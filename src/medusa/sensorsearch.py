@@ -24,7 +24,7 @@ DEFAULT_K_MAX = 5
 RADIUS_NAMES = ("inner_radius", "outer_radius")
 POOL_NAMES: tuple[str, ...] = PAIR_NAMES + RADIUS_NAMES
 RIDGE = 1e-8            # added to each subset's normal equations, for conditioning
-CHUNK_SIZE = 20_000     # subsets scored per block; bounds a block's memory
+CHUNK_SIZE = 2_500      # subsets scored per block; bounds a block's memory
 _TIE_TOL = 1e-9
 
 
@@ -49,8 +49,9 @@ class SensorSearchReport:
 def _eval_chunk(args):
     """Score one chunk of equal-size subsets against all tasks.
 
-    Returns, per task, the first (lexicographically smallest) subset whose
-    score is within tolerance of the chunk maximum.
+    Returns, per task, the chunk's best score and its candidates: each
+    subset within tolerance of that score, as (score, subset) in chunk
+    order.  A task's pick lies among them wherever its overall best is.
     """
     idx, gram, moments, yty, sst, ridge = args
     c, k = idx.shape
@@ -66,8 +67,8 @@ def _eval_chunk(args):
     picks = []
     for t in range(r2.shape[1]):
         top = float(r2[:, t].max())
-        j = int(np.argmax(r2[:, t] >= top - _TIE_TOL))
-        picks.append((float(r2[j, t]), tuple(int(v) for v in idx[j])))
+        near = np.flatnonzero(r2[:, t] >= top - _TIE_TOL)
+        picks.append((top, [(float(r2[j, t]), tuple(int(v) for v in idx[j])) for j in near]))
     return picks
 
 
@@ -84,11 +85,11 @@ def search_best(
     ``data`` holds the standardized candidate sensors, one column per name
     of ``pool_names``; ``tasks`` maps a task label to its aligned target series.
     Subsets are scored by post-washout R-squared of the direct linear
-    readout.  Ties (within 1e-9) resolve to the smaller subset, then
-    lexicographically — this matches the enumeration order, so the first
-    best-scoring subset encountered wins.  The blocks of ``CHUNK_SIZE``
-    subsets are scored by ``n_workers`` threads and merged in enumeration
-    order, so the report does not depend on the worker count.
+    readout.  A task's pick is the first subset, in enumeration order
+    (smaller subsets first, then lexicographically), whose score is within
+    1e-9 of the task's best score.  The blocks of ``CHUNK_SIZE`` subsets are
+    scored by ``n_workers`` threads and merged in enumeration order, so the
+    report depends neither on the worker count nor on the block size.
     """
     x = np.asarray(data, dtype=float)
     if len(pool_names) != x.shape[1]:
@@ -118,14 +119,15 @@ def search_best(
     moments = f.T @ yp
     yty = np.sum(yp**2, axis=0)
 
-    best = {t: TaskResult(subset=(), r2=-np.inf) for t in task_names}
+    top = {t: -np.inf for t in task_names}
+    # per task, every subset within tolerance of its best score so far, in
+    # enumeration order; a later, higher best drops those it leaves behind
+    near = {t: [(-np.inf, ())] for t in task_names}
 
     def merge(picks) -> None:
-        # enumeration runs smallest k first and lexicographically within k,
-        # so a strict improvement test encodes the tie-breaking rule
-        for t, (score, subset) in zip(task_names, picks):
-            if score > best[t].r2 + _TIE_TOL:
-                best[t] = TaskResult(subset=tuple(pool_names[i] for i in subset), r2=score)
+        for t, (score, candidates) in zip(task_names, picks):
+            top[t] = max(top[t], score)
+            near[t] = [c for c in near[t] + candidates if c[0] >= top[t] - _TIE_TOL]
 
     # blocks are submitted as the workers free up, at most n_workers + 1 in
     # flight (Executor.map would build every block first), and merged in
@@ -143,6 +145,8 @@ def search_best(
                     merge(pending.popleft().result())
         while pending:
             merge(pending.popleft().result())
+    best = {t: TaskResult(subset=tuple(pool_names[i] for i in near[t][0][1]), r2=near[t][0][0])
+            for t in task_names}
 
     tally = {name: 0 for name in pool_names}
     for t in task_names:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 
-CHUNK_ROWS = 8192   # rows formatted per write; bounds a write's memory
+CHUNK_ROWS = 1024   # rows formatted per write; bounds a write's memory
 _FLOAT = "%.9g"
 _SPECIAL = (",", '"', "\r", "\n")
 

@@ -149,6 +149,8 @@ def test_saved_model_predicts_like_the_trained_readout(tmp_path, monkeypatch):
     _, model_path = _train_pulsatile(tmp_path)
     _, loaded, _ = cli._load_model(model_path)
     model, features = trained["model"], trained["features"]
+    # train fits from a stream of feature blocks, which predict reads too
+    assert isinstance(features, rc.FeatureStream)
     assert loaded.horizons_s == model.horizons_s == (0.0, 0.5, 1.0)
     assert loaded.horizon_samples == model.horizon_samples == (0, 30, 60)
     assert (loaded.washout, loaded.target_names) == (model.washout, model.target_names)

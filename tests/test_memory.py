@@ -3,10 +3,11 @@ step reads.
 
 `tracemalloc` sees numpy's buffers and Python's objects, so a command's
 peak is measured in-process on a 60 s trial and bounded by a multiple of
-the data it must hold: the feature buffer for train and predict, the
-marker positions for kinematics and one analysis table per trial for
-esp.  A trial-length array kept past its last reader shows as a peak
-above its bound.
+the data it must hold: the reservoir states for train and predict, the
+marker positions for kinematics, the trial for ingest's write, one
+analysis table for the sensor search and one analysis table per trial for
+esp.  A trial-length array kept past its last reader, or a whole feature
+matrix where a stream of row blocks does, shows as a peak above its bound.
 """
 
 import tracemalloc
@@ -14,8 +15,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from medusa import cli, table
+from medusa import cli, ingest, table
 from medusa import reservoir as rc
+from test_ingest import make_views
 
 FRAME_RATE = 60.0
 SECONDS = 60.0
@@ -58,29 +60,76 @@ def trials(tmp_path_factory):
     return root, out
 
 
-def feature_bytes(model_path) -> int:
-    """The bytes of the [features | 1] buffer `reservoir_features` fills."""
-    config, _, _ = cli._load_model(model_path)
-    width = config.n_nodes + config.input_width
-    return ROWS * (width + 1) * FLOAT
+def held_bytes(model_path, horizons: int) -> int:
+    """The bytes train or predict must hold at once on a ``ROWS``-row trial:
+    the reservoir states, the sensors and targets, and the predictions of
+    ``horizons`` horizons."""
+    config, model, _ = cli._load_model(model_path)
+    states = ROWS * config.n_nodes
+    inputs = ROWS * (config.n_sensors + model.n_targets)
+    return (states + inputs + ROWS * horizons * model.n_targets) * FLOAT
 
 
-def test_train_peak_is_the_feature_buffer_and_one_horizon(trials):
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """256-row feature blocks: the arrays a command holds are then its peak."""
+    # raising=False: a build without row blocks is measured, and fails, too
+    monkeypatch.setattr(rc, "BLOCK_ROWS", 256, raising=False)
+
+
+def test_train_peak_is_the_feature_buffer_and_one_horizon(trials, small_blocks):
     root, paths = trials
     peak = traced_peak("train", "--input", paths[7][1], "--pulsatile", "--out", root / "train")
-    # the buffer, the inputs and one horizon's predictions at a time
-    assert peak < 1.4 * feature_bytes(root / "train" / "model.npz")
+    # the states, the inputs and one horizon's predictions at a time; the slack
+    # covers a block and the normal equations.  The whole [features | 1]
+    # matrix would add 0.85 of the states beside them
+    assert peak < 1.5 * held_bytes(root / "train" / "model.npz", horizons=1)
 
 
-def test_predict_peak_is_the_feature_buffer_or_the_outputs(trials):
+def test_predict_peak_is_the_feature_buffer_or_the_outputs(trials, small_blocks):
     root, paths = trials
     model = root / "model" / "model.npz"
     assert run("train", "--input", paths[7][1], "--pulsatile", "--out", model.parent) == 0
     peak = traced_peak("predict", "--model", model, "--input", paths[7][1],
                        "--out", root / "predict")
-    # the buffer with the predictions, then the predictions with their
-    # formatted columns: never the buffer beside the analysis table
-    assert peak < 1.6 * feature_bytes(model)
+    # the states with every horizon's predictions, then the predictions with
+    # their formatted columns: never a feature matrix or the analysis table
+    _, loaded, _ = cli._load_model(model)
+    assert peak < 1.25 * held_bytes(model, horizons=len(loaded.horizons_s))
+
+
+def test_ingest_writes_holding_the_trial_not_its_views(trials, tmp_path, monkeypatch):
+    root, paths = trials
+    trial = ingest.read_trial_csv(paths[7][0])
+    led = np.column_stack([trial.stimulus, 1 - trial.stimulus]).astype(float)
+    prefix = tmp_path / "jf"
+    for name, view in make_views(trial.positions, led=led).items():
+        ingest.write_view_csv(f"{prefix}_{name}.csv", view)
+    (tmp_path / "jf.json").write_text(
+        '{"condition": "stimulated", "period_s": 2.0, "frame_rate": 60.0}')
+    held = []
+    write = ingest.write_trial_csv
+
+    def traced_write(*args, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return write(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "write_trial_csv", traced_write)
+    traced_peak("ingest", "--input", prefix, "--out", tmp_path / "ingested")
+    positions = ROWS * 8 * 3 * FLOAT
+    # the trial and its LED column; the three views (1.6 positions each)
+    # are gone before trial.csv is formatted
+    assert held[-1] < 1.5 * positions
+
+
+def test_search_peak_is_the_table_and_a_block_of_subsets(trials):
+    root, paths = trials
+    peak = traced_peak("search-sensors", "--input", paths[7][1], "--out", root / "search")
+    one_table = ROWS * len(cli.ANALYSIS_COLUMNS) * FLOAT
+    # the table, the pool's standardized columns and one block of
+    # sensorsearch.CHUNK_SIZE subsets' normal equations; blocks of 20 000
+    # subsets took about 25 tables
+    assert peak < 8 * one_table
 
 
 def test_kinematics_peak_is_a_few_copies_of_the_positions(trials, monkeypatch):

@@ -451,7 +451,8 @@ def test_readout_deterministic():
 # horizons and scores
 # ---------------------------------------------------------------------------
 
-def pulsatile_features(seed=0, seconds=200.0, arch="hybrid"):
+def pulsatile_sensors(seed=0, seconds=200.0):
+    """A 2 s pulsed trial's four standardized default sensors and its vz."""
     sched = synthgen.pwm_schedule(2.0, seconds)
     params = synthgen.SyntheticJellyfishParams(seed=seed, noise_sd_mm=0.05)
     trial, _ = synthgen.gen_jellyfish(params, sched, seconds)
@@ -462,8 +463,13 @@ def pulsatile_features(seed=0, seconds=200.0, arch="hybrid"):
         pose.inner_radius, pose.outer_radius,
         lengths.channel("Y2-O1"), lengths.channel("R2-O2"),
     ]))
+    return sensors, v[:, 2]
+
+
+def pulsatile_features(seed=0, seconds=200.0, arch="hybrid"):
+    sensors, vz = pulsatile_sensors(seed, seconds)
     cfg = make_config(architecture=arch, seed=11)
-    return rc.reservoir_features(sensors, cfg), v[:, 2], cfg
+    return rc.reservoir_features(sensors, cfg), vz, cfg
 
 
 def test_horizon_zero_matches_plain_readout():
@@ -471,7 +477,8 @@ def test_horizon_zero_matches_plain_readout():
     washout = 1000
     hm = rc.train_horizons(feats, vz, [0.0, 1.0], washout, FS)
     plain = rc.train_readout(feats, vz, washout)
-    np.testing.assert_allclose(hm.weights[0], plain.weights[0], atol=1e-12)
+    # a whole matrix is one block: horizon 0 solves train_readout's equations
+    np.testing.assert_array_equal(hm.weights[0], plain.weights[0])
 
 
 def test_periodic_data_full_period_horizon_keeps_score():
@@ -551,12 +558,16 @@ def _features_by_copies(sensors, cfg):
 
 
 def _fit_by_hstack(features, targets, horizon_samples, washout):
-    """Per-horizon weights through an hstack copy of [features, 1] each."""
+    """Per-horizon weights from explicit hstack copies of [features, 1]: the
+    Gram of the post-washout rows once, less each horizon's dropped tail rows."""
     n = features.shape[0]
+    f_aug = np.hstack([features[washout:], np.ones((n - washout, 1))])
+    gram = f_aug.T @ f_aug
     slabs = []
     for h in horizon_samples:
-        f_aug = np.hstack([features[washout:n - h], np.ones((n - h - washout, 1))])
-        slabs.append(rc._solve_readout(f_aug, targets[washout + h:]))
+        tail = np.hstack([features[n - h:], np.ones((h, 1))])
+        moment = f_aug[:n - h - washout].T @ targets[washout + h:]
+        slabs.append(rc._solve_readout(gram - tail.T @ tail, moment))
     return np.stack(slabs)
 
 
@@ -613,6 +624,75 @@ def test_training_on_reservoir_features_copies_no_feature_matrix():
     finally:
         tracemalloc.stop()
     assert peak < feats.nbytes
+
+
+# 5000 rows are three 2 048-row blocks, the last partial; 700-row blocks
+# split the washout and the horizons' dropped tails across blocks
+@pytest.mark.parametrize("block_rows", [rc.BLOCK_ROWS, 700])
+@pytest.mark.parametrize("arch", ["hybrid", "esn", "prc"])
+def test_stream_blocks_are_the_rows_of_reservoir_features(arch, block_rows, monkeypatch):
+    monkeypatch.setattr(rc, "BLOCK_ROWS", block_rows)
+    cfg = make_config(architecture=arch, seed=2)
+    sensors = random_sensors(5000, seed=21)
+    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
+    stream = rc.feature_stream(sensors, cfg, 0.05)
+    assert stream.shape == whole.shape
+    for start, stop in [(0, 5000), (1000, 5000), (4880, 5000), (10, 10)]:
+        rows = [(first, block.copy()) for first, block in stream.blocks(start, stop)]
+        assert [first for first, _ in rows] == list(range(start, stop, block_rows))
+        got = np.vstack([block for _, block in rows]) if rows else np.empty((0, whole.shape[1] + 1))
+        np.testing.assert_array_equal(got[:, :-1], whole[start:stop])
+        np.testing.assert_array_equal(got[:, -1], 1.0)
+    # without a scale both take the sensors' own
+    own = rc.feature_stream(sensors, cfg, None).blocks()
+    np.testing.assert_array_equal(np.vstack([block[:, :-1].copy() for _, block in own]),
+                                  rc.reservoir_features(sensors, cfg))
+
+
+def test_streamed_predictions_and_scores_match_the_whole_matrix():
+    sensors, vz = pulsatile_sensors(seconds=150.0)
+    cfg = make_config(seed=11)
+    feats = rc.reservoir_features(sensors, cfg)
+    stream = rc.feature_stream(sensors, cfg, None)
+    targets = np.column_stack([vz, np.roll(vz, 11), np.roll(vz, 23)])
+    model = rc.train_horizons(feats, targets, [0.0, 0.5, 1.0, 2.0], 1000, FS)
+    whole = rc.predict_horizons(model, feats)
+    streamed = rc.predict_horizons(model, stream)
+    assert list(streamed) == list(whole)
+    for h_s, p in whole.items():
+        # the same dot products; BLAS may round a short block's differently
+        np.testing.assert_allclose(streamed[h_s], p, rtol=0, atol=1e-13 * np.abs(p).max())
+    scores = rc.evaluate_horizons(model, stream, targets)
+    for h_s, score in rc.evaluate_horizons(model, feats, targets).items():
+        assert abs(scores[h_s] - score) <= 1e-12
+    # a readout fitted from the stream scores like the one fitted whole
+    from_stream = rc.train_horizons(stream, targets, model.horizons_s, 1000, FS)
+    for h_s, score in rc.evaluate_horizons(from_stream, stream, targets).items():
+        assert abs(scores[h_s] - score) <= 1e-9
+
+
+def _fit_each_horizon_alone(features, targets, horizon_samples, washout):
+    """The per-horizon solves the shared Gram replaced: each horizon's own
+    Gram over its own rows."""
+    n = features.shape[0]
+    slabs = []
+    for h in horizon_samples:
+        f_aug = np.hstack([features[washout:n - h], np.ones((n - h - washout, 1))])
+        slabs.append(rc._solve_readout(f_aug.T @ f_aug, f_aug.T @ targets[washout + h:]))
+    return np.stack(slabs)
+
+
+def test_shared_gram_scores_like_per_horizon_solves():
+    feats, vz, _ = pulsatile_features(seconds=300.0)
+    targets = np.column_stack([vz, np.roll(vz, 17)])
+    horizons = [0.0, 0.5, 1.0, 1.5, 2.0]
+    model = rc.train_horizons(feats, targets, horizons, 1000, FS)
+    alone = replace(model, weights=_fit_each_horizon_alone(feats, targets,
+                                                           model.horizon_samples, 1000))
+    np.testing.assert_array_equal(model.weights[0], alone.weights[0])
+    shared = rc.evaluate_horizons(model, feats, targets)
+    for h_s, score in rc.evaluate_horizons(alone, feats, targets).items():
+        assert abs(shared[h_s] - score) <= 1e-9
 
 
 def test_cross_predict_rejects_mismatched_layouts():

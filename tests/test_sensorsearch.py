@@ -79,9 +79,11 @@ def test_search_deterministic_across_worker_counts(monkeypatch):
         "y": np.tanh(data[:, 9]) + 0.1 * rng.normal(size=2000),
     }
     # one block per subset size, and many small blocks in flight at once
+    reports = []
     for chunk_size in (ss.CHUNK_SIZE, 7):
         monkeypatch.setattr(ss, "CHUNK_SIZE", chunk_size)
         r1 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4, n_workers=1)
+        reports.append(r1)
         for workers in (2, 8):
             r8 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4,
                                 n_workers=workers)
@@ -90,6 +92,31 @@ def test_search_deterministic_across_worker_counts(monkeypatch):
                 assert r1.best[t].r2 == r8.best[t].r2
             assert r1.tally == r8.tally and r1.stats == r8.stats
             assert r1.n_subsets == r8.n_subsets == sum(math.comb(12, k) for k in range(1, 5))
+    # and across block sizes
+    one_block, small_blocks = reports
+    assert one_block.best == small_blocks.best and one_block.tally == small_blocks.tally
+
+
+def test_pick_is_the_first_subset_near_the_overall_best_whatever_the_chunk_size(monkeypatch):
+    # three sensors y + √ε·z with z ⟂ y score R² = 1/(1 + ε): with these ε,
+    # a, b and c score M - 1.5e-9, M - 0.5e-9 and M, so b is the first
+    # subset within the 1e-9 tolerance of the best; a chunk that holds a
+    # and b but not c must not make a look like a tie with b
+    n, washout = 4000, 100
+    rng = np.random.default_rng(12)
+    post = slice(washout, None)
+    y = rng.normal(size=n)
+    y = (y - y[post].mean()) / y[post].std()
+    z = rng.normal(size=n)
+    basis = np.column_stack([np.ones(n - washout), y[post]])
+    z -= np.linalg.lstsq(basis, z[post], rcond=None)[0] @ np.vstack([np.ones(n), y])
+    z /= z[post].std()
+    eps = 1e-3 + np.array([1.5e-9, 0.5e-9, 0.0])
+    data = y[:, None] + np.sqrt(eps) * z[:, None]
+    for chunk_size in (ss.CHUNK_SIZE, 2, 1):
+        monkeypatch.setattr(ss, "CHUNK_SIZE", chunk_size)
+        report = ss.search_best(data, {"y": y}, ("a", "b", "c"), washout=washout, k_max=1)
+        assert report.best["y"].subset == ("b",), chunk_size
 
 
 def test_gram_solve_matches_direct_regression():
