@@ -6,7 +6,7 @@ Three architectures share one linear readout recipe:
 * ``prc``    : readout directly over the (multiplexed) sensor inputs,
 * ``hybrid`` : readout over both, concatenated.
 
-Temporal multiplexing (`build_mux`) augments each sensor with strided
+Temporal multiplexing (`MuxedInput`) augments each sensor with strided
 lagged copies of its recent history and rescales the block so the largest
 possible summed input magnitude is 1.  Readouts are trained by least
 squares on the post-washout samples, optionally against targets shifted
@@ -118,18 +118,19 @@ def _mux_lags(mux_horizon_s: float, stride: int, frame_rate: float) -> int:
     return span_samples // stride + 1
 
 
-@dataclass
 class MuxedInput:
-    """Sensor histories concatenated per sensor, globally rescaled."""
+    """Sensor histories concatenated per sensor, globally rescaled.
 
-    values: np.ndarray     # (n_samples, n_sensors * n_lags)
-    scale: float
-    n_lags: int
+    Column layout is sensor-major: all lags of sensor 0 (current sample
+    first), then all lags of sensor 1, and so on.  History before the
+    series start is zero (the sensors are standardized, so zero is the
+    mean).  The whole block is scaled by one scalar, by default so that
+    max_T |sum_components U(T)| equals 1 (the `shared_mux_scale` of these
+    sensors alone); pass ``scale`` to share one factor across datasets.
 
-
-class _MuxRows:
-    """`build_mux`'s rows made on demand, any row range at a time, from a
-    zero-padded copy of the sensors; ``scale`` None takes the rows' own."""
+    It holds a zero-padded copy of the scaled sensors: `fill` builds any
+    row range on demand, and ``values``, every row, is built on first read.
+    """
 
     def __init__(self, sensors, mux_horizon_s: float, stride: int, frame_rate: float,
                  scale: float | None):
@@ -144,8 +145,7 @@ class _MuxRows:
         self.padded = np.zeros((self.span + n, n_sensors))
         self.padded[self.span:] = x
         if scale is None:
-            peak = self.peak()
-            scale = 1.0 / peak if peak > 0 else 1.0
+            scale = shared_mux_scale([x], mux_horizon_s, stride, frame_rate)
         # each lag is a copy of one sample, so scaling the samples once
         # gives the rows bitwise as scaling every row would
         self.padded *= scale
@@ -153,6 +153,11 @@ class _MuxRows:
 
     def __len__(self) -> int:
         return self.padded.shape[0] - self.span
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Every row, (n_samples, n_sensors * n_lags)."""
+        return self.fill(0, len(self), np.empty((len(self), self.width)))
 
     def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Rows start..stop into ``out``, sensor-major."""
@@ -186,23 +191,11 @@ def build_mux(
     stride: int,
     frame_rate: float,
     scale: float | None = None,
-    *,
-    _out: np.ndarray | None = None,
 ) -> MuxedInput:
-    """Stack strided lagged copies of each sensor and bound the summed input.
-
-    Column layout is sensor-major: all lags of sensor 0 (current sample
-    first), then all lags of sensor 1, and so on.  History before the
-    series start is zero (the sensors are standardized, so zero is the
-    mean).  The whole block is scaled by one scalar so that
-    max_T |sum_components U(T)| equals 1; pass ``scale`` explicitly to
-    share one factor across several datasets (see `shared_mux_scale`).
-    ``_out``, an (n_samples, n_sensors * n_lags) array, receives the values.
-    """
-    rows = _MuxRows(sensors, mux_horizon_s, stride, frame_rate, scale)
-    values = np.empty((len(rows), rows.width)) if _out is None else _out
-    return MuxedInput(values=rows.fill(0, len(rows), values), scale=rows.scale,
-                      n_lags=rows.n_lags)
+    """A `MuxedInput` with its ``values`` built in this call."""
+    mux = MuxedInput(sensors, mux_horizon_s, stride, frame_rate, scale)
+    mux.values      # read here, so that the whole build is inside this call
+    return mux
 
 
 def shared_mux_scale(
@@ -218,7 +211,7 @@ def shared_mux_scale(
     models trained on one set stay applicable to the others.  Each set's
     unscaled mux is built a block at a time.
     """
-    peak = max((_MuxRows(x, mux_horizon_s, stride, frame_rate, 1.0).peak()
+    peak = max((MuxedInput(x, mux_horizon_s, stride, frame_rate, 1.0).peak()
                 for x in sensor_sets), default=0.0)
     return 1.0 / peak if peak > 0 else 1.0
 
@@ -288,17 +281,10 @@ def _draw_reservoir(seed: int, n: int, n_sensors: int, n_lags: int,
     raise SeedCollapse("recurrent draws repeatedly yielded zero spectral radius")
 
 
-def leaky_integrate(inputs: np.ndarray, leak: float) -> np.ndarray:
-    """First-order low-pass: out[t] = leak*out[t-1] + (1-leak)*in[t]."""
-    x = np.asarray(inputs, dtype=float)
-    if leak == 0.0:
-        return x.copy()
-    return _leak(x, leak, np.zeros(x.shape[1:]))
-
-
 def _leak(x: np.ndarray, leak: float, acc: np.ndarray) -> np.ndarray:
-    """`leaky_integrate`'s recursion from ``acc``, which is left holding
-    the last output, so that a series can be integrated a block at a time."""
+    """First-order low-pass out[t] = leak*out[t-1] + (1-leak)*x[t] from
+    out[-1] = ``acc``, which is left holding the last output, so that a
+    series can be integrated a block at a time."""
     out = np.empty_like(x)
     for t in range(x.shape[0]):
         acc[...] = leak * acc + (1.0 - leak) * x[t]
@@ -329,7 +315,7 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
     return math.ceil(math.log(FORGET_TOL / math.sqrt(n)) / math.log(c))
 
 
-def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray | _MuxRows, *,
+def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
             _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
@@ -340,8 +326,8 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray | _MuxRows, *,
 
     The input drive A·ũ does not depend on the state, so it is computed
     into the result buffer before stepping, one matrix product per block of
-    `BLOCK_ROWS` input rows; mux rows made on demand (`_MuxRows`) are built
-    a block at a time into one scratch block.
+    `BLOCK_ROWS` input rows; a `MuxedInput`'s rows are built on demand, a
+    block at a time into one scratch block.
     The recurrence is then stepped over K time chunks together, one
     (K, n) @ Bᵀ product per step.  Chunk 0 starts from ``state.state``;
     every later chunk starts from zero W steps before its first row, where
@@ -353,11 +339,11 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray | _MuxRows, *,
     ``_out`` is a (K·L, n) array to step in; the result is a view of its
     first T rows.
     """
-    if isinstance(inputs, _MuxRows):
+    if isinstance(inputs, MuxedInput):
         u, width = inputs, inputs.width
         scratch = np.empty((min(BLOCK_ROWS, len(inputs)), width))
     else:
-        u = _as_columns(inputs.values if isinstance(inputs, MuxedInput) else inputs)
+        u = _as_columns(inputs)
         width = u.shape[1]
     a, b = state.input_weights, state.recurrent_weights
     if width != a.shape[1]:
@@ -370,7 +356,7 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray | _MuxRows, *,
         raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
     acc = np.zeros(width)
     for start, stop in _row_blocks(0, t_len):
-        rows = (u.fill(start, stop, scratch[:stop - start]) if isinstance(u, _MuxRows)
+        rows = (u.fill(start, stop, scratch[:stop - start]) if isinstance(u, MuxedInput)
                 else u[start:stop])
         if leak != 0.0:
             rows = _leak(rows, leak, acc)
@@ -446,10 +432,11 @@ def reservoir_features(
         rows = k * length
     buf = np.empty((rows, width + 1))
     buf[:, -1] = 1.0
-    mux = build_mux(x, config.mux_horizon_s, config.mux_stride, config.frame_rate,
-                    scale=mux_scale, _out=buf[:t_len, n_states:width] if blocks.mux else None)
+    mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
+    # the reservoir reads the mux columns once they are built; without them, rows on demand
+    drive = mux.fill(0, t_len, buf[:t_len, n_states:width]) if blocks.mux else mux
     if state is not None:
-        esn_run(state, mux, _out=buf[:, :n_states])
+        esn_run(state, drive, _out=buf[:, :n_states])
     return buf[:t_len, :width]
 
 
@@ -462,7 +449,7 @@ class FeatureStream:
     the matrix `reservoir_features` returns, whose rows these equal bitwise.
     """
 
-    def __init__(self, states: np.ndarray | None, mux: _MuxRows | None, n_rows: int):
+    def __init__(self, states: np.ndarray | None, mux: MuxedInput | None, n_rows: int):
         self._states = states       # (T, n_nodes), or None without a reservoir
         self._mux = mux             # None when the readout reads no mux
         self._n_states = 0 if states is None else states.shape[1]
@@ -493,7 +480,7 @@ def feature_stream(
     by the same drive and step, and only its states are held."""
     x = _checked_sensors(sensors, config)
     blocks = ARCHITECTURES[config.architecture]
-    mux = _MuxRows(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
+    mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
     states = esn_run(esn_init(config), mux) if blocks.states else None
     return FeatureStream(states, mux if blocks.mux else None, x.shape[0])
 

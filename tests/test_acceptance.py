@@ -13,6 +13,7 @@ from scipy import stats as sp_stats
 from medusa import criticality, esp, kinematics, response, sensorsearch, synthgen
 from medusa import reservoir as rc
 from medusa.esp import EspParams
+from avalanche import gen_avalanche
 from test_sensorsearch import subset_r2
 
 FS = 60.0
@@ -93,7 +94,7 @@ def test_c04_power_law_recovery():
     worst = 0.0
     for alpha in (-1.2, -1.5, -2.0):
         for seed in range(5):
-            series, _ = synthgen.gen_avalanche(alpha, 5000, seed=seed)
+            series, _ = gen_avalanche(alpha, 5000, seed=seed)
             events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
             for kind in ("duration", "size"):
                 fit = criticality.fit_power_law_events(events, kind)

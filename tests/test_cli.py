@@ -76,6 +76,23 @@ def test_esp_grouped_conditions_emit_stats(tmp_path):
     assert len(esp_rows) == 1 + 2 * 4  # two groups x four channel sets
 
 
+def test_esp_results_do_not_depend_on_the_trial_order_within_a_group(tmp_path):
+    groups = {}
+    for label, (tau, seed) in {"t15": (1.5, 11), "t20": (2.0, 21)}.items():
+        raw = synth_trial(tmp_path, name=f"g{label}", tau=tau, seconds=40.0,
+                          trials=3, seed=seed)
+        groups[label] = [analysis_for(tmp_path, raw / f"trial_{i:03d}.csv", name=f"g{label}k{i}")
+                         for i in range(3)]
+    results = []
+    for name, orders in {"given": ((0, 1, 2), (0, 1, 2)),
+                         "permuted": ((2, 0, 1), (1, 2, 0))}.items():
+        inputs = [f"{label}=" + ",".join(str(paths[i]) for i in order)
+                  for (label, paths), order in zip(groups.items(), orders)]
+        assert run("esp", "--inputs", *inputs, "--out", tmp_path / name) == 0
+        results.append([(tmp_path / name / f).read_bytes() for f in ("esp.csv", "stats.csv")])
+    assert results[0] == results[1]
+
+
 def test_commands_do_not_mutate_inputs(tmp_path):
     raw = synth_trial(tmp_path, seconds=45.0, seed=8)
     trial_csv = raw / "trial.csv"

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from medusa import criticality, synthgen
+from medusa import criticality
 from medusa.errors import InsufficientBins, InsufficientEvents, TooShort
+from avalanche import gen_avalanche
 
 FS = 60.0
 
@@ -147,14 +148,14 @@ def test_default_threshold_is_mean_plus_half_sd():
 # ---------------------------------------------------------------------------
 
 def test_avalanche_size_exponent_recovered():
-    series, _ = synthgen.gen_avalanche(-1.5, 5000, seed=3)
+    series, _ = gen_avalanche(-1.5, 5000, seed=3)
     events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
     fit = criticality.fit_power_law_events(events, "size")
     assert fit.alpha == pytest.approx(-1.5, abs=0.15)
 
 
 def test_avalanche_duration_exponent_recovered():
-    series, _ = synthgen.gen_avalanche(-2.0, 5000, seed=4)
+    series, _ = gen_avalanche(-2.0, 5000, seed=4)
     events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
     fit = criticality.fit_power_law_events(events, "duration")
     assert fit.alpha == pytest.approx(-2.0, abs=0.15)
@@ -184,7 +185,7 @@ def test_psd_fit_scale_equivariant():
 
 
 def test_event_fit_scale_equivariant():
-    series, _ = synthgen.gen_avalanche(-1.5, 2000, seed=5)
+    series, _ = gen_avalanche(-1.5, 2000, seed=5)
     events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
     base = criticality.fit_power_law_events(events, "size")
     for c in (7.3, 0.011):
@@ -196,7 +197,7 @@ def test_event_fit_scale_equivariant():
 
 
 def test_ml_exponent_cross_check():
-    series, _ = synthgen.gen_avalanche(-1.5, 5000, seed=6)
+    series, _ = gen_avalanche(-1.5, 5000, seed=6)
     events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
     sizes = np.array([e.size for e in events])
     # continuous maximum-likelihood exponent for x >= xmin: a truncated

@@ -9,6 +9,10 @@ passes it by keyword or by position, or passes ``*args``/``**kwargs``.
 A dataclass field counts as set when a call of the class sets it that
 way, or any ``replace(...)`` call passes it by keyword or passes
 ``**kwargs``.
+
+Every public function, class and public method of src/medusa is also
+named somewhere in src/ or perfbench/ outside its own definition: code
+that only the tests use belongs in tests/.
 """
 
 from __future__ import annotations
@@ -172,3 +176,50 @@ def architecture_branches() -> list[str]:
 
 def test_only_the_architecture_table_names_an_architecture():
     assert architecture_branches() == []
+
+
+def _public_definitions():
+    """(qualified name, path, def) of every public function, class and
+    public method in src/medusa."""
+    for path in sorted((ROOT / "src" / "medusa").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield f"{path.stem}.{node.name}", path, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", path, item
+
+
+def _name_uses():
+    """name -> (path, line) of each place src/ or perfbench/ names it: as a
+    name, an attribute or an import."""
+    uses = defaultdict(list)
+    for top in ("src", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.alias):
+                    names = node.name.split(".")
+                else:
+                    continue
+                for name in names:
+                    uses[name].append((path, node.lineno))
+    return uses
+
+
+def unused_public_api() -> list[str]:
+    """Public definitions in src/medusa that src/ and perfbench/ never name
+    outside the definition itself: an API only the tests use."""
+    uses = _name_uses()
+    return [qualname for qualname, path, node in _public_definitions()
+            if not any(p != path or not node.lineno <= line <= node.end_lineno
+                       for p, line in uses[node.name])]
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    assert unused_public_api() == []

@@ -213,7 +213,7 @@ def test_activations_bounded():
 
 def test_leaky_integrator_geometric_convergence():
     u = np.ones((30, 1))
-    out = rc.leaky_integrate(u, 0.5)
+    out = rc._leak(u, 0.5, np.zeros(1))
     err = 1.0 - out[:, 0]
     np.testing.assert_allclose(err, 0.5 ** (np.arange(30) + 1), atol=1e-12)
     ratio = err[1:] / err[:-1]
@@ -225,8 +225,18 @@ def test_leak_zero_recovers_plain_update():
     mux = rc.build_mux(random_sensors(400, seed=4), 2.0, 6, FS)
     leaky = replace(state, config=make_config(leak=0.3))
     # the configured leak only pre-integrates the input; leak 0 steps it as given
-    np.testing.assert_array_equal(rc.esn_run(leaky, mux),
-                                  rc.esn_run(state, rc.leaky_integrate(mux.values, 0.3)))
+    integrated = rc._leak(mux.values, 0.3, np.zeros(mux.width))
+    np.testing.assert_array_equal(rc.esn_run(leaky, mux), rc.esn_run(state, integrated))
+
+
+@pytest.mark.parametrize("leak", [0.0, 0.3])
+def test_esn_run_on_mux_rows_on_demand_equals_the_whole_mux(leak):
+    state = rc.esn_init(make_config(leak=leak))
+    # one row past a block: the last block holds a single row
+    mux = rc.MuxedInput(random_sensors(rc.BLOCK_ROWS + 1, seed=13), 2.0, 6, FS, None)
+    on_demand = rc.esn_run(state, mux)
+    assert "values" not in vars(mux)        # no whole mux was built
+    np.testing.assert_array_equal(on_demand, rc.esn_run(state, mux.values))
 
 
 def _esn_run_stepwise(state, u, leak):
@@ -322,7 +332,11 @@ def test_leaky_integrate_matches_inline_recurrence():
     for t in range(u.shape[0]):
         u_tilde = 0.3 * u_tilde + (1.0 - 0.3) * u[t]
         expected[t] = u_tilde
-    np.testing.assert_array_equal(rc.leaky_integrate(u, 0.3), expected)
+    # two blocks, the second carrying on from the first's last output
+    acc = np.zeros(u.shape[1])
+    got = np.vstack([rc._leak(u[:200], 0.3, acc), rc._leak(u[200:], 0.3, acc)])
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(acc, expected[-1])
 
 
 def test_non_finite_rows_raise_invalid_frames():

@@ -16,6 +16,7 @@ from medusa import reservoir as rc
 from medusa.criticality import PulseEvent
 from medusa.errors import MedusaError
 from medusa.series import runs, time_chunks
+from avalanche import gen_avalanche
 
 # ---------------------------------------------------------------------------
 # the old expressions
@@ -245,7 +246,7 @@ def test_pulses_and_onsets_equal_the_old_implementations(name):
 
 def test_pulses_equal_the_old_implementation_on_avalanches():
     for kernel in ("rect", "cosine"):
-        series, _ = synthgen.gen_avalanche(-1.6, 200, kernel=kernel, seed=5)
+        series, _ = gen_avalanche(-1.6, 200, kernel=kernel, seed=5)
         for threshold in (None, 0.0, 0.3):
             np.testing.assert_array_equal(
                 event_table(criticality.extract_pulses(series, 60.0, threshold=threshold)),

@@ -3,6 +3,7 @@ import pytest
 
 from medusa import criticality, kinematics, synthgen
 from medusa.errors import PeriodTooShort
+from avalanche import gen_avalanche
 
 FS = 60.0
 
@@ -127,7 +128,7 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_avalanche_truth_aligns_with_extraction():
-    series, truth = synthgen.gen_avalanche(-1.5, 300, seed=8)
+    series, truth = gen_avalanche(-1.5, 300, seed=8)
     events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
     assert len(events) == len(truth) - 1
     for extracted, true in zip(events, truth):
@@ -135,20 +136,20 @@ def test_avalanche_truth_aligns_with_extraction():
 
 
 def test_avalanche_empty():
-    series, truth = synthgen.gen_avalanche(-1.5, 0, seed=0)
+    series, truth = gen_avalanche(-1.5, 0, seed=0)
     assert truth == []
     assert criticality.extract_pulses(series, FS, threshold=0.5) == []
 
 
 def test_avalanche_sizes_proportional_to_durations():
-    _, truth = synthgen.gen_avalanche(-2.0, 500, seed=9, amplitude=2.0)
+    _, truth = gen_avalanche(-2.0, 500, seed=9, amplitude=2.0)
     durations = np.array([e.duration_s for e in truth])
     sizes = np.array([e.size for e in truth])
     np.testing.assert_allclose(sizes, 2.0 * durations, rtol=1e-12)
 
 
 def test_avalanche_sizes_within_range():
-    _, truth = synthgen.gen_avalanche(-1.2, 2000, seed=10, size_range=(0.5, 50.0))
+    _, truth = gen_avalanche(-1.2, 2000, seed=10, size_range=(0.5, 50.0))
     sizes = np.array([e.size for e in truth])
     assert sizes.min() >= 0.5 - 1.0 / FS
     assert sizes.max() <= 50.0 + 1.0 / FS
@@ -156,10 +157,10 @@ def test_avalanche_sizes_within_range():
 
 def test_avalanche_validates_exponent():
     with pytest.raises(ValueError):
-        synthgen.gen_avalanche(-0.5, 100)
+        gen_avalanche(-0.5, 100)
 
 
 def test_avalanche_cosine_kernel_runs():
-    series, truth = synthgen.gen_avalanche(-1.5, 200, kernel="cosine", seed=11)
+    series, truth = gen_avalanche(-1.5, 200, kernel="cosine", seed=11)
     events = criticality.extract_pulses(series, threshold=0.5, frame_rate=FS)
     assert len(events) == len(truth) - 1
