@@ -130,10 +130,12 @@ class AnalysisTable:
         return runs(self.column("stim") > 0)[0]
 
 
-def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> np.ndarray:
-    """Filter each contiguous run of valid rows, all columns in one call;
-    short runs pass through."""
-    out = x.copy()
+def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """Filter each contiguous run of valid rows, all channels in one call,
+    into ``out``: a copy of ``x`` by default, or ``x`` itself to filter in
+    place.  Short runs pass through."""
+    out = x.copy() if out is None else out
     for start, stop in zip(*runs(valid)):
         try:
             out[start:stop] = kinematics.lowpass_3hz(x[start:stop], fs)
@@ -204,11 +206,13 @@ def cmd_ingest(args, run: Run) -> None:
     meta = ingest.read_sidecar(run.input(f"{prefix}.json"), ingest.DEFAULT_FRAME_RATE)
     frame_rate = meta.pop("frame_rate")     # the views carry it into the trial
 
-    views = {
-        name: ingest.rectify_view(ingest.read_view_csv(paths[name], name, frame_rate))
-        for name in ingest.VIEW_NAMES
-    }
-    led = views["top"].led[:, 0].copy()
+    views = {}
+    for name in ingest.VIEW_NAMES:   # one whole view at a time: the others are reduced
+        view = ingest.rectify_view(ingest.read_view_csv(paths[name], name, frame_rate))
+        if name == "top":
+            led = view.led[:, 0].copy()
+        views[name] = view.markers_only()
+        del view
     trial = ingest.assemble_3d(views["top"], views["behind"], views["right"], **meta)
     del views   # the trial and its LED column are all the write reads
     if trial.condition == "stimulated":
@@ -227,10 +231,8 @@ def cmd_kinematics(args, run: Run) -> None:
     trial = ingest.read_trial_csv(run.table(args.input))
     fs = trial.frame_rate
 
-    if not args.no_filter:     # the unfiltered positions go with the old trial
-        filtered = _lowpass_valid_segments(trial.positions.reshape(trial.n_frames, -1),
-                                           trial.valid_mask, fs)
-        trial = replace(trial, positions=filtered.reshape(trial.n_frames, 8, 3))
+    if not args.no_filter:     # in place: the unfiltered positions have no later reader
+        _lowpass_valid_segments(trial.positions, trial.valid_mask, fs, out=trial.positions)
 
     lengths = kinematics.pairwise_lengths(trial)
     pose = kinematics.body_frame(trial)

@@ -61,26 +61,32 @@ TANK_MM = 150.0
 RECT_CORNERS = np.array([[0.0, 0.0], [TANK_MM, 0.0], [TANK_MM, TANK_MM], [0.0, TANK_MM]])
 RECT_CORNERS.flags.writeable = False
 CONFIDENCE_THRESHOLD = 0.6
+HOMOGRAPHY_BLOCK = 16_384   # points per product in `apply_homography`
 DEFAULT_FRAME_RATE = 60.0
 
 
 @dataclass
 class RawViewSeries:
-    """Per-frame 2D point estimates for one camera view."""
+    """Per-frame 2D point estimates for one camera view.
+
+    `markers_only` drops the corners and LED columns (None) once they have
+    been read, and keeps of the marker confidences whether each is at the
+    threshold.
+    """
 
     view: str
-    corners: np.ndarray        # (n, 4, 2)
-    corners_conf: np.ndarray   # (n, 4)
-    markers: np.ndarray        # (n, 8, 2)
-    markers_conf: np.ndarray   # (n, 8)
-    led: np.ndarray            # (n, 2) intensities, columns (on, off)
+    corners: np.ndarray | None         # (n, 4, 2)
+    corners_conf: np.ndarray | None    # (n, 4)
+    markers: np.ndarray                # (n, 8, 2)
+    markers_conf: np.ndarray           # (n, 8)
+    led: np.ndarray | None             # (n, 2) intensities, columns (on, off)
     frame_rate: float
     rectified: bool = False
 
     def __post_init__(self):
         if self.view not in VIEW_NAMES:
             raise ValueError(f"unknown view {self.view!r}, expected one of {VIEW_NAMES}")
-        n = self.corners.shape[0]
+        n = self.markers.shape[0]
         for name, arr, shape in (
             ("corners", self.corners, (n, 4, 2)),
             ("corners_conf", self.corners_conf, (n, 4)),
@@ -88,12 +94,19 @@ class RawViewSeries:
             ("markers_conf", self.markers_conf, (n, 8)),
             ("led", self.led, (n, 2)),
         ):
-            if arr.shape != shape:
+            if arr is not None and arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
 
     @property
     def n_frames(self) -> int:
-        return self.corners.shape[0]
+        return self.markers.shape[0]
+
+    def markers_only(self) -> RawViewSeries:
+        """The view reduced to what `assemble_3d` reads: the markers, and
+        for their confidences whether each is at least
+        ``CONFIDENCE_THRESHOLD`` (a bool is compared as 0 or 1)."""
+        return replace(self, corners=None, corners_conf=None, led=None,
+                       markers_conf=self.markers_conf >= CONFIDENCE_THRESHOLD)
 
 
 @dataclass
@@ -171,11 +184,21 @@ def solve_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
 
 def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Apply a 3x3 projective transform to (..., 2) points."""
+    """Apply a 3x3 projective transform to (..., 2) points.
+
+    The points are mapped in equal blocks of at most `HOMOGRAPHY_BLOCK`,
+    which bounds the product's scratch.  A block holds one point only when
+    there is one in all: a one-row product is a vector product, which can
+    round differently from a row of a matrix product.
+    """
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
-    hom = np.column_stack([flat, np.ones(len(flat))]) @ h.T
-    out = hom[:, :2] / hom[:, 2:3]
+    out = np.empty_like(flat)
+    n_blocks = max(1, -(-len(flat) // HOMOGRAPHY_BLOCK))
+    bounds = [len(flat) * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        hom = np.column_stack([flat[lo:hi], np.ones(hi - lo)]) @ h.T
+        np.divide(hom[:, :2], hom[:, 2:3], out=out[lo:hi])
     return out.reshape(pts.shape)
 
 

@@ -20,6 +20,7 @@ INNER_IDX = tuple(_IDX[m] for m in INNER_MARKERS)
 OUTER_IDX = tuple(_IDX[m] for m in OUTER_MARKERS)
 
 PAIR_INDICES: tuple[tuple[int, int], ...] = tuple(itertools.combinations(range(8), 2))
+FRAME_BLOCK = 4_096     # frames per block of the length and body-frame passes
 
 
 def pair_name(a: str, b: str) -> str:
@@ -103,22 +104,25 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def pairwise_lengths(trial: TrialRecording) -> LengthSeries:
     """Euclidean distances for all 28 unordered marker pairs, per frame.
 
-    Computed on coordinate planes and bitwise equal to
-    ``np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)`` per pair;
-    ``values`` is a column-major (n, 28) array.
+    Computed on coordinate planes, `FRAME_BLOCK` frames at a time, and
+    bitwise equal to ``np.linalg.norm(pos[:, i] - pos[:, j], axis=-1)`` per
+    pair; ``values`` is a column-major (n, 28) array.
     """
-    planes = _planes(trial.positions)
-    lengths = np.empty((len(PAIR_INDICES), planes.shape[2]))
-    scratch = np.empty_like(lengths)
-    for axis, plane in enumerate(planes):   # summed as (x² + y²) + z²
-        sq = lengths if axis == 0 else scratch
-        k = 0
-        for i in range(7):      # the pairs (i, i+1..7), in PAIR_INDICES order
-            np.subtract(plane[i:i + 1], plane[i + 1:], out=sq[k:k + 7 - i])
-            k += 7 - i
-        np.multiply(sq, sq, out=sq)
-        if axis:
-            lengths += scratch
+    n = trial.n_frames
+    lengths = np.empty((len(PAIR_INDICES), n))
+    scratch = np.empty((len(PAIR_INDICES), min(FRAME_BLOCK, n)))
+    for lo in range(0, n, FRAME_BLOCK):
+        hi = min(lo + FRAME_BLOCK, n)
+        block = lengths[:, lo:hi]
+        for axis, plane in enumerate(_planes(trial.positions[lo:hi])):   # (x² + y²) + z²
+            sq = block if axis == 0 else scratch[:, :hi - lo]
+            k = 0
+            for i in range(7):      # the pairs (i, i+1..7), in PAIR_INDICES order
+                np.subtract(plane[i:i + 1], plane[i + 1:], out=sq[k:k + 7 - i])
+                k += 7 - i
+            np.multiply(sq, sq, out=sq)
+            if axis:
+                block += sq
     np.sqrt(lengths, out=lengths)
     return LengthSeries(names=PAIR_NAMES, values=lengths.T, frame_rate=trial.frame_rate)
 
@@ -194,6 +198,15 @@ def _second_moment_rank2(ring: np.ndarray, center: np.ndarray) -> np.ndarray:
     return rank2
 
 
+# each degeneracy body_frame can find on a valid frame, in the order it checks them
+_DEGENERACIES = {
+    "inner": "inner ring markers are collinear on a valid frame",
+    "outer": "outer ring markers are collinear on a valid frame",
+    "axis": "ring centers coincide; body axis undefined",
+    "segment": "Y2->O2 segment is parallel to the body axis",
+}
+
+
 def body_frame(trial: TrialRecording) -> BodyFrameSeries:
     """Compute COM, ring radii and the aligned body frame per frame.
 
@@ -204,52 +217,60 @@ def body_frame(trial: TrialRecording) -> BodyFrameSeries:
 
     Raises DegenerateRing when a ring's markers are collinear (checked on
     valid frames only).  Every step runs on coordinate planes in the order
-    of the numpy reduction it stands for (ring means, norms, np.cross).
+    of the numpy reduction it stands for (ring means, norms, np.cross), one
+    block of `FRAME_BLOCK` valid frames at a time; each step is per frame.
     """
     pos = trial.positions
     n = trial.n_frames
-    valid = trial.valid_mask
     com = np.full((n, 3), np.nan)
     inner_r = np.full(n, np.nan)
     outer_r = np.full(n, np.nan)
     euler = np.full((n, 3), np.nan)
     rot = np.full((n, 3, 3), np.nan)
 
-    idx = np.flatnonzero(valid)
-    if idx.size:
-        planes = _planes(pos[idx] if idx.size < n else pos)
-        inner = planes[:, INNER_IDX]
-        outer = planes[:, OUTER_IDX]
-        c = inner.mean(axis=1)
-        outer_center = outer.mean(axis=1)
-        if not np.all(_second_moment_rank2(inner, c)):
-            raise DegenerateRing("inner ring markers are collinear on a valid frame")
-        if not np.all(_second_moment_rank2(outer, outer_center)):
-            raise DegenerateRing("outer ring markers are collinear on a valid frame")
+    valid = np.flatnonzero(trial.valid_mask)
+    # the degeneracies seen, raised after the pass in the order a check of
+    # every frame at once makes; a degenerate frame's divisions are ignored
+    found = set()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, valid.size, FRAME_BLOCK):
+            idx = valid[lo:lo + FRAME_BLOCK]
+            planes = _planes(pos[idx])
+            inner = planes[:, INNER_IDX]
+            outer = planes[:, OUTER_IDX]
+            c = inner.mean(axis=1)
+            outer_center = outer.mean(axis=1)
+            if not np.all(_second_moment_rank2(inner, c)):
+                found.add("inner")
+            if not np.all(_second_moment_rank2(outer, outer_center)):
+                found.add("outer")
 
-        axis = c - outer_center
-        axis_norm = _norm(axis)
-        if np.any(axis_norm < 1e-12):
-            raise DegenerateRing("ring centers coincide; body axis undefined")
-        e_z = axis / axis_norm
+            axis = c - outer_center
+            axis_norm = _norm(axis)
+            if np.any(axis_norm < 1e-12):
+                found.add("axis")
+            e_z = axis / axis_norm
 
-        d = planes[:, _IDX["O2"]] - planes[:, _IDX["Y2"]]
-        d_perp = d - _dot(d, e_z) * e_z
-        d_norm = _norm(d_perp)
-        if np.any(d_norm < 1e-12):
-            raise DegenerateRing("Y2->O2 segment is parallel to the body axis")
-        e_x = d_perp / d_norm
-        # np.cross(e_z, e_x)
-        e_y = np.stack([e_z[1] * e_x[2] - e_z[2] * e_x[1],
-                        e_z[2] * e_x[0] - e_z[0] * e_x[2],
-                        e_z[0] * e_x[1] - e_z[1] * e_x[0]])
+            d = planes[:, _IDX["O2"]] - planes[:, _IDX["Y2"]]
+            d_perp = d - _dot(d, e_z) * e_z
+            d_norm = _norm(d_perp)
+            if np.any(d_norm < 1e-12):
+                found.add("segment")
+            e_x = d_perp / d_norm
+            # np.cross(e_z, e_x)
+            e_y = np.stack([e_z[1] * e_x[2] - e_z[2] * e_x[1],
+                            e_z[2] * e_x[0] - e_z[0] * e_x[2],
+                            e_z[0] * e_x[1] - e_z[1] * e_x[0]])
 
-        r_wb = np.stack([e_x, e_y, e_z])  # (body axis, world coordinate, frame)
-        com[idx] = c.T
-        inner_r[idx] = _norm(inner - c[:, None]).mean(axis=0)
-        outer_r[idx] = _norm(outer - c[:, None]).mean(axis=0)
-        rot[idx] = r_wb.transpose(2, 0, 1)
-        euler[idx] = matrix_to_euler_zyz(r_wb.transpose(2, 1, 0))
+            r_wb = np.stack([e_x, e_y, e_z])  # (body axis, world coordinate, frame)
+            com[idx] = c.T
+            inner_r[idx] = _norm(inner - c[:, None]).mean(axis=0)
+            outer_r[idx] = _norm(outer - c[:, None]).mean(axis=0)
+            rot[idx] = r_wb.transpose(2, 0, 1)
+            euler[idx] = matrix_to_euler_zyz(r_wb.transpose(2, 1, 0))
+    for kind, message in _DEGENERACIES.items():
+        if kind in found:
+            raise DegenerateRing(message)
 
     return BodyFrameSeries(
         com=com,
@@ -388,7 +409,8 @@ def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, state: np.ndarray,
         chunks[q, :r] = x[q * length:]
         chunks[q, r:] = 0.0
         chunks[q + 1:] = 0.0
-    yt = np.empty_like(xt)
+    # chunk-major output (k, length, c): its first n rows are the result
+    yt = np.empty((k, length, c))
     z = np.zeros((2, k, c))
     z[:, 0] = state
     tmp, scratch = np.empty((k, c)), np.empty((k - 1, c))
@@ -397,21 +419,21 @@ def _df2t(b: np.ndarray, a: np.ndarray, x: np.ndarray, state: np.ndarray,
         _df2t_step(xt[j, :-1], z[:, 1:], scratch, tmp[1:], b, a)
     starts = z.copy()
     for j in range(length):
-        _df2t_step(xt[j], z, yt[j], tmp, b, a)
+        _df2t_step(xt[j], z, yt[:, j], tmp, b, a)
     # z holds each chunk's end state; chunk i's rows are sequential once its
     # start agrees with chunk i-1's end state and that chunk is sequential
     while k > 1 and not np.array_equal(starts[:, 1:], z[:, :-1], equal_nan=True):
         exact, first = z[:, :-1].copy(), starts[:, 1:].copy()
         starts[:, 1:] = exact
         for j in range(length):
-            _df2t_step(xt[j, 1:], exact, yt[j, 1:], tmp[1:], b, a)
+            _df2t_step(xt[j, 1:], exact, yt[1:, j], tmp[1:], b, a)
             _df2t_step(xt[j, 1:], first, scratch, tmp[1:], b, a)
             if np.array_equal(exact, first):
                 break
         else:
             # some chunk never agreed, so its end state changed: check again
             z[:, 1:] = exact
-    return yt.transpose(1, 0, 2).reshape(k * length, c)[:n]
+    return yt.reshape(k * length, c)[:n]
 
 
 def lowpass_3hz(series: np.ndarray, frame_rate: float) -> np.ndarray:
@@ -442,6 +464,7 @@ def lowpass_3hz(series: np.ndarray, frame_rate: float) -> np.ndarray:
     zi = np.linalg.solve(np.eye(2) - step, b[1:] - a[1:] * b[0])
     warmup = _forgetting_steps(step)
     y = _df2t(b, a, ext, np.outer(zi, ext[0]), warmup)
+    del ext     # the backward pass reads the forward one alone
     y = _df2t(b, a, y[::-1], np.outer(zi, y[-1]), warmup)[::-1]
     return y[padlen:-padlen].reshape(x.shape)
 
@@ -459,4 +482,6 @@ def standardize(series: np.ndarray) -> np.ndarray:
     sd = ref.std(axis=0)
     if np.any(sd == 0):
         raise ZeroVariance("cannot standardize a constant channel")
-    return (x - mean) / sd
+    out = x - mean
+    out /= sd   # in place: the same division without a second copy
+    return out

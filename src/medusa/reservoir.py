@@ -44,6 +44,10 @@ AGGREGATE_WASHOUT_SAMPLES = 10_000
 PULSATILE_WASHOUT_SAMPLES = 1_000
 PULSE_REFRACTORY_S = 0.5
 BLOCK_ROWS = 2_048      # feature rows per streamed block; bounds a block's memory
+GROUP_BLOCKS = 4        # a stream steps about this many blocks' rows of states at once,
+# and at least this many time chunks: a product of 1 or 2 state rows by Bᵀ can
+# round differently from the same rows of the product over all K chunks
+MIN_GROUP_CHUNKS = 4
 
 _BLOB_MAGIC = b"MDS1"
 _BLOB_HEADER = struct.Struct("<4sBIIIff")
@@ -315,6 +319,103 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
     return math.ceil(math.log(FORGET_TOL / math.sqrt(n)) / math.log(c))
 
 
+class _Drive:
+    """The reservoir drive A·ũ of one input, any row range on demand.
+
+    Row r comes from one product over its block of the `BLOCK_ROWS` grid
+    from row 0, whose last block ends at the last input row, whatever range
+    asks for it: a product over a block of another shape can round row r
+    differently.  A `MuxedInput`'s rows are built a block at a time into
+    one scratch block.  With a leak, ũ is the leaked input, and the leak's
+    state before each block passed is kept, so that a later range can
+    start mid-series.
+    """
+
+    def __init__(self, u, a: np.ndarray, leak: float):
+        self._u, self._a, self._leak = u, a, leak
+        self._inputs = (np.empty((min(BLOCK_ROWS, len(u)), u.width))
+                        if isinstance(u, MuxedInput) else None)
+        self._product = None    # for a block that straddles a range's ends
+        self._accs = {0: np.zeros(a.shape[1])}  # block first row -> leak state
+
+    def _rows(self, start: int, stop: int) -> np.ndarray:
+        if self._inputs is None:
+            return self._u[start:stop]
+        return self._u.fill(start, stop, self._inputs[:stop - start])
+
+    def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
+        """Drive rows start..stop into ``out``."""
+        first = start - start % BLOCK_ROWS
+        acc = None
+        if self._leak != 0.0:
+            known = max(row for row in self._accs if row <= first)
+            acc = self._accs[known].copy()
+            for s, e in _row_blocks(known, first):     # the leak alone up to ``first``
+                _leak(self._rows(s, e), self._leak, acc)
+                self._accs[e] = acc.copy()
+        for s, e in _row_blocks(first, len(self._u)):
+            if s >= stop:
+                break
+            rows = self._rows(s, e)
+            if acc is not None:
+                rows = _leak(rows, self._leak, acc)
+                self._accs[e] = acc.copy()
+            lo, hi = max(s, start), min(e, stop)
+            if (lo, hi) == (s, e):
+                np.matmul(rows, self._a.T, out=out[s - start:e - start])
+                continue
+            if self._product is None:
+                self._product = np.empty((min(BLOCK_ROWS, len(self._u)), self._a.shape[0]))
+            product = np.matmul(rows, self._a.T, out=self._product[:e - s])
+            out[lo - start:hi - start] = product[lo - s:hi - s]
+        return out
+
+
+def _step_chunks(chunks: np.ndarray, x: np.ndarray, bt: np.ndarray, w: int,
+                 before: np.ndarray | None) -> None:
+    """Step the recurrence over G time chunks together, in place.
+
+    ``chunks`` (G, L, n) holds each chunk's drive rows and is left holding
+    its states; ``x`` (G, n) holds the start states and is left holding the
+    last ones.  Every chunk but the
+    first warms up from its start state over the last ``w`` drive rows of
+    the chunk before it; so does the first when ``before`` gives those
+    rows (w, n), and otherwise it starts from ``x[0]`` as given.  One
+    (G, n) @ Bᵀ product per step: its rows round as in the product over
+    all K chunks when G >= `MIN_GROUP_CHUNKS`.
+    """
+    length = chunks.shape[1]
+    lead = 0 if before is None else 1
+    product = np.empty_like(x)
+    # warm-up reads chunk i-1's last w drive rows before the main loop
+    # overwrites them with states
+    warm = x[1 - lead:]
+    pre = product[1 - lead:]
+    for i, j in enumerate(range(length - w, length)):
+        np.matmul(warm, bt, out=pre)
+        pre[lead:] += chunks[:-1, j]
+        if lead:
+            pre[0] += before[i]
+        np.tanh(pre, out=warm)
+    # the states step in ``x``, contiguous, and are copied into their rows
+    for j in range(length):
+        row = chunks[:, j]
+        np.matmul(x, bt, out=product)
+        product += row
+        np.tanh(product, out=x)
+        row[...] = x
+
+
+def _chunk_groups(k: int, length: int) -> list[tuple[int, int]]:
+    """Chunks 0..k as consecutive groups (first, stop) of at least
+    `MIN_GROUP_CHUNKS` chunks, about `GROUP_BLOCKS` · `BLOCK_ROWS` rows each;
+    one group when ``k`` is too small to split."""
+    per = max(MIN_GROUP_CHUNKS, GROUP_BLOCKS * BLOCK_ROWS // length)
+    n = max(1, k // per)
+    bounds = [k * i // n for i in range(n + 1)]     # sizes differ by at most one
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
             _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
@@ -325,59 +426,34 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
     is not mutated.
 
     The input drive A·ũ does not depend on the state, so it is computed
-    into the result buffer before stepping, one matrix product per block of
-    `BLOCK_ROWS` input rows; a `MuxedInput`'s rows are built on demand, a
-    block at a time into one scratch block.
+    into the result buffer before stepping (`_Drive`).
     The recurrence is then stepped over K time chunks together, one
-    (K, n) @ Bᵀ product per step.  Chunk 0 starts from ``state.state``;
-    every later chunk starts from zero W steps before its first row, where
-    W is the reservoir's forgetting bound (`_forgetting_steps`), so its
-    states agree with a single sequential pass to rounding.  K, L and W
-    come from `series.time_chunks`; every chunk is longer than W, so each
-    warm-up starts from a tanh output (inside the √n bound).
+    (K, n) @ Bᵀ product per step (`_step_chunks`).  Chunk 0 starts from
+    ``state.state``; every later chunk starts from zero W steps before its
+    first row, where W is the reservoir's forgetting bound
+    (`_forgetting_steps`), so its states agree with a single sequential
+    pass to rounding.  K, L and W come from `series.time_chunks`; every
+    chunk is longer than W, so each warm-up starts from a tanh output
+    (inside the √n bound).
 
     ``_out`` is a (K·L, n) array to step in; the result is a view of its
     first T rows.
     """
-    if isinstance(inputs, MuxedInput):
-        u, width = inputs, inputs.width
-        scratch = np.empty((min(BLOCK_ROWS, len(inputs)), width))
-    else:
-        u = _as_columns(inputs)
-        width = u.shape[1]
+    u = inputs if isinstance(inputs, MuxedInput) else _as_columns(inputs)
+    width = u.width if isinstance(u, MuxedInput) else u.shape[1]
     a, b = state.input_weights, state.recurrent_weights
     if width != a.shape[1]:
         raise ValueError(f"input width {width} does not match weights {a.shape[1]}")
-    leak = state.config.leak
     t_len, n = len(u), a.shape[0]
     k, length, w = time_chunks(t_len, _forgetting_steps(b))
     traj = np.empty((k * length, n)) if _out is None else _out
     if traj.shape != (k * length, n):
         raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
-    acc = np.zeros(width)
-    for start, stop in _row_blocks(0, t_len):
-        rows = (u.fill(start, stop, scratch[:stop - start]) if isinstance(u, MuxedInput)
-                else u[start:stop])
-        if leak != 0.0:
-            rows = _leak(rows, leak, acc)
-        np.matmul(rows, a.T, out=traj[start:stop])
+    _Drive(u, a, state.config.leak).fill(0, t_len, traj[:t_len])
     traj[t_len:] = 0.0
-    chunks = traj.reshape(k, length, n)
-    bt = np.ascontiguousarray(b.T)
     x = np.zeros((k, n))
     x[0] = state.state
-    # warm-up reads chunk i-1's last w drive rows before the main loop
-    # overwrites them with states
-    warm = x[1:]
-    for j in range(length - w, length):
-        pre = warm @ bt
-        pre += chunks[:-1, j]
-        np.tanh(pre, out=warm)
-    for j in range(length):
-        row = chunks[:, j]
-        row += x @ bt
-        np.tanh(row, out=row)
-        x = row
+    _step_chunks(traj.reshape(k, length, n), x, np.ascontiguousarray(b.T), w, None)
     return traj[:t_len]
 
 
@@ -443,17 +519,25 @@ def reservoir_features(
 class FeatureStream:
     """The [states | mux | 1] rows of one recording, a block at a time.
 
-    It holds the reservoir states and a zero-padded copy of the scaled
-    sensors, not the feature matrix: `blocks` copies each block's states
-    and builds its mux rows into one buffer.  ``shape`` is the (T, d) of
-    the matrix `reservoir_features` returns, whose rows these equal bitwise.
+    It holds a `MuxedInput` (a zero-padded copy of the scaled sensors), not
+    the states or the feature matrix.  Each read steps the reservoir anew,
+    a group of `esn_run`'s K time chunks at a time (`_chunk_groups`) into
+    one buffer: a group's chunks warm up from the chunk before them as
+    `esn_run`'s do, and its drive rows come from the same products
+    (`_Drive`), so its states are `esn_run`'s bitwise.  `blocks` copies
+    each block's states and builds its mux rows into one buffer.
+    ``shape`` is the (T, d) of the matrix `reservoir_features` returns,
+    whose rows these equal bitwise.
     """
 
-    def __init__(self, states: np.ndarray | None, mux: MuxedInput | None, n_rows: int):
-        self._states = states       # (T, n_nodes), or None without a reservoir
-        self._mux = mux             # None when the readout reads no mux
-        self._n_states = 0 if states is None else states.shape[1]
-        self.shape = (n_rows, self._n_states + (0 if mux is None else mux.width))
+    def __init__(self, mux: MuxedInput, state: EsnState | None, reads_mux: bool):
+        self._mux = mux
+        self._state = state         # None without a reservoir
+        self._reads_mux = reads_mux
+        self._n_states = 0 if state is None else state.input_weights.shape[0]
+        self.shape = (len(mux), self._n_states + (mux.width if reads_mux else 0))
+        if state is not None:   # its scratch and leak states serve every read
+            self._drive = _Drive(mux, state.input_weights, state.config.leak)
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """(first row, [features | 1] rows) over rows start..stop, `BLOCK_ROWS`
@@ -462,13 +546,45 @@ class FeatureStream:
         n_states, width = self._n_states, self.shape[1]
         buf = np.empty((min(BLOCK_ROWS, stop - start), width + 1))
         buf[:, -1] = 1.0
+        groups = self._state_groups(start, stop) if n_states else None
+        group_first, states = start, buf[:0]
         for first, last in _row_blocks(start, stop):
             block = buf[:last - first]
-            if self._states is not None:
-                block[:, :n_states] = self._states[first:last]
-            if self._mux is not None:
+            row = first
+            while groups is not None and row < last:   # a block can span two groups
+                if row == group_first + len(states):
+                    group_first, states = next(groups)
+                take = min(last, group_first + len(states)) - row
+                block[row - first:row - first + take, :n_states] = \
+                    states[row - group_first:row - group_first + take]
+                row += take
+            if self._reads_mux:
                 self._mux.fill(first, last, block[:, n_states:width])
             yield first, block
+
+    def _state_groups(self, start: int, stop: int):
+        """(first row, states) of each chunk group that holds rows of
+        start..stop, stepped in turn into one buffer."""
+        a, b = self._state.input_weights, self._state.recurrent_weights
+        t_len, n = self.shape[0], a.shape[0]
+        k, length, w = time_chunks(t_len, _forgetting_steps(b))
+        groups = [(g0, g1) for g0, g1 in _chunk_groups(k, length)
+                  if g0 * length < stop and start < g1 * length]
+        # rows base..base+w are the warm-up drive of the group's first chunk
+        buf = np.empty((w + max(g1 - g0 for g0, g1 in groups) * length, n))
+        bt = np.ascontiguousarray(b.T)
+        for g0, g1 in groups:
+            base, end = g0 * length - w, min(g1 * length, t_len)
+            rows = buf[:w + (g1 - g0) * length]
+            lo = max(base, 0)
+            self._drive.fill(lo, end, rows[lo - base:end - base])
+            rows[end - base:] = 0.0
+            x = np.zeros((g1 - g0, n))
+            if g0 == 0:
+                x[0] = self._state.state
+            _step_chunks(rows[w:].reshape(g1 - g0, length, n), x, bt, w,
+                         rows[:w] if g0 else None)
+            yield g0 * length, rows[w:end - base]
 
 
 def feature_stream(
@@ -476,13 +592,12 @@ def feature_stream(
     config: ReservoirConfig,
     mux_scale: float | None,
 ) -> FeatureStream:
-    """`reservoir_features` as a `FeatureStream`: the reservoir is run once,
-    by the same drive and step, and only its states are held."""
+    """`reservoir_features` as a `FeatureStream`, which holds the scaled
+    sensors and steps the reservoir on every read."""
     x = _checked_sensors(sensors, config)
     blocks = ARCHITECTURES[config.architecture]
     mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
-    states = esn_run(esn_init(config), mux) if blocks.states else None
-    return FeatureStream(states, mux if blocks.mux else None, x.shape[0])
+    return FeatureStream(mux, esn_init(config) if blocks.states else None, blocks.mux)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +723,9 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
             )
     gram = None     # there is at least one post-washout row
     moments = np.zeros((len(shifts), d_aug, y.shape[1]))
+    # the last rows, kept as the pass goes by for the horizons' dropped tails
+    kept = max(shifts)
+    tail = np.empty((kept, d_aug))
     for start, block in _biased_blocks(features, washout, n):
         if gram is None:
             gram = block.T @ block
@@ -617,11 +735,19 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
             rows = min(block.shape[0], n - h - start)
             if rows > 0:
                 moment += block[:rows].T @ y[start + h:start + h + rows]
+        lo = max(start, n - kept)
+        if lo < start + block.shape[0]:
+            tail[lo - n + kept:start + block.shape[0] - n + kept] = block[lo - start:]
     for i, (w, moment, h) in enumerate(zip(model.weights, moments, shifts)):
         # the solve adds the ridge in place: the last horizon takes G₀ itself
         gram_h = gram if i == len(shifts) - 1 else gram.copy()
-        for _, tail in _biased_blocks(features, n - h, n):
-            gram_h -= tail.T @ tail
+        # the dropped rows in the blocks a read of them gives: a stream's blocks
+        # from n - h, or one block of a whole matrix
+        ranges = (_row_blocks(n - h, n) if isinstance(features, FeatureStream)
+                  else [(n - h, n)] if h else [])
+        for first, last in ranges:
+            rows = tail[first - n + kept:last - n + kept]
+            gram_h -= rows.T @ rows
         w[...] = _solve_readout(gram_h, moment)
     return model
 
@@ -691,19 +817,12 @@ def evaluate_horizons(
     features: np.ndarray | FeatureStream,
     targets: np.ndarray,
 ) -> dict[float, float]:
-    """Post-washout R-squared per horizon on a feature/target stream.
-
-    One horizon's predictions are held at a time, each from its own pass
-    over a `FeatureStream`; they equal that horizon's columns of
-    ``model.predict`` bitwise.
-    """
+    """Post-washout R-squared per horizon, from one ``model.predict`` pass
+    over the features or a `FeatureStream`."""
     y = _as_columns(targets)
-    scores = {}
-    for i, (h_s, h) in enumerate(zip(model.horizons_s, model.horizon_samples)):
-        p = _as_columns(model._slab(i).predict(features))
-        stop = p.shape[0] - h
-        scores[h_s] = r2(p[model.washout:stop], y[model.washout + h:])
-    return scores
+    p = model.predict(features).reshape(-1, len(model.horizons_s), model.n_targets)
+    return {h_s: r2(p[model.washout:p.shape[0] - h, i], y[model.washout + h:])
+            for i, (h_s, h) in enumerate(zip(model.horizons_s, model.horizon_samples))}
 
 
 def r2(predicted: np.ndarray, actual: np.ndarray) -> float:

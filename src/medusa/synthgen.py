@@ -52,11 +52,15 @@ class StimulusSchedule:
     onsets_s: np.ndarray
 
     def burst_active(self, frame_rate: float, n_samples: int) -> np.ndarray:
-        """Binary series, 1 while a burst is being delivered."""
-        t = np.arange(n_samples) / frame_rate
+        """Binary series, 1 while a burst is being delivered: at the sample
+        times t with onset - 1e-12 <= t < onset + burst - 1e-12."""
+        t = np.arange(n_samples) / frame_rate     # ascending, so each burst is one slice
+        onsets = np.asarray(self.onsets_s, dtype=float)
+        starts = np.searchsorted(t, onsets - 1e-12)
+        stops = np.searchsorted(t, onsets + BURST_DURATION_S - 1e-12)
         active = np.zeros(n_samples, dtype=np.uint8)
-        for onset in self.onsets_s:
-            active[(t >= onset - 1e-12) & (t < onset + BURST_DURATION_S - 1e-12)] = 1
+        for start, stop in zip(starts, stops):
+            active[start:stop] = 1
         return active
 
 

@@ -1,11 +1,11 @@
 """The one CSV format every medusa table is read and written in, and the
 one JSON format of its sidecars, manifests and summaries.
 
-A header row, then data rows, comma-separated with CRLF line ends.  A float
-cell is written as ``%.9g`` (a missing value reads ``nan``), any other cell
-as ``str(value)``, quoted as the ``csv`` module quotes it when it holds a
-comma, a quote or a line break.  Readers check the header exactly and
-accept CRLF or LF line ends.
+A header row, then data rows, comma-separated with CRLF line ends, in
+UTF-8.  A float cell is written as ``%.9g`` (a missing value reads
+``nan``), any other cell as ``str(value)``, quoted as the ``csv`` module
+quotes it when it holds a comma, a quote or a line break.  Readers check
+the header exactly and accept CRLF or LF line ends.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK_ROWS = 1024   # rows formatted per write; bounds a write's memory
-_FLOAT = "%.9g"
-_SPECIAL = (",", '"', "\r", "\n")
+_FLOAT = b"%.9g"
+_SPECIAL = (b",", b'"', b"\r", b"\n")
 
 
 class Cells(np.ndarray):
     """Float cells formatted once by `float_cells`, written as they are.
 
-    A slice of it is a view of the same type, so several blocks can share
-    one formatted column.
+    A bytes array of the cells' text, about 15 B a cell.  A slice of it is a
+    view of the same type, so several blocks can share one formatted column.
     """
 
 
@@ -37,15 +37,15 @@ def float_cells(values) -> Cells:
     values = np.asarray(values)
     if values.dtype != np.float64 or values.ndim != 1:
         raise ValueError("float_cells takes a one-dimensional float64 array")
-    text = ((_FLOAT + ",") * values.size % tuple(values.tolist())).split(",")
-    return np.array(text[:-1], dtype=object).view(Cells)
+    text = ((_FLOAT + b",") * values.size % tuple(values.tolist())).split(b",")
+    return np.array(text[:-1], dtype=bytes).view(Cells)
 
 
-def _cells(values) -> list[str]:
-    texts = [_FLOAT % v if isinstance(v, float) else str(v) for v in values]
-    joined = "".join(texts)
+def _cells(values) -> list[bytes]:
+    texts = [_FLOAT % v if isinstance(v, float) else str(v).encode() for v in values]
+    joined = b"".join(texts)
     if any(c in joined for c in _SPECIAL):
-        texts = ['"' + t.replace('"', '""') + '"' if any(c in t for c in _SPECIAL) else t
+        texts = [b'"' + t.replace(b'"', b'""') + b'"' if any(c in t for c in _SPECIAL) else t
                  for t in texts]
     return texts
 
@@ -57,14 +57,14 @@ def _conversion(column):
     and lists no cells.
     """
     if np.isscalar(column):
-        return _cells([column])[0].replace("%", "%%"), None
+        return _cells([column])[0].replace(b"%", b"%%"), None
     if isinstance(column, Cells):
-        return "%s", np.ndarray.tolist
+        return b"%s", np.ndarray.tolist
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return _FLOAT, np.ndarray.tolist
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return "%d", np.ndarray.tolist
-    return "%s", _cells
+        return b"%d", np.ndarray.tolist
+    return b"%s", _cells
 
 
 def write_csv(path: str | Path, header, *blocks) -> None:
@@ -76,8 +76,8 @@ def write_csv(path: str | Path, header, *blocks) -> None:
     no rows, so a list of row tuples is written as
     ``write_csv(path, header, zip(*rows))``.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_cells(header)) + "\r\n")
+    with open(path, "wb") as fh:
+        fh.write(b",".join(_cells(header)) + b"\r\n")
         for block in blocks:
             columns = list(block) or [()] * len(header)
             conversions = [_conversion(c) for c in columns]
@@ -87,7 +87,7 @@ def write_csv(path: str | Path, header, *blocks) -> None:
                 raise ValueError("need one column per header field and at least one "
                                  "sequence, all sequences of one length")
             n, = lengths
-            row_format = ",".join(conv for conv, _ in conversions) + "\r\n"
+            row_format = b",".join(conv for conv, _ in conversions) + b"\r\n"
             for start in range(0, n, CHUNK_ROWS):
                 chunk = [cells(c[start:start + CHUNK_ROWS]) for c, cells in varying]
                 fh.write(row_format * len(chunk[0])
@@ -100,13 +100,19 @@ def read_csv(path: str | Path, header) -> np.ndarray:
     Raises ValidationError, naming the file, for a header other than
     ``header``, no data rows, or a ragged or non-numeric row.
     """
+    # the line count bounds the rows, so loadtxt allocates the table once
+    # instead of growing it through copies
+    lines, chunk = 0, bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as raw:
+        while got := raw.readinto(chunk):
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8, got) == ord("\n")))
     with open(path) as fh:
         if fh.readline().rstrip("\n") != ",".join(header):
             raise ValidationError(f"unexpected CSV header in {path}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # empty: reported below
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=lines)
         except ValueError as exc:
             raise ValidationError(f"malformed CSV {path}: {exc}") from exc
     if data.shape[0] == 0 or data.shape[1] != len(header):

@@ -140,6 +140,38 @@ def test_assemble_marks_long_blind_stretch_invalid():
     assert trial.valid_mask[:100].all() and trial.valid_mask[500:].all()
 
 
+def test_blocked_homography_is_bitwise_one_product(monkeypatch):
+    rng = np.random.default_rng(9)
+    h = random_projective(rng, scale=40.0)
+    points = rng.uniform(-50.0, 200.0, size=(1_001, 8, 2))
+    flat = points.reshape(-1, 2)
+    hom = np.column_stack([flat, np.ones(len(flat))]) @ h.T
+    one_product = (hom[:, :2] / hom[:, 2:3]).reshape(points.shape)
+    for block in (2, 7, 1_000, 10_000):     # 8 008 points in blocks of 2 up to one
+        monkeypatch.setattr(ingest, "HOMOGRAPHY_BLOCK", block)
+        np.testing.assert_array_equal(ingest.apply_homography(h, points), one_product)
+    single = rng.uniform(0.0, 1.0, size=(1, 2))
+    hom = np.append(single, 1.0) @ h.T
+    np.testing.assert_array_equal(ingest.apply_homography(h, single), [hom[:2] / hom[2]])
+
+
+def test_views_reduced_to_their_markers_assemble_alike():
+    rng = np.random.default_rng(4)
+    n = 300
+    conf = rng.choice([0.0, 0.59, 0.6, 0.9, np.nan], size=(n, 8))
+    conf[:, 3] = 1.0       # every marker's depth is seen somewhere
+    views = {name: ingest.rectify_view(v) for name, v in
+             make_views(ring_positions(n), conf=conf, pixel_h={
+                 name: random_projective(rng) for name in ingest.VIEW_NAMES}).items()}
+    reduced = {name: v.markers_only() for name, v in views.items()}
+    assert all(v.corners is None and v.led is None for v in reduced.values())
+    assert all(v.n_frames == n and v.markers_conf.dtype == bool for v in reduced.values())
+    whole = ingest.assemble_3d(views["top"], views["behind"], views["right"])
+    got = ingest.assemble_3d(reduced["top"], reduced["behind"], reduced["right"])
+    np.testing.assert_array_equal(got.positions, whole.positions)
+    np.testing.assert_array_equal(got.valid_mask, whole.valid_mask)
+
+
 def test_assemble_raises_when_marker_depth_never_seen():
     pos = ring_positions(20)
     views = make_views(pos)

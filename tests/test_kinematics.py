@@ -288,6 +288,29 @@ def test_plane_kernels_bitwise_with_no_valid_frame():
     assert np.isnan(kinematics.body_frame(gappy).rotation).all()
 
 
+@pytest.mark.parametrize("block", [1, 97, 1_200])
+def test_plane_kernels_bitwise_in_frame_blocks(block, monkeypatch):
+    monkeypatch.setattr(kinematics, "FRAME_BLOCK", block)
+    trial = generated_trial(6, 2.0)
+    pos = trial.positions.copy()
+    pos[100:140, 3] = np.nan          # one marker across two 97-frame blocks
+    pos[500:502, :, 2] = np.nan
+    assert_kernels_bitwise(with_positions(trial, pos))
+
+
+def test_frame_blocks_raise_the_degeneracy_checked_first(monkeypatch):
+    monkeypatch.setattr(kinematics, "FRAME_BLOCK", 50)
+    trial = generated_trial(6, 2.0, seconds=10.0)
+    pos = trial.positions.copy()
+    inner, outer = list(kinematics.INNER_IDX), list(kinematics.OUTER_IDX)
+    pos[10, outer] = pos[10, inner]                 # ring centers coincide, block 0
+    pos[400, inner] = np.arange(4.0)[:, None] * [1.0, 2.0, 3.0]   # a line, block 8
+    degenerate = with_positions(trial, pos)
+    with pytest.raises(DegenerateRing, match="inner ring"):
+        kinematics.body_frame(degenerate)
+    assert_kernels_bitwise(degenerate)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_plane_kernels_bitwise_on_one_to_three_frames(n):
     trial = generated_trial(8, 2.0, seconds=10.0)
@@ -513,6 +536,19 @@ def test_standardize_idempotent():
     once = kinematics.standardize(x)
     twice = kinematics.standardize(once)
     np.testing.assert_allclose(twice, once, atol=1e-12)
+
+
+def test_standardize_is_bitwise_the_shift_then_the_division():
+    rng = np.random.default_rng(12)
+    x = rng.normal(3.0, 7.0, size=(5_000, 6))
+    x[100:120, 2] = np.nan
+    kept = x.copy()
+    for series in (x, x[:, 4]):
+        finite = np.isfinite(series) if series.ndim == 1 else np.isfinite(series).all(axis=1)
+        ref = series[finite]
+        want = (series - ref.mean(axis=0)) / ref.std(axis=0)
+        assert np.array_equal(kinematics.standardize(series), want, equal_nan=True)
+    np.testing.assert_array_equal(x, kept)      # the input is left as it was
 
 
 def test_standardize_constant_raises():

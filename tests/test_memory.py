@@ -2,11 +2,12 @@
 step reads.
 
 `tracemalloc` sees numpy's buffers and Python's objects, so a command's
-peak is measured in-process on a 60 s trial and bounded by a multiple of
-the data it must hold: the reservoir states for train and predict, the
-marker positions for kinematics, the trial for ingest's write, one
-analysis table for the sensor search and one analysis table per trial for
-esp.  A trial-length array kept past its last reader, or a whole feature
+peak is measured in-process on a 60 s trial (150 s where the reservoir is
+stepped in chunk groups) and bounded by a multiple of the data it must
+hold: the reservoir states, or one chunk group of them, for train and
+predict, the marker positions for kinematics, the markers of the views
+for ingest, the trial for ingest's write, one analysis table for the
+sensor search and one analysis table per trial for esp.  A trial-length array kept past its last reader, or a whole feature
 matrix where a stream of row blocks does, shows as a peak above its bound.
 """
 
@@ -17,6 +18,7 @@ import pytest
 
 from medusa import cli, ingest, table
 from medusa import reservoir as rc
+from medusa.series import time_chunks
 from test_ingest import make_views
 
 FRAME_RATE = 60.0
@@ -98,15 +100,78 @@ def test_predict_peak_is_the_feature_buffer_or_the_outputs(trials, small_blocks)
     assert peak < 1.25 * held_bytes(model, horizons=len(loaded.horizons_s))
 
 
-def test_ingest_writes_holding_the_trial_not_its_views(trials, tmp_path, monkeypatch):
+LONG_SECONDS = 150.0
+
+
+@pytest.fixture(scope="module")
+def long_trial(tmp_path_factory):
+    """A 150 s stimulated trial's analysis: 20 time chunks of the reservoir."""
+    root = tmp_path_factory.mktemp("memory_long")
+    assert run("synth", "--tau", 2.0, "--seconds", LONG_SECONDS, "--seed", 7,
+               "--out", root / "raw") == 0
+    assert run("kinematics", "--input", root / "raw" / "trial.csv", "--out", root / "kin") == 0
+    return root, root / "kin" / "analysis.csv"
+
+
+@pytest.fixture
+def small_groups(monkeypatch, small_blocks):
+    """A stream steps the fewest chunks a group may hold: 4 to 7."""
+    monkeypatch.setattr(rc, "GROUP_BLOCKS", 1, raising=False)
+
+
+def group_held_bytes(model_path, rows: int, horizons: int) -> int:
+    """`held_bytes` of a ``rows``-row trial whose states are stepped a chunk
+    group at a time: a group of 7 chunks and its warm-up rows, not the states."""
+    config, model, _ = cli._load_model(model_path)
+    k, length, w = time_chunks(rows, rc._forgetting_steps(rc.esn_init(config).recurrent_weights))
+    assert k >= 16     # so that a group of 4 to 7 chunks is at most 7 / 16 of them
+    states = (7 * length + w) * config.n_nodes
+    inputs = rows * (config.n_sensors + model.n_targets)
+    return (states + inputs + rows * horizons * model.n_targets) * FLOAT
+
+
+def test_train_peak_is_one_chunk_group_and_every_horizon(long_trial, small_groups):
+    root, analysis = long_trial
+    peak = traced_peak("train", "--input", analysis, "--pulsatile", "--out", root / "train")
+    model = root / "train" / "model.npz"
+    _, loaded, _ = cli._load_model(model)
+    rows = round(LONG_SECONDS * FRAME_RATE)
+    # a group of states, the inputs and every horizon's predictions, which are
+    # scored from one read; holding the whole trial's states took 1.52 of it
+    assert peak < 1.15 * group_held_bytes(model, rows, horizons=len(loaded.horizons_s))
+
+
+def test_predict_peak_is_one_chunk_group_and_every_horizon(long_trial, small_groups):
+    root, analysis = long_trial
+    model = root / "model" / "model.npz"
+    assert run("train", "--input", analysis, "--pulsatile", "--out", model.parent) == 0
+    peak = traced_peak("predict", "--model", model, "--input", analysis,
+                       "--out", root / "predict")
+    _, loaded, _ = cli._load_model(model)
+    rows = round(LONG_SECONDS * FRAME_RATE)
+    # a group of states beside every horizon's predictions, then the
+    # predictions with their formatted columns; holding the whole trial's
+    # states and the columns as str objects took 1.81 of it
+    assert peak < 1.15 * group_held_bytes(model, rows, horizons=len(loaded.horizons_s))
+
+
+@pytest.fixture(scope="module")
+def view_prefix(trials):
+    """The seed-7 trial's three view CSVs and sidecar, as ingest reads them."""
     root, paths = trials
     trial = ingest.read_trial_csv(paths[7][0])
     led = np.column_stack([trial.stimulus, 1 - trial.stimulus]).astype(float)
-    prefix = tmp_path / "jf"
+    prefix = root / "views" / "jf"
+    prefix.parent.mkdir()
     for name, view in make_views(trial.positions, led=led).items():
         ingest.write_view_csv(f"{prefix}_{name}.csv", view)
-    (tmp_path / "jf.json").write_text(
+    (root / "views" / "jf.json").write_text(
         '{"condition": "stimulated", "period_s": 2.0, "frame_rate": 60.0}')
+    return prefix
+
+
+def test_ingest_writes_holding_the_trial_not_its_views(view_prefix, tmp_path, monkeypatch):
+    prefix = view_prefix
     held = []
     write = ingest.write_trial_csv
 
@@ -120,6 +185,18 @@ def test_ingest_writes_holding_the_trial_not_its_views(trials, tmp_path, monkeyp
     # the trial and its LED column; the three views (1.6 positions each)
     # are gone before trial.csv is formatted
     assert held[-1] < 1.5 * positions
+
+
+def test_ingest_peak_is_one_view_beside_the_markers_of_the_others(view_prefix, tmp_path,
+                                                                 monkeypatch):
+    # small homography blocks leave the views the command holds as the peak
+    monkeypatch.setattr(ingest, "HOMOGRAPHY_BLOCK", 1_024, raising=False)
+    peak = traced_peak("ingest", "--input", view_prefix, "--out", tmp_path / "ingested")
+    markers = ROWS * 8 * 2 * FLOAT      # one view's marker coordinates
+    # one view parsed and rectified (its table and its fields are 2.4 markers
+    # each) beside the markers and confidence masks of the views before it;
+    # two whole rectified views held beside the third took 10.8 markers
+    assert peak < 8 * markers
 
 
 def test_search_peak_is_the_table_and_a_block_of_subsets(trials):

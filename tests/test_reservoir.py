@@ -663,6 +663,36 @@ def test_stream_blocks_are_the_rows_of_reservoir_features(arch, block_rows, monk
                                   rc.reservoir_features(sensors, cfg))
 
 
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(4_000, 40_000), seed=st.integers(0, 2**32 - 1),
+       leak=st.sampled_from([0.0, 0.3]), arch=st.sampled_from(["hybrid", "esn"]),
+       start=st.floats(0.0, 1.0))
+def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak, arch, start):
+    cfg = make_config(architecture=arch, leak=leak, seed=seed)
+    sensors = random_sensors(n, seed=seed % 1_000)
+    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
+    groups = []
+    step = rc._step_chunks
+
+    def spy(chunks, *args):
+        groups.append(chunks.shape[0])
+        return step(chunks, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # a budget of one block of rows: every trial splits into groups
+        mp.setattr(rc, "GROUP_BLOCKS", 1)
+        mp.setattr(rc, "_step_chunks", spy)
+        stream = rc.feature_stream(sensors, cfg, 0.05)
+        first = np.vstack([block[:, :-1].copy() for _, block in stream.blocks()])
+        stepped = len(groups)
+        # a second read, from a row inside the trial: the leak state is kept
+        lo = int(start * (n - 1))
+        second = np.vstack([block[:, :-1].copy() for _, block in stream.blocks(lo, n)])
+    np.testing.assert_array_equal(first, whole)
+    np.testing.assert_array_equal(second, first[lo:])
+    assert stepped > 1 and min(groups) >= rc.MIN_GROUP_CHUNKS
+
+
 def test_streamed_predictions_and_scores_match_the_whole_matrix():
     sensors, vz = pulsatile_sensors(seconds=150.0)
     cfg = make_config(seed=11)

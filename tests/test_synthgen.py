@@ -31,6 +31,35 @@ def test_burst_active_series():
     assert active.sum() == 3 * 6
 
 
+def _burst_active_by_comparison(schedule, frame_rate, n_samples):
+    """The loop burst_active replaced: three full-length comparisons per onset."""
+    t = np.arange(n_samples) / frame_rate
+    active = np.zeros(n_samples, dtype=np.uint8)
+    for onset in schedule.onsets_s:
+        active[(t >= onset - 1e-12) & (t < onset + synthgen.BURST_DURATION_S - 1e-12)] = 1
+    return active
+
+
+def test_burst_active_equals_the_comparison_loop_on_random_schedules():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        frame_rate = rng.choice([24.0, 59.94, 60.0, 100.0, 123.7])
+        n = int(rng.integers(1, 3_000))
+        # unsorted, overlapping, before the start, past the end, on sample times,
+        # and with a burst's first or last bound on a sample time
+        t = rng.integers(0, n, 5) / frame_rate
+        onsets = np.concatenate([rng.uniform(-1.0, 1.2 * n / frame_rate, rng.integers(0, 40)),
+                                 t, t + 1e-12, t - synthgen.BURST_DURATION_S + 1e-12])
+        schedule = synthgen.StimulusSchedule(period_s=1.0, onsets_s=onsets)
+        got = schedule.burst_active(frame_rate, n)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, _burst_active_by_comparison(schedule, frame_rate, n))
+    for period in (0.5, 1.5, 2.0):
+        schedule = synthgen.pwm_schedule(period, 150.0)
+        np.testing.assert_array_equal(schedule.burst_active(FS, 9_000),
+                                      _burst_active_by_comparison(schedule, FS, 9_000))
+
+
 # ---------------------------------------------------------------------------
 # jellyfish generator
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from medusa import table
+from medusa.errors import ValidationError
 
 
 def reference_write(path, header, rows):
@@ -111,3 +112,19 @@ def test_one_row_table_reads_two_dimensional(tmp_path):
     data = table.read_csv(tmp_path / "one.csv", ["t", "v", "n"])
     assert data.shape == (1, 3)
     np.testing.assert_array_equal(data, [[0.25, -1.5, 3.0]])
+
+
+@pytest.mark.parametrize("columns", [1, 2, 5])
+def test_read_takes_every_row_of_the_shortest_cells_and_meets_a_malformed_one(tmp_path, columns):
+    header = [chr(ord("a") + i) for i in range(columns)]
+    rows = [",".join(str((r + c) % 10) for c in range(columns)) for r in range(500)]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join([",".join(header)] + rows) + "\n")
+    data = table.read_csv(path, header)
+    assert data.shape == (500, columns)
+    np.testing.assert_array_equal(data[:, 0], np.arange(500) % 10)
+    # a malformed last row, shorter than any that parses, is still read
+    bad = ",".join(["7"] * (columns - 1)) or "-"
+    path.write_text("\n".join([",".join(header)] + rows + [bad]))
+    with pytest.raises(ValidationError):
+        table.read_csv(path, header)
