@@ -537,7 +537,8 @@ def cmd_train(args, run: Run) -> None:
     washout = _washout_value(args, args.pulsatile, table.data.shape[0])
     del table   # the readout reads the sensors and targets only
 
-    # the stream holds the reservoir states, not the feature matrix
+    # the stream steps the reservoir on every read: neither the fit nor the
+    # scores hold the states, the feature matrix or a horizon's predictions
     mux_scale = rc.shared_mux_scale([sensors], config.mux_horizon_s, config.mux_stride, fs)
     features = rc.feature_stream(sensors, config, mux_scale)
     model = rc.train_horizons(
@@ -590,6 +591,12 @@ def _predict_inputs(path: Path, config: rc.ReservoirConfig, model: rc.Readout, e
     """The times, sensors and targets ``model`` predicts from; the table
     they come from is let go on return."""
     table = AnalysisTable.read(path)
+    rows = table.data.shape[0]
+    h_s, h = max(zip(model.horizons_s, model.horizon_samples), key=lambda hs: hs[1])
+    if rows <= model.washout + h + 1:     # r2 scores at least 2 rows per horizon
+        raise ValidationError(f"{path} has {rows} rows, but the model's washout of "
+                              f"{model.washout} and its {h_s:g} s horizon ({h} samples) "
+                              f"need more than {model.washout + h + 1}")
     sensors, targets = _model_inputs(table, extras["sensor_names"], model.target_names,
                                      extras["pulsatile"])
     if tuple(targets.names) != tuple(model.target_names):
@@ -676,11 +683,12 @@ def cmd_confusion(args, run: Run) -> None:
 def cmd_search_sensors(args, run: Run) -> None:
     table = AnalysisTable.read(run.table(args.input))
     data = kinematics.standardize(table.columns(sensorsearch.POOL_NAMES))
-
-    tasks: dict[str, np.ndarray] = {a: table.column(a) for a in VELOCITY_CHANNELS}
-    stim = table.column("stim")
-    if stim.std() > 0:
-        tasks["stim"] = stim
+    names = VELOCITY_CHANNELS + ("stim",)
+    # the task columns are copied out, so that the search runs without the table
+    tasks = dict(zip(names, table.columns(names).T))
+    del table
+    if not tasks["stim"].std() > 0:     # no stimulus task on an unstimulated trial
+        del tasks["stim"]
 
     report = sensorsearch.search_best(
         data, tasks, sensorsearch.POOL_NAMES, washout=_washout_value(args, True, len(data)),

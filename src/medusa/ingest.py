@@ -15,17 +15,11 @@ Each trial and analysis table has a sidecar of these fields next to it
 
 View geometry
 -------------
-All three views come from a single camera (one top view plus two mirrors),
-so frames are already synchronized.  After rectification each view's corner
-landmarks map onto a 150 mm square face and the face coordinates are read
-as:
-
-* ``top``    -> (x, y)
-* ``behind`` -> (x, z)
-* ``right``  -> (y, z)
-
-Corner order ``c1..c4`` corresponds to face coordinates
-(0,0), (W,0), (W,H), (0,H).
+One camera films the top view and two mirrors, so the views are frame
+synchronized.  Rectification maps each view's corner landmarks
+``c1..c4`` onto the face points (0,0), (W,0), (W,H), (0,H) of a 150 mm
+square, read as ``top`` -> (x, y), ``behind`` -> (x, z) and ``right`` ->
+(y, z).
 """
 
 from __future__ import annotations
@@ -187,19 +181,23 @@ def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply a 3x3 projective transform to (..., 2) points.
 
     The points are mapped in equal blocks of at most `HOMOGRAPHY_BLOCK`,
-    which bounds the product's scratch.  A block holds one point only when
-    there is one in all: a one-row product is a vector product, which can
-    round differently from a row of a matrix product.
+    which bounds the scratch, a strided view's copy included.  A block
+    holds one point only when there is one in all: a one-row product is a
+    vector product, which can round differently from a matrix product's.
     """
     pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 2)
-    out = np.empty_like(flat)
+    rows = pts.reshape(1, 2) if pts.ndim == 1 else pts
+    out = np.empty(pts.shape)
+    flat = out.reshape(-1, 2)
+    per_row = len(flat) // len(rows) if len(rows) else 1
     n_blocks = max(1, -(-len(flat) // HOMOGRAPHY_BLOCK))
     bounds = [len(flat) * i // n_blocks for i in range(n_blocks + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        hom = np.column_stack([flat[lo:hi], np.ones(hi - lo)]) @ h.T
-        np.divide(hom[:, :2], hom[:, 2:3], out=out[lo:hi])
-    return out.reshape(pts.shape)
+        first, last = lo // per_row, -(-hi // per_row)     # the rows holding points lo..hi
+        block = rows[first:last].reshape(-1, 2)[lo - first * per_row:hi - first * per_row]
+        hom = np.column_stack([block, np.ones(hi - lo)]) @ h.T
+        np.divide(hom[:, :2], hom[:, 2:3], out=flat[lo:hi])
+    return out
 
 
 def rectify_view(view: RawViewSeries) -> RawViewSeries:
@@ -349,17 +347,18 @@ def write_view_csv(path: str | Path, view: RawViewSeries) -> None:
 
 
 def read_view_csv(path: str | Path, view_name: str, frame_rate: float) -> RawViewSeries:
-    """Read one view CSV written in the canonical layout."""
+    """Read one view CSV written in the canonical layout; its fields are
+    views of the parsed table, not copies."""
     data = read_csv(path, VIEW_COLUMNS)
     n = data.shape[0]
     pts = data[:, 1:1 + 36].reshape(n, 12, 3)
     return RawViewSeries(
         view=view_name,
-        corners=pts[:, :4, :2].copy(),
-        corners_conf=pts[:, :4, 2].copy(),
-        markers=pts[:, 4:, :2].copy(),
-        markers_conf=pts[:, 4:, 2].copy(),
-        led=data[:, 37:39].copy(),
+        corners=pts[:, :4, :2],
+        corners_conf=pts[:, :4, 2],
+        markers=pts[:, 4:, :2],
+        markers_conf=pts[:, 4:, 2],
+        led=data[:, 37:39],
         frame_rate=frame_rate,
     )
 

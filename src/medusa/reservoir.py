@@ -1,17 +1,11 @@
 """Reservoir-computing prediction: ESN, direct sensor readout, and hybrid.
 
-Three architectures share one linear readout recipe:
-
-* ``esn``    : readout over echo-state-network activations,
-* ``prc``    : readout directly over the (multiplexed) sensor inputs,
-* ``hybrid`` : readout over both, concatenated.
-
-Temporal multiplexing (`MuxedInput`) augments each sensor with strided
-lagged copies of its recent history and rescales the block so the largest
-possible summed input magnitude is 1.  Readouts are trained by least
-squares on the post-washout samples, optionally against targets shifted
-into the future on a horizon grid, from one set of normal equations that
-reads the features a block of rows at a time (`FeatureStream`).
+One linear readout reads echo-state-network activations (``esn``), the
+multiplexed sensor inputs (``prc``) or both (``hybrid``).  `MuxedInput`
+adds strided lagged copies of each sensor's history, scaled so the
+largest summed input magnitude is 1.  Readouts are fitted by least
+squares on the post-washout samples, per horizon of a grid, from one set
+of normal equations read a block of rows at a time (`FeatureStream`).
 """
 
 from __future__ import annotations
@@ -44,9 +38,8 @@ AGGREGATE_WASHOUT_SAMPLES = 10_000
 PULSATILE_WASHOUT_SAMPLES = 1_000
 PULSE_REFRACTORY_S = 0.5
 BLOCK_ROWS = 2_048      # feature rows per streamed block; bounds a block's memory
-GROUP_BLOCKS = 4        # a stream steps about this many blocks' rows of states at once,
-# and at least this many time chunks: a product of 1 or 2 state rows by Bᵀ can
-# round differently from the same rows of the product over all K chunks
+# time chunks a stream steps at once: the fewest whose product by Bᵀ rounds as
+# the same rows of the product over all K chunks (1 or 2 state rows can differ)
 MIN_GROUP_CHUNKS = 4
 
 _BLOB_MAGIC = b"MDS1"
@@ -125,15 +118,12 @@ def _mux_lags(mux_horizon_s: float, stride: int, frame_rate: float) -> int:
 class MuxedInput:
     """Sensor histories concatenated per sensor, globally rescaled.
 
-    Column layout is sensor-major: all lags of sensor 0 (current sample
-    first), then all lags of sensor 1, and so on.  History before the
-    series start is zero (the sensors are standardized, so zero is the
-    mean).  The whole block is scaled by one scalar, by default so that
-    max_T |sum_components U(T)| equals 1 (the `shared_mux_scale` of these
-    sensors alone); pass ``scale`` to share one factor across datasets.
-
-    It holds a zero-padded copy of the scaled sensors: `fill` builds any
-    row range on demand, and ``values``, every row, is built on first read.
+    Columns are sensor-major: the lags of sensor 0 (current sample first),
+    then of sensor 1, and so on; history before the series start is zero,
+    the standardized mean.  One scalar scales the block, by default so that
+    max_T |sum U(T)| is 1 (`shared_mux_scale` of these sensors); ``scale``
+    shares one across datasets.  It holds the zero-padded scaled sensors:
+    `fill` builds any row range, ``values`` every row on first read.
     """
 
     def __init__(self, sensors, mux_horizon_s: float, stride: int, frame_rate: float,
@@ -208,13 +198,9 @@ def shared_mux_scale(
     stride: int,
     frame_rate: float,
 ) -> float:
-    """One mux scale valid for several datasets jointly.
-
-    The factor is 1 over the largest summed-input magnitude across all the
-    sets, so the |sum U(T)| <= 1 bound holds on every one of them while
-    models trained on one set stay applicable to the others.  Each set's
-    unscaled mux is built a block at a time.
-    """
+    """One mux scale valid for several datasets jointly: 1 over the largest
+    summed-input magnitude of all the sets, so |sum U(T)| <= 1 on each and
+    a model trained on one applies to the others."""
     peak = max((MuxedInput(x, mux_horizon_s, stride, frame_rate, 1.0).peak()
                 for x in sensor_sets), default=0.0)
     return 1.0 / peak if peak > 0 else 1.0
@@ -246,13 +232,10 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 def esn_init(config: ReservoirConfig) -> EsnState:
     """Draw the random input and recurrent weights for a configuration.
 
-    Entries are i.i.d. uniform on [-0.5, 0.5].  Input columns are drawn
-    from one substream per (sensor, lag), so growing the mux horizon
-    appends new lag columns without redrawing the existing ones.  The
-    recurrent matrix is rescaled to the configured spectral radius.
-
-    Each draw is made once per process and shared: the returned weights
-    and start state are read-only, so copy them before modifying.
+    Entries are i.i.d. uniform on [-0.5, 0.5], each input column from its
+    own (sensor, lag) substream, so a longer mux horizon only appends lag
+    columns.  The recurrent matrix is scaled to the spectral radius.  Each
+    draw is made once per process and shared, read-only.
     """
     if not ARCHITECTURES[config.architecture].states:
         raise ValueError(f"architecture {config.architecture!r} has no reservoir to initialize")
@@ -322,13 +305,10 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
 class _Drive:
     """The reservoir drive A·ũ of one input, any row range on demand.
 
-    Row r comes from one product over its block of the `BLOCK_ROWS` grid
-    from row 0, whose last block ends at the last input row, whatever range
-    asks for it: a product over a block of another shape can round row r
-    differently.  A `MuxedInput`'s rows are built a block at a time into
-    one scratch block.  With a leak, ũ is the leaked input, and the leak's
-    state before each block passed is kept, so that a later range can
-    start mid-series.
+    Row r comes from the product over its block of the `BLOCK_ROWS` grid
+    from row 0 whatever range asks for it: another block shape can round
+    it differently.  With a leak, the leak's state before each block
+    passed is kept, so that a later range can start mid-series.
     """
 
     def __init__(self, u, a: np.ndarray, leak: float):
@@ -377,12 +357,9 @@ def _step_chunks(chunks: np.ndarray, x: np.ndarray, bt: np.ndarray, w: int,
 
     ``chunks`` (G, L, n) holds each chunk's drive rows and is left holding
     its states; ``x`` (G, n) holds the start states and is left holding the
-    last ones.  Every chunk but the
-    first warms up from its start state over the last ``w`` drive rows of
-    the chunk before it; so does the first when ``before`` gives those
-    rows (w, n), and otherwise it starts from ``x[0]`` as given.  One
-    (G, n) @ Bᵀ product per step: its rows round as in the product over
-    all K chunks when G >= `MIN_GROUP_CHUNKS`.
+    last ones.  Chunk i > 0 warms up over the last ``w`` drive rows of
+    chunk i - 1; so does chunk 0 over ``before`` (w, n) if given, else it
+    starts from ``x[0]``.  One (G, n) @ Bᵀ product per step.
     """
     length = chunks.shape[1]
     lead = 0 if before is None else 1
@@ -406,12 +383,11 @@ def _step_chunks(chunks: np.ndarray, x: np.ndarray, bt: np.ndarray, w: int,
         row[...] = x
 
 
-def _chunk_groups(k: int, length: int) -> list[tuple[int, int]]:
-    """Chunks 0..k as consecutive groups (first, stop) of at least
-    `MIN_GROUP_CHUNKS` chunks, about `GROUP_BLOCKS` · `BLOCK_ROWS` rows each;
-    one group when ``k`` is too small to split."""
-    per = max(MIN_GROUP_CHUNKS, GROUP_BLOCKS * BLOCK_ROWS // length)
-    n = max(1, k // per)
+def _chunk_groups(k: int) -> list[tuple[int, int]]:
+    """Chunks 0..k as consecutive groups (first, stop) of `MIN_GROUP_CHUNKS`
+    to 2 · `MIN_GROUP_CHUNKS` - 1 chunks; one group when ``k`` is too small
+    to split."""
+    n = max(1, k // MIN_GROUP_CHUNKS)
     bounds = [k * i // n for i in range(n + 1)]     # sizes differ by at most one
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -420,24 +396,15 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
             _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
-    The input is pre-integrated with the configured leak before entering
-    the tanh update; ``leak == 0`` recovers the plain update.  Row t of the
-    result is the state after consuming input row t; the caller's ``state``
-    is not mutated.
-
-    The input drive A·ũ does not depend on the state, so it is computed
-    into the result buffer before stepping (`_Drive`).
-    The recurrence is then stepped over K time chunks together, one
-    (K, n) @ Bᵀ product per step (`_step_chunks`).  Chunk 0 starts from
-    ``state.state``; every later chunk starts from zero W steps before its
-    first row, where W is the reservoir's forgetting bound
-    (`_forgetting_steps`), so its states agree with a single sequential
-    pass to rounding.  K, L and W come from `series.time_chunks`; every
-    chunk is longer than W, so each warm-up starts from a tanh output
-    (inside the √n bound).
-
-    ``_out`` is a (K·L, n) array to step in; the result is a view of its
-    first T rows.
+    The input is leaky-integrated before the tanh update.  Row t is the
+    state after input row t; ``state`` is not mutated.  The drive A·ũ is
+    written into the result first (`_Drive`); the recurrence then steps K
+    time chunks together (`_step_chunks`).  Chunk 0 starts from
+    ``state.state``, every later one from zero W steps before its first
+    row, W being the forgetting bound (`_forgetting_steps`), so the states
+    agree with one sequential pass to rounding.  K, L and W come from
+    `series.time_chunks`.  ``_out`` is a (K·L, n) array to step in; the
+    result is a view of its first T rows.
     """
     u = inputs if isinstance(inputs, MuxedInput) else _as_columns(inputs)
     width = u.width if isinstance(u, MuxedInput) else u.shape[1]
@@ -489,10 +456,8 @@ def reservoir_features(
 ) -> np.ndarray:
     """Build mux, run the reservoir if needed, and assemble readout features.
 
-    The features are built in place in one buffer laid out as
-    [states | mux | 1], with the states and mux blocks present as the
-    architecture uses them; the result is its (T, d) left block, which
-    the readout trains on with the ones column as its bias without a copy.
+    They are built in one [states | mux | 1] buffer whose (T, d) left block
+    is returned: a fit takes the ones column as its bias without a copy.
     Its rows equal `feature_stream`'s bitwise.
     """
     x = _checked_sensors(sensors, config)
@@ -519,15 +484,11 @@ def reservoir_features(
 class FeatureStream:
     """The [states | mux | 1] rows of one recording, a block at a time.
 
-    It holds a `MuxedInput` (a zero-padded copy of the scaled sensors), not
-    the states or the feature matrix.  Each read steps the reservoir anew,
-    a group of `esn_run`'s K time chunks at a time (`_chunk_groups`) into
-    one buffer: a group's chunks warm up from the chunk before them as
-    `esn_run`'s do, and its drive rows come from the same products
-    (`_Drive`), so its states are `esn_run`'s bitwise.  `blocks` copies
-    each block's states and builds its mux rows into one buffer.
-    ``shape`` is the (T, d) of the matrix `reservoir_features` returns,
-    whose rows these equal bitwise.
+    It holds a `MuxedInput`, not the states.  Each read steps the reservoir
+    anew, a group of `esn_run`'s K time chunks at a time (`_chunk_groups`):
+    the chunks warm up as `esn_run`'s do on the same drive products
+    (`_Drive`), so the states are `esn_run`'s bitwise.  ``shape`` is the
+    (T, d) of `reservoir_features`' matrix, whose rows these equal bitwise.
     """
 
     def __init__(self, mux: MuxedInput, state: EsnState | None, reads_mux: bool):
@@ -568,7 +529,7 @@ class FeatureStream:
         a, b = self._state.input_weights, self._state.recurrent_weights
         t_len, n = self.shape[0], a.shape[0]
         k, length, w = time_chunks(t_len, _forgetting_steps(b))
-        groups = [(g0, g1) for g0, g1 in _chunk_groups(k, length)
+        groups = [(g0, g1) for g0, g1 in _chunk_groups(k)
                   if g0 * length < stop and start < g1 * length]
         # rows base..base+w are the warm-up drive of the group's first chunk
         buf = np.empty((w + max(g1 - g0 for g0, g1 in groups) * length, n))
@@ -663,21 +624,32 @@ class Readout:
         """One column per (horizon, target), horizon-major; 1-D for one column.
 
         A `FeatureStream` is read a block at a time into the one result."""
-        stream = isinstance(features, FeatureStream)
-        f = features if stream else np.asarray(features, dtype=float)
-        d = self.n_features
-        if f.shape[1] != d:
-            raise ConfigMismatch(f"features have width {f.shape[1]}, model expects {d}")
+        f, blocks = self._blocks(features)
         n_h, _, n_t = self.weights.shape
         out = np.empty((f.shape[0], n_h, n_t))
-        for start, block in (f.blocks() if stream else [(0, f)]):
-            # one product per horizon, written in place into its columns: a single
-            # product over every horizon's columns rounds differently for one target
-            by_horizon = out[start:start + block.shape[0]].transpose(1, 0, 2)
-            np.matmul(block[:, :d], self.weights[:, :-1], out=by_horizon)
-            by_horizon += self.weights[:, -1:]
+        for start, block in blocks:
+            self._predict_rows(block, out[start:start + block.shape[0]])
         out = out.reshape(f.shape[0], n_h * n_t)
         return out[:, 0] if n_h * n_t == 1 else out
+
+    def _blocks(self, features):
+        """The features and their blocks: a stream's, or a whole matrix as
+        one; ConfigMismatch at another width."""
+        stream = isinstance(features, FeatureStream)
+        f = features if stream else np.asarray(features, dtype=float)
+        if f.shape[1] != self.n_features:
+            raise ConfigMismatch(f"features have width {f.shape[1]}, "
+                                 f"model expects {self.n_features}")
+        return f, f.blocks() if stream else [(0, f)]
+
+    def _predict_rows(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``block``'s predictions into ``out``, laid out as rows of `predict`'s."""
+        # one product per horizon, written in place into its columns: a single
+        # product over every horizon's columns rounds differently for one target
+        by_horizon = out.transpose(1, 0, 2)
+        np.matmul(block[:, :self.n_features], self.weights[:, :-1], out=by_horizon)
+        by_horizon += self.weights[:, -1:]
+        return out
 
 
 def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
@@ -685,14 +657,11 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     """Least-squares readout per horizon over the post-washout samples,
     from one set of normal equations (Lukoševičius 2012, §4).
 
-    ``features`` is a whole matrix, read as one block, or a
-    `FeatureStream`, read a block at a time.  The Gram G₀ of [features, 1]
-    is built once over the post-washout rows.  Horizon h pairs row t with
-    target row t + h, so it drops the last h rows: its Gram is
-    G₀ − F_tailᵀF_tail over those rows, and its moment Fᵀy is summed over
-    its own rows in the same pass.  A small ridge (`RIDGE_DEFAULT`) is
-    added to the normal equations purely for conditioning.  Each horizon
-    needs at least 3x as many samples as feature columns (bias included).
+    ``features`` is a whole matrix (one block) or a `FeatureStream`.  The
+    Gram G₀ of [features, 1] is built once; horizon h pairs row t with
+    target row t + h, so its Gram is G₀ − F_tailᵀF_tail over the last h
+    rows, and its moment is summed in the same pass.  `RIDGE_DEFAULT` is
+    for conditioning.  Each horizon needs 3 samples per feature column.
     """
     if not isinstance(features, FeatureStream):
         features = np.asarray(features, dtype=float)
@@ -723,7 +692,7 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
             )
     gram = None     # there is at least one post-washout row
     moments = np.zeros((len(shifts), d_aug, y.shape[1]))
-    # the last rows, kept as the pass goes by for the horizons' dropped tails
+    # the last rows, for the horizons' dropped tails
     kept = max(shifts)
     tail = np.empty((kept, d_aug))
     for start, block in _biased_blocks(features, washout, n):
@@ -741,8 +710,7 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     for i, (w, moment, h) in enumerate(zip(model.weights, moments, shifts)):
         # the solve adds the ridge in place: the last horizon takes G₀ itself
         gram_h = gram if i == len(shifts) - 1 else gram.copy()
-        # the dropped rows in the blocks a read of them gives: a stream's blocks
-        # from n - h, or one block of a whole matrix
+        # the dropped rows in the blocks a read of them gives
         ranges = (_row_blocks(n - h, n) if isinstance(features, FeatureStream)
                   else [(n - h, n)] if h else [])
         for first, last in ranges:
@@ -762,12 +730,8 @@ def _biased_blocks(features, start: int, stop: int):
 
 
 def _with_bias(features: np.ndarray, start: int) -> np.ndarray:
-    """[features, 1] from row ``start`` on.
-
-    A view when ``features`` is the left block of a C-contiguous buffer
-    whose last column is ones, as `reservoir_features` returns; otherwise
-    one copy.
-    """
+    """[features, 1] from row ``start`` on: a view of the buffer that
+    `reservoir_features` returns the left block of, otherwise one copy."""
     base = features.base
     if (isinstance(base, np.ndarray) and base.ndim == 2 and base.dtype == features.dtype
             and base.flags.c_contiguous and base.shape[1] == features.shape[1] + 1
@@ -817,12 +781,41 @@ def evaluate_horizons(
     features: np.ndarray | FeatureStream,
     targets: np.ndarray,
 ) -> dict[float, float]:
-    """Post-washout R-squared per horizon, from one ``model.predict`` pass
-    over the features or a `FeatureStream`."""
+    """Post-washout R-squared per horizon, bitwise `r2` over the columns of
+    ``model.predict(features)``, from `predict`'s blocks one at a time.
+
+    numpy sums two or more columns along axis 0 row after row, so a running
+    sum atop a block's squared residuals sums them as `r2` does; one column
+    it sums pairwise, so it is kept whole.
+    """
+    f, blocks = model._blocks(features)
     y = _as_columns(targets)
-    p = model.predict(features).reshape(-1, len(model.horizons_s), model.n_targets)
-    return {h_s: r2(p[model.washout:p.shape[0] - h, i], y[model.washout + h:])
-            for i, (h_s, h) in enumerate(zip(model.horizons_s, model.horizon_samples))}
+    n, washout = f.shape[0], model.washout
+    shifts = model.horizon_samples
+    n_h, _, n_t = model.weights.shape
+    if y.shape != (n, n_t):
+        raise ValueError(f"shape mismatch {(n, n_t)} vs {y.shape}")
+    sst = [_sum_of_squares(y[washout + h:]) for h in shifts]
+    rows = min(BLOCK_ROWS, n) if isinstance(f, FeatureStream) else n
+    predictions = np.empty((rows, n_h, n_t))
+    if n_t > 1:     # a block's residuals below its horizon's running sums
+        sums, scratch = np.zeros((n_h, n_t)), np.empty((rows + 1, n_t))
+    else:
+        columns = [np.empty((n - h - washout, 1)) for h in shifts]
+    for start, block in blocks:
+        p = model._predict_rows(block, predictions[:block.shape[0]])
+        for i, h in enumerate(shifts):
+            lo, hi = max(start, washout), min(start + block.shape[0], n - h)
+            if lo >= hi:
+                continue
+            res = scratch[1:hi - lo + 1] if n_t > 1 else columns[i][lo - washout:hi - washout]
+            np.subtract(p[lo - start:hi - start, i], y[lo + h:hi + h], out=res)
+            np.square(res, out=res)
+            if n_t > 1:
+                scratch[0] = sums[i]
+                sums[i] = np.sum(scratch[:hi - lo + 1], axis=0)
+    sse = sums if n_t > 1 else [np.sum(c, axis=0) for c in columns]
+    return {h_s: _r2_of(e, t) for h_s, e, t in zip(model.horizons_s, sse, sst)}
 
 
 def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -833,12 +826,22 @@ def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
         raise ValueError(f"shape mismatch {p.shape} vs {a.shape}")
     if p.ndim == 1:
         p, a = p[:, None], a[:, None]
-    if a.shape[0] < 2:
+    sst = _sum_of_squares(a)
+    return _r2_of(np.sum((p - a) ** 2, axis=0), sst)
+
+
+def _sum_of_squares(actual: np.ndarray) -> np.ndarray:
+    """Per column, the squared deviations from its mean, summed; raises
+    for fewer than 2 rows or a constant column, which `r2` cannot score."""
+    if actual.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    sst = np.sum((a - a.mean(axis=0)) ** 2, axis=0)
+    sst = np.sum((actual - actual.mean(axis=0)) ** 2, axis=0)
     if np.any(sst == 0):
         raise ConstantTarget("R-squared is undefined for a constant channel")
-    sse = np.sum((p - a) ** 2, axis=0)
+    return sst
+
+
+def _r2_of(sse: np.ndarray, sst: np.ndarray) -> float:
     return float(np.mean(1.0 - sse / sst))
 
 
@@ -851,10 +854,9 @@ class CrossPrediction:
 def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     """Train on each dataset and score every dataset with every model.
 
-    ``datasets`` maps a label to a ``(features, targets)`` pair built with
-    one shared sensor configuration and mux; mismatched widths raise
-    ConfigMismatch.  Entry [i, j] is the R-squared of model i on data j,
-    so the diagonal holds the self-evaluation scores.
+    ``datasets`` maps a label to a ``(features, targets)`` pair of one
+    shared layout (else ConfigMismatch).  Entry [i, j] is the R-squared of
+    model i on data j.
     """
     names = list(datasets)
     pairs = []
@@ -1064,12 +1066,9 @@ def load_compact(blob: bytes) -> CompactModel:
 
 
 class CompactEvaluator:
-    """Single-step float32 inference with fixed preallocated buffers.
-
-    All working arrays are allocated in ``__init__``; ``step`` performs one
-    reservoir update plus readout without allocating.  The declared
-    working set is the total byte size of weights and buffers.
-    """
+    """Single-step float32 inference: ``step`` updates the reservoir and
+    reads out into buffers allocated in ``__init__``, whose bytes and the
+    weights' are the working set."""
 
     def __init__(self, model: CompactModel):
         self.model = model

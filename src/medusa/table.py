@@ -25,20 +25,21 @@ _SPECIAL = (b",", b'"', b"\r", b"\n")
 
 
 class Cells(np.ndarray):
-    """Float cells formatted once by `float_cells`, written as they are.
-
-    A bytes array of the cells' text, about 15 B a cell.  A slice of it is a
-    view of the same type, so several blocks can share one formatted column.
-    """
+    """Float cells formatted once by `float_cells`, written as they are: a
+    bytes array whose slices, also `Cells`, several blocks can share."""
 
 
 def float_cells(values) -> Cells:
-    """Format a float64 column once, for a table that repeats its values."""
+    """Format a float64 column once, `CHUNK_ROWS` values at a time."""
     values = np.asarray(values)
     if values.dtype != np.float64 or values.ndim != 1:
         raise ValueError("float_cells takes a one-dimensional float64 array")
-    text = ((_FLOAT + b",") * values.size % tuple(values.tolist())).split(b",")
-    return np.array(text[:-1], dtype=bytes).view(Cells)
+    parts = [np.array([], dtype=bytes)]     # the cells of an empty column
+    for start in range(0, values.size, CHUNK_ROWS):
+        chunk = values[start:start + CHUNK_ROWS].tolist()
+        parts.append(np.array(((_FLOAT + b",") * len(chunk) % tuple(chunk)).split(b",")[:-1],
+                              dtype=bytes))
+    return np.concatenate(parts).view(Cells)
 
 
 def _cells(values) -> list[bytes]:

@@ -265,6 +265,26 @@ def test_predict_rejects_a_stride_out_below_one(tmp_path, capsys, two_horizon_mo
     assert not (tmp_path / "pred").exists()
 
 
+@pytest.mark.parametrize("extra, code", [(0, 2), (1, 0)])
+def test_predict_needs_two_rows_past_the_washout_and_horizon(tmp_path, capsys,
+                                                             two_horizon_model, extra, code):
+    analysis, model_path = two_horizon_model
+    _, model, _ = cli._load_model(model_path)
+    need = model.washout + max(model.horizon_samples) + 1    # 1 000 + 30 + 1
+    short = tmp_path / "short" / "analysis.csv"
+    short.parent.mkdir()
+    lines = analysis.read_bytes().split(b"\r\n")
+    short.write_bytes(b"\r\n".join(lines[:1 + need + extra]) + b"\r\n")
+    short.with_suffix(".json").write_bytes(analysis.with_suffix(".json").read_bytes())
+    capsys.readouterr()
+    assert run("predict", "--model", model_path, "--input", short, "--out", tmp_path / "pred") == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert f"{short} has {need} rows" in err
+        assert "washout of 1000 and its 0.5 s horizon (30 samples) need more than 1031" in err
+        assert not (tmp_path / "pred").exists()
+
+
 def _out_of_range(d, flag):
     """argv that sets ``flag`` out of its range, and what the error must say."""
     a = d / "kin" / "analysis.csv"

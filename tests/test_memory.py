@@ -6,9 +6,10 @@ peak is measured in-process on a 60 s trial (150 s where the reservoir is
 stepped in chunk groups) and bounded by a multiple of the data it must
 hold: the reservoir states, or one chunk group of them, for train and
 predict, the marker positions for kinematics, the markers of the views
-for ingest, the trial for ingest's write, one analysis table for the
-sensor search and one analysis table per trial for esp.  A trial-length array kept past its last reader, or a whole feature
-matrix where a stream of row blocks does, shows as a peak above its bound.
+for ingest, the trial for ingest's write, the sensor pool for the sensor
+search and one analysis table per trial for esp.  A trial-length array
+kept past its last reader, or a whole feature matrix where a stream of
+row blocks does, shows as a peak above its bound.
 """
 
 import tracemalloc
@@ -113,35 +114,35 @@ def long_trial(tmp_path_factory):
     return root, root / "kin" / "analysis.csv"
 
 
-@pytest.fixture
-def small_groups(monkeypatch, small_blocks):
-    """A stream steps the fewest chunks a group may hold: 4 to 7."""
-    monkeypatch.setattr(rc, "GROUP_BLOCKS", 1, raising=False)
-
-
 def group_held_bytes(model_path, rows: int, horizons: int) -> int:
-    """`held_bytes` of a ``rows``-row trial whose states are stepped a chunk
-    group at a time: a group of 7 chunks and its warm-up rows, not the states."""
+    """The bytes train or predict must hold at once on a ``rows``-row trial
+    whose states are stepped a chunk group at a time: the largest group
+    of `rc.MIN_GROUP_CHUNKS` or more chunks with its warm-up rows, one
+    `rc.BLOCK_ROWS`-row block of [features | 1] and of the reservoir drive
+    (its mux rows and their product), the sensors and targets, and the
+    predictions of ``horizons`` horizons."""
     config, model, _ = cli._load_model(model_path)
     k, length, w = time_chunks(rows, rc._forgetting_steps(rc.esn_init(config).recurrent_weights))
-    assert k >= 16     # so that a group of 4 to 7 chunks is at most 7 / 16 of them
-    states = (7 * length + w) * config.n_nodes
+    assert k >= 16     # so that the trial splits into four or more groups
+    largest = -(-k // (k // rc.MIN_GROUP_CHUNKS))      # of k // 4 groups, sizes within one
+    states = (largest * length + w) * config.n_nodes
+    block = rc.BLOCK_ROWS * (model.n_features + 1 + config.input_width + config.n_nodes)
     inputs = rows * (config.n_sensors + model.n_targets)
-    return (states + inputs + rows * horizons * model.n_targets) * FLOAT
+    return (states + block + inputs + rows * horizons * model.n_targets) * FLOAT
 
 
-def test_train_peak_is_one_chunk_group_and_every_horizon(long_trial, small_groups):
+def test_train_peak_is_one_chunk_group_and_its_inputs(long_trial):
     root, analysis = long_trial
     peak = traced_peak("train", "--input", analysis, "--pulsatile", "--out", root / "train")
-    model = root / "train" / "model.npz"
-    _, loaded, _ = cli._load_model(model)
     rows = round(LONG_SECONDS * FRAME_RATE)
-    # a group of states, the inputs and every horizon's predictions, which are
-    # scored from one read; holding the whole trial's states took 1.52 of it
-    assert peak < 1.15 * group_held_bytes(model, rows, horizons=len(loaded.horizons_s))
+    # a group of 4 chunks' states, a block and the inputs, and no horizon's
+    # predictions: the scores are summed a block at a time.  The slack covers
+    # the normal equations; stepping groups of about 8 192 rows and holding
+    # every horizon's predictions to score them took 1.93 of it
+    assert peak < 1.3 * group_held_bytes(root / "train" / "model.npz", rows, horizons=0)
 
 
-def test_predict_peak_is_one_chunk_group_and_every_horizon(long_trial, small_groups):
+def test_predict_peak_is_one_chunk_group_and_every_horizon(long_trial):
     root, analysis = long_trial
     model = root / "model" / "model.npz"
     assert run("train", "--input", analysis, "--pulsatile", "--out", model.parent) == 0
@@ -149,9 +150,9 @@ def test_predict_peak_is_one_chunk_group_and_every_horizon(long_trial, small_gro
                        "--out", root / "predict")
     _, loaded, _ = cli._load_model(model)
     rows = round(LONG_SECONDS * FRAME_RATE)
-    # a group of states beside every horizon's predictions, then the
-    # predictions with their formatted columns; holding the whole trial's
-    # states and the columns as str objects took 1.81 of it
+    # a group of 4 chunks' states and a block beside every horizon's
+    # predictions, then the predictions with their formatted columns;
+    # stepping groups of about 8 192 rows (here the whole trial) took 1.41 of it
     assert peak < 1.15 * group_held_bytes(model, rows, horizons=len(loaded.horizons_s))
 
 
@@ -199,14 +200,15 @@ def test_ingest_peak_is_one_view_beside_the_markers_of_the_others(view_prefix, t
     assert peak < 8 * markers
 
 
-def test_search_peak_is_the_table_and_a_block_of_subsets(trials):
+def test_search_peak_is_the_pool_and_a_block_of_subsets(trials):
     root, paths = trials
     peak = traced_peak("search-sensors", "--input", paths[7][1], "--out", root / "search")
     one_table = ROWS * len(cli.ANALYSIS_COLUMNS) * FLOAT
-    # the table, the pool's standardized columns and one block of
-    # sensorsearch.CHUNK_SIZE subsets' normal equations; blocks of 20 000
-    # subsets took about 25 tables
-    assert peak < 8 * one_table
+    # the pool's standardized columns, the task columns and one block of
+    # sensorsearch.CHUNK_SIZE subsets' normal equations, without the table:
+    # holding the table through the search took 5.6 tables, and blocks of
+    # 20 000 subsets about 25
+    assert peak < 5 * one_table
 
 
 def test_kinematics_peak_is_a_few_copies_of_the_positions(trials, monkeypatch):

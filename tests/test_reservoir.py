@@ -679,8 +679,7 @@ def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak
         return step(chunks, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        # a budget of one block of rows: every trial splits into groups
-        mp.setattr(rc, "GROUP_BLOCKS", 1)
+        # at these sizes a trial of 4 000 rows or more has 8 or more chunks: it splits into groups
         mp.setattr(rc, "_step_chunks", spy)
         stream = rc.feature_stream(sensors, cfg, 0.05)
         first = np.vstack([block[:, :-1].copy() for _, block in stream.blocks()])
@@ -690,7 +689,8 @@ def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak
         second = np.vstack([block[:, :-1].copy() for _, block in stream.blocks(lo, n)])
     np.testing.assert_array_equal(first, whole)
     np.testing.assert_array_equal(second, first[lo:])
-    assert stepped > 1 and min(groups) >= rc.MIN_GROUP_CHUNKS
+    assert stepped > 1 and rc.MIN_GROUP_CHUNKS <= min(groups)
+    assert max(groups) < 2 * rc.MIN_GROUP_CHUNKS
 
 
 def test_streamed_predictions_and_scores_match_the_whole_matrix():
@@ -713,6 +713,32 @@ def test_streamed_predictions_and_scores_match_the_whole_matrix():
     from_stream = rc.train_horizons(stream, targets, model.horizons_s, 1000, FS)
     for h_s, score in rc.evaluate_horizons(from_stream, stream, targets).items():
         assert abs(scores[h_s] - score) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1_000, 5_000), n_targets=st.integers(1, 9),
+       shifts=st.lists(st.integers(1, 150), max_size=3, unique=True),
+       washout=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))
+def test_streamed_scores_are_r2_over_the_whole_predictions_bitwise(n, n_targets, shifts,
+                                                                  washout, seed):
+    # trials of 1 000 to 5 000 rows end inside the first, second or third block
+    cfg = make_config(n_nodes=20, seed=seed % 64)
+    sensors = random_sensors(n, seed=seed % 1_000)
+    rng = np.random.default_rng(seed)
+    targets = rng.normal(size=(n, n_targets))
+    if n_targets == 1 and seed % 2:
+        targets = targets[:, 0]     # a 1-D target is one column too
+    horizons = (0.0, *(h / FS for h in shifts))
+    d = 20 + cfg.input_width
+    model = rc.Readout(weights=rng.normal(size=(len(horizons), d + 1, n_targets)) / d,
+                       horizons_s=horizons, frame_rate=FS, washout=washout)
+    y = targets.reshape(n, n_targets)
+    for features in (rc.feature_stream(sensors, cfg, 0.05),
+                     rc.reservoir_features(sensors, cfg, mux_scale=0.05)):
+        p = model.predict(features).reshape(n, len(horizons), n_targets)
+        expected = {h_s: rc.r2(p[washout:n - h, i], y[washout + h:])
+                    for i, (h_s, h) in enumerate(zip(horizons, model.horizon_samples))}
+        assert rc.evaluate_horizons(model, features, targets) == expected
 
 
 def _fit_each_horizon_alone(features, targets, horizon_samples, washout):
