@@ -15,11 +15,17 @@ Each trial and analysis table has a sidecar of these fields next to it
 
 View geometry
 -------------
-One camera films the top view and two mirrors, so the views are frame
-synchronized.  Rectification maps each view's corner landmarks
-``c1..c4`` onto the face points (0,0), (W,0), (W,H), (0,H) of a 150 mm
-square, read as ``top`` -> (x, y), ``behind`` -> (x, z) and ``right`` ->
-(y, z).
+All three views come from a single camera (one top view plus two mirrors),
+so frames are already synchronized.  After rectification each view's corner
+landmarks map onto a 150 mm square face and the face coordinates are read
+as:
+
+* ``top``    -> (x, y)
+* ``behind`` -> (x, z)
+* ``right``  -> (y, z)
+
+Corner order ``c1..c4`` corresponds to face coordinates
+(0,0), (W,0), (W,H), (0,H).
 """
 
 from __future__ import annotations
@@ -180,23 +186,26 @@ def solve_homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 def apply_homography(h: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply a 3x3 projective transform to (..., 2) points.
 
-    The points are mapped in equal blocks of at most `HOMOGRAPHY_BLOCK`,
-    which bounds the scratch, a strided view's copy included.  A block
-    holds one point only when there is one in all: a one-row product is a
-    vector product, which can round differently from a matrix product's.
+    The points are mapped a block of leading-axis rows at a time, about
+    `HOMOGRAPHY_BLOCK` points a block, which bounds the scratch, a strided
+    view's copy included.  A block holds two rows or more unless there is
+    one row in all, so it holds one point only when there is one in all: a
+    one-row product is a vector product, which can round differently from
+    a matrix product's.
     """
     pts = np.asarray(points, dtype=float)
-    rows = pts.reshape(1, 2) if pts.ndim == 1 else pts
     out = np.empty(pts.shape)
-    flat = out.reshape(-1, 2)
-    per_row = len(flat) // len(rows) if len(rows) else 1
-    n_blocks = max(1, -(-len(flat) // HOMOGRAPHY_BLOCK))
-    bounds = [len(flat) * i // n_blocks for i in range(n_blocks + 1)]
+    if out.size == 0:
+        return out
+    # rows of one point each, or of the points a leading-axis row holds
+    rows = pts.reshape(-1, 1, 2) if pts.ndim < 3 else pts.reshape(len(pts), -1, 2)
+    out_rows = out.reshape(rows.shape)
+    n_blocks = max(1, min(len(rows) // 2, -(-(out.size // 2) // HOMOGRAPHY_BLOCK)))
+    bounds = [len(rows) * i // n_blocks for i in range(n_blocks + 1)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        first, last = lo // per_row, -(-hi // per_row)     # the rows holding points lo..hi
-        block = rows[first:last].reshape(-1, 2)[lo - first * per_row:hi - first * per_row]
-        hom = np.column_stack([block, np.ones(hi - lo)]) @ h.T
-        np.divide(hom[:, :2], hom[:, 2:3], out=flat[lo:hi])
+        block = rows[lo:hi].reshape(-1, 2)
+        hom = np.column_stack([block, np.ones(len(block))]) @ h.T
+        np.divide(hom[:, :2], hom[:, 2:3], out=out_rows[lo:hi].reshape(-1, 2))
     return out
 
 

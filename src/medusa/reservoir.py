@@ -1,11 +1,17 @@
 """Reservoir-computing prediction: ESN, direct sensor readout, and hybrid.
 
-One linear readout reads echo-state-network activations (``esn``), the
-multiplexed sensor inputs (``prc``) or both (``hybrid``).  `MuxedInput`
-adds strided lagged copies of each sensor's history, scaled so the
-largest summed input magnitude is 1.  Readouts are fitted by least
-squares on the post-washout samples, per horizon of a grid, from one set
-of normal equations read a block of rows at a time (`FeatureStream`).
+Three architectures share one linear readout recipe:
+
+* ``esn``    : readout over echo-state-network activations,
+* ``prc``    : readout directly over the (multiplexed) sensor inputs,
+* ``hybrid`` : readout over both, concatenated.
+
+Temporal multiplexing (`MuxedInput`) augments each sensor with strided
+lagged copies of its recent history and rescales the block so the largest
+possible summed input magnitude is 1.  Readouts are trained by least
+squares on the post-washout samples, optionally against targets shifted
+into the future on a horizon grid, from one set of normal equations that
+reads the features a block of rows at a time (`FeatureStream`).
 """
 
 from __future__ import annotations
@@ -118,12 +124,15 @@ def _mux_lags(mux_horizon_s: float, stride: int, frame_rate: float) -> int:
 class MuxedInput:
     """Sensor histories concatenated per sensor, globally rescaled.
 
-    Columns are sensor-major: the lags of sensor 0 (current sample first),
-    then of sensor 1, and so on; history before the series start is zero,
-    the standardized mean.  One scalar scales the block, by default so that
-    max_T |sum U(T)| is 1 (`shared_mux_scale` of these sensors); ``scale``
-    shares one across datasets.  It holds the zero-padded scaled sensors:
-    `fill` builds any row range, ``values`` every row on first read.
+    Column layout is sensor-major: all lags of sensor 0 (current sample
+    first), then all lags of sensor 1, and so on.  History before the
+    series start is zero (the sensors are standardized, so zero is the
+    mean).  The whole block is scaled by one scalar, by default so that
+    max_T |sum_components U(T)| equals 1 (the `shared_mux_scale` of these
+    sensors alone); pass ``scale`` to share one factor across datasets.
+
+    It holds a zero-padded copy of the scaled sensors: `fill` builds any
+    row range on demand, and ``values``, every row, is built on first read.
     """
 
     def __init__(self, sensors, mux_horizon_s: float, stride: int, frame_rate: float,
@@ -198,9 +207,13 @@ def shared_mux_scale(
     stride: int,
     frame_rate: float,
 ) -> float:
-    """One mux scale valid for several datasets jointly: 1 over the largest
-    summed-input magnitude of all the sets, so |sum U(T)| <= 1 on each and
-    a model trained on one applies to the others."""
+    """One mux scale valid for several datasets jointly.
+
+    The factor is 1 over the largest summed-input magnitude across all the
+    sets, so the |sum U(T)| <= 1 bound holds on every one of them while
+    models trained on one set stay applicable to the others.  Each set's
+    unscaled mux is built a block at a time.
+    """
     peak = max((MuxedInput(x, mux_horizon_s, stride, frame_rate, 1.0).peak()
                 for x in sensor_sets), default=0.0)
     return 1.0 / peak if peak > 0 else 1.0
@@ -232,10 +245,13 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 def esn_init(config: ReservoirConfig) -> EsnState:
     """Draw the random input and recurrent weights for a configuration.
 
-    Entries are i.i.d. uniform on [-0.5, 0.5], each input column from its
-    own (sensor, lag) substream, so a longer mux horizon only appends lag
-    columns.  The recurrent matrix is scaled to the spectral radius.  Each
-    draw is made once per process and shared, read-only.
+    Entries are i.i.d. uniform on [-0.5, 0.5].  Input columns are drawn
+    from one substream per (sensor, lag), so growing the mux horizon
+    appends new lag columns without redrawing the existing ones.  The
+    recurrent matrix is rescaled to the configured spectral radius.
+
+    Each draw is made once per process and shared: the returned weights
+    and start state are read-only, so copy them before modifying.
     """
     if not ARCHITECTURES[config.architecture].states:
         raise ValueError(f"architecture {config.architecture!r} has no reservoir to initialize")
@@ -305,10 +321,13 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
 class _Drive:
     """The reservoir drive A·ũ of one input, any row range on demand.
 
-    Row r comes from the product over its block of the `BLOCK_ROWS` grid
-    from row 0 whatever range asks for it: another block shape can round
-    it differently.  With a leak, the leak's state before each block
-    passed is kept, so that a later range can start mid-series.
+    Row r comes from one product over its block of the `BLOCK_ROWS` grid
+    from row 0, whose last block ends at the last input row, whatever range
+    asks for it: a product over a block of another shape can round row r
+    differently.  A `MuxedInput`'s rows are built a block at a time into
+    one scratch block.  With a leak, ũ is the leaked input, and the leak's
+    state before each block passed is kept, so that a later range can
+    start mid-series.
     """
 
     def __init__(self, u, a: np.ndarray, leak: float):
@@ -357,9 +376,12 @@ def _step_chunks(chunks: np.ndarray, x: np.ndarray, bt: np.ndarray, w: int,
 
     ``chunks`` (G, L, n) holds each chunk's drive rows and is left holding
     its states; ``x`` (G, n) holds the start states and is left holding the
-    last ones.  Chunk i > 0 warms up over the last ``w`` drive rows of
-    chunk i - 1; so does chunk 0 over ``before`` (w, n) if given, else it
-    starts from ``x[0]``.  One (G, n) @ Bᵀ product per step.
+    last ones.  Every chunk but the
+    first warms up from its start state over the last ``w`` drive rows of
+    the chunk before it; so does the first when ``before`` gives those
+    rows (w, n), and otherwise it starts from ``x[0]`` as given.  One
+    (G, n) @ Bᵀ product per step: its rows round as in the product over
+    all K chunks when G >= `MIN_GROUP_CHUNKS`.
     """
     length = chunks.shape[1]
     lead = 0 if before is None else 1
@@ -396,15 +418,24 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
             _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
-    The input is leaky-integrated before the tanh update.  Row t is the
-    state after input row t; ``state`` is not mutated.  The drive A·ũ is
-    written into the result first (`_Drive`); the recurrence then steps K
-    time chunks together (`_step_chunks`).  Chunk 0 starts from
-    ``state.state``, every later one from zero W steps before its first
-    row, W being the forgetting bound (`_forgetting_steps`), so the states
-    agree with one sequential pass to rounding.  K, L and W come from
-    `series.time_chunks`.  ``_out`` is a (K·L, n) array to step in; the
-    result is a view of its first T rows.
+    The input is pre-integrated with the configured leak before entering
+    the tanh update; ``leak == 0`` recovers the plain update.  Row t of the
+    result is the state after consuming input row t; the caller's ``state``
+    is not mutated.
+
+    The input drive A·ũ does not depend on the state, so it is computed
+    into the result buffer before stepping (`_Drive`).
+    The recurrence is then stepped over K time chunks together, one
+    (K, n) @ Bᵀ product per step (`_step_chunks`).  Chunk 0 starts from
+    ``state.state``; every later chunk starts from zero W steps before its
+    first row, where W is the reservoir's forgetting bound
+    (`_forgetting_steps`), so its states agree with a single sequential
+    pass to rounding.  K, L and W come from `series.time_chunks`; every
+    chunk is longer than W, so each warm-up starts from a tanh output
+    (inside the √n bound).
+
+    ``_out`` is a (K·L, n) array to step in; the result is a view of its
+    first T rows.
     """
     u = inputs if isinstance(inputs, MuxedInput) else _as_columns(inputs)
     width = u.width if isinstance(u, MuxedInput) else u.shape[1]
@@ -456,8 +487,10 @@ def reservoir_features(
 ) -> np.ndarray:
     """Build mux, run the reservoir if needed, and assemble readout features.
 
-    They are built in one [states | mux | 1] buffer whose (T, d) left block
-    is returned: a fit takes the ones column as its bias without a copy.
+    The features are built in place in one buffer laid out as
+    [states | mux | 1], with the states and mux blocks present as the
+    architecture uses them; the result is its (T, d) left block, which
+    the readout trains on with the ones column as its bias without a copy.
     Its rows equal `feature_stream`'s bitwise.
     """
     x = _checked_sensors(sensors, config)
@@ -484,11 +517,15 @@ def reservoir_features(
 class FeatureStream:
     """The [states | mux | 1] rows of one recording, a block at a time.
 
-    It holds a `MuxedInput`, not the states.  Each read steps the reservoir
-    anew, a group of `esn_run`'s K time chunks at a time (`_chunk_groups`):
-    the chunks warm up as `esn_run`'s do on the same drive products
-    (`_Drive`), so the states are `esn_run`'s bitwise.  ``shape`` is the
-    (T, d) of `reservoir_features`' matrix, whose rows these equal bitwise.
+    It holds a `MuxedInput` (a zero-padded copy of the scaled sensors), not
+    the states or the feature matrix.  Each read steps the reservoir anew,
+    a group of `esn_run`'s K time chunks at a time (`_chunk_groups`) into
+    one buffer: a group's chunks warm up from the chunk before them as
+    `esn_run`'s do, and its drive rows come from the same products
+    (`_Drive`), so its states are `esn_run`'s bitwise.  `blocks` copies
+    each block's states and builds its mux rows into one buffer.
+    ``shape`` is the (T, d) of the matrix `reservoir_features` returns,
+    whose rows these equal bitwise.
     """
 
     def __init__(self, mux: MuxedInput, state: EsnState | None, reads_mux: bool):
@@ -657,11 +694,14 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     """Least-squares readout per horizon over the post-washout samples,
     from one set of normal equations (Lukoševičius 2012, §4).
 
-    ``features`` is a whole matrix (one block) or a `FeatureStream`.  The
-    Gram G₀ of [features, 1] is built once; horizon h pairs row t with
-    target row t + h, so its Gram is G₀ − F_tailᵀF_tail over the last h
-    rows, and its moment is summed in the same pass.  `RIDGE_DEFAULT` is
-    for conditioning.  Each horizon needs 3 samples per feature column.
+    ``features`` is a whole matrix, read as one block, or a
+    `FeatureStream`, read a block at a time.  The Gram G₀ of [features, 1]
+    is built once over the post-washout rows.  Horizon h pairs row t with
+    target row t + h, so it drops the last h rows: its Gram is
+    G₀ − F_tailᵀF_tail over those rows, and its moment Fᵀy is summed over
+    its own rows in the same pass.  A small ridge (`RIDGE_DEFAULT`) is
+    added to the normal equations purely for conditioning.  Each horizon
+    needs at least 3x as many samples as feature columns (bias included).
     """
     if not isinstance(features, FeatureStream):
         features = np.asarray(features, dtype=float)
@@ -692,7 +732,7 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
             )
     gram = None     # there is at least one post-washout row
     moments = np.zeros((len(shifts), d_aug, y.shape[1]))
-    # the last rows, for the horizons' dropped tails
+    # the last rows, kept as the pass goes by for the horizons' dropped tails
     kept = max(shifts)
     tail = np.empty((kept, d_aug))
     for start, block in _biased_blocks(features, washout, n):
@@ -710,7 +750,8 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     for i, (w, moment, h) in enumerate(zip(model.weights, moments, shifts)):
         # the solve adds the ridge in place: the last horizon takes G₀ itself
         gram_h = gram if i == len(shifts) - 1 else gram.copy()
-        # the dropped rows in the blocks a read of them gives
+        # the dropped rows in the blocks a read of them gives: a stream's blocks
+        # from n - h, or one block of a whole matrix
         ranges = (_row_blocks(n - h, n) if isinstance(features, FeatureStream)
                   else [(n - h, n)] if h else [])
         for first, last in ranges:
@@ -730,8 +771,12 @@ def _biased_blocks(features, start: int, stop: int):
 
 
 def _with_bias(features: np.ndarray, start: int) -> np.ndarray:
-    """[features, 1] from row ``start`` on: a view of the buffer that
-    `reservoir_features` returns the left block of, otherwise one copy."""
+    """[features, 1] from row ``start`` on.
+
+    A view when ``features`` is the left block of a C-contiguous buffer
+    whose last column is ones, as `reservoir_features` returns; otherwise
+    one copy.
+    """
     base = features.base
     if (isinstance(base, np.ndarray) and base.ndim == 2 and base.dtype == features.dtype
             and base.flags.c_contiguous and base.shape[1] == features.shape[1] + 1
@@ -782,12 +827,7 @@ def evaluate_horizons(
     targets: np.ndarray,
 ) -> dict[float, float]:
     """Post-washout R-squared per horizon, bitwise `r2` over the columns of
-    ``model.predict(features)``, from `predict`'s blocks one at a time.
-
-    numpy sums two or more columns along axis 0 row after row, so a running
-    sum atop a block's squared residuals sums them as `r2` does; one column
-    it sums pairwise, so it is kept whole.
-    """
+    ``model.predict(features)``, from `predict`'s blocks one at a time."""
     f, blocks = model._blocks(features)
     y = _as_columns(targets)
     n, washout = f.shape[0], model.washout
@@ -797,25 +837,55 @@ def evaluate_horizons(
         raise ValueError(f"shape mismatch {(n, n_t)} vs {y.shape}")
     sst = [_sum_of_squares(y[washout + h:]) for h in shifts]
     rows = min(BLOCK_ROWS, n) if isinstance(f, FeatureStream) else n
-    predictions = np.empty((rows, n_h, n_t))
-    if n_t > 1:     # a block's residuals below its horizon's running sums
-        sums, scratch = np.zeros((n_h, n_t)), np.empty((rows + 1, n_t))
+    pieces = _scored_pieces(model, blocks, y, rows)
+    if n_t > 1:
+        sse = _running_sums(pieces, n_h, n_t, rows)
     else:
-        columns = [np.empty((n - h - washout, 1)) for h in shifts]
+        sse = _whole_columns(pieces, [n - h - washout for h in shifts])
+    return {h_s: _r2_of(e, t) for h_s, e, t in zip(model.horizons_s, sse, sst)}
+
+
+def _scored_pieces(model: Readout, blocks, y: np.ndarray, rows: int):
+    """(horizon index, first post-washout row, predictions, their targets)
+    of each block's scored rows, per horizon; blocks hold at most ``rows``."""
+    n, washout = y.shape[0], model.washout
+    n_h, _, n_t = model.weights.shape
+    predictions = np.empty((rows, n_h, n_t))
     for start, block in blocks:
         p = model._predict_rows(block, predictions[:block.shape[0]])
-        for i, h in enumerate(shifts):
+        for i, h in enumerate(model.horizon_samples):
             lo, hi = max(start, washout), min(start + block.shape[0], n - h)
-            if lo >= hi:
-                continue
-            res = scratch[1:hi - lo + 1] if n_t > 1 else columns[i][lo - washout:hi - washout]
-            np.subtract(p[lo - start:hi - start, i], y[lo + h:hi + h], out=res)
-            np.square(res, out=res)
-            if n_t > 1:
-                scratch[0] = sums[i]
-                sums[i] = np.sum(scratch[:hi - lo + 1], axis=0)
-    sse = sums if n_t > 1 else [np.sum(c, axis=0) for c in columns]
-    return {h_s: _r2_of(e, t) for h_s, e, t in zip(model.horizons_s, sse, sst)}
+            if lo < hi:
+                yield i, lo - washout, p[lo - start:hi - start, i], y[lo + h:hi + h]
+
+
+def _running_sums(pieces, n_h: int, n_t: int, rows: int) -> np.ndarray:
+    """Each horizon's squared residuals over two or more columns, summed a
+    piece at a time as `r2` sums them whole.
+
+    numpy sums two or more columns along axis 0 row after row (numpy 2.4.6;
+    see pyproject.toml), so the sum so far put atop a piece's squares adds
+    them in `r2`'s order.
+    """
+    sums, scratch = np.zeros((n_h, n_t)), np.empty((rows + 1, n_t))
+    for i, _, predicted, actual in pieces:
+        res = scratch[1:len(predicted) + 1]
+        np.subtract(predicted, actual, out=res)
+        np.square(res, out=res)
+        scratch[0] = sums[i]
+        sums[i] = np.sum(scratch[:len(predicted) + 1], axis=0)
+    return sums
+
+
+def _whole_columns(pieces, lengths: list[int]) -> list[np.ndarray]:
+    """Each horizon's squared residuals over one column, kept whole and
+    summed once: numpy sums one column pairwise, as `r2` does."""
+    columns = [np.empty((m, 1)) for m in lengths]
+    for i, first, predicted, actual in pieces:
+        res = columns[i][first:first + len(predicted)]
+        np.subtract(predicted, actual, out=res)
+        np.square(res, out=res)
+    return [np.sum(c, axis=0) for c in columns]
 
 
 def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -854,9 +924,10 @@ class CrossPrediction:
 def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     """Train on each dataset and score every dataset with every model.
 
-    ``datasets`` maps a label to a ``(features, targets)`` pair of one
-    shared layout (else ConfigMismatch).  Entry [i, j] is the R-squared of
-    model i on data j.
+    ``datasets`` maps a label to a ``(features, targets)`` pair built with
+    one shared sensor configuration and mux; mismatched widths raise
+    ConfigMismatch.  Entry [i, j] is the R-squared of model i on data j,
+    so the diagonal holds the self-evaluation scores.
     """
     names = list(datasets)
     pairs = []
@@ -1066,9 +1137,12 @@ def load_compact(blob: bytes) -> CompactModel:
 
 
 class CompactEvaluator:
-    """Single-step float32 inference: ``step`` updates the reservoir and
-    reads out into buffers allocated in ``__init__``, whose bytes and the
-    weights' are the working set."""
+    """Single-step float32 inference with fixed preallocated buffers.
+
+    All working arrays are allocated in ``__init__``; ``step`` performs one
+    reservoir update plus readout without allocating.  The declared
+    working set is the total byte size of weights and buffers.
+    """
 
     def __init__(self, model: CompactModel):
         self.model = model

@@ -173,6 +173,21 @@ class PairwiseComparison:
     p_adjusted: float
 
 
+def _group_moments(perm: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group means and within-group sum of squares, the groups
+    being ``perm``'s columns between consecutive ``bounds``."""
+    k = len(bounds) - 1
+    mean_g = np.empty((len(perm), k))
+    ssw_p = np.zeros(len(perm))
+    for g in range(k):
+        block = perm[:, bounds[g]:bounds[g + 1]]
+        mean_g[:, g] = block.mean(axis=1)
+        dev = block - mean_g[:, g, None]
+        dev *= dev
+        ssw_p += dev.sum(axis=1)
+    return mean_g, ssw_p
+
+
 def pairwise_tests(
     groups,
     n_permutations: int = 10_000,
@@ -216,16 +231,9 @@ def pairwise_tests(
     half_inv = 0.5 * np.array([1 / sizes[i] + 1 / sizes[j] for i, j in pairs])
     while done < n_permutations:
         c = min(PERMUTATION_CHUNK, n_permutations - done)
-        order = np.argsort(rng.random((c, n_total)), axis=1)
-        perm = pool[order]
-        mean_g = np.empty((c, k))
-        ssw_p = np.zeros(c)
-        for g in range(k):
-            block = perm[:, bounds[g]:bounds[g + 1]]
-            mean_g[:, g] = block.mean(axis=1)
-            dev = block - mean_g[:, g, None]
-            dev *= dev
-            ssw_p += dev.sum(axis=1)
+        # the block's draws, order and permuted samples are let go in turn
+        mean_g, ssw_p = _group_moments(pool[np.argsort(rng.random((c, n_total)), axis=1)],
+                                       bounds)
         msw_p = ssw_p / (n_total - k)
         q_pairs = np.empty((c, len(pairs)))
         for idx, (i, j) in enumerate(pairs):

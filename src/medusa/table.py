@@ -25,12 +25,17 @@ _SPECIAL = (b",", b'"', b"\r", b"\n")
 
 
 class Cells(np.ndarray):
-    """Float cells formatted once by `float_cells`, written as they are: a
-    bytes array whose slices, also `Cells`, several blocks can share."""
+    """Float cells formatted once by `float_cells`, written as they are.
+
+    A bytes array of the cells' text, about 15 B a cell.  A slice of it is a
+    view of the same type, so several blocks can share one formatted column.
+    """
 
 
 def float_cells(values) -> Cells:
-    """Format a float64 column once, `CHUNK_ROWS` values at a time."""
+    """Format a float64 column once, for a table that repeats its values;
+    `CHUNK_ROWS` values at a time, so that their Python floats and texts
+    never number a whole column."""
     values = np.asarray(values)
     if values.dtype != np.float64 or values.ndim != 1:
         raise ValueError("float_cells takes a one-dimensional float64 array")

@@ -153,6 +153,8 @@ def test_blocked_homography_is_bitwise_one_product(monkeypatch):
     single = rng.uniform(0.0, 1.0, size=(1, 2))
     hom = np.append(single, 1.0) @ h.T
     np.testing.assert_array_equal(ingest.apply_homography(h, single), [hom[:2] / hom[2]])
+    for shape in ((0, 2), (0, 8, 2), (5, 0, 2)):     # no points: an empty result
+        assert ingest.apply_homography(h, np.empty(shape)).shape == shape
 
 
 def test_views_reduced_to_their_markers_assemble_alike():

@@ -184,6 +184,18 @@ def test_permutation_reproducible_for_fixed_seed():
     assert [r.p_adjusted for r in a] == [r.p_adjusted for r in b]
 
 
+def test_permutation_blocks_do_not_change_the_draws(monkeypatch):
+    # the generator draws a block's uniforms in sequence, so blocks of any
+    # size permute the samples alike
+    rng = np.random.default_rng(5)
+    groups = [rng.normal(loc=0.3 * i, size=40) for i in range(4)]
+    results = []
+    for chunk in (7, 1_024, 2_048, 10_000):
+        monkeypatch.setattr(response, "PERMUTATION_CHUNK", chunk)
+        results.append(response.pairwise_tests(groups, n_permutations=3000, seed=2))
+    assert all(r == results[0] for r in results[1:])
+
+
 def test_adjusted_p_does_not_hang_on_the_sample_order():
     cases = [
         # every regrouping but the observed one (and its mirror) has a far
