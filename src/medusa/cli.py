@@ -25,7 +25,9 @@ from . import (
 )
 from . import esp as esp_mod
 from . import reservoir as rc
-from .errors import MedusaError, UntrainedHorizon, ValidationError, ZeroVariance, require_finite
+from .errors import (
+    MedusaError, PeriodTooShort, UntrainedHorizon, ValidationError, ZeroVariance, require_finite,
+)
 from .manifest import write_manifest
 from .series import runs
 from .table import float_cells, read_csv, read_json, write_csv, write_json
@@ -39,7 +41,7 @@ VELOCITY_CHANNELS = ("vx", "vy", "vz")
 RESPONSE_CHANNELS = SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS
 # the least value of each numeric flag, checked before a command reads anything
 FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1, "trials": 1,
-               "seconds": synthgen.MIN_DURATION_S}
+               "seconds": synthgen.MIN_DURATION_S, "noise_sd": 0}
 # the flag that sets each EspParams/ReservoirConfig field a command takes from one
 FIELD_FLAGS = {"transient_s": "--transient", "horizon_s": "--horizon", "n_nodes": "--nodes",
                "spectral_radius": "--rho", "mux_horizon_s": "--mux", "mux_stride": "--stride",
@@ -164,12 +166,15 @@ def _labeled_inputs(run: Run, items) -> dict[str, list[Path]]:
     return out
 
 
-def _check_flag_minima(args) -> None:
-    for dest, low in FLAG_MINIMA.items():
-        value = getattr(args, dest, low)
-        if not value >= low:    # a NaN fails too
-            flag = "--" + dest.replace("_", "-")
-            raise ValidationError(f"{flag} must be at least {low}, got {value}")
+def _check_flags(args) -> None:
+    """Exit 2 naming the flag unless every float flag is finite and every
+    flag of `FLAG_MINIMA` is at least its least value."""
+    for dest, value in vars(args).items():
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
+        if dest in FLAG_MINIMA and not value >= FLAG_MINIMA[dest]:
+            raise ValidationError(f"{flag} must be at least {FLAG_MINIMA[dest]}, got {value}")
 
 
 @contextmanager
@@ -189,7 +194,10 @@ def _flag_errors(args):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args, run: Run) -> None:
-    schedule = synthgen.pwm_schedule(args.tau, args.seconds) if args.tau else None
+    try:
+        schedule = None if args.tau is None else synthgen.pwm_schedule(args.tau, args.seconds)
+    except PeriodTooShort as exc:
+        raise ValidationError(f"--tau {args.tau}: {exc}") from None
     for i in range(args.trials):
         params = synthgen.SyntheticJellyfishParams(
             seed=args.seed + i, noise_sd_mm=args.noise_sd
@@ -315,9 +323,14 @@ def cmd_phase(args, run: Run) -> None:
                               f"{', '.join(RESPONSE_CHANNELS)}")
     table = AnalysisTable.read(run.table(args.input))
     fs = table.frame_rate
-    onsets = table.stim_onsets() / fs
+    onsets = table.stim_onsets()
     if onsets.size < 2:
         raise ValidationError("trial has fewer than 2 stimulus onsets; nothing to segment")
+    # the cycles are resampled from these rows: one NaN would turn phase points NaN
+    span = slice(onsets[0], onsets[-1] + 1)
+    require_finite(table.data[span, [ANALYSIS_COLUMNS.index(c) for c in RESPONSE_CHANNELS]],
+                   "phase span", first_row=span.start)
+    onsets = onsets / fs
 
     rows = []
     ribbons = {}
@@ -852,7 +865,7 @@ def main(argv=None) -> int:
     run = Run(args.out)
     started = time.perf_counter()
     try:
-        _check_flag_minima(args)
+        _check_flags(args)
         args.func(args, run)
         run.out.mkdir(parents=True, exist_ok=True)
         write_manifest(run.out, args.command, vars(args), run.inputs, run.outputs,

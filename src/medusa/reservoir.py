@@ -827,7 +827,8 @@ def evaluate_horizons(
     targets: np.ndarray,
 ) -> dict[float, float]:
     """Post-washout R-squared per horizon, bitwise `r2` over the columns of
-    ``model.predict(features)``, from `predict`'s blocks one at a time."""
+    ``model.predict(features)``, from `predict`'s blocks one at a time: each
+    block's squared residuals are added to its horizon's `_row_sums`."""
     f, blocks = model._blocks(features)
     y = _as_columns(targets)
     n, washout = f.shape[0], model.washout
@@ -836,56 +837,16 @@ def evaluate_horizons(
     if y.shape != (n, n_t):
         raise ValueError(f"shape mismatch {(n, n_t)} vs {y.shape}")
     sst = [_sum_of_squares(y[washout + h:]) for h in shifts]
+    sse = np.zeros((n_h, n_t))
     rows = min(BLOCK_ROWS, n) if isinstance(f, FeatureStream) else n
-    pieces = _scored_pieces(model, blocks, y, rows)
-    if n_t > 1:
-        sse = _running_sums(pieces, n_h, n_t, rows)
-    else:
-        sse = _whole_columns(pieces, [n - h - washout for h in shifts])
-    return {h_s: _r2_of(e, t) for h_s, e, t in zip(model.horizons_s, sse, sst)}
-
-
-def _scored_pieces(model: Readout, blocks, y: np.ndarray, rows: int):
-    """(horizon index, first post-washout row, predictions, their targets)
-    of each block's scored rows, per horizon; blocks hold at most ``rows``."""
-    n, washout = y.shape[0], model.washout
-    n_h, _, n_t = model.weights.shape
     predictions = np.empty((rows, n_h, n_t))
     for start, block in blocks:
         p = model._predict_rows(block, predictions[:block.shape[0]])
-        for i, h in enumerate(model.horizon_samples):
+        for i, h in enumerate(shifts):
             lo, hi = max(start, washout), min(start + block.shape[0], n - h)
             if lo < hi:
-                yield i, lo - washout, p[lo - start:hi - start, i], y[lo + h:hi + h]
-
-
-def _running_sums(pieces, n_h: int, n_t: int, rows: int) -> np.ndarray:
-    """Each horizon's squared residuals over two or more columns, summed a
-    piece at a time as `r2` sums them whole.
-
-    numpy sums two or more columns along axis 0 row after row (numpy 2.4.6;
-    see pyproject.toml), so the sum so far put atop a piece's squares adds
-    them in `r2`'s order.
-    """
-    sums, scratch = np.zeros((n_h, n_t)), np.empty((rows + 1, n_t))
-    for i, _, predicted, actual in pieces:
-        res = scratch[1:len(predicted) + 1]
-        np.subtract(predicted, actual, out=res)
-        np.square(res, out=res)
-        scratch[0] = sums[i]
-        sums[i] = np.sum(scratch[:len(predicted) + 1], axis=0)
-    return sums
-
-
-def _whole_columns(pieces, lengths: list[int]) -> list[np.ndarray]:
-    """Each horizon's squared residuals over one column, kept whole and
-    summed once: numpy sums one column pairwise, as `r2` does."""
-    columns = [np.empty((m, 1)) for m in lengths]
-    for i, first, predicted, actual in pieces:
-        res = columns[i][first:first + len(predicted)]
-        np.subtract(predicted, actual, out=res)
-        np.square(res, out=res)
-    return [np.sum(c, axis=0) for c in columns]
+                sse[i] = _row_sums((p[lo - start:hi - start, i] - y[lo + h:hi + h]) ** 2, sse[i])
+    return {h_s: _r2_of(e, t) for h_s, e, t in zip(model.horizons_s, sse, sst)}
 
 
 def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -897,7 +858,22 @@ def r2(predicted: np.ndarray, actual: np.ndarray) -> float:
     if p.ndim == 1:
         p, a = p[:, None], a[:, None]
     sst = _sum_of_squares(a)
-    return _r2_of(np.sum((p - a) ** 2, axis=0), sst)
+    return _r2_of(_row_sums((p - a) ** 2), sst)
+
+
+def _row_sums(rows: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+    """Per column, ``total`` (zero by default) plus ``rows`` added one row
+    after another, in `np.add.accumulate`'s order, a `BLOCK_ROWS` block at
+    a time: a sum carried over consecutive pieces of an array is bitwise its
+    sum whole, whatever its column count or memory layout."""
+    acc = np.zeros(rows.shape[1]) if total is None else total
+    scratch = np.empty((min(BLOCK_ROWS, rows.shape[0]) + 1, rows.shape[1]))
+    for first, last in _row_blocks(0, rows.shape[0]):
+        part = scratch[:last - first + 1]
+        part[0] = acc
+        part[1:] = rows[first:last]
+        acc = np.add.accumulate(part, axis=0, out=part)[-1]
+    return acc
 
 
 def _sum_of_squares(actual: np.ndarray) -> np.ndarray:
@@ -905,7 +881,7 @@ def _sum_of_squares(actual: np.ndarray) -> np.ndarray:
     for fewer than 2 rows or a constant column, which `r2` cannot score."""
     if actual.shape[0] < 2:
         raise ValueError("need at least 2 samples")
-    sst = np.sum((actual - actual.mean(axis=0)) ** 2, axis=0)
+    sst = _row_sums((actual - _row_sums(actual) / actual.shape[0]) ** 2)
     if np.any(sst == 0):
         raise ConstantTarget("R-squared is undefined for a constant channel")
     return sst

@@ -304,11 +304,26 @@ def _out_of_range(d, flag):
         "--mux": (train + ["--mux", 0.05], "--mux 0.05, --stride 6: "),
         "--nodes": (train + ["--nodes", 0], "--nodes 0: "),
         "--washout": (train + ["--washout", "abc"], "--washout must be an integer or 'auto'"),
+        # --tau is omitted or longer than the 0.1 s burst
+        "--tau 0": (["synth", "--tau", 0], "--tau 0.0: period 0.0 s must exceed the 0.1 s burst"),
+        "--tau 0.05": (["synth", "--tau", 0.05], "--tau 0.05: period 0.05 s must exceed"),
+        "--tau -1": (["synth", "--tau", -1], "--tau -1.0: period -1.0 s must exceed"),
+        "--noise-sd -1": (["synth", "--noise-sd", -1], "--noise-sd must be at least 0, got -1.0"),
+        # every float flag is finite
+        "--tau inf": (["synth", "--tau", "inf"], "--tau must be finite, got inf"),
+        "--tau nan": (["synth", "--tau", "nan"], "--tau must be finite, got nan"),
+        "--noise-sd nan": (["synth", "--noise-sd", "nan"], "--noise-sd must be finite, got nan"),
+        "--seconds inf": (["synth", "--seconds", "inf"], "--seconds must be finite, got inf"),
+        "--mux inf": (train + ["--mux", "inf"], "--mux must be finite, got inf"),
+        "--mux nan": (train + ["--mux", "nan"], "--mux must be finite, got nan"),
     }[flag]
 
 
 @pytest.mark.parametrize("flag", ["--kmax", "--threads", "--max-gap", "--transient", "--rho",
-                                  "--leak", "--stride", "--mux", "--nodes", "--washout"])
+                                  "--leak", "--stride", "--mux", "--nodes", "--washout",
+                                  "--tau 0", "--tau 0.05", "--tau -1", "--noise-sd -1",
+                                  "--tau inf", "--tau nan", "--noise-sd nan", "--seconds inf",
+                                  "--mux inf", "--mux nan"])
 def test_search_sensors_rejects_a_bound_below_one(tmp_path, capsys, inventory_dir, flag):
     argv, message = _out_of_range(inventory_dir, flag)
     capsys.readouterr()
@@ -674,6 +689,21 @@ def test_confusion_takes_one_analysis_per_label(tmp_path, capsys, inventory_dir)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("targets", ["vx,vy,vz", "vz"])
+def test_swapping_confusion_labels_permutes_its_matrix(tmp_path, inventory_dir, targets):
+    a0, a1 = (inventory_dir / name / "analysis.csv" for name in ("a0", "a1"))
+    tables = []
+    for inputs in ([f"x={a0}", f"y={a1}"], [f"y={a1}", f"x={a0}"]):
+        out = tmp_path / inputs[0][0]
+        assert run("confusion", "--inputs", *inputs, "--targets", targets, "--out", out) == 0
+        tables.append([row.split(",") for row in
+                       (out / "confusion.csv").read_text().splitlines()])
+    xy, yx = tables
+    assert xy[0] == ["train\\eval", "x", "y"]
+    # the labels' rows and columns trade places, each entry as printed
+    assert [[row[0], row[2], row[1]] for row in (xy[0], xy[2], xy[1])] == yx
+
+
 def test_a_single_labelled_esp_group_is_the_plain_esp_without_stats(tmp_path, inventory_dir):
     paths = [inventory_dir / f"b{i}" / "analysis.csv" for i in range(3)]
     assert run("esp", "--inputs", "b=" + ",".join(map(str, paths)), "--horizon", 30.0,
@@ -741,14 +771,15 @@ def test_report_lists_runs(tmp_path, capsys):
     assert "synth" in capsys.readouterr().out
 
 
-def _gappy_analysis(tmp_path):
-    """A stimulated trial with one marker missing for 20 frames, as kinematics sees it."""
+def _gappy_analysis(tmp_path, gap=slice(1500, 1520)):
+    """A stimulated trial with one marker missing for the 20 frames of
+    ``gap``, as kinematics sees it."""
     raw = synth_trial(tmp_path, name="gappy_raw", seconds=60.0, seed=4)
     trial = ingest.read_trial_csv(raw / "trial.csv")
     positions = trial.positions.copy()
-    positions[1500:1520, 0] = np.nan
+    positions[gap, 0] = np.nan
     valid = trial.valid_mask.copy()
-    valid[1500:1520] = False
+    valid[gap] = False
     ingest.write_trial_csv(replace(trial, positions=positions, valid_mask=valid),
                            raw / "trial.csv")
     analysis = analysis_for(tmp_path, raw / "trial.csv", name="gappy_kin")
@@ -847,6 +878,22 @@ def test_esp_on_invalid_frames_exits_1_naming_the_trial(tmp_path, capsys):
                "--out", tmp_path / "early") == 0
     rows = (tmp_path / "early" / "esp.csv").read_text().splitlines()[1:]
     assert len(rows) == 4 and "nan" not in "".join(rows)
+
+
+def test_phase_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):
+    # the first onset is row 0 and the last row 3480 (58 s at 60 Hz)
+    analysis = _gappy_analysis(tmp_path)
+    assert run("phase", "--input", analysis, "--out", tmp_path / "phase") == 1
+    err = capsys.readouterr().err
+    assert "InvalidFrames: phase span has 25 non-finite rows of 3481 (first at row 1497)" in err
+    assert not (tmp_path / "phase").exists()
+
+
+def test_phase_resamples_valid_rows_past_an_invalid_tail(tmp_path):
+    analysis = _gappy_analysis(tmp_path, gap=slice(3540, 3560))
+    assert run("phase", "--input", analysis, "--out", tmp_path / "phase") == 0
+    rows = (tmp_path / "phase" / "phase.csv").read_text().splitlines()[1:]
+    assert len(rows) == 11 * 64 and "nan" not in "".join(rows)
 
 
 def test_search_sensors_checks_only_the_rows_it_uses(tmp_path, capsys):

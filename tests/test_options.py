@@ -12,7 +12,8 @@ way, or any ``replace(...)`` call passes it by keyword or passes
 
 Every public function, class and public method of src/medusa is also
 named somewhere in src/ or perfbench/ outside its own definition: code
-that only the tests use belongs in tests/.
+that only the tests use belongs in tests/.  So is every module-level
+private function and class: code that nothing calls goes.
 """
 
 from __future__ import annotations
@@ -178,15 +179,15 @@ def test_only_the_architecture_table_names_an_architecture():
     assert architecture_branches() == []
 
 
-def _public_definitions():
-    """(qualified name, path, def) of every public function, class and
-    public method in src/medusa."""
+def _definitions():
+    """(qualified name, path, def) of every module-level function and class
+    in src/medusa, and of every public method of its public classes."""
     for path in sorted((ROOT / "src" / "medusa").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             yield f"{path.stem}.{node.name}", path, node
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         yield f"{path.stem}.{node.name}.{item.name}", path, item
@@ -212,14 +213,19 @@ def _name_uses():
     return uses
 
 
-def unused_public_api() -> list[str]:
-    """Public definitions in src/medusa that src/ and perfbench/ never name
-    outside the definition itself: an API only the tests use."""
+def unnamed_definitions() -> list[str]:
+    """Definitions in src/medusa that src/ and perfbench/ never name outside
+    the definition itself: an API only the tests use, or a private helper
+    that nothing calls."""
     uses = _name_uses()
-    return [qualname for qualname, path, node in _public_definitions()
+    return [qualname for qualname, path, node in _definitions()
             if not any(p != path or not node.lineno <= line <= node.end_lineno
                        for p, line in uses[node.name])]
 
 
 def test_every_public_definition_is_named_outside_the_tests():
-    assert unused_public_api() == []
+    assert [q for q in unnamed_definitions() if not q.split(".")[1].startswith("_")] == []
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    assert [q for q in unnamed_definitions() if q.split(".")[1].startswith("_")] == []

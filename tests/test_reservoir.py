@@ -544,6 +544,18 @@ def test_r2_multichannel_average():
     assert rc.r2(p, a) == pytest.approx(0.5)
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(200, 40_000), c=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_r2_sums_in_one_order_whatever_the_layout_or_column_count(m, c, seed):
+    rng = np.random.default_rng(seed)
+    actual = rng.normal(size=(m, c)) * rng.uniform(0.1, 10.0, size=c) + rng.normal(size=c)
+    predicted = actual + 0.5 * rng.normal(size=(m, c))
+    score = rc.r2(predicted, actual)
+    assert rc.r2(np.asfortranarray(predicted), np.asfortranarray(actual)) == score
+    # the multi-channel score is the mean of the per-channel ones, to the last bit
+    assert np.mean([rc.r2(predicted[:, j], actual[:, j]) for j in range(c)]) == score
+
+
 # ---------------------------------------------------------------------------
 # cross prediction
 # ---------------------------------------------------------------------------
