@@ -14,8 +14,9 @@ import math
 import os
 import sys
 import time
+import zipfile
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ VELOCITY_CHANNELS = ("vx", "vy", "vz")
 # the channels phase writes and esp compares: the lengths set, then one per axis
 RESPONSE_CHANNELS = SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS
 # the least value of each numeric flag, checked before a command reads anything
-FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "threads": 1, "trials": 1,
+FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "trials": 1,
                "seconds": synthgen.MIN_DURATION_S, "noise_sd": 0}
 # the flag that sets each EspParams/ReservoirConfig field a command takes from one
 FIELD_FLAGS = {"transient_s": "--transient", "horizon_s": "--horizon", "n_nodes": "--nodes",
@@ -132,18 +133,14 @@ class AnalysisTable:
         return runs(self.column("stim") > 0)[0]
 
 
-def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float,
-                            out: np.ndarray | None = None) -> np.ndarray:
-    """Filter each contiguous run of valid rows, all channels in one call,
-    into ``out``: a copy of ``x`` by default, or ``x`` itself to filter in
-    place.  Short runs pass through."""
-    out = x.copy() if out is None else out
+def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> None:
+    """Filter each contiguous run of valid rows of ``x`` in place, all
+    channels in one call.  Short runs pass through."""
     for start, stop in zip(*runs(valid)):
         try:
-            out[start:stop] = kinematics.lowpass_3hz(x[start:stop], fs)
+            x[start:stop] = kinematics.lowpass_3hz(x[start:stop], fs)
         except MedusaError:
             pass
-    return out
 
 
 def _require_rate(path: Path, rate: float, expected: float, source: str) -> None:
@@ -240,7 +237,7 @@ def cmd_kinematics(args, run: Run) -> None:
     fs = trial.frame_rate
 
     if not args.no_filter:     # in place: the unfiltered positions have no later reader
-        _lowpass_valid_segments(trial.positions, trial.valid_mask, fs, out=trial.positions)
+        _lowpass_valid_segments(trial.positions, trial.valid_mask, fs)
 
     lengths = kinematics.pairwise_lengths(trial)
     pose = kinematics.body_frame(trial)
@@ -580,9 +577,22 @@ def cmd_train(args, run: Run) -> None:
 
 
 def _load_model(path: Path):
-    data = np.load(path, allow_pickle=False)
+    """A model.npz from `cmd_train` as (config, readout, extras); exit 2
+    naming ``path`` and the array or config field that makes it not one."""
+    try:    # a .npy file loads as one array, which no `with` takes: TypeError
+        with np.load(path, allow_pickle=False) as npz:
+            data = dict(npz)
+    except (OSError, ValueError, EOFError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path} is not an npz file: {exc}") from None
+    for name in ("config", "weights", "horizons_s", "washout", "target_names", "mux_scale",
+                 "sensor_names", "pulsatile"):
+        if name not in data:
+            raise ValidationError(f"{path} is not a model from train: it has no {name!r} array")
     cfg_dict = json.loads(str(data["config"]))
     cfg_dict.pop("__class__", None)
+    for name in sorted(cfg_dict.keys() - {f.name for f in fields(rc.ReservoirConfig)}):
+        raise ValidationError(f"{path}: its config field {name!r} is not one this version "
+                              "takes; retrain the model")
     config = rc.ReservoirConfig(**cfg_dict)
     model = rc.Readout(
         weights=data["weights"],
@@ -635,8 +645,7 @@ def cmd_predict(args, run: Run) -> None:
     blocks = []     # per (horizon, target): its rows of predictions.csv
     score_rows = []
     heat = np.full((len(targets.names), len(model.horizons_s)), np.nan)
-    for col, h_s in enumerate(sorted(predictions)):
-        pred = np.atleast_2d(predictions[h_s].T).T
+    for col, (h_s, pred) in enumerate(sorted(predictions.items())):
         h = shifts[h_s]
         stop = pred.shape[0] - h
         kept = slice(model.washout, stop, args.stride_out)   # input rows written
@@ -705,8 +714,7 @@ def cmd_search_sensors(args, run: Run) -> None:
 
     report = sensorsearch.search_best(
         data, tasks, sensorsearch.POOL_NAMES, washout=_washout_value(args, True, len(data)),
-        k_max=args.kmax, n_workers=args.threads,
-    )
+        k_max=args.kmax)
     write_csv(run.output("search_best.csv"), ["task", "best_subset", "r2"],
               zip(*[(t, "+".join(r.subset), r.r2) for t, r in report.best.items()]))
     write_csv(run.output("search_tally.csv"), ["sensor", "tally"],
@@ -714,14 +722,13 @@ def cmd_search_sensors(args, run: Run) -> None:
     summary = {
         "n_subsets": report.n_subsets,
         "n_tasks": report.n_tasks,
-        "n_workers": report.n_workers,
         "top_sensors": sensorsearch.top_sensors(report, 4),
         "stats": report.stats,
     }
     write_json(run.output("search_summary.json"), summary)
     print(f"search-sensors: evaluated {report.n_subsets} subsets over "
-          f"{report.n_tasks} tasks in {report.elapsed_s:.1f} s "
-          f"({report.n_workers} workers); top: {', '.join(summary['top_sensors'])}")
+          f"{report.n_tasks} tasks in {report.elapsed_s:.1f} s; "
+          f"top: {', '.join(summary['top_sensors'])}")
 
 
 def cmd_export_model(args, run: Run) -> None:
@@ -846,7 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="analysis CSV")
     p.add_argument("--kmax", type=int, default=sensorsearch.DEFAULT_K_MAX)
     p.add_argument("--washout", type=int, default=1_000)
-    p.add_argument("--threads", type=int, default=1)
 
     p = command("export-model", cmd_export_model, "write the compact inference blob")
     p.add_argument("--model", required=True, help="model.npz from train")

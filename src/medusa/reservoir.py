@@ -74,7 +74,6 @@ class ReservoirConfig:
 
     n_nodes: int = 100
     spectral_radius: float = DEFAULT_SPECTRAL_RADIUS
-    input_scale: float = 1.0
     mux_horizon_s: float = 2.0
     mux_stride: int = 6
     leak: float = 0.0
@@ -256,20 +255,18 @@ def esn_init(config: ReservoirConfig) -> EsnState:
     if not ARCHITECTURES[config.architecture].states:
         raise ValueError(f"architecture {config.architecture!r} has no reservoir to initialize")
     a, b, x0 = _draw_reservoir(config.seed, config.n_nodes, config.n_sensors,
-                               config.n_lags, config.spectral_radius, config.input_scale)
+                               config.n_lags, config.spectral_radius)
     return EsnState(input_weights=a, recurrent_weights=b, state=x0, config=config)
 
 
 @functools.lru_cache(maxsize=8)
-def _draw_reservoir(seed: int, n: int, n_sensors: int, n_lags: int,
-                    radius: float, input_scale: float):
+def _draw_reservoir(seed: int, n: int, n_sensors: int, n_lags: int, radius: float):
     """(A, B, zero state) of `esn_init`, read-only; the key is all it depends on."""
     a = np.empty((n, n_sensors * n_lags))
     for s in range(n_sensors):
         for lag in range(n_lags):
             rng = _substream(seed, 1, s, lag)
             a[:, s * n_lags + lag] = rng.uniform(-0.5, 0.5, n)
-    a *= input_scale
 
     for attempt in range(5):
         rng = _substream(seed, 2, attempt)
@@ -658,7 +655,7 @@ class Readout:
         return replace(self, weights=self.weights[i:i + 1], horizons_s=(self.horizons_s[i],))
 
     def predict(self, features: np.ndarray | FeatureStream) -> np.ndarray:
-        """One column per (horizon, target), horizon-major; 1-D for one column.
+        """One column per (horizon, target), horizon-major.
 
         A `FeatureStream` is read a block at a time into the one result."""
         f, blocks = self._blocks(features)
@@ -666,8 +663,7 @@ class Readout:
         out = np.empty((f.shape[0], n_h, n_t))
         for start, block in blocks:
             self._predict_rows(block, out[start:start + block.shape[0]])
-        out = out.reshape(f.shape[0], n_h * n_t)
-        return out[:, 0] if n_h * n_t == 1 else out
+        return out.reshape(f.shape[0], n_h * n_t)
 
     def _blocks(self, features):
         """The features and their blocks: a stream's, or a whole matrix as
@@ -750,11 +746,8 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
     for i, (w, moment, h) in enumerate(zip(model.weights, moments, shifts)):
         # the solve adds the ridge in place: the last horizon takes G₀ itself
         gram_h = gram if i == len(shifts) - 1 else gram.copy()
-        # the dropped rows in the blocks a read of them gives: a stream's blocks
-        # from n - h, or one block of a whole matrix
-        ranges = (_row_blocks(n - h, n) if isinstance(features, FeatureStream)
-                  else [(n - h, n)] if h else [])
-        for first, last in ranges:
+        # the dropped rows, in the blocks a stream's read of them gives
+        for first, last in _row_blocks(n - h, n):
             rows = tail[first - n + kept:last - n + kept]
             gram_h -= rows.T @ rows
         w[...] = _solve_readout(gram_h, moment)
@@ -814,10 +807,9 @@ def train_horizons(
 
 def predict_horizons(model: Readout,
                      features: np.ndarray | FeatureStream) -> dict[float, np.ndarray]:
-    """Predictions per horizon; row t estimates the target at t + horizon."""
+    """Predictions per horizon, (n, n_targets) each; row t estimates the
+    targets at t + horizon."""
     out = model.predict(features).reshape(-1, len(model.horizons_s), model.n_targets)
-    if model.n_targets == 1:
-        out = out[:, :, 0]
     return {h_s: out[:, i] for i, h_s in enumerate(model.horizons_s)}
 
 
@@ -920,7 +912,7 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     for i, (f_i, y_i) in enumerate(pairs):
         model = train_readout(f_i, y_i, washout)
         for j, (f_j, y_j) in enumerate(pairs):
-            matrix[i, j] = r2(_as_columns(model.predict(f_j[washout:])), y_j[washout:])
+            matrix[i, j] = r2(model.predict(f_j[washout:]), y_j[washout:])
     return CrossPrediction(names=names, matrix=matrix)
 
 

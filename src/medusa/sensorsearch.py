@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,18 +40,16 @@ class SensorSearchReport:
     elapsed_s: float
     n_subsets: int
     n_tasks: int
-    n_workers: int
     stats: dict = field(default_factory=dict)
 
 
-def _eval_chunk(args):
+def _eval_chunk(idx, gram, moments, yty, sst, ridge):
     """Score one chunk of equal-size subsets against all tasks.
 
     Returns, per task, the chunk's best score and its candidates: each
     subset within tolerance of that score, as (score, subset) in chunk
     order.  A task's pick lies among them wherever its overall best is.
     """
-    idx, gram, moments, yty, sst, ridge = args
     c, k = idx.shape
     pool = gram.shape[0] - 1
     aug = np.concatenate([idx, np.full((c, 1), pool, dtype=idx.dtype)], axis=1)
@@ -78,7 +74,6 @@ def search_best(
     pool_names: tuple[str, ...],
     washout: int = 1_000,
     k_max: int = DEFAULT_K_MAX,
-    n_workers: int = 1,
 ) -> SensorSearchReport:
     """Find the best sensor subset per task by exhaustive search.
 
@@ -88,8 +83,8 @@ def search_best(
     readout.  A task's pick is the first subset, in enumeration order
     (smaller subsets first, then lexicographically), whose score is within
     1e-9 of the task's best score.  The blocks of ``CHUNK_SIZE`` subsets are
-    scored by ``n_workers`` threads and merged in enumeration order, so the
-    report depends neither on the worker count nor on the block size.
+    scored on one thread and merged in enumeration order, so the report does
+    not depend on the block size.
     """
     x = np.asarray(data, dtype=float)
     if len(pool_names) != x.shape[1]:
@@ -123,28 +118,15 @@ def search_best(
     # per task, every subset within tolerance of its best score so far, in
     # enumeration order; a later, higher best drops those it leaves behind
     near = {t: [(-np.inf, ())] for t in task_names}
-
-    def merge(picks) -> None:
-        for t, (score, candidates) in zip(task_names, picks):
-            top[t] = max(top[t], score)
-            near[t] = [c for c in near[t] + candidates if c[0] >= top[t] - _TIE_TOL]
-
-    # blocks are submitted as the workers free up, at most n_workers + 1 in
-    # flight (Executor.map would build every block first), and merged in
-    # submission order
     n_subsets = 0
-    pending: deque = deque()
-    with ThreadPoolExecutor(max_workers=n_workers) as pool_exec:
-        for k in range(1, k_max + 1):
-            combos = itertools.combinations(range(pool), k)
-            while block := list(itertools.islice(combos, CHUNK_SIZE)):
-                n_subsets += len(block)
-                pending.append(pool_exec.submit(
-                    _eval_chunk, (np.array(block, dtype=np.intp), gram, moments, yty, sst, RIDGE)))
-                if len(pending) > n_workers:
-                    merge(pending.popleft().result())
-        while pending:
-            merge(pending.popleft().result())
+    for k in range(1, k_max + 1):
+        combos = itertools.combinations(range(pool), k)
+        while block := list(itertools.islice(combos, CHUNK_SIZE)):
+            n_subsets += len(block)
+            picks = _eval_chunk(np.array(block, dtype=np.intp), gram, moments, yty, sst, RIDGE)
+            for t, (score, candidates) in zip(task_names, picks):
+                top[t] = max(top[t], score)
+                near[t] = [c for c in near[t] + candidates if c[0] >= top[t] - _TIE_TOL]
     best = {t: TaskResult(subset=tuple(pool_names[i] for i in near[t][0][1]), r2=near[t][0][0])
             for t in task_names}
 
@@ -161,7 +143,6 @@ def search_best(
         elapsed_s=elapsed,
         n_subsets=n_subsets,
         n_tasks=len(task_names),
-        n_workers=n_workers,
         stats={
             "gram_builds": 1,
             "gram_size": pool + 1,

@@ -255,6 +255,38 @@ def test_streamed_predictions_match_the_whole_column_writer(tmp_path, two_horizo
             == (tmp_path / "reference.csv").read_bytes())
 
 
+def _bad_model(tmp_path, analysis, model_path, case):
+    """A --model path that is not a model.npz from train, and what its error says."""
+    if case == "not an npz":
+        return analysis, "is not an npz file"
+    with np.load(model_path) as data:
+        arrays = dict(data)
+    if case == "no config":
+        del arrays["config"]
+        message = "has no 'config' array"
+    else:   # as train wrote it while ReservoirConfig had an input_scale
+        arrays["config"] = json.dumps(json.loads(str(arrays["config"])) | {"input_scale": 1.0})
+        message = "config field 'input_scale' is not one this version takes; retrain"
+    path = tmp_path / "bad" / "model.npz"
+    path.parent.mkdir()
+    np.savez(path, **arrays)
+    return path, message
+
+
+@pytest.mark.parametrize("command", ["predict", "export-model"])
+@pytest.mark.parametrize("case", ["not an npz", "no config", "old config"])
+def test_a_file_that_is_not_a_model_exits_2_naming_it(tmp_path, capsys, two_horizon_model,
+                                                     command, case):
+    analysis, model_path = two_horizon_model
+    path, message = _bad_model(tmp_path, analysis, model_path, case)
+    inputs = ["--input", analysis] if command == "predict" else []
+    capsys.readouterr()
+    assert run(command, "--model", path, *inputs, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stride_out", [0, -3])
 def test_predict_rejects_a_stride_out_below_one(tmp_path, capsys, two_horizon_model, stride_out):
     analysis, model_path = two_horizon_model
@@ -292,8 +324,6 @@ def _out_of_range(d, flag):
     train = ["train", "--input", a, "--pulsatile", "--horizons", "0"]
     return {
         "--kmax": (["search-sensors", "--input", a, "--kmax", 0], "--kmax must be at least 1"),
-        "--threads": (["search-sensors", "--input", a, "--threads", 0],
-                      "--threads must be at least 1"),
         "--max-gap": (["ingest", "--input", d / "jf", "--max-gap", -1],
                       "--max-gap must be at least 0, got -1"),
         "--transient": (["esp", "--inputs", b0, b1, "--transient", 5, "--horizon", 3],
@@ -319,7 +349,7 @@ def _out_of_range(d, flag):
     }[flag]
 
 
-@pytest.mark.parametrize("flag", ["--kmax", "--threads", "--max-gap", "--transient", "--rho",
+@pytest.mark.parametrize("flag", ["--kmax", "--max-gap", "--transient", "--rho",
                                   "--leak", "--stride", "--mux", "--nodes", "--washout",
                                   "--tau 0", "--tau 0.05", "--tau -1", "--noise-sd -1",
                                   "--tau inf", "--tau nan", "--noise-sd nan", "--seconds inf",
@@ -431,7 +461,7 @@ def test_search_sensors_full_pool_count(tmp_path, capsys):
     raw = synth_trial(tmp_path, seconds=60.0, seed=2)
     analysis = analysis_for(tmp_path, raw / "trial.csv")
     assert run("search-sensors", "--input", analysis, "--kmax", 5,
-               "--threads", 2, "--out", tmp_path / "search") == 0
+               "--out", tmp_path / "search") == 0
     text = capsys.readouterr().out
     assert "174436" in text
     summary = json.loads((tmp_path / "search" / "search_summary.json").read_text())
@@ -843,6 +873,14 @@ def test_no_medusa_module_imports_scipy():
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_CODE], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # each command is a fresh process: an unused import is paid at every start
+    code = "import sys, medusa.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_every_perfbench_trace_target_resolves(monkeypatch):

@@ -6,9 +6,10 @@ constant, not an option: it belongs in a module constant.  Calls are
 matched by the called name (``f(...)``, ``module.f(...)``, ``obj.f(...)``
 for methods), so a parameter counts as set when any call of that name
 passes it by keyword or by position, or passes ``*args``/``**kwargs``.
-A dataclass field counts as set when a call of the class sets it that
-way, or any ``replace(...)`` call passes it by keyword or passes
-``**kwargs``.
+A dataclass field counts as set when a call of the class passes it by
+keyword or by position, or any ``replace(...)`` call passes it by keyword:
+``Class(**mapping)`` rebuilds a stored instance (model.npz's config) and
+sets no field of its own.
 
 Every public function, class and public method of src/medusa is also
 named somewhere in src/ or perfbench/ outside its own definition: code
@@ -114,7 +115,9 @@ def unset_fields() -> list[str]:
     unset = []
     for qualname, cls, name, position in _defaulted_fields():
         bare, attribute = calls.get(cls, ([], []))
-        if not _passed(bare + attribute + replaces, name, position):
+        named = [(count, keywords) for count, keywords in bare + attribute + replaces
+                 if keywords is not None]
+        if not _passed(named, name, position):
             unset.append(qualname)
     return unset
 

@@ -177,7 +177,7 @@ def test_esn_init_shares_one_read_only_draw():
     rc._draw_reservoir.cache_clear()
     fresh = rc.esn_init(cfg)
     assert fresh.input_weights is not first.input_weights
-    uncached = rc._draw_reservoir.__wrapped__(13, 100, 4, cfg.n_lags, 0.35, 1.0)
+    uncached = rc._draw_reservoir.__wrapped__(13, 100, 4, cfg.n_lags, 0.35)
     for got, want in zip((first.input_weights, first.recurrent_weights, first.state),
                          uncached):
         np.testing.assert_array_equal(got, want)
@@ -399,7 +399,7 @@ def test_prc_recovers_realizable_target_exactly():
     rng = np.random.default_rng(0)
     target = feats @ rng.normal(size=feats.shape[1]) - 1.7
     model = rc.train_readout(feats, target, washout=300)
-    score = rc.r2(model.predict(feats[300:]), target[300:])
+    score = rc.r2(model.predict(feats[300:])[:, 0], target[300:])
     assert abs(score - 1.0) < 1e-9
 
 
@@ -410,7 +410,7 @@ def test_independent_noise_target_scores_near_zero_held_out():
     noise = np.random.default_rng(1).normal(size=feats.shape[0])
     half = feats.shape[0] // 2
     model = rc.train_readout(feats[:half], noise[:half], washout=500)
-    score = rc.r2(model.predict(feats[half:]), noise[half:])
+    score = rc.r2(model.predict(feats[half:])[:, 0], noise[half:])
     assert score <= 0.05
 
 
@@ -428,7 +428,7 @@ def test_training_residual_orthogonal_to_features():
     washout = 400
     model = rc.train_readout(feats, target, washout=washout)
     f_aug = np.hstack([feats[washout:], np.ones((feats.shape[0] - washout, 1))])
-    residual = target[washout:] - model.predict(feats[washout:])
+    residual = target[washout:] - model.predict(feats[washout:])[:, 0]
     dots = f_aug.T @ residual
     norms = np.linalg.norm(f_aug, axis=0) * np.linalg.norm(residual)
     assert np.abs(dots / norms).max() < 1e-6
@@ -512,16 +512,21 @@ def test_untrained_horizon_raises():
 
 def test_predict_columns_are_horizon_major():
     feats, vz, _ = pulsatile_features(seconds=100.0)
-    targets = np.column_stack([vz, np.roll(vz, 7)])
-    hm = rc.train_horizons(feats, targets, [0.0, 0.5, 1.0], 1000, FS)
-    assert hm.weights.shape == (3, feats.shape[1] + 1, 2)
-    assert hm.horizon_samples == (0, 30, 60)
-    out = hm.predict(feats)
-    assert out.shape == (feats.shape[0], 6)
-    per_horizon = rc.predict_horizons(hm, feats)
-    for i, h_s in enumerate(hm.horizons_s):
-        np.testing.assert_array_equal(out[:, 2 * i:2 * i + 2], hm.at(h_s).predict(feats))
-        np.testing.assert_array_equal(per_horizon[h_s], out[:, 2 * i:2 * i + 2])
+    n = feats.shape[0]
+    # one target keeps the shapes of many: (n, n_h * n_t), and (n, n_t) per horizon
+    for n_t in (2, 1):
+        targets = np.column_stack([vz, np.roll(vz, 7)])[:, :n_t]
+        hm = rc.train_horizons(feats, targets, [0.0, 0.5, 1.0], 1000, FS)
+        assert hm.weights.shape == (3, feats.shape[1] + 1, n_t)
+        assert hm.horizon_samples == (0, 30, 60)
+        out = hm.predict(feats)
+        assert out.shape == (n, 3 * n_t)
+        per_horizon = rc.predict_horizons(hm, feats)
+        for i, h_s in enumerate(hm.horizons_s):
+            columns = out[:, n_t * i:n_t * (i + 1)]
+            np.testing.assert_array_equal(columns, hm.at(h_s).predict(feats))
+            assert per_horizon[h_s].shape == (n, n_t)
+            np.testing.assert_array_equal(per_horizon[h_s], columns)
 
 
 def test_r2_trivial_values():
@@ -571,7 +576,7 @@ def test_cross_predict_diagonal_is_self_evaluation():
     for i, name in enumerate(result.names):
         f, y = datasets[name]
         model = rc.train_readout(f, y, washout=200)
-        self_score = rc.r2(model.predict(f[200:]), y[200:])
+        self_score = rc.r2(model.predict(f[200:])[:, 0], y[200:])
         assert result.matrix[i, i] == pytest.approx(self_score, abs=1e-12)
     assert result.matrix[0, 0] > result.matrix[0, 1]
 

@@ -25,7 +25,7 @@ def subset_r2(
         raise DegenerateTask("target is constant after washout")
     yty = np.array([np.sum(y**2)])
     idx = np.array([tuple(subset)], dtype=np.intp)
-    picks = ss._eval_chunk((idx, gram, moments, yty, sst, ridge))
+    picks = ss._eval_chunk(idx, gram, moments, yty, sst, ridge)
     return picks[0][0]
 
 
@@ -71,30 +71,23 @@ def test_tally_counts_task_memberships():
     assert report.tally["a"] == 3
 
 
-def test_search_deterministic_across_worker_counts(monkeypatch):
+def test_search_deterministic_across_block_sizes(monkeypatch):
     rng = np.random.default_rng(2)
     data = standardized(rng, 2000, 12)
     tasks = {
         "x": data[:, [2, 5]] @ [1.0, -0.5] + 0.2 * rng.normal(size=2000),
         "y": np.tanh(data[:, 9]) + 0.1 * rng.normal(size=2000),
     }
-    # one block per subset size, and many small blocks in flight at once
+    # one block per subset size, and many small blocks
     reports = []
     for chunk_size in (ss.CHUNK_SIZE, 7):
         monkeypatch.setattr(ss, "CHUNK_SIZE", chunk_size)
-        r1 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4, n_workers=1)
-        reports.append(r1)
-        for workers in (2, 8):
-            r8 = ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4,
-                                n_workers=workers)
-            for t in tasks:
-                assert r1.best[t].subset == r8.best[t].subset
-                assert r1.best[t].r2 == r8.best[t].r2
-            assert r1.tally == r8.tally and r1.stats == r8.stats
-            assert r1.n_subsets == r8.n_subsets == sum(math.comb(12, k) for k in range(1, 5))
-    # and across block sizes
+        reports.append(ss.search_best(data, tasks, sensor_names(12), washout=200, k_max=4))
     one_block, small_blocks = reports
     assert one_block.best == small_blocks.best and one_block.tally == small_blocks.tally
+    assert one_block.stats == small_blocks.stats
+    assert one_block.n_subsets == small_blocks.n_subsets == sum(math.comb(12, k)
+                                                                for k in range(1, 5))
 
 
 def test_pick_is_the_first_subset_near_the_overall_best_whatever_the_chunk_size(monkeypatch):
@@ -178,7 +171,7 @@ def test_a_negative_washout_raises():
 def fake_report(tally, pool):
     return ss.SensorSearchReport(
         pool_names=tuple(pool), best={}, tally=tally, elapsed_s=0.0,
-        n_subsets=0, n_tasks=0, n_workers=1,
+        n_subsets=0, n_tasks=0,
     )
 
 
