@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 argument/input validation error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -21,15 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (
-    __version__, criticality, ingest, kinematics, response, sensorsearch, svgplot, synthgen,
-)
-from . import esp as esp_mod
-from . import reservoir as rc
+from . import __version__, ingest, kinematics, synthgen  # the rest where a command runs them
 from .errors import (
     MedusaError, PeriodTooShort, UntrainedHorizon, ValidationError, ZeroVariance, require_finite,
 )
-from .manifest import write_manifest
+from .manifest import sha256_file, write_manifest
 from .series import runs
 from .table import float_cells, read_csv, read_json, write_csv, write_json
 
@@ -61,6 +58,7 @@ class Run:
         self.out = Path(out)
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
+        self.sha256 = functools.cache(sha256_file)     # each file is hashed once
 
     def input(self, path_str: str) -> Path:
         """Resolve an input path, relative ones also under $MEDUSA_DATA_DIR."""
@@ -109,11 +107,28 @@ class AnalysisTable:
         self.meta = meta
 
     @classmethod
-    def read(cls, csv_path: Path) -> "AnalysisTable":
+    def read(cls, csv_path: Path, run: Run | None = None) -> "AnalysisTable":
+        """The table at ``csv_path``: loaded from the analysis.npy beside it when
+        the sidecar's csv_bytes, csv_sha256 and npy_sha256 match both files,
+        else parsed from the CSV text.  ``run`` records a npy it loads."""
+        npy_path, sha256 = csv_path.with_suffix(".npy"), sha256_file if run is None else run.sha256
+        data = None
+        try:    # a missing file, any mismatch or a malformed npy reads the text instead
+            meta = read_json(ingest.sidecar_path(csv_path))
+            if (meta.get("csv_bytes") == csv_path.stat().st_size
+                    and meta.get("csv_sha256") == sha256(csv_path)
+                    and meta.get("npy_sha256") == sha256(npy_path)):
+                with open(npy_path, "rb") as fh:    # an array, never a pickle or an npz
+                    data = np.lib.format.read_array(fh, allow_pickle=False)
+        except (ValidationError, OSError, ValueError, EOFError):
+            pass
+        if data is None or data.dtype != np.float64 or data.shape[1:] != (len(ANALYSIS_COLUMNS),):
+            data = read_csv(csv_path, ANALYSIS_COLUMNS)
+        elif run is not None:
+            run.input(str(npy_path))
         # the rate cannot be recovered from the nine-digit times: at 60 Hz
         # over 300 s their median spacing reads 59.99988 Hz
-        return cls(read_csv(csv_path, ANALYSIS_COLUMNS),
-                   ingest.read_sidecar(ingest.sidecar_path(csv_path)))
+        return cls(data, ingest.read_sidecar(ingest.sidecar_path(csv_path)))
 
     @property
     def t(self) -> np.ndarray:
@@ -249,9 +264,15 @@ def cmd_kinematics(args, run: Run) -> None:
         *pose.euler_zyz.T, *v_local.T, trial.stimulus.astype(float),
         trial.valid_mask.astype(float),
     ])
-    write_json(ingest.sidecar_path(csv_path),
-               ingest.sidecar_fields(trial) | {"filtered": not args.no_filter})
-    print(f"kinematics: {trial.n_frames} frames -> {csv_path}")
+    meta = ingest.sidecar_fields(trial) | {"filtered": not args.no_filter}
+    del trial, lengths, pose, v_local   # the table read back below is the peak
+    # the table as every reader parses the text, bit for bit: AnalysisTable.read loads it
+    data = read_csv(csv_path, ANALYSIS_COLUMNS)
+    np.save(run.output("analysis.npy"), data)
+    write_json(ingest.sidecar_path(csv_path), meta | {
+        "csv_bytes": csv_path.stat().st_size, "csv_sha256": sha256_file(csv_path),
+        "npy_sha256": sha256_file(csv_path.with_suffix(".npy"))})
+    print(f"kinematics: {len(data)} frames -> {csv_path}")
 
 
 def _channels(table: AnalysisTable, lengths) -> dict[str, np.ndarray]:
@@ -269,7 +290,8 @@ def _channels(table: AnalysisTable, lengths) -> dict[str, np.ndarray]:
 
 
 def cmd_soc(args, run: Run) -> None:
-    table = AnalysisTable.read(run.table(args.input))
+    from . import criticality, svgplot
+    table = AnalysisTable.read(run.table(args.input), run)
     fs = table.frame_rate
 
     channels = _channels(table, SOC_LENGTH_CHANNELS + ("inner_radius", "outer_radius"))
@@ -314,11 +336,12 @@ def cmd_soc(args, run: Run) -> None:
 
 
 def cmd_phase(args, run: Run) -> None:
+    from . import response, svgplot
     pick = args.ribbon_channel
     if pick not in RESPONSE_CHANNELS:
         raise ValidationError(f"--ribbon-channel: {pick!r} is not one of "
                               f"{', '.join(RESPONSE_CHANNELS)}")
-    table = AnalysisTable.read(run.table(args.input))
+    table = AnalysisTable.read(run.table(args.input), run)
     fs = table.frame_rate
     onsets = table.stim_onsets()
     if onsets.size < 2:
@@ -353,9 +376,9 @@ def cmd_phase(args, run: Run) -> None:
     print(f"phase: {len(ribbons)} channels over {first.n_segments} segments -> {run.out}")
 
 
-def _esp_trial(path: Path) -> tuple[dict, np.ndarray]:
+def _esp_trial(path: Path, run: Run) -> tuple[dict, np.ndarray]:
     """A trial's sidecar fields and its `RESPONSE_CHANNELS`; the table is let go."""
-    table = AnalysisTable.read(path)
+    table = AnalysisTable.read(path, run)
     return table.meta, table.columns(RESPONSE_CHANNELS)
 
 
@@ -368,8 +391,9 @@ def _esp_channel_sets(columns, n) -> dict[str, list[np.ndarray]]:
     return channel_sets
 
 
-def _esp_one_condition(paths, params):
-    metas, columns = zip(*map(_esp_trial, paths))
+def _esp_one_condition(run: Run, paths, params):
+    from . import esp as esp_mod
+    metas, columns = zip(*(_esp_trial(path, run) for path in paths))
     conditions = {meta["condition"] for meta in metas}
     if len(conditions) > 1:
         raise ValidationError(f"trials mix conditions: {sorted(conditions)}")
@@ -396,6 +420,7 @@ def _esp_one_condition(paths, params):
 
 
 def cmd_esp(args, run: Run) -> None:
+    from . import esp as esp_mod, response, svgplot
     with _flag_errors(args):
         params = esp_mod.EspParams(transient_s=args.transient, horizon_s=args.horizon)
     labeled = ["=" in item for item in args.inputs]
@@ -411,7 +436,7 @@ def cmd_esp(args, run: Run) -> None:
 
     per_label = {}
     for label, paths in groups.items():
-        condition, results = _esp_one_condition(paths, params)
+        condition, results = _esp_one_condition(run, paths, params)
         per_label[condition if label is None else label] = results
     flat = [(label, name, r) for label, results in per_label.items()
             for name, r in results.items()]
@@ -484,6 +509,7 @@ def _horizons(args, frame_rate: float) -> list[float]:
 def _targets_from_table(table: AnalysisTable, target_names, pulsatile: bool):
     """The targets named, rebuilt from their velocities (and, when
     ``pulsatile``, the pulse onsets and pose)."""
+    from . import reservoir as rc
     velocity_names = tuple(n for n in target_names if n in VELOCITY_CHANNELS)
     onsets = euler = None
     if pulsatile:
@@ -498,6 +524,7 @@ def _targets_from_table(table: AnalysisTable, target_names, pulsatile: bool):
 
 
 def _config_from_args(args, n_sensors: int, frame_rate: float) -> rc.ReservoirConfig:
+    from . import reservoir as rc
     with _flag_errors(args):
         config = rc.ReservoirConfig(
             n_nodes=args.nodes,
@@ -517,12 +544,14 @@ def _config_from_args(args, n_sensors: int, frame_rate: float) -> rc.ReservoirCo
 def _washout_value(args, pulsatile: bool, n_rows: int) -> int:
     """--washout in samples, at least 0 and below ``n_rows``; 'auto' is the
     washout of the target kind."""
-    auto = rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
     try:
-        washout = auto if args.washout == "auto" else int(args.washout)
+        washout = int(args.washout)
     except ValueError:
-        raise ValidationError(
-            f"--washout must be an integer or 'auto', got {args.washout!r}") from None
+        if args.washout != "auto":
+            raise ValidationError(
+                f"--washout must be an integer or 'auto', got {args.washout!r}") from None
+        from . import reservoir as rc
+        washout = rc.PULSATILE_WASHOUT_SAMPLES if pulsatile else rc.AGGREGATE_WASHOUT_SAMPLES
     if not 0 <= washout < n_rows:
         shown = f"auto ({washout})" if args.washout == "auto" else washout
         raise ValidationError(f"--washout {shown} must be at least 0 and below the "
@@ -537,9 +566,10 @@ def _model_inputs(table: AnalysisTable, sensor_names, target_names, pulsatile: b
 
 
 def cmd_train(args, run: Run) -> None:
+    from . import reservoir as rc
     sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
-    table = AnalysisTable.read(run.table(args.input))
+    table = AnalysisTable.read(run.table(args.input), run)
     fs = table.frame_rate
     horizons = _horizons(args, fs)
     sensors, targets = _model_inputs(table, sensor_names, target_names, args.pulsatile)
@@ -579,6 +609,7 @@ def cmd_train(args, run: Run) -> None:
 def _load_model(path: Path):
     """A model.npz from `cmd_train` as (config, readout, extras); exit 2
     naming ``path`` and the array or config field that makes it not one."""
+    from . import reservoir as rc
     try:    # a .npy file loads as one array, which no `with` takes: TypeError
         with np.load(path, allow_pickle=False) as npz:
             data = dict(npz)
@@ -590,9 +621,9 @@ def _load_model(path: Path):
             raise ValidationError(f"{path} is not a model from train: it has no {name!r} array")
     cfg_dict = json.loads(str(data["config"]))
     cfg_dict.pop("__class__", None)
-    for name in sorted(cfg_dict.keys() - {f.name for f in fields(rc.ReservoirConfig)}):
-        raise ValidationError(f"{path}: its config field {name!r} is not one this version "
-                              "takes; retrain the model")
+    for name in sorted(cfg_dict.keys() ^ {f.name for f in fields(rc.ReservoirConfig)}):
+        state = "is not one this version takes" if name in cfg_dict else "is missing"
+        raise ValidationError(f"{path}: its config field {name!r} {state}; retrain the model")
     config = rc.ReservoirConfig(**cfg_dict)
     model = rc.Readout(
         weights=data["weights"],
@@ -610,10 +641,11 @@ def _load_model(path: Path):
     return config, model, extras
 
 
-def _predict_inputs(path: Path, config: rc.ReservoirConfig, model: rc.Readout, extras):
+def _predict_inputs(path: Path, run: Run, config: rc.ReservoirConfig, model: rc.Readout,
+                    extras):
     """The times, sensors and targets ``model`` predicts from; the table
     they come from is let go on return."""
-    table = AnalysisTable.read(path)
+    table = AnalysisTable.read(path, run)
     rows = table.data.shape[0]
     h_s, h = max(zip(model.horizons_s, model.horizon_samples), key=lambda hs: hs[1])
     if rows <= model.washout + h + 1:     # r2 scores at least 2 rows per horizon
@@ -632,8 +664,9 @@ def _predict_inputs(path: Path, config: rc.ReservoirConfig, model: rc.Readout, e
 
 
 def cmd_predict(args, run: Run) -> None:
+    from . import reservoir as rc, svgplot
     config, model, extras = _load_model(run.input(args.model))
-    t, sensors, targets = _predict_inputs(run.table(args.input), config, model, extras)
+    t, sensors, targets = _predict_inputs(run.table(args.input), run, config, model, extras)
     # the reservoir states are the peak: only the predictions outlive them
     predictions = rc.predict_horizons(
         model, rc.feature_stream(sensors, config, extras["mux_scale"]))
@@ -668,6 +701,7 @@ def cmd_predict(args, run: Run) -> None:
 
 
 def cmd_confusion(args, run: Run) -> None:
+    from . import reservoir as rc, svgplot
     target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
     sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     labeled = _labeled_inputs(run, args.inputs)
@@ -678,7 +712,7 @@ def cmd_confusion(args, run: Run) -> None:
     sensors, targets = {}, {}
     fs = None
     for label, (path,) in labeled.items():
-        table = AnalysisTable.read(path)
+        table = AnalysisTable.read(path, run)
         if fs is None:
             first, fs = path, table.frame_rate
         _require_rate(path, table.frame_rate, fs, f"{first} is at")
@@ -703,7 +737,8 @@ def cmd_confusion(args, run: Run) -> None:
 
 
 def cmd_search_sensors(args, run: Run) -> None:
-    table = AnalysisTable.read(run.table(args.input))
+    from . import sensorsearch
+    table = AnalysisTable.read(run.table(args.input), run)
     data = kinematics.standardize(table.columns(sensorsearch.POOL_NAMES))
     names = VELOCITY_CHANNELS + ("stim",)
     # the task columns are copied out, so that the search runs without the table
@@ -732,6 +767,7 @@ def cmd_search_sensors(args, run: Run) -> None:
 
 
 def cmd_export_model(args, run: Run) -> None:
+    from . import reservoir as rc
     config, model, _ = _load_model(run.input(args.model))
     try:
         readout = model if args.all_horizons else model.at(args.horizon)
@@ -771,6 +807,7 @@ def cmd_report(args, run: Run) -> None:
 # ---------------------------------------------------------------------------
 
 def _add_reservoir_flags(p: argparse.ArgumentParser) -> None:
+    from . import reservoir as rc
     p.add_argument("--arch", choices=rc.ARCHITECTURES, default="hybrid")
     p.add_argument("--nodes", type=int, default=100, help="reservoir size")
     p.add_argument("--rho", type=float, default=rc.DEFAULT_SPECTRAL_RADIUS,
@@ -787,7 +824,9 @@ def _add_reservoir_flags(p: argparse.ArgumentParser) -> None:
                    help="comma-separated velocity targets")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(parsed: str | None = None) -> argparse.ArgumentParser:
+    """The parser; given ``parsed``, the command line's first word that is no flag, only
+    that command gets its flags, so that no other command's module is imported."""
     parser = argparse.ArgumentParser(
         prog="medusa",
         description="Motion-capture analysis and reservoir-computing prediction pipeline",
@@ -800,74 +839,79 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help):
         p = sub.add_parser(name, parents=[out], help=help)
         p.set_defaults(func=func)
-        return p
+        return p if parsed in (None, name) else None
 
-    p = command("synth", cmd_synth, "generate synthetic trials")
-    p.add_argument("--tau", type=float, default=None, help="stimulus period [s]; omit for spontaneous")
-    p.add_argument("--seconds", type=float, default=60.0)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--noise-sd", type=float, default=0.05, help="marker noise SD [mm]")
-    p.add_argument("--seed", type=int, default=0)
+    if p := command("synth", cmd_synth, "generate synthetic trials"):
+        p.add_argument("--tau", type=float, default=None,
+                       help="stimulus period [s]; omit for spontaneous")
+        p.add_argument("--seconds", type=float, default=60.0)
+        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--noise-sd", type=float, default=0.05, help="marker noise SD [mm]")
+        p.add_argument("--seed", type=int, default=0)
 
-    p = command("ingest", cmd_ingest, "rectify views and assemble a 3D trial")
-    p.add_argument("--input", required=True,
-                   help="path prefix: expects <prefix>_top/behind/right.csv and <prefix>.json")
-    p.add_argument("--max-gap", type=int, default=5, help="longest gap to interpolate [frames]")
+    if p := command("ingest", cmd_ingest, "rectify views and assemble a 3D trial"):
+        p.add_argument("--input", required=True,
+                       help="path prefix: expects <prefix>_top/behind/right.csv and <prefix>.json")
+        p.add_argument("--max-gap", type=int, default=5,
+                       help="longest gap to interpolate [frames]")
 
-    p = command("kinematics", cmd_kinematics, "lengths, body frame and local velocities")
-    p.add_argument("--input", required=True, help="trial CSV")
-    p.add_argument("--no-filter", action="store_true", help="skip the 3 Hz low-pass")
+    if p := command("kinematics", cmd_kinematics, "lengths, body frame and local velocities"):
+        p.add_argument("--input", required=True, help="trial CSV")
+        p.add_argument("--no-filter", action="store_true", help="skip the 3 Hz low-pass")
 
-    p = command("soc", cmd_soc, "spectra, pulse statistics and power-law fits")
-    p.add_argument("--input", required=True, help="analysis CSV")
+    if p := command("soc", cmd_soc, "spectra, pulse statistics and power-law fits"):
+        p.add_argument("--input", required=True, help="analysis CSV")
 
-    p = command("phase", cmd_phase, "stimulus-locked phase response")
-    p.add_argument("--input", required=True, help="analysis CSV")
-    p.add_argument("--ribbon-channel", default="vz")
+    if p := command("phase", cmd_phase, "stimulus-locked phase response"):
+        p.add_argument("--input", required=True, help="analysis CSV")
+        p.add_argument("--ribbon-channel", default="vz")
 
-    p = command("esp", cmd_esp, "response-consistency index over repeated trials")
-    p.add_argument("--inputs", nargs="+", required=True,
-                   help="analysis CSVs of one condition, or label=a.csv,b.csv,... "
-                        "groups to compare conditions (two or more add stats.csv)")
-    p.add_argument("--transient", type=float, default=2.0)
-    p.add_argument("--horizon", type=float, default=esp_mod.DEFAULT_HORIZON_S)
+    if p := command("esp", cmd_esp, "response-consistency index over repeated trials"):
+        p.add_argument("--inputs", nargs="+", required=True,
+                       help="analysis CSVs of one condition, or label=a.csv,b.csv,... "
+                            "groups to compare conditions (two or more add stats.csv)")
+        p.add_argument("--transient", type=float, default=2.0)
+        from . import esp as esp_mod
+        p.add_argument("--horizon", type=float, default=esp_mod.DEFAULT_HORIZON_S)
 
-    p = command("train", cmd_train, "train horizon readouts on one trial")
-    p.add_argument("--input", required=True, help="analysis CSV")
-    p.add_argument("--horizons", default=DEFAULT_HORIZONS)
-    p.add_argument("--pulsatile", action="store_true",
-                   help="add dead-reckoned pulse targets and use the short washout")
-    _add_reservoir_flags(p)
+    if p := command("train", cmd_train, "train horizon readouts on one trial"):
+        p.add_argument("--input", required=True, help="analysis CSV")
+        p.add_argument("--horizons", default=DEFAULT_HORIZONS)
+        p.add_argument("--pulsatile", action="store_true",
+                       help="add dead-reckoned pulse targets and use the short washout")
+        _add_reservoir_flags(p)
 
-    p = command("predict", cmd_predict, "predict with a trained model")
-    p.add_argument("--model", required=True, help="model.npz from train")
-    p.add_argument("--input", required=True, help="analysis CSV")
-    p.add_argument("--stride-out", type=int, default=1,
-                   help="write every k-th prediction row")
+    if p := command("predict", cmd_predict, "predict with a trained model"):
+        p.add_argument("--model", required=True, help="model.npz from train")
+        p.add_argument("--input", required=True, help="analysis CSV")
+        p.add_argument("--stride-out", type=int, default=1,
+                       help="write every k-th prediction row")
 
-    p = command("confusion", cmd_confusion, "cross-train/evaluate R2 matrix")
-    p.add_argument("--inputs", nargs="+", required=True, help="label=analysis.csv pairs")
-    _add_reservoir_flags(p)
+    if p := command("confusion", cmd_confusion, "cross-train/evaluate R2 matrix"):
+        p.add_argument("--inputs", nargs="+", required=True, help="label=analysis.csv pairs")
+        _add_reservoir_flags(p)
 
-    p = command("search-sensors", cmd_search_sensors, "exhaustive best-subset sensor search")
-    p.add_argument("--input", required=True, help="analysis CSV")
-    p.add_argument("--kmax", type=int, default=sensorsearch.DEFAULT_K_MAX)
-    p.add_argument("--washout", type=int, default=1_000)
+    if p := command("search-sensors", cmd_search_sensors, "exhaustive best-subset sensor search"):
+        p.add_argument("--input", required=True, help="analysis CSV")
+        from . import sensorsearch
+        p.add_argument("--kmax", type=int, default=sensorsearch.DEFAULT_K_MAX)
+        p.add_argument("--washout", type=int, default=1_000)
 
-    p = command("export-model", cmd_export_model, "write the compact inference blob")
-    p.add_argument("--model", required=True, help="model.npz from train")
-    p.add_argument("--horizon", type=float, default=0.0)
-    p.add_argument("--all-horizons", action="store_true",
-                   help="stack every trained horizon into the blob outputs")
+    if p := command("export-model", cmd_export_model, "write the compact inference blob"):
+        p.add_argument("--model", required=True, help="model.npz from train")
+        p.add_argument("--horizon", type=float, default=0.0)
+        p.add_argument("--all-horizons", action="store_true",
+                       help="stack every trained horizon into the blob outputs")
 
-    p = command("report", cmd_report, "summarize run manifests under a directory")
-    p.add_argument("--input", required=True, help="directory to scan")
+    if p := command("report", cmd_report, "summarize run manifests under a directory"):
+        p.add_argument("--input", required=True, help="directory to scan")
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     run = Run(args.out)
     started = time.perf_counter()
     try:
@@ -875,7 +919,7 @@ def main(argv=None) -> int:
         args.func(args, run)
         run.out.mkdir(parents=True, exist_ok=True)
         write_manifest(run.out, args.command, vars(args), run.inputs, run.outputs,
-                       seed=getattr(args, "seed", None),
+                       seed=getattr(args, "seed", None), sha256=run.sha256,
                        elapsed_s=time.perf_counter() - started)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,16 +32,17 @@ def write_manifest(
     outputs,
     seed: int | None = None,
     elapsed_s: float | None = None,
+    sha256=sha256_file,
 ) -> Path:
     """Write the single manifest.json describing one command run.
 
     The config hash covers the command, its arguments and the input file
     digests; timings and timestamps stay outside the hash so reruns with
-    identical inputs hash identically.
+    identical inputs hash identically.  ``sha256`` gives each input's digest.
     """
     out_dir = Path(out_dir)
     input_records = [
-        {"path": str(p), "sha256": sha256_file(p)} for p in inputs if Path(p).is_file()
+        {"path": str(p), "sha256": sha256(p)} for p in inputs if Path(p).is_file()
     ]
     hashed = {
         "command": command,

@@ -264,6 +264,11 @@ def _bad_model(tmp_path, analysis, model_path, case):
     if case == "no config":
         del arrays["config"]
         message = "has no 'config' array"
+    elif case == "missing field":   # its default would stand in for the trained seed
+        config = json.loads(str(arrays["config"]))
+        del config["seed"]
+        arrays["config"] = json.dumps(config)
+        message = "config field 'seed' is missing; retrain"
     else:   # as train wrote it while ReservoirConfig had an input_scale
         arrays["config"] = json.dumps(json.loads(str(arrays["config"])) | {"input_scale": 1.0})
         message = "config field 'input_scale' is not one this version takes; retrain"
@@ -274,7 +279,7 @@ def _bad_model(tmp_path, analysis, model_path, case):
 
 
 @pytest.mark.parametrize("command", ["predict", "export-model"])
-@pytest.mark.parametrize("case", ["not an npz", "no config", "old config"])
+@pytest.mark.parametrize("case", ["not an npz", "no config", "old config", "missing field"])
 def test_a_file_that_is_not_a_model_exits_2_naming_it(tmp_path, capsys, two_horizon_model,
                                                      command, case):
     analysis, model_path = two_horizon_model
@@ -637,15 +642,18 @@ def _inventory(d):
     group = {label: [d / f"{label}{i}" / "analysis.csv" for i in range(3)] for label in "ab"}
     views = [d / f"jf_{name}.csv" for name in ingest.VIEW_NAMES] + [d / "jf.json"]
 
-    def read(*tables):    # each table read is recorded with its sidecar after it
-        return [path for csv in tables for path in (csv, csv.with_suffix(".json"))]
+    def tables(*csvs):    # each table is recorded with its sidecar after it
+        return [path for csv in csvs for path in (csv, csv.with_suffix(".json"))]
+
+    def read(*csvs):    # then each analysis.npy as it is loaded in place of the text
+        return tables(*csvs) + [csv.with_suffix(".npy") for csv in csvs]
 
     return {
         "synth": (["--tau", 2.0, "--seconds", 10.0, "--trials", 2, "--seed", 5], [],
                   ["trial_000.csv", "trial_000.json", "trial_001.csv", "trial_001.json"], 5),
         "ingest": (["--input", d / "jf"], views, ["trial.csv", "trial.json"], None),
-        "kinematics": (["--input", d / "raw" / "trial.csv"], read(d / "raw" / "trial.csv"),
-                       ["analysis.csv", "analysis.json"], None),
+        "kinematics": (["--input", d / "raw" / "trial.csv"], tables(d / "raw" / "trial.csv"),
+                       ["analysis.csv", "analysis.json", "analysis.npy"], None),
         "soc": (["--input", a], read(a), ["psd.csv", "events.csv", "fits.csv", "psd_loglog.svg"],
                 None),
         "phase": (["--input", a], read(a),
@@ -682,6 +690,42 @@ def test_manifest_lists_what_the_command_read_and_wrote(tmp_path, inventory_dir,
     assert sorted(p.name for p in out.iterdir()) == sorted(outputs + ["manifest.json"])
     assert manifest["inputs"] == [{"path": str(p), "sha256": sha256_file(p)} for p in inputs]
     assert manifest["seed"] == seed
+
+
+# the medusa modules each command loads beyond those `import medusa.cli` loads
+COMMAND_MODULES = {
+    "synth": set(), "ingest": set(), "kinematics": set(), "report": set(),
+    "soc": {"criticality", "svgplot"}, "phase": {"response", "svgplot"},
+    "esp": {"esp", "response", "svgplot"}, "search-sensors": {"sensorsearch"},
+    # reservoir imports criticality for its pulse threshold
+    "train": {"reservoir", "criticality"}, "export-model": {"reservoir", "criticality"},
+    "predict": {"reservoir", "criticality", "svgplot"},
+    "confusion": {"reservoir", "criticality", "svgplot"},
+}
+LOADED_MODULES_CODE = """
+import json, sys
+from medusa import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("medusa."))]))
+"""
+
+
+def _loaded_modules(*argv) -> set[str]:
+    """The medusa modules a fresh interpreter holds after ``cli.main(argv)``."""
+    out = subprocess.run([sys.executable, "-c", LOADED_MODULES_CODE, *map(str, argv)],
+                         capture_output=True, text=True, check=True).stdout
+    code, modules = json.loads(out.splitlines()[-1])
+    assert code == 0
+    return {m.removeprefix("medusa.") for m in modules}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, inventory_dir):
+    # each command is a fresh process: a module it never runs is compiled for nothing
+    base = _loaded_modules()
+    assert "reservoir" not in base and "cli" in base
+    for command, (argv, *_) in _inventory(inventory_dir).items():
+        loaded = _loaded_modules(command, *argv, "--out", tmp_path / command)
+        assert loaded - base == COMMAND_MODULES[command], command
 
 
 def test_config_hash_changes_with_the_sidecar_alone(tmp_path, inventory_dir):
