@@ -107,24 +107,23 @@ class AnalysisTable:
         self.meta = meta
 
     @classmethod
-    def read(cls, csv_path: Path, run: Run | None = None) -> "AnalysisTable":
+    def read(cls, csv_path: Path, run: Run) -> "AnalysisTable":
         """The table at ``csv_path``: loaded from the analysis.npy beside it when
-        the sidecar's csv_bytes, csv_sha256 and npy_sha256 match both files,
-        else parsed from the CSV text.  ``run`` records a npy it loads."""
-        npy_path, sha256 = csv_path.with_suffix(".npy"), sha256_file if run is None else run.sha256
+        the sidecar's csv_sha256 and npy_sha256 match both files, else parsed
+        from the CSV text.  ``run`` hashes the files and records a npy it loads."""
+        npy_path = csv_path.with_suffix(".npy")
         data = None
         try:    # a missing file, any mismatch or a malformed npy reads the text instead
             meta = read_json(ingest.sidecar_path(csv_path))
-            if (meta.get("csv_bytes") == csv_path.stat().st_size
-                    and meta.get("csv_sha256") == sha256(csv_path)
-                    and meta.get("npy_sha256") == sha256(npy_path)):
+            if (meta.get("csv_sha256") == run.sha256(csv_path)
+                    and meta.get("npy_sha256") == run.sha256(npy_path)):
                 with open(npy_path, "rb") as fh:    # an array, never a pickle or an npz
                     data = np.lib.format.read_array(fh, allow_pickle=False)
         except (ValidationError, OSError, ValueError, EOFError):
             pass
         if data is None or data.dtype != np.float64 or data.shape[1:] != (len(ANALYSIS_COLUMNS),):
             data = read_csv(csv_path, ANALYSIS_COLUMNS)
-        elif run is not None:
+        else:
             run.input(str(npy_path))
         # the rate cannot be recovered from the nine-digit times: at 60 Hz
         # over 300 s their median spacing reads 59.99988 Hz
@@ -258,7 +257,7 @@ def cmd_kinematics(args, run: Run) -> None:
     pose = kinematics.body_frame(trial)
     v_local = kinematics.local_velocities(trial, pose)
 
-    csv_path = run.output_table("analysis.csv")
+    csv_path = run.output("analysis.csv")
     write_csv(csv_path, ANALYSIS_COLUMNS, [    # lengths.names are kinematics.PAIR_NAMES
         trial.times, *lengths.values.T, pose.inner_radius, pose.outer_radius,
         *pose.euler_zyz.T, *v_local.T, trial.stimulus.astype(float),
@@ -268,10 +267,9 @@ def cmd_kinematics(args, run: Run) -> None:
     del trial, lengths, pose, v_local   # the table read back below is the peak
     # the table as every reader parses the text, bit for bit: AnalysisTable.read loads it
     data = read_csv(csv_path, ANALYSIS_COLUMNS)
-    np.save(run.output("analysis.npy"), data)
-    write_json(ingest.sidecar_path(csv_path), meta | {
-        "csv_bytes": csv_path.stat().st_size, "csv_sha256": sha256_file(csv_path),
-        "npy_sha256": sha256_file(csv_path.with_suffix(".npy"))})
+    np.save(npy_path := run.output("analysis.npy"), data)
+    write_json(run.output(ingest.sidecar_path("analysis.csv")), meta | {
+        "csv_sha256": run.sha256(csv_path), "npy_sha256": run.sha256(npy_path)})
     print(f"kinematics: {len(data)} frames -> {csv_path}")
 
 
@@ -919,7 +917,7 @@ def main(argv=None) -> int:
         args.func(args, run)
         run.out.mkdir(parents=True, exist_ok=True)
         write_manifest(run.out, args.command, vars(args), run.inputs, run.outputs,
-                       seed=getattr(args, "seed", None), sha256=run.sha256,
+                       run.sha256, seed=getattr(args, "seed", None),
                        elapsed_s=time.perf_counter() - started)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

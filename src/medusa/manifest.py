@@ -30,9 +30,9 @@ def write_manifest(
     args: dict,
     inputs,
     outputs,
+    sha256,
     seed: int | None = None,
     elapsed_s: float | None = None,
-    sha256=sha256_file,
 ) -> Path:
     """Write the single manifest.json describing one command run.
 

@@ -1,6 +1,6 @@
 """analysis.npy: kinematics saves the table it wrote as every reader parses
 it back, and `AnalysisTable.read` loads it only while the sidecar's
-csv_bytes, csv_sha256 and npy_sha256 match both files."""
+csv_sha256 and npy_sha256 match both files."""
 
 from __future__ import annotations
 
@@ -63,7 +63,6 @@ def test_the_saved_table_is_bitwise_the_parsed_text(analyses):
         assert loaded
         assert _bitwise_equal(data, read_csv(path, cli.ANALYSIS_COLUMNS))
         meta = json.loads(path.with_suffix(".json").read_text())
-        assert meta["csv_bytes"] == path.stat().st_size
         assert meta["csv_sha256"] == sha256_file(path)
         assert meta["npy_sha256"] == sha256_file(path.with_suffix(".npy"))
 
@@ -195,7 +194,7 @@ def test_a_sidecar_without_the_digests_reads_the_text(tmp_path, analyses):
     csv_path = _copy(paths[0], tmp_path / "copy")
     sidecar = csv_path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
-    for key in ("csv_bytes", "csv_sha256", "npy_sha256"):
+    for key in ("csv_sha256", "npy_sha256"):
         del meta[key]
     sidecar.write_text(json.dumps(meta))
     data, loaded = _read(csv_path)

@@ -180,7 +180,7 @@ def test_all_horizons_blob_steps_like_readout_predict(tmp_path):
                "--out", tmp_path / "export") == 0
     config, model, extras = cli._load_model(model_path)
     sensors = kinematics.standardize(
-        cli.AnalysisTable.read(analysis).columns(extras["sensor_names"]))
+        cli.AnalysisTable.read(analysis, cli.Run(tmp_path)).columns(extras["sensor_names"]))
     mux = rc.build_mux(sensors, config.mux_horizon_s, config.mux_stride,
                        config.frame_rate, scale=extras["mux_scale"])
     n = 1000
@@ -218,7 +218,7 @@ def _whole_column_predictions(path, model_path, analysis, stride_out):
     concatenated columns through one write_csv call.  Returns the block
     lengths before striding."""
     config, model, extras = cli._load_model(model_path)
-    table = cli.AnalysisTable.read(analysis)
+    table = cli.AnalysisTable.read(analysis, cli.Run(path.parent))
     sensors = kinematics.standardize(table.columns(extras["sensor_names"]))
     targets = cli._targets_from_table(table, model.target_names, extras["pulsatile"])
     features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
@@ -653,7 +653,7 @@ def _inventory(d):
                   ["trial_000.csv", "trial_000.json", "trial_001.csv", "trial_001.json"], 5),
         "ingest": (["--input", d / "jf"], views, ["trial.csv", "trial.json"], None),
         "kinematics": (["--input", d / "raw" / "trial.csv"], tables(d / "raw" / "trial.csv"),
-                       ["analysis.csv", "analysis.json", "analysis.npy"], None),
+                       ["analysis.csv", "analysis.npy", "analysis.json"], None),
         "soc": (["--input", a], read(a), ["psd.csv", "events.csv", "fits.csv", "psd_loglog.svg"],
                 None),
         "phase": (["--input", a], read(a),
