@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientBins, InsufficientEvents, TooShort
-from .series import runs
+from .series import default_threshold, runs
 
 MIN_PSD_SAMPLES = 256
 SEGMENT_SAMPLES = 512
@@ -156,12 +156,6 @@ def fit_power_law_psd(
         r2_loglog=r2,
         n_points=int(mask.sum()),
     )
-
-
-def default_threshold(series: np.ndarray) -> float:
-    """Pulse threshold: channel mean plus half a standard deviation."""
-    x = np.asarray(series, dtype=float)
-    return float(x.mean() + 0.5 * x.std())
 
 
 def extract_pulses(series: np.ndarray, frame_rate: float,

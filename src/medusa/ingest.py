@@ -345,16 +345,6 @@ TRIAL_COLUMNS: tuple[str, ...] = ("frame", "t") + tuple(
 ) + ("stim", "valid")
 
 
-def write_view_csv(path: str | Path, view: RawViewSeries) -> None:
-    """Write one view to CSV in the canonical 12-point layout."""
-    columns = [np.arange(view.n_frames)]
-    for xy, conf in ((view.corners, view.corners_conf), (view.markers, view.markers_conf)):
-        for p in range(xy.shape[1]):
-            columns += [xy[:, p, 0], xy[:, p, 1], conf[:, p]]
-    columns += [view.led[:, 0], view.led[:, 1]]
-    write_csv(path, VIEW_COLUMNS, columns)
-
-
 def read_view_csv(path: str | Path, view_name: str, frame_rate: float) -> RawViewSeries:
     """Read one view CSV written in the canonical layout; its fields are
     views of the parsed table, not copies."""

@@ -16,6 +16,7 @@ reads the features a block of rows at a time (`FeatureStream`).
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import struct
@@ -25,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .criticality import default_threshold
 from .errors import (
     BlobCorrupt,
     ConfigMismatch,
@@ -36,7 +36,7 @@ from .errors import (
     UntrainedHorizon,
     require_finite,
 )
-from .series import FORGET_TOL, runs, time_chunks
+from .series import FORGET_TOL, default_threshold, runs, time_chunks
 
 DEFAULT_SPECTRAL_RADIUS = 0.35
 RIDGE_DEFAULT = 1e-8
@@ -151,7 +151,6 @@ class MuxedInput:
         # each lag is a copy of one sample, so scaling the samples once
         # gives the rows bitwise as scaling every row would
         self.padded *= scale
-        self.scale = scale
 
     def __len__(self) -> int:
         return self.padded.shape[0] - self.span
@@ -281,15 +280,31 @@ def _draw_reservoir(seed: int, n: int, n_sensors: int, n_lags: int, radius: floa
     raise SeedCollapse("recurrent draws repeatedly yielded zero spectral radius")
 
 
-def _leak(x: np.ndarray, leak: float, acc: np.ndarray) -> np.ndarray:
-    """First-order low-pass out[t] = leak*out[t-1] + (1-leak)*x[t] from
-    out[-1] = ``acc``, which is left holding the last output, so that a
-    series can be integrated a block at a time."""
+def _leak(x: np.ndarray, leak: float) -> np.ndarray:
+    """First-order low-pass out[t] = leak*out[t-1] + (1-leak)*x[t] from out[-1] = 0."""
     out = np.empty_like(x)
+    acc = np.zeros(x.shape[1:])
     for t in range(x.shape[0]):
-        acc[...] = leak * acc + (1.0 - leak) * x[t]
+        acc = leak * acc + (1.0 - leak) * x[t]
         out[t] = acc
     return out
+
+
+def _leaked(u, leak: float):
+    """Input rows or a `MuxedInput` through `_leak`; ``u`` itself at leak 0.
+
+    A `MuxedInput` is copied with its zero-padded samples leaked once: each
+    mux column is a lagged copy of one sample, and the zero pad holds the
+    filter at exactly 0 until that lag's first sample, so the copy's rows
+    are bitwise the leaked rows."""
+    if leak == 0.0:
+        return u
+    if not isinstance(u, MuxedInput):
+        return _leak(u, leak)
+    leaked = copy.copy(u)
+    vars(leaked).pop("values", None)    # built from the unleaked samples
+    leaked.padded = _leak(u.padded, leak)
+    return leaked
 
 
 def _forgetting_steps(recurrent_weights: np.ndarray) -> int | None:
@@ -316,46 +331,30 @@ def _forgetting_steps_of(b_bytes: bytes, n: int) -> int | None:
 
 
 class _Drive:
-    """The reservoir drive A·ũ of one input, any row range on demand.
+    """The reservoir drive A·u of one input, any row range on demand.
 
     Row r comes from one product over its block of the `BLOCK_ROWS` grid
     from row 0, whose last block ends at the last input row, whatever range
     asks for it: a product over a block of another shape can round row r
     differently.  A `MuxedInput`'s rows are built a block at a time into
-    one scratch block.  With a leak, ũ is the leaked input, and the leak's
-    state before each block passed is kept, so that a later range can
-    start mid-series.
+    one scratch block.  It holds no state but its two scratch blocks, so
+    ranges can be asked for in any order; a leak is applied to the input
+    before it comes here (`_leaked`).
     """
 
-    def __init__(self, u, a: np.ndarray, leak: float):
-        self._u, self._a, self._leak = u, a, leak
+    def __init__(self, u, a: np.ndarray):
+        self._u, self._a = u, a
         self._inputs = (np.empty((min(BLOCK_ROWS, len(u)), u.width))
                         if isinstance(u, MuxedInput) else None)
         self._product = None    # for a block that straddles a range's ends
-        self._accs = {0: np.zeros(a.shape[1])}  # block first row -> leak state
-
-    def _rows(self, start: int, stop: int) -> np.ndarray:
-        if self._inputs is None:
-            return self._u[start:stop]
-        return self._u.fill(start, stop, self._inputs[:stop - start])
 
     def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Drive rows start..stop into ``out``."""
-        first = start - start % BLOCK_ROWS
-        acc = None
-        if self._leak != 0.0:
-            known = max(row for row in self._accs if row <= first)
-            acc = self._accs[known].copy()
-            for s, e in _row_blocks(known, first):     # the leak alone up to ``first``
-                _leak(self._rows(s, e), self._leak, acc)
-                self._accs[e] = acc.copy()
-        for s, e in _row_blocks(first, len(self._u)):
+        for s, e in _row_blocks(start - start % BLOCK_ROWS, len(self._u)):
             if s >= stop:
                 break
-            rows = self._rows(s, e)
-            if acc is not None:
-                rows = _leak(rows, self._leak, acc)
-                self._accs[e] = acc.copy()
+            rows = (self._u[s:e] if self._inputs is None
+                    else self._u.fill(s, e, self._inputs[:e - s]))
             lo, hi = max(s, start), min(e, stop)
             if (lo, hi) == (s, e):
                 np.matmul(rows, self._a.T, out=out[s - start:e - start])
@@ -415,10 +414,10 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
             _out: np.ndarray | None = None) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
-    The input is pre-integrated with the configured leak before entering
-    the tanh update; ``leak == 0`` recovers the plain update.  Row t of the
-    result is the state after consuming input row t; the caller's ``state``
-    is not mutated.
+    The input is leaked once, up front (`_leaked`), before entering the tanh
+    update; ``leak == 0`` recovers the plain update.  Row t of the result is
+    the state after consuming input row t; the caller's ``state`` is not
+    mutated.
 
     The input drive A·ũ does not depend on the state, so it is computed
     into the result buffer before stepping (`_Drive`).
@@ -444,7 +443,7 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
     traj = np.empty((k * length, n)) if _out is None else _out
     if traj.shape != (k * length, n):
         raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
-    _Drive(u, a, state.config.leak).fill(0, t_len, traj[:t_len])
+    _Drive(_leaked(u, state.config.leak), a).fill(0, t_len, traj[:t_len])
     traj[t_len:] = 0.0
     x = np.zeros((k, n))
     x[0] = state.state
@@ -504,25 +503,25 @@ def reservoir_features(
     buf = np.empty((rows, width + 1))
     buf[:, -1] = 1.0
     mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
-    # the reservoir reads the mux columns once they are built; without them, rows on demand
+    # the reservoir reads the built mux columns; without them, or leaked, rows on demand
     drive = mux.fill(0, t_len, buf[:t_len, n_states:width]) if blocks.mux else mux
     if state is not None:
-        esn_run(state, drive, _out=buf[:, :n_states])
+        esn_run(state, mux if config.leak else drive, _out=buf[:, :n_states])
     return buf[:t_len, :width]
 
 
 class FeatureStream:
     """The [states | mux | 1] rows of one recording, a block at a time.
 
-    It holds a `MuxedInput` (a zero-padded copy of the scaled sensors), not
-    the states or the feature matrix.  Each read steps the reservoir anew,
-    a group of `esn_run`'s K time chunks at a time (`_chunk_groups`) into
-    one buffer: a group's chunks warm up from the chunk before them as
-    `esn_run`'s do, and its drive rows come from the same products
-    (`_Drive`), so its states are `esn_run`'s bitwise.  `blocks` copies
-    each block's states and builds its mux rows into one buffer.
-    ``shape`` is the (T, d) of the matrix `reservoir_features` returns,
-    whose rows these equal bitwise.
+    It holds a `MuxedInput` (a zero-padded copy of the scaled sensors, and
+    with a leak a leaked one for the drive), not the states or the feature
+    matrix.  Each read steps the reservoir anew, a group of `esn_run`'s K
+    time chunks at a time (`_chunk_groups`) into one buffer: a group's
+    chunks warm up from the chunk before them as `esn_run`'s do, and its
+    drive rows come from the same products (`_Drive`), so its states are
+    `esn_run`'s bitwise.  `blocks` copies each block's states and builds
+    its mux rows into one buffer.  ``shape`` is the (T, d) of the matrix
+    `reservoir_features` returns, whose rows these equal bitwise.
     """
 
     def __init__(self, mux: MuxedInput, state: EsnState | None, reads_mux: bool):
@@ -531,8 +530,8 @@ class FeatureStream:
         self._reads_mux = reads_mux
         self._n_states = 0 if state is None else state.input_weights.shape[0]
         self.shape = (len(mux), self._n_states + (mux.width if reads_mux else 0))
-        if state is not None:   # its scratch and leak states serve every read
-            self._drive = _Drive(mux, state.input_weights, state.config.leak)
+        if state is not None:   # its scratch serves every read
+            self._drive = _Drive(_leaked(mux, state.config.leak), state.input_weights)
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """(first row, [features | 1] rows) over rows start..stop, `BLOCK_ROWS`
@@ -895,7 +894,9 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     ``datasets`` maps a label to a ``(features, targets)`` pair built with
     one shared sensor configuration and mux; mismatched widths raise
     ConfigMismatch.  Entry [i, j] is the R-squared of model i on data j,
-    so the diagonal holds the self-evaluation scores.
+    so the diagonal holds the self-evaluation scores.  Every model predicts
+    data j in turn and one `_row_sums` adds all their squared residuals, so
+    entry [i, j] is bitwise `r2` of model i's predictions.
     """
     names = list(datasets)
     pairs = []
@@ -908,11 +909,14 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
         if f.shape[1] != width or y.shape[1] != n_targets:
             raise ConfigMismatch(f"dataset {name!r} does not match the shared layout")
 
+    models = [train_readout(f, y, washout) for f, y in pairs]
     matrix = np.empty((len(names), len(names)))
-    for i, (f_i, y_i) in enumerate(pairs):
-        model = train_readout(f_i, y_i, washout)
-        for j, (f_j, y_j) in enumerate(pairs):
-            matrix[i, j] = r2(model.predict(f_j[washout:]), y_j[washout:])
+    for j, (f_j, y_j) in enumerate(pairs):
+        actual = y_j[washout:]
+        sst = _sum_of_squares(actual)
+        residuals = np.hstack([model.predict(f_j[washout:]) - actual for model in models])
+        sse = _row_sums(residuals ** 2).reshape(len(models), n_targets)
+        matrix[:, j] = [_r2_of(e, sst) for e in sse]
     return CrossPrediction(names=names, matrix=matrix)
 
 

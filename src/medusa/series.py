@@ -1,4 +1,4 @@
-"""Cutting a series into stretches: runs of a mask and time chunks.
+"""Cutting a series into stretches: threshold runs and time chunks.
 
 Numpy only and no medusa imports, so every module can use it.
 """
@@ -24,6 +24,12 @@ def runs(mask) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(mask, dtype=bool)
     edges = np.flatnonzero(np.diff(m, prepend=False, append=False))
     return edges[::2], edges[1::2]
+
+
+def default_threshold(series: np.ndarray) -> float:
+    """Pulse threshold: channel mean plus half a standard deviation."""
+    x = np.asarray(series, dtype=float)
+    return float(x.mean() + 0.5 * x.std())
 
 
 def time_chunks(n: int, warmup: int | None) -> tuple[int, int, int]:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from medusa import cli, ingest
-from test_ingest import make_views, random_projective
+from test_ingest import make_views, random_projective, write_view_csv
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
 SKIPPED = {"manifest.json", "report.json"}
@@ -78,7 +78,7 @@ def _write_views(trial_csv: Path, prefix: Path) -> None:
     views = make_views(trial.positions, led=np.column_stack([stim, 1.0 - stim]),
                        pixel_h=pixel_h)
     for name, view in views.items():
-        ingest.write_view_csv(f"{prefix}_{name}.csv", view)
+        write_view_csv(f"{prefix}_{name}.csv", view)
     prefix.with_suffix(".json").write_text(json.dumps({
         "animal_id": "SYN7", "condition": "stimulated", "period_s": 2.0, "frame_rate": 60.0}))
 

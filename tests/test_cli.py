@@ -12,7 +12,7 @@ from medusa import cli, ingest, kinematics
 from medusa import reservoir as rc
 from medusa.manifest import sha256_file
 from medusa.table import write_csv
-from test_ingest import make_views, random_projective, ring_positions
+from test_ingest import make_views, random_projective, ring_positions, write_view_csv
 
 
 def run(*argv) -> int:
@@ -559,7 +559,7 @@ def _malformed_input(tmp_path, case):
     elif case in ("view_header", "view_truncated_sidecar", "view_rate_string", "view_condition"):
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
-            ingest.write_view_csv(f"{prefix}_{name}.csv", view)
+            write_view_csv(f"{prefix}_{name}.csv", view)
         (tmp_path / "jf.json").write_text(json.dumps({"condition": "spontaneous"}))
         if case == "view_rate_string":
             bad = tmp_path / "jf.json"
@@ -627,7 +627,7 @@ def inventory_dir(tmp_path_factory):
         for i in range(3):
             analysis_for(d, raw / f"trial_{i:03d}.csv", name=f"{label}{i}")
     for name, view in make_views(ring_positions(400)).items():
-        ingest.write_view_csv(d / f"jf_{name}.csv", view)
+        write_view_csv(d / f"jf_{name}.csv", view)
     (d / "jf.json").write_text(json.dumps({"condition": "spontaneous", "frame_rate": 60.0}))
     assert run("train", "--input", d / "kin" / "analysis.csv", "--pulsatile",
                "--horizons", "0,0.5", "--out", d / "train") == 0
@@ -697,10 +697,8 @@ COMMAND_MODULES = {
     "synth": set(), "ingest": set(), "kinematics": set(), "report": set(),
     "soc": {"criticality", "svgplot"}, "phase": {"response", "svgplot"},
     "esp": {"esp", "response", "svgplot"}, "search-sensors": {"sensorsearch"},
-    # reservoir imports criticality for its pulse threshold
-    "train": {"reservoir", "criticality"}, "export-model": {"reservoir", "criticality"},
-    "predict": {"reservoir", "criticality", "svgplot"},
-    "confusion": {"reservoir", "criticality", "svgplot"},
+    "train": {"reservoir"}, "export-model": {"reservoir"},
+    "predict": {"reservoir", "svgplot"}, "confusion": {"reservoir", "svgplot"},
 }
 LOADED_MODULES_CODE = """
 import json, sys
@@ -809,7 +807,7 @@ def test_ingest_cli_roundtrip(tmp_path):
     views = make_views(pos, led=led, pixel_h=pixel_h)
     prefix = tmp_path / "jf"
     for name, view in views.items():
-        ingest.write_view_csv(f"{prefix}_{name}.csv", view)
+        write_view_csv(f"{prefix}_{name}.csv", view)
     (tmp_path / "jf.json").write_text(json.dumps({
         "animal_id": "JF9", "condition": "stimulated", "period_s": 2.0,
         "frame_rate": 60.0,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
-from medusa import criticality
+from medusa import criticality, series
 from medusa.errors import InsufficientBins, InsufficientEvents, TooShort
 from avalanche import gen_avalanche
 
@@ -140,7 +140,7 @@ def test_durations_tile_the_crossing_timeline():
 def test_default_threshold_is_mean_plus_half_sd():
     rng = np.random.default_rng(1)
     x = rng.normal(2.0, 3.0, size=1000)
-    assert criticality.default_threshold(x) == pytest.approx(x.mean() + 0.5 * x.std())
+    assert series.default_threshold(x) == pytest.approx(x.mean() + 0.5 * x.std())
 
 
 # ---------------------------------------------------------------------------

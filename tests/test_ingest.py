@@ -3,6 +3,7 @@ import pytest
 
 from medusa import ingest
 from medusa.errors import DegenerateCorners, NoConfidentView, NoOnsetsFound
+from medusa.table import write_csv
 
 UNIT_RECT = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -79,6 +80,17 @@ def make_views(points_mm, conf=None, led=None, pixel_h=None, rng=None):
             frame_rate=60.0,
         )
     return views
+
+
+def write_view_csv(path, view):
+    """Write one view to CSV in the canonical 12-point layout that
+    `ingest.read_view_csv` reads."""
+    columns = [np.arange(view.n_frames)]
+    for xy, conf in ((view.corners, view.corners_conf), (view.markers, view.markers_conf)):
+        for p in range(xy.shape[1]):
+            columns += [xy[:, p, 0], xy[:, p, 1], conf[:, p]]
+    columns += [view.led[:, 0], view.led[:, 1]]
+    write_csv(path, ingest.VIEW_COLUMNS, columns)
 
 
 def ring_positions(n, center=(75.0, 75.0, 75.0)):
@@ -262,7 +274,7 @@ def test_view_csv_roundtrip(tmp_path):
     led = rng.random((30, 2))
     views = make_views(pos, led=led)
     path = tmp_path / "v_top.csv"
-    ingest.write_view_csv(path, views["top"])
+    write_view_csv(path, views["top"])
     back = ingest.read_view_csv(path, "top", 60.0)
     np.testing.assert_allclose(back.markers, views["top"].markers, rtol=1e-6)
     np.testing.assert_allclose(back.led, led, rtol=1e-6)

@@ -21,7 +21,7 @@ import pytest
 from medusa import cli, ingest, response, table
 from medusa import reservoir as rc
 from medusa.series import time_chunks
-from test_ingest import make_views
+from test_ingest import make_views, write_view_csv
 
 FRAME_RATE = 60.0
 SECONDS = 60.0
@@ -167,7 +167,7 @@ def view_prefix(trials):
     prefix = root / "views" / "jf"
     prefix.parent.mkdir()
     for name, view in make_views(trial.positions, led=led).items():
-        ingest.write_view_csv(f"{prefix}_{name}.csv", view)
+        write_view_csv(f"{prefix}_{name}.csv", view)
     (root / "views" / "jf.json").write_text(
         '{"condition": "stimulated", "period_s": 2.0, "frame_rate": 60.0}')
     return prefix

@@ -198,12 +198,19 @@ def _definitions():
 
 def _name_uses():
     """name -> (path, line) of each place src/ or perfbench/ names it: as a
-    name, an attribute or an import."""
+    name, an attribute or an import.  A bare name in a perfbench file that
+    defines that name at module level is its own, not src/'s."""
     uses = defaultdict(list)
     for top in ("src", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            own = ({node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+                   if top == "perfbench" else set())
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
+                    if node.id in own:
+                        continue
                     names = [node.id]
                 elif isinstance(node, ast.Attribute):
                     names = [node.attr]

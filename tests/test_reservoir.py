@@ -39,7 +39,7 @@ def test_mux_single_sensor_no_lags_is_scaled_passthrough():
     x = random_sensors(100, s=1, seed=1)
     mux = rc.build_mux(x, 0.0, 6, FS)
     assert mux.values.shape[1] == 1
-    np.testing.assert_allclose(mux.values[:, 0], x[:, 0] * mux.scale)
+    np.testing.assert_allclose(mux.values[:, 0], x[:, 0] * rc.shared_mux_scale([x], 0.0, 6, FS))
 
 
 def test_mux_width_arithmetic():
@@ -51,7 +51,7 @@ def test_mux_width_arithmetic():
 
 def test_mux_constant_ones_scale():
     mux = rc.build_mux(np.ones((300, 4)), 2.0, 6, FS)
-    assert mux.scale == pytest.approx(1.0 / 84.0)
+    assert rc.shared_mux_scale([np.ones((300, 4))], 2.0, 6, FS) == pytest.approx(1.0 / 84.0)
     assert np.abs(mux.values.sum(axis=1)).max() == pytest.approx(1.0)
 
 
@@ -142,7 +142,7 @@ def test_build_mux_matches_the_column_loop(n_sensors, stride, n_lags, extra, exp
     got = rc.build_mux(x, span / FS, stride, FS, scale=scale)
     values, want_scale = _build_mux_column_loop(x, span / FS, stride, FS, scale)
     assert got.n_lags == n_lags
-    assert got.scale == want_scale
+    assert (scale or rc.shared_mux_scale([x], span / FS, stride, FS)) == want_scale
     np.testing.assert_array_equal(got.values, values)
 
 
@@ -213,7 +213,7 @@ def test_activations_bounded():
 
 def test_leaky_integrator_geometric_convergence():
     u = np.ones((30, 1))
-    out = rc._leak(u, 0.5, np.zeros(1))
+    out = rc._leak(u, 0.5)
     err = 1.0 - out[:, 0]
     np.testing.assert_allclose(err, 0.5 ** (np.arange(30) + 1), atol=1e-12)
     ratio = err[1:] / err[:-1]
@@ -225,7 +225,7 @@ def test_leak_zero_recovers_plain_update():
     mux = rc.build_mux(random_sensors(400, seed=4), 2.0, 6, FS)
     leaky = replace(state, config=make_config(leak=0.3))
     # the configured leak only pre-integrates the input; leak 0 steps it as given
-    integrated = rc._leak(mux.values, 0.3, np.zeros(mux.width))
+    integrated = rc._leak(mux.values, 0.3)
     np.testing.assert_array_equal(rc.esn_run(leaky, mux), rc.esn_run(state, integrated))
 
 
@@ -239,17 +239,35 @@ def test_esn_run_on_mux_rows_on_demand_equals_the_whole_mux(leak):
     np.testing.assert_array_equal(on_demand, rc.esn_run(state, mux.values))
 
 
+def _leak_rows_stepwise(u, leak):
+    """The leaked input rows ũ of `_esn_run_stepwise`, one row at a time."""
+    out = np.empty_like(u)
+    u_tilde = np.zeros(u.shape[1])
+    for t in range(u.shape[0]):
+        u_tilde = leak * u_tilde + (1.0 - leak) * u[t]
+        out[t] = u_tilde
+    return out
+
+
 def _esn_run_stepwise(state, u, leak):
     """The step-by-step loop esn_run replaced: A·ũ recomputed at every step."""
     a, b = state.input_weights, state.recurrent_weights
     traj = np.empty((u.shape[0], a.shape[0]))
     x = state.state.copy()
-    u_tilde = np.zeros(a.shape[1])
-    for t in range(u.shape[0]):
-        u_tilde = leak * u_tilde + (1.0 - leak) * u[t]
+    for t, u_tilde in enumerate(_leak_rows_stepwise(u, leak)):
         x = np.tanh(a @ u_tilde + b @ x)
         traj[t] = x
     return traj
+
+
+@pytest.mark.parametrize("leak", [0.3, 0.9])
+@pytest.mark.parametrize("n_sensors,mux_s", [(1, 0.0), (4, 2.0), (3, 0.5)])
+def test_leaking_the_mux_samples_once_gives_the_leaked_rows(leak, n_sensors, mux_s):
+    # built first, so the copy must not keep the unleaked rows
+    mux = rc.build_mux(random_sensors(700, s=n_sensors, seed=17), mux_s, 6, FS)
+    want = _leak_rows_stepwise(mux.values, leak)
+    np.testing.assert_array_equal(rc._leaked(mux, leak).values, want)
+    assert rc._leaked(mux, 0.0) is mux
 
 
 @pytest.mark.parametrize("leak", [0.0, 0.3])
@@ -327,16 +345,7 @@ def test_chunked_esn_run_at_the_chunking_threshold(offset, leak):
 
 def test_leaky_integrate_matches_inline_recurrence():
     u = np.random.default_rng(8).normal(size=(500, 7))
-    expected = np.empty_like(u)
-    u_tilde = np.zeros(u.shape[1])
-    for t in range(u.shape[0]):
-        u_tilde = 0.3 * u_tilde + (1.0 - 0.3) * u[t]
-        expected[t] = u_tilde
-    # two blocks, the second carrying on from the first's last output
-    acc = np.zeros(u.shape[1])
-    got = np.vstack([rc._leak(u[:200], 0.3, acc), rc._leak(u[200:], 0.3, acc)])
-    np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(acc, expected[-1])
+    np.testing.assert_array_equal(rc._leak(u, 0.3), _leak_rows_stepwise(u, 0.3))
 
 
 def test_non_finite_rows_raise_invalid_frames():
@@ -633,6 +642,23 @@ def test_feature_buffer_trains_and_predicts_like_copied_features(n, radius, arch
                                   same_time.predict(plain[washout:]))
 
 
+@pytest.mark.parametrize("n_targets", [1, 3])
+def test_cross_predict_is_bitwise_the_r2_of_each_pair(n_targets):
+    rng = np.random.default_rng(14)
+    datasets = {}
+    for name in ("a", "b", "c"):
+        f = rng.normal(size=(2600, 12))
+        y = f @ rng.normal(size=(12, n_targets)) + rng.normal(size=(2600, n_targets))
+        datasets[name] = (f, y[:, 0] if n_targets == 1 else y)
+    w = 300     # 2 300 scored rows: the residual sums cross a block
+    matrix = rc.cross_predict(datasets, washout=w).matrix
+    for i, (f_i, y_i) in enumerate(datasets.values()):
+        model = rc.train_readout(f_i, y_i, washout=w)
+        for j, (f_j, y_j) in enumerate(datasets.values()):
+            want = rc.r2(model.predict(f_j[w:]), y_j[w:].reshape(-1, n_targets))
+            assert matrix[i, j] == want, (i, j)
+
+
 def test_cross_predict_on_feature_buffers_matches_copied_features():
     cfg = make_config(seed=8)
     sets = {name: (random_sensors(2500, seed=s), np.random.default_rng(s).normal(size=2500))
@@ -708,6 +734,23 @@ def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak
     np.testing.assert_array_equal(second, first[lo:])
     assert stepped > 1 and rc.MIN_GROUP_CHUNKS <= min(groups)
     assert max(groups) < 2 * rc.MIN_GROUP_CHUNKS
+
+
+@pytest.mark.parametrize("arch", ["hybrid", "esn"])
+def test_leaky_stream_read_group_by_group_in_reverse_equals_a_forward_read(arch):
+    cfg = make_config(architecture=arch, leak=0.3, seed=4)
+    n = 12_000
+    stream = rc.feature_stream(random_sensors(n, seed=23), cfg, 0.05)
+    forward = np.vstack([block[:, :-1].copy() for _, block in stream.blocks()])
+    w = rc._forgetting_steps(rc.esn_init(cfg).recurrent_weights)
+    k, length, _ = rc.time_chunks(n, w)
+    groups = rc._chunk_groups(k)
+    assert len(groups) > 2
+    # the drive keeps no leak state, so a group late in the trial reads first
+    for g0, g1 in reversed(groups):
+        lo, hi = g0 * length, min(g1 * length, n)
+        rows = np.vstack([block[:, :-1].copy() for _, block in stream.blocks(lo, hi)])
+        np.testing.assert_array_equal(rows, forward[lo:hi])
 
 
 def test_streamed_predictions_and_scores_match_the_whole_matrix():

@@ -15,7 +15,7 @@ from medusa import cli, criticality, ingest, kinematics, synthgen
 from medusa import reservoir as rc
 from medusa.criticality import PulseEvent
 from medusa.errors import MedusaError
-from medusa.series import runs, time_chunks
+from medusa.series import default_threshold, runs, time_chunks
 from avalanche import gen_avalanche
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_runs_match_every_old_expression_on_thresholded_series(values, threshold
 def old_extract_pulses(series, threshold=None, frame_rate=60.0):
     x = np.asarray(series, dtype=float)
     if threshold is None:
-        threshold = criticality.default_threshold(x)
+        threshold = default_threshold(x)
     dt = 1.0 / frame_rate
     above = x > threshold
     crossings = np.flatnonzero(above[1:] & ~above[:-1]) + 1
