@@ -914,8 +914,11 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
     for j, (f_j, y_j) in enumerate(pairs):
         actual = y_j[washout:]
         sst = _sum_of_squares(actual)
-        residuals = np.hstack([model.predict(f_j[washout:]) - actual for model in models])
-        sse = _row_sums(residuals ** 2).reshape(len(models), n_targets)
+        residuals = np.empty((actual.shape[0], len(models), n_targets))
+        for model, r in zip(models, residuals.transpose(1, 0, 2)):
+            np.subtract(model.predict(f_j[washout:]), actual, out=r)
+        residuals **= 2
+        sse = _row_sums(residuals.reshape(actual.shape[0], -1)).reshape(len(models), n_targets)
         matrix[:, j] = [_r2_of(e, sst) for e in sse]
     return CrossPrediction(names=names, matrix=matrix)
 
