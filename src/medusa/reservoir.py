@@ -936,7 +936,7 @@ class TargetSeries:
 
 
 def detect_pulse_onsets(series: np.ndarray, frame_rate: float) -> np.ndarray:
-    """Upward crossings of `criticality.default_threshold`, for pulse
+    """Upward crossings of `series.default_threshold`, used for pulse
     resets; a crossing within ``PULSE_REFRACTORY_S`` of the last kept one
     is skipped."""
     x = np.asarray(series, dtype=float)
