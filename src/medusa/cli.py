@@ -16,30 +16,28 @@ import os
 import sys
 import time
 import zipfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, ingest, kinematics, synthgen  # the rest where a command runs them
+from . import __version__  # medusa's other modules where a command runs them
 from .errors import (
     MedusaError, PeriodTooShort, UntrainedHorizon, ValidationError, ZeroVariance, require_finite,
 )
 from .manifest import sha256_file, write_manifest
 from .series import runs
-from .table import float_cells, read_csv, read_json, write_csv, write_json
+from .table import float_cells, read_csv, read_json, sidecar_path, write_csv, write_json
 
 DATA_DIR_ENV = "MEDUSA_DATA_DIR"
 DEFAULT_SENSORS = "inner_radius,outer_radius,Y2-O1,R2-O2"
 DEFAULT_HORIZONS = "0,0.5,1.0,1.5,2.0"
-SOC_LENGTH_CHANNELS = kinematics.RADIAL_PAIR_NAMES + kinematics.CORONAL_PAIR_NAMES
 VELOCITY_CHANNELS = ("vx", "vy", "vz")
-# the channels phase writes and esp compares: the lengths set, then one per axis
-RESPONSE_CHANNELS = SOC_LENGTH_CHANNELS + VELOCITY_CHANNELS
 # the least value of each numeric flag, checked before a command reads anything
-FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "trials": 1,
-               "seconds": synthgen.MIN_DURATION_S, "noise_sd": 0}
+# (synth checks --seconds against the generator's least duration)
+FLAG_MINIMA = {"max_gap": 0, "stride_out": 1, "kmax": 1, "trials": 1, "noise_sd": 0}
 # the flag that sets each EspParams/ReservoirConfig field a command takes from one
 FIELD_FLAGS = {"transient_s": "--transient", "horizon_s": "--horizon", "n_nodes": "--nodes",
                "spectral_radius": "--rho", "mux_horizon_s": "--mux", "mux_stride": "--stride",
@@ -75,7 +73,7 @@ class Run:
     def table(self, path_str: str) -> Path:
         """Resolve a table's CSV as `input` does and record it, then its sidecar."""
         path = self.input(path_str)
-        self.input(str(ingest.sidecar_path(path)))
+        self.input(str(sidecar_path(path)))
         return path
 
     def output(self, name: str) -> Path:
@@ -88,15 +86,8 @@ class Run:
     def output_table(self, name: str) -> Path:
         """The path of result table ``name``, recorded with its sidecar."""
         path = self.output(name)
-        self.output(ingest.sidecar_path(name))
+        self.output(sidecar_path(name))
         return path
-
-
-ANALYSIS_COLUMNS = (
-    ("t",)
-    + kinematics.PAIR_NAMES
-    + ("inner_radius", "outer_radius", "ea", "eb", "eg", "vx", "vy", "vz", "stim", "valid")
-)
 
 
 class AnalysisTable:
@@ -111,10 +102,12 @@ class AnalysisTable:
         """The table at ``csv_path``: loaded from the analysis.npy beside it when
         the sidecar's csv_sha256 and npy_sha256 match both files, else parsed
         from the CSV text.  ``run`` hashes the files and records a npy it loads."""
+        from .ingest import read_sidecar
+        from .kinematics import ANALYSIS_COLUMNS
         npy_path = csv_path.with_suffix(".npy")
         data = None
         try:    # a missing file, any mismatch or a malformed npy reads the text instead
-            meta = read_json(ingest.sidecar_path(csv_path))
+            meta = read_json(sidecar_path(csv_path))
             if (meta.get("csv_sha256") == run.sha256(csv_path)
                     and meta.get("npy_sha256") == run.sha256(npy_path)):
                 with open(npy_path, "rb") as fh:    # an array, never a pickle or an npz
@@ -127,7 +120,7 @@ class AnalysisTable:
             run.input(str(npy_path))
         # the rate cannot be recovered from the nine-digit times: at 60 Hz
         # over 300 s their median spacing reads 59.99988 Hz
-        return cls(data, ingest.read_sidecar(ingest.sidecar_path(csv_path)))
+        return cls(data, read_sidecar(sidecar_path(csv_path)))
 
     @property
     def t(self) -> np.ndarray:
@@ -138,6 +131,7 @@ class AnalysisTable:
         return self.meta["frame_rate"]
 
     def column(self, name: str) -> np.ndarray:
+        from .kinematics import ANALYSIS_COLUMNS
         return self.data[:, ANALYSIS_COLUMNS.index(name)]
 
     def columns(self, names) -> np.ndarray:
@@ -147,14 +141,31 @@ class AnalysisTable:
         return runs(self.column("stim") > 0)[0]
 
 
-def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> None:
+def _length_channels() -> tuple[str, ...]:
+    """The lengths soc fits and phase and esp compare: radial, then coronal."""
+    from .kinematics import CORONAL_PAIR_NAMES, RADIAL_PAIR_NAMES
+    return RADIAL_PAIR_NAMES + CORONAL_PAIR_NAMES
+
+
+def _tally(counts: Counter, what: str) -> str:
+    """'; <what>: <n> (<error class> <count>, ...)' for a summary line, or ''."""
+    if not counts:
+        return ""
+    by_class = ", ".join(f"{name} {n}" for name, n in sorted(counts.items()))
+    return f"; {what}: {sum(counts.values())} ({by_class})"
+
+
+def _lowpass_valid_segments(x: np.ndarray, valid: np.ndarray, fs: float) -> Counter:
     """Filter each contiguous run of valid rows of ``x`` in place, all
-    channels in one call.  Short runs pass through."""
+    channels in one call.  Short runs pass through: counted per error class."""
+    from . import kinematics
+    unfiltered = Counter()
     for start, stop in zip(*runs(valid)):
         try:
             x[start:stop] = kinematics.lowpass_3hz(x[start:stop], fs)
-        except MedusaError:
-            pass
+        except MedusaError as exc:
+            unfiltered[type(exc).__name__] += 1
+    return unfiltered
 
 
 def _require_rate(path: Path, rate: float, expected: float, source: str) -> None:
@@ -177,15 +188,15 @@ def _labeled_inputs(run: Run, items) -> dict[str, list[Path]]:
     return out
 
 
-def _check_flags(args) -> None:
+def _check_flags(args, minima=FLAG_MINIMA) -> None:
     """Exit 2 naming the flag unless every float flag is finite and every
-    flag of `FLAG_MINIMA` is at least its least value."""
+    flag of ``minima`` is at least its least value."""
     for dest, value in vars(args).items():
         flag = "--" + dest.replace("_", "-")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{flag} must be finite, got {value}")
-        if dest in FLAG_MINIMA and not value >= FLAG_MINIMA[dest]:
-            raise ValidationError(f"{flag} must be at least {FLAG_MINIMA[dest]}, got {value}")
+        if dest in minima and not value >= minima[dest]:
+            raise ValidationError(f"{flag} must be at least {minima[dest]}, got {value}")
 
 
 @contextmanager
@@ -205,6 +216,8 @@ def _flag_errors(args):
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args, run: Run) -> None:
+    from . import ingest, synthgen
+    _check_flags(args, {"seconds": synthgen.MIN_DURATION_S})
     try:
         schedule = None if args.tau is None else synthgen.pwm_schedule(args.tau, args.seconds)
     except PeriodTooShort as exc:
@@ -220,6 +233,7 @@ def cmd_synth(args, run: Run) -> None:
 
 
 def cmd_ingest(args, run: Run) -> None:
+    from . import ingest
     prefix = args.input
     paths = {view: run.input(f"{prefix}_{view}.csv") for view in ingest.VIEW_NAMES}
     meta = ingest.read_sidecar(run.input(f"{prefix}.json"), ingest.DEFAULT_FRAME_RATE)
@@ -247,18 +261,20 @@ def cmd_ingest(args, run: Run) -> None:
 
 
 def cmd_kinematics(args, run: Run) -> None:
+    from . import ingest, kinematics
     trial = ingest.read_trial_csv(run.table(args.input))
     fs = trial.frame_rate
 
+    unfiltered = Counter()
     if not args.no_filter:     # in place: the unfiltered positions have no later reader
-        _lowpass_valid_segments(trial.positions, trial.valid_mask, fs)
+        unfiltered = _lowpass_valid_segments(trial.positions, trial.valid_mask, fs)
 
     lengths = kinematics.pairwise_lengths(trial)
     pose = kinematics.body_frame(trial)
     v_local = kinematics.local_velocities(trial, pose)
 
     csv_path = run.output("analysis.csv")
-    write_csv(csv_path, ANALYSIS_COLUMNS, [    # lengths.names are kinematics.PAIR_NAMES
+    write_csv(csv_path, kinematics.ANALYSIS_COLUMNS, [    # lengths.names are PAIR_NAMES
         trial.times, *lengths.values.T, pose.inner_radius, pose.outer_radius,
         *pose.euler_zyz.T, *v_local.T, trial.stimulus.astype(float),
         trial.valid_mask.astype(float),
@@ -266,16 +282,18 @@ def cmd_kinematics(args, run: Run) -> None:
     meta = ingest.sidecar_fields(trial) | {"filtered": not args.no_filter}
     del trial, lengths, pose, v_local   # the table read back below is the peak
     # the table as every reader parses the text, bit for bit: AnalysisTable.read loads it
-    data = read_csv(csv_path, ANALYSIS_COLUMNS)
+    data = read_csv(csv_path, kinematics.ANALYSIS_COLUMNS)
     np.save(npy_path := run.output("analysis.npy"), data)
-    write_json(run.output(ingest.sidecar_path("analysis.csv")), meta | {
+    write_json(run.output(sidecar_path("analysis.csv")), meta | {
         "csv_sha256": run.sha256(csv_path), "npy_sha256": run.sha256(npy_path)})
-    print(f"kinematics: {len(data)} frames -> {csv_path}")
+    print(f"kinematics: {len(data)} frames -> {csv_path}"
+          + _tally(unfiltered, "valid runs left unfiltered"))
 
 
 def _channels(table: AnalysisTable, lengths) -> dict[str, np.ndarray]:
     """The ``lengths`` columns standardized, constant ones left out, then
     the velocities as they are."""
+    from . import kinematics
     channels: dict[str, np.ndarray] = {}
     for name in lengths:
         try:
@@ -292,17 +310,20 @@ def cmd_soc(args, run: Run) -> None:
     table = AnalysisTable.read(run.table(args.input), run)
     fs = table.frame_rate
 
-    channels = _channels(table, SOC_LENGTH_CHANNELS + ("inner_radius", "outer_radius"))
+    lengths = _length_channels()
+    channels = _channels(table, lengths + ("inner_radius", "outer_radius"))
     # checked before the loop: its MedusaError handlers would drop the error
     # and a NaN sample poisons every Welch segment that holds it
     require_finite(np.column_stack(list(channels.values())), "soc input")
     psd_rows, event_rows, fit_rows = [], [], []
     psd_curves: dict[str, np.ndarray] = {}
     freqs = None
+    dropped = {"channels": Counter(), "fits": Counter()}    # per error class
     for name, series in channels.items():
         try:
             est = criticality.psd(series, fs)
-        except MedusaError:
+        except MedusaError as exc:
+            dropped["channels"][type(exc).__name__] += 1
             continue
         freqs = est.freqs
         psd_curves[name] = est.power
@@ -313,7 +334,8 @@ def cmd_soc(args, run: Run) -> None:
             try:
                 fit = (criticality.fit_power_law_psd(est) if kind == "psd"
                        else criticality.fit_power_law_events(events, kind))
-            except MedusaError:
+            except MedusaError as exc:
+                dropped["fits"][type(exc).__name__] += 1
                 continue
             fit_rows.append((name, kind, fit.alpha, fit.intercept, *fit.fit_range,
                              fit.r2_loglog, fit.n_points))
@@ -325,20 +347,23 @@ def cmd_soc(args, run: Run) -> None:
               ["channel", "kind", "alpha", "intercept", "lo", "hi", "r2_loglog", "n_points"],
               zip(*fit_rows))
     if freqs is not None:
-        show = {k: v for k, v in psd_curves.items() if k in SOC_LENGTH_CHANNELS}
+        show = {k: v for k, v in psd_curves.items() if k in lengths}
         svgplot.line_plot(run.output("psd_loglog.svg"), freqs, show or psd_curves,
                           title="power spectral density", xlabel="frequency [Hz]",
                           ylabel="power", log_x=True, log_y=True)
     print(f"soc: {len(psd_curves)} channels, {len(event_rows)} events, "
-          f"{len(fit_rows)} fits -> {run.out}")
+          f"{len(fit_rows)} fits -> {run.out}"
+          + "".join(_tally(counts, f"{what} dropped") for what, counts in dropped.items()))
 
 
 def cmd_phase(args, run: Run) -> None:
     from . import response, svgplot
+    from .kinematics import ANALYSIS_COLUMNS
     pick = args.ribbon_channel
-    if pick not in RESPONSE_CHANNELS:
-        raise ValidationError(f"--ribbon-channel: {pick!r} is not one of "
-                              f"{', '.join(RESPONSE_CHANNELS)}")
+    lengths = _length_channels()
+    written = lengths + VELOCITY_CHANNELS    # as `_channels` gives them, constant ones aside
+    if pick not in written:
+        raise ValidationError(f"--ribbon-channel: {pick!r} is not one of {', '.join(written)}")
     table = AnalysisTable.read(run.table(args.input), run)
     fs = table.frame_rate
     onsets = table.stim_onsets()
@@ -346,13 +371,13 @@ def cmd_phase(args, run: Run) -> None:
         raise ValidationError("trial has fewer than 2 stimulus onsets; nothing to segment")
     # the cycles are resampled from these rows: one NaN would turn phase points NaN
     span = slice(onsets[0], onsets[-1] + 1)
-    require_finite(table.data[span, [ANALYSIS_COLUMNS.index(c) for c in RESPONSE_CHANNELS]],
+    require_finite(table.data[span, [ANALYSIS_COLUMNS.index(c) for c in written]],
                    "phase span", first_row=span.start)
     onsets = onsets / fs
 
     rows = []
     ribbons = {}
-    for name, series in _channels(table, SOC_LENGTH_CHANNELS).items():
+    for name, series in _channels(table, lengths).items():
         pr = response.phase_response(series, onsets, fs)
         ribbons[name] = pr
         rows += [
@@ -375,14 +400,15 @@ def cmd_phase(args, run: Run) -> None:
 
 
 def _esp_trial(path: Path, run: Run) -> tuple[dict, np.ndarray]:
-    """A trial's sidecar fields and its `RESPONSE_CHANNELS`; the table is let go."""
+    """A trial's sidecar fields and its lengths then velocities; the table is let go."""
     table = AnalysisTable.read(path, run)
-    return table.meta, table.columns(RESPONSE_CHANNELS)
+    return table.meta, table.columns(_length_channels() + VELOCITY_CHANNELS)
 
 
 def _esp_channel_sets(columns, n) -> dict[str, list[np.ndarray]]:
     """Per channel set, each trial's first ``n`` rows standardized."""
-    k = len(SOC_LENGTH_CHANNELS)
+    from . import kinematics
+    k = len(_length_channels())
     channel_sets = {"lengths": [kinematics.standardize(c[:n, :k]) for c in columns]}
     for i, axis in enumerate(VELOCITY_CHANNELS, k):
         channel_sets[axis] = [kinematics.standardize(c[:n, i]) for c in columns]
@@ -507,7 +533,7 @@ def _horizons(args, frame_rate: float) -> list[float]:
 def _targets_from_table(table: AnalysisTable, target_names, pulsatile: bool):
     """The targets named, rebuilt from their velocities (and, when
     ``pulsatile``, the pulse onsets and pose)."""
-    from . import reservoir as rc
+    from . import kinematics, reservoir as rc
     velocity_names = tuple(n for n in target_names if n in VELOCITY_CHANNELS)
     onsets = euler = None
     if pulsatile:
@@ -559,12 +585,14 @@ def _washout_value(args, pulsatile: bool, n_rows: int) -> int:
 
 def _model_inputs(table: AnalysisTable, sensor_names, target_names, pulsatile: bool):
     """A model's standardized sensor columns and its targets, from ``table``."""
+    from . import kinematics
     sensors = kinematics.standardize(table.columns(sensor_names))
     return sensors, _targets_from_table(table, target_names, pulsatile)
 
 
 def cmd_train(args, run: Run) -> None:
     from . import reservoir as rc
+    from .kinematics import ANALYSIS_COLUMNS
     sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
     table = AnalysisTable.read(run.table(args.input), run)
@@ -700,6 +728,7 @@ def cmd_predict(args, run: Run) -> None:
 
 def cmd_confusion(args, run: Run) -> None:
     from . import reservoir as rc, svgplot
+    from .kinematics import ANALYSIS_COLUMNS
     target_names = _flag_items(args, "targets", VELOCITY_CHANNELS)
     sensor_names = _flag_items(args, "sensors", ANALYSIS_COLUMNS)
     labeled = _labeled_inputs(run, args.inputs)
@@ -735,7 +764,7 @@ def cmd_confusion(args, run: Run) -> None:
 
 
 def cmd_search_sensors(args, run: Run) -> None:
-    from . import sensorsearch
+    from . import kinematics, sensorsearch
     table = AnalysisTable.read(run.table(args.input), run)
     data = kinematics.standardize(table.columns(sensorsearch.POOL_NAMES))
     names = VELOCITY_CHANNELS + ("stim",)

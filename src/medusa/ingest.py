@@ -11,7 +11,7 @@ tracked points (tank corners ``c1..c4``, then the eight body markers
      "frame_rate": 60.0}
 
 Each trial and analysis table has a sidecar of these fields next to it
-(`sidecar_path`); `read_sidecar` is the one reader and checker of them.
+(`table.sidecar_path`); `read_sidecar` is the one reader and checker of them.
 
 View geometry
 -------------
@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .series import runs
-from .table import read_csv, read_json, write_csv, write_json
+from .table import read_csv, read_json, sidecar_path, write_csv, write_json
 
 MARKER_LABELS: tuple[str, ...] = ("R1", "R2", "Y1", "Y2", "O1", "O2", "B1", "B2")
 OUTER_MARKERS: tuple[str, ...] = ("R1", "Y1", "O1", "B1")
@@ -360,11 +360,6 @@ def read_view_csv(path: str | Path, view_name: str, frame_rate: float) -> RawVie
         led=data[:, 37:39],
         frame_rate=frame_rate,
     )
-
-
-def sidecar_path(csv_path: str | Path) -> Path:
-    """The JSON sidecar of a table: its CSV path with a .json suffix."""
-    return Path(csv_path).with_suffix(".json")
 
 
 def sidecar_fields(trial: TrialRecording) -> dict:

@@ -39,6 +39,11 @@ RADIAL_PAIR_NAMES: tuple[str, ...] = tuple(
 CORONAL_PAIR_NAMES: tuple[str, ...] = tuple(   # neighbours around the outer ring
     pair_name(a, b) for a, b in zip(OUTER_MARKERS, OUTER_MARKERS[1:] + OUTER_MARKERS[:1])
 )
+# the columns of a trial's analysis table: time, these series, then stimulus and validity
+ANALYSIS_COLUMNS: tuple[str, ...] = (
+    ("t",) + PAIR_NAMES
+    + ("inner_radius", "outer_radius", "ea", "eb", "eg", "vx", "vy", "vz", "stim", "valid")
+)
 
 
 @dataclass

@@ -45,13 +45,12 @@ def phase_response(series: np.ndarray, onsets_s: np.ndarray, frame_rate: float) 
         raise TooShort("series does not cover the onset span")
 
     t = np.arange(x.shape[0]) / frame_rate
-    segments = np.empty((onsets.size - 1, PHASE_POINTS))
-    for k in range(onsets.size - 1):
-        sample_times = (onsets[k] + (onsets[k + 1] - onsets[k])
-                        * np.arange(PHASE_POINTS) / PHASE_POINTS)
-        segments[k] = np.interp(sample_times, t, x)
+    lengths = np.diff(onsets)
+    # row k holds cycle k's phase points, each onset + (lengths[k] * i) / PHASE_POINTS
+    steps = lengths[:, None] * np.arange(PHASE_POINTS)
+    segments = np.interp(onsets[:-1, None] + steps / PHASE_POINTS, t, x)
     return PhaseResponse(
-        period_s=float(np.mean(np.diff(onsets))),
+        period_s=float(np.mean(lengths)),
         n_segments=segments.shape[0],
         segments=segments,
         mean=segments.mean(axis=0),

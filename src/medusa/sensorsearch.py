@@ -53,7 +53,7 @@ def _eval_chunk(idx, gram, moments, yty, sst, ridge):
     c, k = idx.shape
     pool = gram.shape[0] - 1
     aug = np.concatenate([idx, np.full((c, 1), pool, dtype=idx.dtype)], axis=1)
-    gb = gram[aug[:, :, None], aug[:, None, :]].copy()
+    gb = gram[aug[:, :, None], aug[:, None, :]]     # fancy indexing copies
     diag = np.arange(k + 1)
     gb[:, diag, diag] += ridge
     cb = moments[aug]
@@ -120,10 +120,10 @@ def search_best(
     near = {t: [(-np.inf, ())] for t in task_names}
     n_subsets = 0
     for k in range(1, k_max + 1):
-        combos = itertools.combinations(range(pool), k)
-        while block := list(itertools.islice(combos, CHUNK_SIZE)):
-            n_subsets += len(block)
-            picks = _eval_chunk(np.array(block, dtype=np.intp), gram, moments, yty, sst, RIDGE)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(pool), k))
+        while (block := np.fromiter(itertools.islice(flat, CHUNK_SIZE * k), np.intp)).size:
+            n_subsets += block.size // k
+            picks = _eval_chunk(block.reshape(-1, k), gram, moments, yty, sst, RIDGE)
             for t, (score, candidates) in zip(task_names, picks):
                 top[t] = max(top[t], score)
                 near[t] = [c for c in near[t] + candidates if c[0] >= top[t] - _TIE_TOL]

@@ -126,6 +126,11 @@ def read_csv(path: str | Path, header) -> np.ndarray:
     return data
 
 
+def sidecar_path(csv_path: str | Path) -> Path:
+    """The JSON sidecar of a table: its CSV path with a .json suffix."""
+    return Path(csv_path).with_suffix(".json")
+
+
 def read_json(path: str | Path) -> dict:
     """Read a JSON sidecar holding one object.
 

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from medusa import cli
+from medusa import cli, kinematics
 from medusa.manifest import sha256_file
 from medusa.table import read_csv
 from golden import file_digest
@@ -61,7 +61,7 @@ def test_the_saved_table_is_bitwise_the_parsed_text(analyses):
     for path in paths:
         data, loaded = _read(path)
         assert loaded
-        assert _bitwise_equal(data, read_csv(path, cli.ANALYSIS_COLUMNS))
+        assert _bitwise_equal(data, read_csv(path, kinematics.ANALYSIS_COLUMNS))
         meta = json.loads(path.with_suffix(".json").read_text())
         assert meta["csv_sha256"] == sha256_file(path)
         assert meta["npy_sha256"] == sha256_file(path.with_suffix(".npy"))
@@ -114,7 +114,7 @@ def _edit_csv(csv_path, case):
         csv_path.write_bytes(b"\r\n".join(lines[:-2] + [b""]))
         return
     # the leading digit of one vz cell, so the file keeps its size
-    row, col = 1800, cli.ANALYSIS_COLUMNS.index("vz")
+    row, col = 1800, kinematics.ANALYSIS_COLUMNS.index("vz")
     cells = lines[1 + row].split(b",")
     i = len(cells[col]) - len(cells[col].lstrip(b"-"))
     digit = cells[col][i] - ord("0")
@@ -132,7 +132,7 @@ def test_a_csv_edited_after_kinematics_is_read_from_its_text(tmp_path, analyses,
     _edit_csv(edited, case)
     data, loaded = _read(edited)
     assert not loaded
-    assert _bitwise_equal(data, read_csv(edited, cli.ANALYSIS_COLUMNS))
+    assert _bitwise_equal(data, read_csv(edited, kinematics.ANALYSIS_COLUMNS))
     assert not _bitwise_equal(data, np.load(edited.with_suffix(".npy")))
     for name, path in (("original", original), ("edited", edited)):
         assert run("soc", "--input", path, "--out", tmp_path / f"soc_{name}") == 0
@@ -185,7 +185,7 @@ def test_a_damaged_npy_is_never_loaded(tmp_path, analyses, case, rehash):
     UNPICKLED.clear()
     data, loaded = _read(csv_path)
     assert not loaded and not UNPICKLED
-    assert _bitwise_equal(data, read_csv(csv_path, cli.ANALYSIS_COLUMNS))
+    assert _bitwise_equal(data, read_csv(csv_path, kinematics.ANALYSIS_COLUMNS))
 
 
 def test_a_sidecar_without_the_digests_reads_the_text(tmp_path, analyses):
@@ -199,7 +199,7 @@ def test_a_sidecar_without_the_digests_reads_the_text(tmp_path, analyses):
     sidecar.write_text(json.dumps(meta))
     data, loaded = _read(csv_path)
     assert not loaded
-    assert _bitwise_equal(data, read_csv(csv_path, cli.ANALYSIS_COLUMNS))
+    assert _bitwise_equal(data, read_csv(csv_path, kinematics.ANALYSIS_COLUMNS))
 
 
 def test_a_kinematics_rerun_keeps_the_readers_config_hash(tmp_path, analyses):

@@ -517,10 +517,10 @@ def _malformed_input(tmp_path, case):
     trial_csv = tmp_path / "trial.csv"
     ingest.write_trial_csv(trial, trial_csv)
     lines = trial_csv.read_bytes().decode().split("\r\n")
-    kinematics = ["kinematics", "--input", trial_csv]
+    kinematics_argv = ["kinematics", "--input", trial_csv]
     if case == "analysis_header_only":
         bad = tmp_path / "analysis.csv"
-        bad.write_bytes((",".join(cli.ANALYSIS_COLUMNS) + "\r\n").encode())
+        bad.write_bytes((",".join(kinematics.ANALYSIS_COLUMNS) + "\r\n").encode())
         bad.with_suffix(".json").write_text(json.dumps({"frame_rate": 60.0}))
         return ["soc", "--input", bad], bad
     if case == "trial_ragged_row":
@@ -529,7 +529,7 @@ def _malformed_input(tmp_path, case):
         lines[0] = lines[0].replace("R1_x", "R1_X")
     elif case == "trial_missing_sidecar":
         trial_csv.with_suffix(".json").unlink()
-        return kinematics, trial_csv.with_suffix(".json")
+        return kinematics_argv, trial_csv.with_suffix(".json")
     elif case == "analysis_missing_sidecar":
         analysis = analysis_for(tmp_path, trial_csv)
         analysis.with_suffix(".json").unlink()
@@ -542,20 +542,20 @@ def _malformed_input(tmp_path, case):
     elif case == "trial_truncated_sidecar":
         bad = trial_csv.with_suffix(".json")
         bad.write_text(bad.read_text()[:20])
-        return kinematics, bad
+        return kinematics_argv, bad
     elif case.startswith(("analysis_rate_", "trial_rate_")):
         on_analysis = case.startswith("analysis")
         csv = analysis_for(tmp_path, trial_csv) if on_analysis else trial_csv
         bad = csv.with_suffix(".json")
         rate = BAD_RATES[case.rsplit("_", 1)[1]]
         bad.write_text(bad.read_text().replace('"frame_rate": 60.0', f'"frame_rate": {rate}'))
-        return (["soc", "--input", csv] if on_analysis else kinematics), bad
+        return (["soc", "--input", csv] if on_analysis else kinematics_argv), bad
     elif case.startswith(("analysis_field_", "trial_field_")):
         on_analysis = case.startswith("analysis")
         csv = analysis_for(tmp_path, trial_csv) if on_analysis else trial_csv
         bad = csv.with_suffix(".json")
         bad.write_text(json.dumps(json.loads(bad.read_text()) | BAD_FIELDS[case.split("_", 2)[2]]))
-        return (["soc", "--input", csv] if on_analysis else kinematics), bad
+        return (["soc", "--input", csv] if on_analysis else kinematics_argv), bad
     elif case in ("view_header", "view_truncated_sidecar", "view_rate_string", "view_condition"):
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
@@ -575,7 +575,7 @@ def _malformed_input(tmp_path, case):
             bad.write_bytes(bad.read_bytes().replace(b"led_on", b"led_1", 1))
         return ["ingest", "--input", prefix], bad
     trial_csv.write_bytes("\r\n".join(lines).encode())
-    return kinematics, trial_csv
+    return kinematics_argv, trial_csv
 
 
 @pytest.mark.parametrize("case", ["analysis_header_only", "analysis_missing_sidecar",
@@ -693,12 +693,13 @@ def test_manifest_lists_what_the_command_read_and_wrote(tmp_path, inventory_dir,
 
 
 # the medusa modules each command loads beyond those `import medusa.cli` loads
+TABLES = {"ingest", "kinematics"}     # the modules of the trial and analysis tables
 COMMAND_MODULES = {
-    "synth": set(), "ingest": set(), "kinematics": set(), "report": set(),
-    "soc": {"criticality", "svgplot"}, "phase": {"response", "svgplot"},
-    "esp": {"esp", "response", "svgplot"}, "search-sensors": {"sensorsearch"},
-    "train": {"reservoir"}, "export-model": {"reservoir"},
-    "predict": {"reservoir", "svgplot"}, "confusion": {"reservoir", "svgplot"},
+    "synth": {"synthgen"} | TABLES, "ingest": {"ingest"}, "kinematics": TABLES, "report": set(),
+    "soc": {"criticality", "svgplot"} | TABLES, "phase": {"response", "svgplot"} | TABLES,
+    "esp": {"esp", "response", "svgplot"} | TABLES, "search-sensors": {"sensorsearch"} | TABLES,
+    "train": {"reservoir"} | TABLES, "export-model": {"reservoir"},
+    "predict": {"reservoir", "svgplot"} | TABLES, "confusion": {"reservoir", "svgplot"} | TABLES,
 }
 LOADED_MODULES_CODE = """
 import json, sys
@@ -720,7 +721,7 @@ def _loaded_modules(*argv) -> set[str]:
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, inventory_dir):
     # each command is a fresh process: a module it never runs is compiled for nothing
     base = _loaded_modules()
-    assert "reservoir" not in base and "cli" in base
+    assert base == {"cli", "errors", "manifest", "series", "table"}
     for command, (argv, *_) in _inventory(inventory_dir).items():
         loaded = _loaded_modules(command, *argv, "--out", tmp_path / command)
         assert loaded - base == COMMAND_MODULES[command], command
@@ -858,6 +859,34 @@ def _gappy_analysis(tmp_path, gap=slice(1500, 1520)):
     data = np.loadtxt(analysis, delimiter=",", skiprows=1)
     assert 0 < np.isnan(data).any(axis=1).sum() < 100
     return analysis
+
+
+def test_kinematics_counts_the_valid_runs_it_leaves_unfiltered(tmp_path, capsys):
+    raw = synth_trial(tmp_path, seconds=60.0, seed=4)
+    trial = ingest.read_trial_csv(raw / "trial.csv")
+    valid = trial.valid_mask.copy()
+    valid[1500:1520] = valid[1580:1590] = False     # rows 1520-1579: too short to filter
+    positions = np.where(valid[:, None, None], trial.positions, np.nan)
+    ingest.write_trial_csv(replace(trial, positions=positions, valid_mask=valid), raw / "trial.csv")
+    capsys.readouterr()
+    analysis = analysis_for(tmp_path, raw / "trial.csv")
+    assert capsys.readouterr().out == (f"kinematics: 3600 frames -> {analysis}; "
+                                       "valid runs left unfiltered: 1 (TooShort 1)\n")
+    assert run("kinematics", "--input", raw / "trial.csv", "--no-filter",
+               "--out", tmp_path / "nofilter") == 0
+    assert capsys.readouterr().out.endswith("nofilter/analysis.csv\n")     # no count to give
+
+
+def test_soc_counts_the_fits_it_drops_per_error_class(tmp_path, capsys):
+    analysis = analysis_for(tmp_path, synth_trial(tmp_path, seconds=60.0, seed=7) / "trial.csv")
+    capsys.readouterr()
+    assert run("soc", "--input", analysis, "--out", tmp_path / "soc") == 0
+    fits = (tmp_path / "soc" / "fits.csv").read_text().splitlines()[1:]
+    # 13 channels fitted three ways each: every fit that fits.csv lacks is counted
+    assert len(fits) == 2
+    assert capsys.readouterr().out.endswith(
+        f"2 fits -> {tmp_path / 'soc'}; fits dropped: 37 (InsufficientBins 13, "
+        "InsufficientEvents 24)\n")
 
 
 def test_train_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):

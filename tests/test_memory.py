@@ -18,7 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from medusa import cli, ingest, response, table
+from medusa import cli, ingest, kinematics, response, table
 from medusa import reservoir as rc
 from medusa.series import time_chunks
 from test_ingest import make_views, write_view_csv
@@ -205,7 +205,7 @@ def test_ingest_peak_is_one_view_beside_the_markers_of_the_others(view_prefix, t
 def test_search_peak_is_the_pool_and_a_block_of_subsets(trials):
     root, paths = trials
     peak = traced_peak("search-sensors", "--input", paths[7][1], "--out", root / "search")
-    one_table = ROWS * len(cli.ANALYSIS_COLUMNS) * FLOAT
+    one_table = ROWS * len(kinematics.ANALYSIS_COLUMNS) * FLOAT
     # the pool's standardized columns, the task columns and one block of
     # sensorsearch.CHUNK_SIZE subsets' normal equations, without the table:
     # holding the table through the search took 5.6 tables, and blocks of
@@ -228,7 +228,7 @@ def test_esp_peak_is_below_one_table_per_trial(trials):
     root, paths = trials
     analyses = [paths[seed][1] for seed in (7, 8, 9)]
     peak = traced_peak("esp", "--inputs", *analyses, "--horizon", 30.0, "--out", root / "esp")
-    one_table = ROWS * len(cli.ANALYSIS_COLUMNS) * FLOAT
+    one_table = ROWS * len(kinematics.ANALYSIS_COLUMNS) * FLOAT
     # each trial keeps its channel-set columns, not its whole table
     assert peak < len(analyses) * one_table
 

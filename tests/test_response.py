@@ -68,6 +68,35 @@ def test_mean_invariant_under_segment_shuffle():
     np.testing.assert_allclose(shuffled.mean(axis=0), pr.mean, atol=1e-12)
 
 
+def _segments_cycle_by_cycle(x, onsets, fs):
+    """The phase segments with one interpolation per cycle."""
+    t = np.arange(x.shape[0]) / fs
+    segments = np.empty((onsets.size - 1, response.PHASE_POINTS))
+    for k in range(onsets.size - 1):
+        sample_times = (onsets[k] + (onsets[k + 1] - onsets[k])
+                        * np.arange(response.PHASE_POINTS) / response.PHASE_POINTS)
+        segments[k] = np.interp(sample_times, t, x)
+    return segments
+
+
+def test_phase_response_is_bitwise_the_cycle_by_cycle_interpolation(monkeypatch):
+    rng = np.random.default_rng(30)
+    x = rng.normal(size=int(60 * FS)).cumsum()
+    # onsets between samples, and cycles from 0.9 to 2.3 s long
+    onsets = 0.51 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.9, 2.3, size=24))])
+    assert np.ptp(np.diff(onsets)) > 0.5 and np.all(onsets * FS % 1 > 0)
+    calls = []
+    interp = np.interp
+    monkeypatch.setattr(np, "interp", lambda *args: calls.append(args) or interp(*args))
+    pr = response.phase_response(x, onsets, FS)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    expected = _segments_cycle_by_cycle(x, onsets, FS)
+    assert pr.segments.tobytes() == expected.tobytes()
+    assert pr.mean.tobytes() == expected.mean(axis=0).tobytes()
+    assert pr.sd.tobytes() == expected.std(axis=0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one-way ANOVA
 # ---------------------------------------------------------------------------

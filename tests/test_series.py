@@ -279,8 +279,8 @@ def test_stimulus_onsets_equal_the_old_rising_edges():
     led = np.where(stim > 0, 200.0, 20.0)
     active, onsets = ingest.align_stimulus(led, 110.0, 60.0)
     np.testing.assert_array_equal(onsets, rising_edges(led > 110.0) / 60.0)
-    table = cli.AnalysisTable(np.zeros((stim.size, len(cli.ANALYSIS_COLUMNS))), {})
-    table.data[:, cli.ANALYSIS_COLUMNS.index("stim")] = stim
+    table = cli.AnalysisTable(np.zeros((stim.size, len(kinematics.ANALYSIS_COLUMNS))), {})
+    table.data[:, kinematics.ANALYSIS_COLUMNS.index("stim")] = stim
     np.testing.assert_array_equal(table.stim_onsets(), rising_edges(stim > 0))
 
 
