@@ -290,19 +290,20 @@ def cmd_kinematics(args, run: Run) -> None:
           + _tally(unfiltered, "valid runs left unfiltered"))
 
 
-def _channels(table: AnalysisTable, lengths) -> dict[str, np.ndarray]:
+def _channels(table: AnalysisTable, lengths) -> tuple[dict[str, np.ndarray], str]:
     """The ``lengths`` columns standardized, constant ones left out, then
-    the velocities as they are."""
+    the velocities as they are; and the summary-line count of those left out."""
     from . import kinematics
     channels: dict[str, np.ndarray] = {}
+    left_out = Counter()
     for name in lengths:
         try:
             channels[name] = kinematics.standardize(table.column(name))
-        except ZeroVariance:
-            continue
+        except ZeroVariance as exc:
+            left_out[type(exc).__name__] += 1
     for name in VELOCITY_CHANNELS:
         channels[name] = table.column(name)
-    return channels
+    return channels, _tally(left_out, "constant channels left out")
 
 
 def cmd_soc(args, run: Run) -> None:
@@ -311,7 +312,7 @@ def cmd_soc(args, run: Run) -> None:
     fs = table.frame_rate
 
     lengths = _length_channels()
-    channels = _channels(table, lengths + ("inner_radius", "outer_radius"))
+    channels, left_out = _channels(table, lengths + ("inner_radius", "outer_radius"))
     # checked before the loop: its MedusaError handlers would drop the error
     # and a NaN sample poisons every Welch segment that holds it
     require_finite(np.column_stack(list(channels.values())), "soc input")
@@ -352,7 +353,7 @@ def cmd_soc(args, run: Run) -> None:
                           title="power spectral density", xlabel="frequency [Hz]",
                           ylabel="power", log_x=True, log_y=True)
     print(f"soc: {len(psd_curves)} channels, {len(event_rows)} events, "
-          f"{len(fit_rows)} fits -> {run.out}"
+          f"{len(fit_rows)} fits -> {run.out}{left_out}"
           + "".join(_tally(counts, f"{what} dropped") for what, counts in dropped.items()))
 
 
@@ -377,7 +378,8 @@ def cmd_phase(args, run: Run) -> None:
 
     rows = []
     ribbons = {}
-    for name, series in _channels(table, lengths).items():
+    channels, left_out = _channels(table, lengths)
+    for name, series in channels.items():
         pr = response.phase_response(series, onsets, fs)
         ribbons[name] = pr
         rows += [
@@ -396,7 +398,7 @@ def cmd_phase(args, run: Run) -> None:
         pr = ribbons[pick]
         svgplot.ribbon_plot(run.output(f"phase_ribbon_{pick}.svg"), pr.phase, pr.mean, pr.sd,
                             title=f"{pick} phase response", xlabel="phase", ylabel=pick)
-    print(f"phase: {len(ribbons)} channels over {first.n_segments} segments -> {run.out}")
+    print(f"phase: {len(ribbons)} channels over {first.n_segments} segments -> {run.out}{left_out}")
 
 
 def _esp_trial(path: Path, run: Run) -> tuple[dict, np.ndarray]:

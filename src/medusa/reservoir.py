@@ -687,16 +687,10 @@ class Readout:
 def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
                  architecture: str, target_names) -> Readout:
     """Least-squares readout per horizon over the post-washout samples,
-    from one set of normal equations (Lukoševičius 2012, §4).
-
-    ``features`` is a whole matrix, read as one block, or a
-    `FeatureStream`, read a block at a time.  The Gram G₀ of [features, 1]
-    is built once over the post-washout rows.  Horizon h pairs row t with
-    target row t + h, so it drops the last h rows: its Gram is
-    G₀ − F_tailᵀF_tail over those rows, and its moment Fᵀy is summed over
-    its own rows in the same pass.  A small ridge (`RIDGE_DEFAULT`) is
-    added to the normal equations purely for conditioning.  Each horizon
-    needs at least 3x as many samples as feature columns (bias included).
+    from the normal equations that `normal_equations` sums in one pass
+    (Lukoševičius 2012, §4).  A small ridge (`RIDGE_DEFAULT`) is added to
+    them purely for conditioning.  Each horizon needs at least 3x as many
+    samples as feature columns (bias included).
     """
     if not isinstance(features, FeatureStream):
         features = np.asarray(features, dtype=float)
@@ -725,32 +719,39 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
                 f"{rows} post-washout samples for horizon {h_s:g} s and {d_aug} "
                 f"features; need at least {3 * d_aug}"
             )
-    gram = None     # there is at least one post-washout row
+    for w, (gram, moment) in zip(model.weights, normal_equations(features, y, washout, shifts)):
+        w[...] = _solve_readout(gram, moment)
+    return model
+
+
+def normal_equations(features, y: np.ndarray, washout: int, shifts):
+    """Each shift h's (Gram, moment) of least squares from [features, 1] at
+    row t to ``y`` at row t + h, t in washout..n − h: a whole matrix read as
+    one block, or a `FeatureStream`'s blocks.  One pass sums G₀ over the
+    post-washout rows and each moment over its own rows; shift h's Gram is
+    G₀ − F_tailᵀF_tail over the last h rows.  Each Gram is the caller's to
+    change in place; the last is G₀ itself, so take them in turn."""
+    n, d_aug = features.shape[0], features.shape[1] + 1
+    gram = np.zeros((d_aug, d_aug))
     moments = np.zeros((len(shifts), d_aug, y.shape[1]))
-    # the last rows, kept as the pass goes by for the horizons' dropped tails
+    # the last rows, kept as the pass goes by for the shifts' dropped tails
     kept = max(shifts)
     tail = np.empty((kept, d_aug))
     for start, block in _biased_blocks(features, washout, n):
-        if gram is None:
-            gram = block.T @ block
-        else:
-            gram += block.T @ block
+        gram += block.T @ block
         for moment, h in zip(moments, shifts):
-            rows = min(block.shape[0], n - h - start)
-            if rows > 0:
-                moment += block[:rows].T @ y[start + h:start + h + rows]
+            rows = block[:max(n - h - start, 0)]
+            moment += rows.T @ y[start + h:start + h + len(rows)]
         lo = max(start, n - kept)
         if lo < start + block.shape[0]:
             tail[lo - n + kept:start + block.shape[0] - n + kept] = block[lo - start:]
-    for i, (w, moment, h) in enumerate(zip(model.weights, moments, shifts)):
-        # the solve adds the ridge in place: the last horizon takes G₀ itself
+    for i, (moment, h) in enumerate(zip(moments, shifts)):
         gram_h = gram if i == len(shifts) - 1 else gram.copy()
         # the dropped rows, in the blocks a stream's read of them gives
         for first, last in _row_blocks(n - h, n):
             rows = tail[first - n + kept:last - n + kept]
             gram_h -= rows.T @ rows
-        w[...] = _solve_readout(gram_h, moment)
-    return model
+        yield gram_h, moment
 
 
 def _biased_blocks(features, start: int, stop: int):

@@ -2,8 +2,8 @@
 
 Candidates are the 28 pairwise marker lengths plus the inner and outer
 body radii.  Every subset of up to 5 sensors is scored as a direct linear
-readout (sensors + bias) against each task target.  One (31 x 31) Gram
-matrix and the per-task cross-moment vectors are computed once; each
+readout (sensors + bias) against each task target.  The (31 x 31) Gram and
+the per-task moments come once from `reservoir.normal_equations`; each
 subset then costs a k x k subblock solve, independent of sample count.
 """
 
@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import DegenerateTask, require_finite
 from .kinematics import PAIR_NAMES
+from .reservoir import RIDGE_DEFAULT, normal_equations
 
 DEFAULT_K_MAX = 5
 RADIUS_NAMES = ("inner_radius", "outer_radius")
 POOL_NAMES: tuple[str, ...] = PAIR_NAMES + RADIUS_NAMES
-RIDGE = 1e-8            # added to each subset's normal equations, for conditioning
 CHUNK_SIZE = 2_500      # subsets scored per block; bounds a block's memory
 _TIE_TOL = 1e-9
 
@@ -43,7 +43,7 @@ class SensorSearchReport:
     stats: dict = field(default_factory=dict)
 
 
-def _eval_chunk(idx, gram, moments, yty, sst, ridge):
+def _eval_chunk(idx, gram, moments, yty, sst):
     """Score one chunk of equal-size subsets against all tasks.
 
     Returns, per task, the chunk's best score and its candidates: each
@@ -55,7 +55,7 @@ def _eval_chunk(idx, gram, moments, yty, sst, ridge):
     aug = np.concatenate([idx, np.full((c, 1), pool, dtype=idx.dtype)], axis=1)
     gb = gram[aug[:, :, None], aug[:, None, :]]     # fancy indexing copies
     diag = np.arange(k + 1)
-    gb[:, diag, diag] += ridge
+    gb[:, diag, diag] += RIDGE_DEFAULT     # for conditioning
     cb = moments[aug]
     w = np.linalg.solve(gb, cb)
     sse = yty[None, :] - np.einsum("nft,nft->nt", w, 2.0 * cb - gb @ w)
@@ -97,10 +97,9 @@ def search_best(
     if y.shape[0] != x.shape[0]:
         raise ValueError("tasks and sensors must share one sample count")
 
-    xp = x[washout:]
     yp = y[washout:]
     # one non-finite row would poison the shared Gram and every subset score
-    require_finite(xp, "post-washout sensor input", first_row=washout)
+    require_finite(x[washout:], "post-washout sensor input", first_row=washout)
     require_finite(yp, "post-washout target", first_row=washout)
     y_mean = yp.mean(axis=0)
     sst = np.sum((yp - y_mean) ** 2, axis=0)
@@ -109,9 +108,7 @@ def search_best(
         raise DegenerateTask(f"task {bad!r} target is constant after washout")
 
     started = time.perf_counter()
-    f = np.hstack([xp, np.ones((xp.shape[0], 1))])
-    gram = f.T @ f
-    moments = f.T @ yp
+    gram, moments = next(normal_equations(x, y, washout, (0,)))
     yty = np.sum(yp**2, axis=0)
 
     top = {t: -np.inf for t in task_names}
@@ -123,7 +120,7 @@ def search_best(
         flat = itertools.chain.from_iterable(itertools.combinations(range(pool), k))
         while (block := np.fromiter(itertools.islice(flat, CHUNK_SIZE * k), np.intp)).size:
             n_subsets += block.size // k
-            picks = _eval_chunk(block.reshape(-1, k), gram, moments, yty, sst, RIDGE)
+            picks = _eval_chunk(block.reshape(-1, k), gram, moments, yty, sst)
             for t, (score, candidates) in zip(task_names, picks):
                 top[t] = max(top[t], score)
                 near[t] = [c for c in near[t] + candidates if c[0] >= top[t] - _TIE_TOL]
@@ -147,7 +144,7 @@ def search_best(
             "gram_builds": 1,
             "gram_size": pool + 1,
             "subset_solves": n_subsets,
-            "post_washout_samples": int(xp.shape[0]),
+            "post_washout_samples": len(yp),
         },
     )
 

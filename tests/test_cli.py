@@ -697,7 +697,8 @@ TABLES = {"ingest", "kinematics"}     # the modules of the trial and analysis ta
 COMMAND_MODULES = {
     "synth": {"synthgen"} | TABLES, "ingest": {"ingest"}, "kinematics": TABLES, "report": set(),
     "soc": {"criticality", "svgplot"} | TABLES, "phase": {"response", "svgplot"} | TABLES,
-    "esp": {"esp", "response", "svgplot"} | TABLES, "search-sensors": {"sensorsearch"} | TABLES,
+    "esp": {"esp", "response", "svgplot"} | TABLES,
+    "search-sensors": {"sensorsearch", "reservoir"} | TABLES,
     "train": {"reservoir"} | TABLES, "export-model": {"reservoir"},
     "predict": {"reservoir", "svgplot"} | TABLES, "confusion": {"reservoir", "svgplot"} | TABLES,
 }
@@ -887,6 +888,27 @@ def test_soc_counts_the_fits_it_drops_per_error_class(tmp_path, capsys):
     assert capsys.readouterr().out.endswith(
         f"2 fits -> {tmp_path / 'soc'}; fits dropped: 37 (InsufficientBins 13, "
         "InsufficientEvents 24)\n")
+
+
+def test_soc_and_phase_count_the_constant_lengths_they_leave_out(tmp_path, capsys):
+    analysis = analysis_for(tmp_path, synth_trial(tmp_path, seconds=60.0, seed=7) / "trial.csv")
+    lines = analysis.read_text().splitlines()
+    flat = lines[0].split(",").index(cli._length_channels()[0])
+    # the sidecar's digests no longer match: every reader parses the edited text
+    analysis.write_text("\n".join([lines[0]] + [",".join(
+        "1" if i == flat else v for i, v in enumerate(line.split(",")))
+        for line in lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert run("soc", "--input", analysis, "--out", tmp_path / "soc") == 0
+    assert run("phase", "--input", analysis, "--out", tmp_path / "phase") == 0
+    soc_line, phase_line = capsys.readouterr().out.splitlines()
+    left_out = "; constant channels left out: 1 (ZeroVariance 1)"
+    assert f"-> {tmp_path / 'soc'}{left_out}; " in soc_line
+    assert phase_line.endswith(f"-> {tmp_path / 'phase'}{left_out}")
+    for name in ("soc/psd.csv", "phase/phase.csv"):
+        channels = {row.split(",")[0] for row in (tmp_path / name).read_text().splitlines()[1:]}
+        assert cli._length_channels()[0] not in channels
+        assert cli._length_channels()[1] in channels
 
 
 def test_train_on_invalid_frames_exits_1_naming_them(tmp_path, capsys):

@@ -825,6 +825,43 @@ def test_shared_gram_scores_like_per_horizon_solves():
         assert abs(shared[h_s] - score) <= 1e-9
 
 
+def _normal_equations_by_hand(features, y, washout, h):
+    """One shift's Gram and moment from [rows | 1] cut out of the whole matrix."""
+    n = features.shape[0]
+    f = np.hstack([features[washout:n - h], np.ones((n - h - washout, 1))])
+    return f.T @ f, f.T @ y[washout + h:]
+
+
+# 256-, 700- and 2 048-row blocks split the range, its tail and each shift's
+# moment rows across blocks, or hold the whole range in one
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(400, 3_000), washout_at=st.floats(0.0, 1.0),
+       shifts=st.lists(st.integers(0, 300), min_size=1, max_size=4),
+       block_rows=st.sampled_from([256, 700, 2_048]), stream=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_normal_equations_are_those_of_the_rows_cut_out_by_hand(n, washout_at, shifts,
+                                                                 block_rows, stream, seed):
+    washout = int(washout_at * (n - max(shifts) - 1))     # every shift keeps a row
+    cfg = make_config(n_nodes=20, seed=seed)
+    sensors = random_sensors(n, seed=seed)
+    y = np.random.default_rng(seed).normal(size=(n, 3))
+    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rc, "BLOCK_ROWS", block_rows)
+        features = rc.feature_stream(sensors, cfg, 0.05) if stream else whole
+        got = list(rc.normal_equations(features, y, washout, shifts))
+    one_block = not stream or n - washout <= block_rows
+    assert len(got) == len(shifts)
+    for (gram, moment), h in zip(got, shifts):
+        want_gram, want_moment = _normal_equations_by_hand(whole, y, washout, h)
+        assert np.abs(gram - want_gram).max() <= 1e-12 * np.abs(want_gram).max()
+        assert np.abs(moment - want_moment).max() <= 1e-12 * np.abs(want_moment).max()
+        if one_block:   # one product each: the Gram's only when no tail is dropped
+            np.testing.assert_array_equal(moment, want_moment)
+            if h == 0:
+                np.testing.assert_array_equal(gram, want_gram)
+
+
 def test_cross_predict_rejects_mismatched_layouts():
     rng = np.random.default_rng(5)
     datasets = {

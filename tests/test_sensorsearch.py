@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from medusa import sensorsearch as ss
+from medusa import reservoir as rc, sensorsearch as ss
 from medusa.errors import DegenerateTask
 
 
@@ -12,7 +12,6 @@ def subset_r2(
     target: np.ndarray,
     subset,
     washout: int = 1_000,
-    ridge: float = 1e-8,
 ) -> float:
     """Post-washout R-squared of one sensor subset, via the Gram path."""
     x = np.asarray(data, dtype=float)[washout:]
@@ -25,7 +24,7 @@ def subset_r2(
         raise DegenerateTask("target is constant after washout")
     yty = np.array([np.sum(y**2)])
     idx = np.array([tuple(subset)], dtype=np.intp)
-    picks = ss._eval_chunk(idx, gram, moments, yty, sst, ridge)
+    picks = ss._eval_chunk(idx, gram, moments, yty, sst)
     return picks[0][0]
 
 
@@ -36,6 +35,17 @@ def sensor_names(p):
 def standardized(rng, n, p):
     x = rng.normal(size=(n, p))
     return (x - x.mean(0)) / x.std(0)
+
+
+def test_the_search_gram_is_bitwise_that_of_the_pool_with_a_ones_column():
+    # a plain matrix is one block: the builder's shift 0 is f.T @ f of one copy
+    rng = np.random.default_rng(8)
+    x = standardized(rng, 3000, 30)
+    y = rng.normal(size=(3000, 4))
+    f = np.hstack([x[500:], np.ones((2500, 1))])
+    (gram, moments), = rc.normal_equations(x, y, 500, (0,))
+    np.testing.assert_array_equal(gram, f.T @ f)
+    np.testing.assert_array_equal(moments, f.T @ y[500:])
 
 
 # ---------------------------------------------------------------------------
