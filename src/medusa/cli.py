@@ -246,6 +246,9 @@ def cmd_ingest(args, run: Run) -> None:
             led = view.led[:, 0].copy()
         views[name] = view.markers_only()
         del view
+    if len({view.n_frames for view in views.values()}) > 1:
+        raise ValidationError("views do not share one frame count: " + ", ".join(
+            f"{paths[name]} has {view.n_frames} frames" for name, view in views.items()))
     trial = ingest.assemble_3d(views["top"], views["behind"], views["right"], **meta)
     del views   # the trial and its LED column are all the write reads
     if trial.condition == "stimulated":
@@ -608,7 +611,7 @@ def cmd_train(args, run: Run) -> None:
     # the stream steps the reservoir on every read: neither the fit nor the
     # scores hold the states, the feature matrix or a horizon's predictions
     mux_scale = rc.shared_mux_scale([sensors], config.mux_horizon_s, config.mux_stride, fs)
-    features = rc.feature_stream(sensors, config, mux_scale)
+    features = rc.reservoir_features(sensors, config, mux_scale)
     model = rc.train_horizons(
         features, targets.values, horizons, washout, fs,
         architecture=config.architecture, target_names=targets.names,
@@ -697,7 +700,7 @@ def cmd_predict(args, run: Run) -> None:
     t, sensors, targets = _predict_inputs(run.table(args.input), run, config, model, extras)
     # the reservoir states are the peak: only the predictions outlive them
     predictions = rc.predict_horizons(
-        model, rc.feature_stream(sensors, config, extras["mux_scale"]))
+        model, rc.reservoir_features(sensors, config, extras["mux_scale"]))
 
     # t and each actual series repeat in every block: format them once
     t_cells = float_cells(t)

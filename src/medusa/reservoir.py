@@ -337,31 +337,30 @@ class _Drive:
     from row 0, whose last block ends at the last input row, whatever range
     asks for it: a product over a block of another shape can round row r
     differently.  A `MuxedInput`'s rows are built a block at a time into
-    one scratch block.  It holds no state but its two scratch blocks, so
-    ranges can be asked for in any order; a leak is applied to the input
-    before it comes here (`_leaked`).
+    one scratch block.  Each `fill` makes its own scratch, so it holds
+    nothing between reads and ranges can be asked for in any order; a leak
+    is applied to the input before it comes here (`_leaked`).
     """
 
     def __init__(self, u, a: np.ndarray):
-        self._u, self._a = u, a
-        self._inputs = (np.empty((min(BLOCK_ROWS, len(u)), u.width))
-                        if isinstance(u, MuxedInput) else None)
-        self._product = None    # for a block that straddles a range's ends
+        self.u, self._a = u, a
 
     def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
         """Drive rows start..stop into ``out``."""
-        for s, e in _row_blocks(start - start % BLOCK_ROWS, len(self._u)):
+        block = min(BLOCK_ROWS, len(self.u))
+        inputs = np.empty((block, self.u.width)) if isinstance(self.u, MuxedInput) else None
+        product = None      # for a block that straddles a range's ends
+        for s, e in _row_blocks(start - start % BLOCK_ROWS, len(self.u)):
             if s >= stop:
                 break
-            rows = (self._u[s:e] if self._inputs is None
-                    else self._u.fill(s, e, self._inputs[:e - s]))
+            rows = self.u[s:e] if inputs is None else self.u.fill(s, e, inputs[:e - s])
             lo, hi = max(s, start), min(e, stop)
             if (lo, hi) == (s, e):
                 np.matmul(rows, self._a.T, out=out[s - start:e - start])
                 continue
-            if self._product is None:
-                self._product = np.empty((min(BLOCK_ROWS, len(self._u)), self._a.shape[0]))
-            product = np.matmul(rows, self._a.T, out=self._product[:e - s])
+            if product is None:
+                product = np.empty((block, self._a.shape[0]))
+            np.matmul(rows, self._a.T, out=product[:e - s])
             out[lo - start:hi - start] = product[lo - s:hi - s]
         return out
 
@@ -480,48 +479,28 @@ def reservoir_features(
     sensors: np.ndarray,
     config: ReservoirConfig,
     mux_scale: float | None = None,
-) -> np.ndarray:
-    """Build mux, run the reservoir if needed, and assemble readout features.
-
-    The features are built in place in one buffer laid out as
-    [states | mux | 1], with the states and mux blocks present as the
-    architecture uses them; the result is its (T, d) left block, which
-    the readout trains on with the ones column as its bias without a copy.
-    Its rows equal `feature_stream`'s bitwise.
-    """
+) -> FeatureStream:
+    """The readout features of one recording as a `FeatureStream`, which
+    holds the scaled sensors and steps the reservoir on every read."""
     x = _checked_sensors(sensors, config)
-    t_len = x.shape[0]
     blocks = ARCHITECTURES[config.architecture]
-    state = esn_init(config) if blocks.states else None
-    n_states = config.n_nodes if blocks.states else 0
-    width = _feature_width(config.architecture, n_states, config.input_width)
-    rows = t_len
-    if state is not None:
-        # esn_run steps K chunks of L rows in place; rows past T are padding
-        k, length, _ = time_chunks(t_len, _forgetting_steps(state.recurrent_weights))
-        rows = k * length
-    buf = np.empty((rows, width + 1))
-    buf[:, -1] = 1.0
     mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
-    # the reservoir reads the built mux columns; without them, or leaked, rows on demand
-    drive = mux.fill(0, t_len, buf[:t_len, n_states:width]) if blocks.mux else mux
-    if state is not None:
-        esn_run(state, mux if config.leak else drive, _out=buf[:, :n_states])
-    return buf[:t_len, :width]
+    return FeatureStream(mux, esn_init(config) if blocks.states else None, blocks.mux)
 
 
 class FeatureStream:
-    """The [states | mux | 1] rows of one recording, a block at a time.
+    """The [states | mux | 1] rows of one recording, whole or a block at a time.
 
     It holds a `MuxedInput` (a zero-padded copy of the scaled sensors, and
     with a leak a leaked one for the drive), not the states or the feature
-    matrix.  Each read steps the reservoir anew, a group of `esn_run`'s K
-    time chunks at a time (`_chunk_groups`) into one buffer: a group's
-    chunks warm up from the chunk before them as `esn_run`'s do, and its
-    drive rows come from the same products (`_Drive`), so its states are
-    `esn_run`'s bitwise.  `blocks` copies each block's states and builds
-    its mux rows into one buffer.  ``shape`` is the (T, d) of the matrix
-    `reservoir_features` returns, whose rows these equal bitwise.
+    matrix; ``nbytes`` counts those copies.  `matrix` builds every row in
+    one buffer.  `blocks` steps the reservoir anew on each read, a group of
+    `esn_run`'s K time chunks at a time (`_chunk_groups`) into one buffer:
+    a group's chunks warm up from the chunk before them as `esn_run`'s do,
+    and its drive rows come from the same products (`_Drive`), so its
+    states are `esn_run`'s bitwise; it copies each block's states and
+    builds its mux rows into one buffer.  ``shape`` is the (T, d) of the
+    features, whose rows `blocks` and `matrix` give bitwise alike.
     """
 
     def __init__(self, mux: MuxedInput, state: EsnState | None, reads_mux: bool):
@@ -530,8 +509,35 @@ class FeatureStream:
         self._reads_mux = reads_mux
         self._n_states = 0 if state is None else state.input_weights.shape[0]
         self.shape = (len(mux), self._n_states + (mux.width if reads_mux else 0))
-        if state is not None:   # its scratch serves every read
+        if state is not None:
             self._drive = _Drive(_leaked(mux, state.config.leak), state.input_weights)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes it holds between reads: the padded sensors, and with a
+        leak their leaked copy."""
+        leaked = self._state is not None and self._drive.u is not self._mux
+        return self._mux.padded.nbytes + (self._drive.u.padded.nbytes if leaked else 0)
+
+    def matrix(self) -> np.ndarray:
+        """Every row, built in place in one buffer laid out as
+        [states | mux | 1] with `esn_run` stepping all K chunks at once; the
+        result is its (T, d) left block, which the readout trains on with
+        the ones column as its bias without a copy."""
+        (t_len, width), n_states, state = self.shape, self._n_states, self._state
+        rows = t_len
+        if state is not None:
+            # esn_run steps K chunks of L rows in place; rows past T are padding
+            k, length, _ = time_chunks(t_len, _forgetting_steps(state.recurrent_weights))
+            rows = k * length
+        buf = np.empty((rows, width + 1))
+        buf[:, -1] = 1.0
+        # the reservoir reads the built mux columns; without them, or leaked, rows on demand
+        mux = self._mux
+        drive = mux.fill(0, t_len, buf[:t_len, n_states:width]) if self._reads_mux else mux
+        if state is not None:
+            esn_run(state, mux if state.config.leak else drive, _out=buf[:, :n_states])
+        return buf[:t_len, :width]
 
     def blocks(self, start: int = 0, stop: int | None = None):
         """(first row, [features | 1] rows) over rows start..stop, `BLOCK_ROWS`
@@ -579,19 +585,6 @@ class FeatureStream:
             _step_chunks(rows[w:].reshape(g1 - g0, length, n), x, bt, w,
                          rows[:w] if g0 else None)
             yield g0 * length, rows[w:end - base]
-
-
-def feature_stream(
-    sensors: np.ndarray,
-    config: ReservoirConfig,
-    mux_scale: float | None,
-) -> FeatureStream:
-    """`reservoir_features` as a `FeatureStream`, which holds the scaled
-    sensors and steps the reservoir on every read."""
-    x = _checked_sensors(sensors, config)
-    blocks = ARCHITECTURES[config.architecture]
-    mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
-    return FeatureStream(mux, esn_init(config) if blocks.states else None, blocks.mux)
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +760,7 @@ def _with_bias(features: np.ndarray, start: int) -> np.ndarray:
     """[features, 1] from row ``start`` on.
 
     A view when ``features`` is the left block of a C-contiguous buffer
-    whose last column is ones, as `reservoir_features` returns; otherwise
+    whose last column is ones, as `FeatureStream.matrix` returns; otherwise
     one copy.
     """
     base = features.base
@@ -894,16 +887,19 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
 
     ``datasets`` maps a label to a ``(features, targets)`` pair built with
     one shared sensor configuration and mux; mismatched widths raise
-    ConfigMismatch.  Entry [i, j] is the R-squared of model i on data j,
-    so the diagonal holds the self-evaluation scores.  Every model predicts
-    data j in turn and one `_row_sums` adds all their squared residuals, so
-    entry [i, j] is bitwise `r2` of model i's predictions.
+    ConfigMismatch.  A `FeatureStream` is built whole (`matrix`) for the
+    call, so every dataset's matrix is held only while it runs.  Entry
+    [i, j] is the R-squared of model i on data j, so the diagonal holds the
+    self-evaluation scores.  Every model predicts data j in turn and one
+    `_row_sums` adds all their squared residuals, so entry [i, j] is
+    bitwise `r2` of model i's predictions.
     """
     names = list(datasets)
     pairs = []
     for name in names:
         f, y = datasets[name]
-        pairs.append((np.asarray(f, dtype=float), _as_columns(y)))
+        f = f.matrix() if isinstance(f, FeatureStream) else np.asarray(f, dtype=float)
+        pairs.append((f, _as_columns(y)))
     width = pairs[0][0].shape[1]
     n_targets = pairs[0][1].shape[1]
     for (f, y), name in zip(pairs, names):

@@ -9,8 +9,9 @@ are left out.  model.npz is digested by the names, dtypes, shapes and
 bytes of its arrays, not by its zip, whose entries carry timestamps.
 
 `configuration` is the numpy, BLAS and SIMD set-up the digests depend on:
-OpenBLAS picks its kernels by CPU, and numpy's loops by the SIMD
-extensions found, so a last bit can move with either.
+OpenBLAS picks its kernels by CPU and splits products by its thread
+count, and numpy's loops by the SIMD extensions found, so a last bit can
+move with any of them.
 
 Run as a script, it records the digests again in tests/golden.json:
 
@@ -20,6 +21,7 @@ Run as a script, it records the digests again in tests/golden.json:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -39,14 +41,33 @@ SECONDS = 40.0      # 2 400 frames: enough for the 1 000-sample washouts
 
 
 def configuration() -> dict:
-    """The numpy version, BLAS build and SIMD extensions of this process."""
+    """The numpy version, BLAS build and thread count, and SIMD extensions
+    of this process."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas_threads": blas_threads(),
         "simd": config["SIMD Extensions"]["found"],
     }
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's thread count, read from the library numpy loaded through
+    its ``get_num_threads`` entry point; None where none can be found."""
+    try:
+        # a symbol lookup on numpy's extension searches the libraries it loaded
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                return int(get())
+    return None
 
 
 def file_digest(path: Path) -> str:

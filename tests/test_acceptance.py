@@ -162,7 +162,7 @@ def test_c07_rc_realizability():
     x = rng.normal(size=(6000, 4))
     x = (x - x.mean(0)) / x.std(0)
     cfg_prc = rc.ReservoirConfig(architecture="prc", seed=1, n_sensors=4)
-    feats = rc.reservoir_features(x, cfg_prc)
+    feats = rc.reservoir_features(x, cfg_prc).matrix()
     target = feats @ rng.normal(size=feats.shape[1]) + 0.3
     model = rc.train_readout(feats, target, washout=200)
     prc_gap = abs(rc.r2(model.predict(feats[200:])[:, 0], target[200:]) - 1.0)
@@ -174,7 +174,7 @@ def test_c07_rc_realizability():
     )
     sensors, v = pipeline_sensors(trial)
     cfg = rc.ReservoirConfig(architecture="hybrid", seed=5, n_sensors=4)
-    features = rc.reservoir_features(sensors, cfg)
+    features = rc.reservoir_features(sensors, cfg).matrix()
     hm = rc.train_horizons(features, v[:, 2], [0.0, 1.0, 2.0],
                            rc.PULSATILE_WASHOUT_SAMPLES, FS)
     scores = rc.evaluate_horizons(hm, features, v[:, 2])

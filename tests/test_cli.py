@@ -184,7 +184,7 @@ def test_all_horizons_blob_steps_like_readout_predict(tmp_path):
     mux = rc.build_mux(sensors, config.mux_horizon_s, config.mux_stride,
                        config.frame_rate, scale=extras["mux_scale"])
     n = 1000
-    ref = model.predict(rc.reservoir_features(sensors, config, extras["mux_scale"])[:n])
+    ref = model.predict(rc.reservoir_features(sensors, config, extras["mux_scale"]).matrix()[:n])
     blob = (tmp_path / "export" / "model.bin").read_bytes()
     out = rc.CompactEvaluator(rc.load_compact(blob)).run(mux.values[:n].astype(np.float32))
     assert out.shape == ref.shape == (n, 3 * len(model.target_names))
@@ -221,7 +221,7 @@ def _whole_column_predictions(path, model_path, analysis, stride_out):
     table = cli.AnalysisTable.read(analysis, cli.Run(path.parent))
     sensors = kinematics.standardize(table.columns(extras["sensor_names"]))
     targets = cli._targets_from_table(table, model.target_names, extras["pulsatile"])
-    features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"])
+    features = rc.reservoir_features(sensors, config, mux_scale=extras["mux_scale"]).matrix()
     predictions = rc.predict_horizons(model, features)
     shifts = dict(zip(model.horizons_s, model.horizon_samples))
     parts, lengths = [], []
@@ -556,7 +556,8 @@ def _malformed_input(tmp_path, case):
         bad = csv.with_suffix(".json")
         bad.write_text(json.dumps(json.loads(bad.read_text()) | BAD_FIELDS[case.split("_", 2)[2]]))
         return (["soc", "--input", csv] if on_analysis else kinematics_argv), bad
-    elif case in ("view_header", "view_truncated_sidecar", "view_rate_string", "view_condition"):
+    elif case in ("view_header", "view_truncated_sidecar", "view_rate_string", "view_condition",
+                  "view_frame_count"):
         prefix = tmp_path / "jf"
         for name, view in make_views(ring_positions(30)).items():
             write_view_csv(f"{prefix}_{name}.csv", view)
@@ -570,6 +571,9 @@ def _malformed_input(tmp_path, case):
         elif case == "view_truncated_sidecar":
             bad = tmp_path / "jf.json"
             bad.write_text(bad.read_text()[:-1])
+        elif case == "view_frame_count":    # its last row deleted: 29 frames against 30
+            bad = tmp_path / "jf_top.csv"
+            bad.write_bytes(b"".join(bad.read_bytes().splitlines(keepends=True)[:-1]))
         else:
             bad = tmp_path / "jf_behind.csv"
             bad.write_bytes(bad.read_bytes().replace(b"led_on", b"led_1", 1))
@@ -586,7 +590,7 @@ def _malformed_input(tmp_path, case):
                                   "trial_rate_string", "trial_rate_negative", "view_rate_string",
                                   *(f"trial_field_{f}" for f in BAD_FIELDS),
                                   "analysis_field_condition", "analysis_field_period_string",
-                                  "view_condition"])
+                                  "view_condition", "view_frame_count"])
 def test_malformed_input_exits_2_naming_the_file(tmp_path, capsys, case):
     argv, bad = _malformed_input(tmp_path, case)
     capsys.readouterr()

@@ -233,6 +233,30 @@ def test_esp_peak_is_below_one_table_per_trial(trials):
     assert peak < len(analyses) * one_table
 
 
+def test_unread_feature_streams_hold_their_sensors_not_a_matrix():
+    # four 150 s hybrid trials, as a cross-training caller builds them
+    # before `cross_predict` reads each one whole
+    rows = round(LONG_SECONDS * FRAME_RATE)
+    rng = np.random.default_rng(4)
+    sensors = [rng.normal(size=(rows, 4)) for _ in range(4)]
+    for leak in (0.0, 0.3):
+        config = rc.ReservoirConfig(leak=leak)
+        rc.esn_init(config)     # the draw is the process's, not a stream's
+        tracemalloc.start()
+        try:
+            streams = [rc.reservoir_features(x, config, mux_scale=0.05) for x in sensors]
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        copies = 2 if leak else 1       # the drive's leaked copy
+        padded = (rows + config.n_lags * config.mux_stride - config.mux_stride) * 4 * FLOAT
+        assert [s.nbytes for s in streams] == [copies * padded] * 4
+        assert sum(s.nbytes for s in streams) <= held
+        matrix = rows * (config.n_nodes + config.input_width + 1) * FLOAT
+        if not leak:    # 13.3 MB a matrix at the hybrid defaults
+            assert peak < matrix / 10
+
+
 def test_per_slab_evaluation_is_bitwise_the_all_horizon_path():
     rng = np.random.default_rng(5)
     n, d = 2_000, 30

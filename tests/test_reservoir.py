@@ -404,7 +404,7 @@ def test_config_validation():
 def test_prc_recovers_realizable_target_exactly():
     x = random_sensors(6000, seed=5)
     cfg = make_config(architecture="prc")
-    feats = rc.reservoir_features(x, cfg)
+    feats = rc.reservoir_features(x, cfg).matrix()
     rng = np.random.default_rng(0)
     target = feats @ rng.normal(size=feats.shape[1]) - 1.7
     model = rc.train_readout(feats, target, washout=300)
@@ -415,7 +415,7 @@ def test_prc_recovers_realizable_target_exactly():
 def test_independent_noise_target_scores_near_zero_held_out():
     x = random_sensors(12_000, seed=6)
     cfg = make_config(architecture="prc")
-    feats = rc.reservoir_features(x, cfg)
+    feats = rc.reservoir_features(x, cfg).matrix()
     noise = np.random.default_rng(1).normal(size=feats.shape[0])
     half = feats.shape[0] // 2
     model = rc.train_readout(feats[:half], noise[:half], washout=500)
@@ -431,7 +431,7 @@ def test_washout_defaults_match_protocol():
 def test_training_residual_orthogonal_to_features():
     x = random_sensors(4000, seed=7)
     cfg = make_config(architecture="hybrid", n_nodes=50)
-    feats = rc.reservoir_features(x, cfg)
+    feats = rc.reservoir_features(x, cfg).matrix()
     rng = np.random.default_rng(2)
     target = np.tanh(feats @ rng.normal(size=feats.shape[1])) + 0.2 * rng.normal(size=feats.shape[0])
     washout = 400
@@ -492,7 +492,7 @@ def pulsatile_sensors(seed=0, seconds=200.0):
 def pulsatile_features(seed=0, seconds=200.0, arch="hybrid"):
     sensors, vz = pulsatile_sensors(seed, seconds)
     cfg = make_config(architecture=arch, seed=11)
-    return rc.reservoir_features(sensors, cfg), vz, cfg
+    return rc.reservoir_features(sensors, cfg).matrix(), vz, cfg
 
 
 def test_horizon_zero_matches_plain_readout():
@@ -591,7 +591,7 @@ def test_cross_predict_diagonal_is_self_evaluation():
 
 
 def _features_by_copies(sensors, cfg):
-    """The path reservoir_features replaced: mux, states and features apart."""
+    """The path `FeatureStream.matrix` replaced: mux, states and features apart."""
     mux = rc.build_mux(sensors, cfg.mux_horizon_s, cfg.mux_stride, cfg.frame_rate)
     states = None if cfg.architecture == "prc" else rc.esn_run(rc.esn_init(cfg), mux)
     return rc.assemble_features(cfg.architecture, states, mux)
@@ -619,7 +619,7 @@ def test_feature_buffer_trains_and_predicts_like_copied_features(n, radius, arch
     cfg = make_config(architecture=arch, seed=4, spectral_radius=radius)
     sensors = random_sensors(n, seed=n)
     targets = np.random.default_rng(7).normal(size=(n, 2))
-    feats = rc.reservoir_features(sensors, cfg)
+    feats = rc.reservoir_features(sensors, cfg).matrix()
     plain = _features_by_copies(sensors, cfg)
     np.testing.assert_array_equal(feats, plain)
 
@@ -661,18 +661,22 @@ def test_cross_predict_is_bitwise_the_r2_of_each_pair(n_targets):
 
 def test_cross_predict_on_feature_buffers_matches_copied_features():
     cfg = make_config(seed=8)
-    sets = {name: (random_sensors(2500, seed=s), np.random.default_rng(s).normal(size=2500))
-            for s, name in enumerate(("a", "b", "c"))}
-    scale = rc.shared_mux_scale([x for x, _ in sets.values()], 2.0, 6, FS)
-    built = {name: (rc.reservoir_features(x, cfg, mux_scale=scale), y)
-             for name, (x, y) in sets.items()}
-    copied = {name: (np.array(f), y) for name, (f, y) in built.items()}
-    np.testing.assert_array_equal(rc.cross_predict(built, washout=500).matrix,
-                                  rc.cross_predict(copied, washout=500).matrix)
+    for n_targets in (1, 3):
+        sets = {name: (random_sensors(2500, seed=s),
+                       np.random.default_rng(s).normal(size=(2500, n_targets)[:n_targets]))
+                for s, name in enumerate(("a", "b", "c"))}
+        scale = rc.shared_mux_scale([x for x, _ in sets.values()], 2.0, 6, FS)
+        streams = {name: (rc.reservoir_features(x, cfg, mux_scale=scale), y)
+                   for name, (x, y) in sets.items()}
+        built = {name: (f.matrix(), y) for name, (f, y) in streams.items()}
+        copied = {name: (np.array(f), y) for name, (f, y) in built.items()}
+        want = rc.cross_predict(streams, washout=500).matrix
+        np.testing.assert_array_equal(rc.cross_predict(built, washout=500).matrix, want)
+        np.testing.assert_array_equal(rc.cross_predict(copied, washout=500).matrix, want)
 
 
 def test_training_on_reservoir_features_copies_no_feature_matrix():
-    feats = rc.reservoir_features(random_sensors(4000, seed=5), make_config(seed=3))
+    feats = rc.reservoir_features(random_sensors(4000, seed=5), make_config(seed=3)).matrix()
     targets = np.random.default_rng(6).normal(size=(4000, 3))
     tracemalloc.start()
     try:
@@ -689,31 +693,33 @@ def test_training_on_reservoir_features_copies_no_feature_matrix():
 @pytest.mark.parametrize("arch", ["hybrid", "esn", "prc"])
 def test_stream_blocks_are_the_rows_of_reservoir_features(arch, block_rows, monkeypatch):
     monkeypatch.setattr(rc, "BLOCK_ROWS", block_rows)
-    cfg = make_config(architecture=arch, seed=2)
     sensors = random_sensors(5000, seed=21)
-    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
-    stream = rc.feature_stream(sensors, cfg, 0.05)
-    assert stream.shape == whole.shape
-    for start, stop in [(0, 5000), (1000, 5000), (4880, 5000), (10, 10)]:
-        rows = [(first, block.copy()) for first, block in stream.blocks(start, stop)]
-        assert [first for first, _ in rows] == list(range(start, stop, block_rows))
-        got = np.vstack([block for _, block in rows]) if rows else np.empty((0, whole.shape[1] + 1))
-        np.testing.assert_array_equal(got[:, :-1], whole[start:stop])
-        np.testing.assert_array_equal(got[:, -1], 1.0)
-    # without a scale both take the sensors' own
-    own = rc.feature_stream(sensors, cfg, None).blocks()
-    np.testing.assert_array_equal(np.vstack([block[:, :-1].copy() for _, block in own]),
-                                  rc.reservoir_features(sensors, cfg))
+    for leak in (0.0, 0.3):
+        cfg = make_config(architecture=arch, seed=2, leak=leak)
+        stream = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
+        whole = stream.matrix()
+        assert stream.shape == whole.shape
+        for start, stop in [(0, 5000), (1000, 5000), (4880, 5000), (10, 10)]:
+            rows = [(first, block.copy()) for first, block in stream.blocks(start, stop)]
+            assert [first for first, _ in rows] == list(range(start, stop, block_rows))
+            got = (np.vstack([block for _, block in rows]) if rows
+                   else np.empty((0, whole.shape[1] + 1)))
+            np.testing.assert_array_equal(got[:, :-1], whole[start:stop])
+            np.testing.assert_array_equal(got[:, -1], 1.0)
+        # without a scale both take the sensors' own
+        own = rc.reservoir_features(sensors, cfg)
+        np.testing.assert_array_equal(
+            np.vstack([block[:, :-1].copy() for _, block in own.blocks()]), own.matrix())
 
 
 @settings(max_examples=12, deadline=None)
 @given(n=st.integers(4_000, 40_000), seed=st.integers(0, 2**32 - 1),
-       leak=st.sampled_from([0.0, 0.3]), arch=st.sampled_from(["hybrid", "esn"]),
+       leak=st.sampled_from([0.0, 0.3]), arch=st.sampled_from(["hybrid", "esn", "prc"]),
        start=st.floats(0.0, 1.0))
 def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak, arch, start):
     cfg = make_config(architecture=arch, leak=leak, seed=seed)
     sensors = random_sensors(n, seed=seed % 1_000)
-    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
+    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05).matrix()
     groups = []
     step = rc._step_chunks
 
@@ -724,7 +730,7 @@ def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak
     with pytest.MonkeyPatch.context() as mp:
         # at these sizes a trial of 4 000 rows or more has 8 or more chunks: it splits into groups
         mp.setattr(rc, "_step_chunks", spy)
-        stream = rc.feature_stream(sensors, cfg, 0.05)
+        stream = rc.reservoir_features(sensors, cfg, 0.05)
         first = np.vstack([block[:, :-1].copy() for _, block in stream.blocks()])
         stepped = len(groups)
         # a second read, from a row inside the trial: the leak state is kept
@@ -732,6 +738,9 @@ def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak
         second = np.vstack([block[:, :-1].copy() for _, block in stream.blocks(lo, n)])
     np.testing.assert_array_equal(first, whole)
     np.testing.assert_array_equal(second, first[lo:])
+    if arch == "prc":   # no reservoir to step
+        assert stepped == 0
+        return
     assert stepped > 1 and rc.MIN_GROUP_CHUNKS <= min(groups)
     assert max(groups) < 2 * rc.MIN_GROUP_CHUNKS
 
@@ -740,7 +749,7 @@ def test_stream_steps_chunk_groups_bitwise_like_reservoir_features(n, seed, leak
 def test_leaky_stream_read_group_by_group_in_reverse_equals_a_forward_read(arch):
     cfg = make_config(architecture=arch, leak=0.3, seed=4)
     n = 12_000
-    stream = rc.feature_stream(random_sensors(n, seed=23), cfg, 0.05)
+    stream = rc.reservoir_features(random_sensors(n, seed=23), cfg, 0.05)
     forward = np.vstack([block[:, :-1].copy() for _, block in stream.blocks()])
     w = rc._forgetting_steps(rc.esn_init(cfg).recurrent_weights)
     k, length, _ = rc.time_chunks(n, w)
@@ -756,8 +765,8 @@ def test_leaky_stream_read_group_by_group_in_reverse_equals_a_forward_read(arch)
 def test_streamed_predictions_and_scores_match_the_whole_matrix():
     sensors, vz = pulsatile_sensors(seconds=150.0)
     cfg = make_config(seed=11)
-    feats = rc.reservoir_features(sensors, cfg)
-    stream = rc.feature_stream(sensors, cfg, None)
+    stream = rc.reservoir_features(sensors, cfg)
+    feats = stream.matrix()
     targets = np.column_stack([vz, np.roll(vz, 11), np.roll(vz, 23)])
     model = rc.train_horizons(feats, targets, [0.0, 0.5, 1.0, 2.0], 1000, FS)
     whole = rc.predict_horizons(model, feats)
@@ -793,8 +802,8 @@ def test_streamed_scores_are_r2_over_the_whole_predictions_bitwise(n, n_targets,
     model = rc.Readout(weights=rng.normal(size=(len(horizons), d + 1, n_targets)) / d,
                        horizons_s=horizons, frame_rate=FS, washout=washout)
     y = targets.reshape(n, n_targets)
-    for features in (rc.feature_stream(sensors, cfg, 0.05),
-                     rc.reservoir_features(sensors, cfg, mux_scale=0.05)):
+    stream = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
+    for features in (stream, stream.matrix()):
         p = model.predict(features).reshape(n, len(horizons), n_targets)
         expected = {h_s: rc.r2(p[washout:n - h, i], y[washout + h:])
                     for i, (h_s, h) in enumerate(zip(horizons, model.horizon_samples))}
@@ -845,10 +854,12 @@ def test_normal_equations_are_those_of_the_rows_cut_out_by_hand(n, washout_at, s
     cfg = make_config(n_nodes=20, seed=seed)
     sensors = random_sensors(n, seed=seed)
     y = np.random.default_rng(seed).normal(size=(n, 3))
-    whole = rc.reservoir_features(sensors, cfg, mux_scale=0.05)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rc, "BLOCK_ROWS", block_rows)
-        features = rc.feature_stream(sensors, cfg, 0.05) if stream else whole
+        # both on one grid of drive products, which rounds the states
+        features = rc.reservoir_features(sensors, cfg, 0.05)
+        whole = features.matrix()
+        features = features if stream else whole
         got = list(rc.normal_equations(features, y, washout, shifts))
     one_block = not stream or n - washout <= block_rows
     assert len(got) == len(shifts)
