@@ -249,7 +249,7 @@ def test_unread_feature_streams_hold_their_sensors_not_a_matrix():
         finally:
             tracemalloc.stop()
         copies = 2 if leak else 1       # the drive's leaked copy
-        padded = (rows + config.n_lags * config.mux_stride - config.mux_stride) * 4 * FLOAT
+        padded = (rows + (config.n_lags - 1) * config.mux_stride) * 4 * FLOAT
         assert [s.nbytes for s in streams] == [copies * padded] * 4
         assert sum(s.nbytes for s in streams) <= held
         matrix = rows * (config.n_nodes + config.input_width + 1) * FLOAT
