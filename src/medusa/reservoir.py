@@ -409,8 +409,7 @@ def _chunk_groups(k: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
-            _out: np.ndarray | None = None) -> np.ndarray:
+def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray) -> np.ndarray:
     """Drive the reservoir and return the activation trajectory.
 
     The input is leaked once, up front (`_leaked`), before entering the tanh
@@ -428,21 +427,23 @@ def esn_run(state: EsnState, inputs: MuxedInput | np.ndarray, *,
     pass to rounding.  K, L and W come from `series.time_chunks`; every
     chunk is longer than W, so each warm-up starts from a tanh output
     (inside the √n bound).
-
-    ``_out`` is a (K·L, n) array to step in; the result is a view of its
-    first T rows.
     """
     u = inputs if isinstance(inputs, MuxedInput) else _as_columns(inputs)
     width = u.width if isinstance(u, MuxedInput) else u.shape[1]
-    a, b = state.input_weights, state.recurrent_weights
+    a = state.input_weights
     if width != a.shape[1]:
         raise ValueError(f"input width {width} does not match weights {a.shape[1]}")
-    t_len, n = len(u), a.shape[0]
+    return _run_drive(state, _Drive(_leaked(u, state.config.leak), a))
+
+
+def _run_drive(state: EsnState, drive: _Drive, out: np.ndarray | None = None) -> np.ndarray:
+    """`esn_run` on a drive whose input is leaked already, stepping in
+    ``out`` (K·L, n) when given."""
+    b = state.recurrent_weights
+    t_len, n = len(drive.u), b.shape[0]
     k, length, w = time_chunks(t_len, _forgetting_steps(b))
-    traj = np.empty((k * length, n)) if _out is None else _out
-    if traj.shape != (k * length, n):
-        raise ValueError(f"output buffer {traj.shape} is not ({k * length}, {n})")
-    _Drive(_leaked(u, state.config.leak), a).fill(0, t_len, traj[:t_len])
+    traj = np.empty((k * length, n)) if out is None else out
+    drive.fill(0, t_len, traj[:t_len])
     traj[t_len:] = 0.0
     x = np.zeros((k, n))
     x[0] = state.state
@@ -463,18 +464,6 @@ def assemble_features(architecture: str, states: np.ndarray | None,
     return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
-def _checked_sensors(sensors, config: ReservoirConfig) -> np.ndarray:
-    """The sensors as (T, n_sensors) columns, checked against ``config``."""
-    x = _as_columns(sensors)
-    if x.shape[1] != config.n_sensors:
-        raise ConfigMismatch(
-            f"data has {x.shape[1]} sensors but the configuration declares {config.n_sensors}"
-        )
-    # one NaN input would carry through the recurrence into every later state
-    require_finite(x, "sensor input")
-    return x
-
-
 def reservoir_features(
     sensors: np.ndarray,
     config: ReservoirConfig,
@@ -482,7 +471,13 @@ def reservoir_features(
 ) -> FeatureStream:
     """The readout features of one recording as a `FeatureStream`, which
     holds the scaled sensors and steps the reservoir on every read."""
-    x = _checked_sensors(sensors, config)
+    x = _as_columns(sensors)
+    if x.shape[1] != config.n_sensors:
+        raise ConfigMismatch(
+            f"data has {x.shape[1]} sensors but the configuration declares {config.n_sensors}"
+        )
+    # one NaN input would carry through the recurrence into every later state
+    require_finite(x, "sensor input")
     blocks = ARCHITECTURES[config.architecture]
     mux = MuxedInput(x, config.mux_horizon_s, config.mux_stride, config.frame_rate, mux_scale)
     return FeatureStream(mux, esn_init(config) if blocks.states else None, blocks.mux)
@@ -521,22 +516,23 @@ class FeatureStream:
 
     def matrix(self) -> np.ndarray:
         """Every row, built in place in one buffer laid out as
-        [states | mux | 1] with `esn_run` stepping all K chunks at once; the
+        [states | mux | 1], the reservoir stepping all K chunks at once; the
         result is its (T, d) left block, which the readout trains on with
         the ones column as its bias without a copy."""
         (t_len, width), n_states, state = self.shape, self._n_states, self._state
         rows = t_len
         if state is not None:
-            # esn_run steps K chunks of L rows in place; rows past T are padding
+            # the reservoir steps K chunks of L rows in place; rows past T pad them
             k, length, _ = time_chunks(t_len, _forgetting_steps(state.recurrent_weights))
             rows = k * length
         buf = np.empty((rows, width + 1))
         buf[:, -1] = 1.0
-        # the reservoir reads the built mux columns; without them, or leaked, rows on demand
-        mux = self._mux
-        drive = mux.fill(0, t_len, buf[:t_len, n_states:width]) if self._reads_mux else mux
+        cols = self._mux.fill(0, t_len, buf[:t_len, n_states:width]) if self._reads_mux else None
         if state is not None:
-            esn_run(state, mux if state.config.leak else drive, _out=buf[:, :n_states])
+            # unleaked, the reservoir reads the built mux columns
+            unleaked = cols is not None and not state.config.leak
+            _run_drive(state, _Drive(cols, state.input_weights) if unleaked else self._drive,
+                       buf[:, :n_states])
         return buf[:t_len, :width]
 
     def blocks(self, start: int = 0, stop: int | None = None):
@@ -678,11 +674,12 @@ class Readout:
 
 
 def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
-                 architecture: str, target_names) -> Readout:
+                 architecture: str, target_names, equations: list | None = None) -> Readout:
     """Least-squares readout per horizon over the post-washout samples,
     from the normal equations that `normal_equations` sums in one pass
     (Lukoševičius 2012, §4).  A small ridge (`RIDGE_DEFAULT`) is added to
-    them purely for conditioning.  Each horizon needs at least 3x as many
+    them purely for conditioning (``equations``, when given, gets each
+    horizon's unridged pair).  Each horizon needs at least 3x as many
     samples as feature columns (bias included).
     """
     if not isinstance(features, FeatureStream):
@@ -713,6 +710,8 @@ def _fit_readout(features, targets, horizons_s, washout: int, frame_rate: float,
                 f"features; need at least {3 * d_aug}"
             )
     for w, (gram, moment) in zip(model.weights, normal_equations(features, y, washout, shifts)):
+        if equations is not None:
+            equations.append((gram.copy(), moment))
         w[...] = _solve_readout(gram, moment)
     return model
 
@@ -887,36 +886,32 @@ def cross_predict(datasets: dict, washout: int) -> CrossPrediction:
 
     ``datasets`` maps a label to a ``(features, targets)`` pair built with
     one shared sensor configuration and mux; mismatched widths raise
-    ConfigMismatch.  A `FeatureStream` is built whole (`matrix`) for the
-    call, so every dataset's matrix is held only while it runs.  Entry
-    [i, j] is the R-squared of model i on data j, so the diagonal holds the
-    self-evaluation scores.  Every model predicts data j in turn and one
-    `_row_sums` adds all their squared residuals, so entry [i, j] is
-    bitwise `r2` of model i's predictions.
+    ConfigMismatch.  Entry [i, j] is the R-squared of model i on data j, so
+    the diagonal holds the self-evaluation scores.  One matrix (a
+    `FeatureStream`'s `matrix`) is held at a time, until its readout is
+    fit; its unridged Gram G and moment m then give each model's residual
+    sum of squares on that data without predicting, per target wᵀGw −
+    2wᵀm + yᵀy clamped at 0: `r2` of the predictions to rounding.
     """
     names = list(datasets)
-    pairs = []
+    fits = []
     for name in names:
         f, y = datasets[name]
         f = f.matrix() if isinstance(f, FeatureStream) else np.asarray(f, dtype=float)
-        pairs.append((f, _as_columns(y)))
-    width = pairs[0][0].shape[1]
-    n_targets = pairs[0][1].shape[1]
-    for (f, y), name in zip(pairs, names):
-        if f.shape[1] != width or y.shape[1] != n_targets:
+        y = _as_columns(y)
+        if fits and (f.shape[1] != width or y.shape[1] != n_targets):
             raise ConfigMismatch(f"dataset {name!r} does not match the shared layout")
-
-    models = [train_readout(f, y, washout) for f, y in pairs]
+        width, n_targets = f.shape[1], y.shape[1]
+        equations = []
+        weights = _fit_readout(f, y, (0.0,), washout, 60.0, "", (), equations).weights[0]
+        del f   # before the next dataset's matrix is built
+        actual = y[washout:]
+        fits.append((weights, *equations[0], _row_sums(actual ** 2), _sum_of_squares(actual)))
+    weights = np.stack([fit[0] for fit in fits])
     matrix = np.empty((len(names), len(names)))
-    for j, (f_j, y_j) in enumerate(pairs):
-        actual = y_j[washout:]
-        sst = _sum_of_squares(actual)
-        residuals = np.empty((actual.shape[0], len(models), n_targets))
-        for model, r in zip(models, residuals.transpose(1, 0, 2)):
-            np.subtract(model.predict(f_j[washout:]), actual, out=r)
-        residuals **= 2
-        sse = _row_sums(residuals.reshape(actual.shape[0], -1)).reshape(len(models), n_targets)
-        matrix[:, j] = [_r2_of(e, sst) for e in sse]
+    for j, (_, gram, moment, yy, sst) in enumerate(fits):
+        sse = np.einsum("iat,iat->it", weights, gram @ weights - 2 * moment) + yy
+        matrix[:, j] = [_r2_of(e, sst) for e in np.maximum(sse, 0.0)]
     return CrossPrediction(names=names, matrix=matrix)
 
 

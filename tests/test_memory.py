@@ -7,10 +7,11 @@ stepped in chunk groups) and bounded by a multiple of the data it must
 hold: the reservoir states, or one chunk group of them, for train and
 predict, the marker positions for kinematics, the markers of the views
 for ingest, the trial for ingest's write, the sensor pool for the sensor
-search, one analysis table per trial for esp, and one block of draws for
-the pairwise permutation tests.  A trial-length array kept past its last
-reader, or a whole feature matrix where a stream of row blocks does,
-shows as a peak above its bound.
+search, one analysis table per trial for esp, one block of draws for
+the pairwise permutation tests, and one feature matrix at a time for
+cross-training.  A trial-length array kept past its last reader, or a
+whole feature matrix where a stream of row blocks does, shows as a peak
+above its bound.
 """
 
 import tracemalloc
@@ -255,6 +256,26 @@ def test_unread_feature_streams_hold_their_sensors_not_a_matrix():
         matrix = rows * (config.n_nodes + config.input_width + 1) * FLOAT
         if not leak:    # 13.3 MB a matrix at the hybrid defaults
             assert peak < matrix / 10
+
+
+def test_cross_predict_holds_one_feature_matrix_at_a_time():
+    rows = round(LONG_SECONDS * FRAME_RATE)
+    rng = np.random.default_rng(4)
+    config = rc.ReservoirConfig()
+    datasets = {name: (rc.reservoir_features(rng.normal(size=(rows, 4)), config, mux_scale=0.05),
+                       rng.normal(size=rows))
+                for name in ("a", "b", "c", "d")}
+    rc.cross_predict(datasets, washout=1_000)     # the draw and the caches, untraced
+    tracemalloc.start()
+    try:
+        rc.cross_predict(datasets, washout=1_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix = rows * (config.n_nodes + config.input_width + 1) * FLOAT
+    # each dataset's matrix is let go once its normal equations are summed;
+    # holding all four to score every pair took 4 matrices
+    assert peak < 2 * matrix
 
 
 def test_per_slab_evaluation_is_bitwise_the_all_horizon_path():

@@ -642,21 +642,66 @@ def test_feature_buffer_trains_and_predicts_like_copied_features(n, radius, arch
                                   same_time.predict(plain[washout:]))
 
 
+def _r2_of_each_pair(datasets, washout):
+    """The path `cross_predict` replaced: every model predicts every dataset,
+    and `r2` scores the post-washout predictions."""
+    matrix = np.empty((len(datasets), len(datasets)))
+    for i, (f_i, y_i) in enumerate(datasets.values()):
+        model = rc.train_readout(f_i, y_i, washout=washout)
+        for j, (f_j, y_j) in enumerate(datasets.values()):
+            actual = y_j[washout:]
+            matrix[i, j] = rc.r2(model.predict(f_j[washout:]).reshape(actual.shape), actual)
+    return matrix
+
+
+def _jellyfish(tau, seed, seconds):
+    """Four standardized body sensors and the local velocities of a
+    synthetic trial stimulated every ``tau`` s."""
+    sched = synthgen.pwm_schedule(tau, seconds)
+    params = synthgen.SyntheticJellyfishParams(seed=seed, noise_sd_mm=0.05)
+    trial, _ = synthgen.gen_jellyfish(params, sched, seconds)
+    lengths = kinematics.pairwise_lengths(trial)
+    pose = kinematics.body_frame(trial)
+    sensors = kinematics.standardize(np.column_stack([
+        pose.inner_radius, pose.outer_radius,
+        lengths.channel("Y2-O1"), lengths.channel("R2-O2"),
+    ]))
+    return sensors, kinematics.local_velocities(trial, pose)
+
+
 @pytest.mark.parametrize("n_targets", [1, 3])
-def test_cross_predict_is_bitwise_the_r2_of_each_pair(n_targets):
+def test_cross_predict_scores_each_pair_as_the_r2_of_its_predictions(n_targets):
+    """Scores from the normal equations are `r2` of the predictions to
+    rounding: within 1e-12 on well-conditioned features, and within 5e-11
+    on hybrid reservoir features of jellyfish trials at `RIDGE_DEFAULT`,
+    whose weights reach about 1.4e4 (6.1e-12 measured, 3 targets).  An
+    exactly realizable target scores 1 and never above."""
     rng = np.random.default_rng(14)
-    datasets = {}
+    shape = (2600,) if n_targets == 1 else (2600, n_targets)
+    gaussian = {}
     for name in ("a", "b", "c"):
         f = rng.normal(size=(2600, 12))
         y = f @ rng.normal(size=(12, n_targets)) + rng.normal(size=(2600, n_targets))
-        datasets[name] = (f, y[:, 0] if n_targets == 1 else y)
-    w = 300     # 2 300 scored rows: the residual sums cross a block
-    matrix = rc.cross_predict(datasets, washout=w).matrix
-    for i, (f_i, y_i) in enumerate(datasets.values()):
-        model = rc.train_readout(f_i, y_i, washout=w)
-        for j, (f_j, y_j) in enumerate(datasets.values()):
-            want = rc.r2(model.predict(f_j[w:]), y_j[w:].reshape(-1, n_targets))
-            assert matrix[i, j] == want, (i, j)
+        gaussian[name] = (f, y.reshape(shape))
+    w = 300
+    np.testing.assert_allclose(rc.cross_predict(gaussian, washout=w).matrix,
+                               _r2_of_each_pair(gaussian, w), rtol=0, atol=1e-12)
+
+    trials = {tau: _jellyfish(tau, seed, 45.0) for seed, tau in enumerate((1.5, 2.0, 0.5))}
+    scale = rc.shared_mux_scale([x for x, _ in trials.values()], 2.0, 6, FS)
+    cfg = make_config(seed=21)
+    hybrid = {tau: (rc.reservoir_features(x, cfg, mux_scale=scale).matrix(),
+                    v[:, 2] if n_targets == 1 else v) for tau, (x, v) in trials.items()}
+    np.testing.assert_allclose(rc.cross_predict(hybrid, washout=w).matrix,
+                               _r2_of_each_pair(hybrid, w), rtol=0, atol=5e-11)
+
+    # y = f·c exactly: every residual is rounding, and some residual sums of
+    # squares come out below 0 before the clamp
+    c = rng.normal(size=(12, n_targets))
+    realizable = {name: (f, (f @ c).reshape(shape)) for name, (f, _) in gaussian.items()}
+    matrix = rc.cross_predict(realizable, washout=w).matrix
+    assert np.all(matrix <= 1.0)
+    np.testing.assert_allclose(matrix, 1.0, rtol=0, atol=1e-12)
 
 
 def test_cross_predict_on_feature_buffers_matches_copied_features():
@@ -760,6 +805,26 @@ def test_leaky_stream_read_group_by_group_in_reverse_equals_a_forward_read(arch)
         lo, hi = g0 * length, min(g1 * length, n)
         rows = np.vstack([block[:, :-1].copy() for _, block in stream.blocks(lo, hi)])
         np.testing.assert_array_equal(rows, forward[lo:hi])
+
+
+@pytest.mark.parametrize("arch", ["hybrid", "esn"])
+def test_a_leaky_stream_leaks_its_sensors_once_for_the_whole_matrix(arch, monkeypatch):
+    cfg = make_config(architecture=arch, leak=0.3, seed=4)
+    sensors = random_sensors(3000, seed=6)
+    mux = rc.MuxedInput(sensors, cfg.mux_horizon_s, cfg.mux_stride, FS, 0.05)
+    states = rc.esn_run(rc.esn_init(cfg), mux)
+    calls = []
+    leak = rc._leak
+
+    def counted(x, a):
+        calls.append(x.shape)
+        return leak(x, a)
+
+    monkeypatch.setattr(rc, "_leak", counted)
+    matrix = rc.reservoir_features(sensors, cfg, mux_scale=0.05).matrix()
+    # the stream's drive leaked the padded sensors; the matrix reuses it
+    assert calls == [mux.padded.shape]
+    np.testing.assert_array_equal(matrix[:, :cfg.n_nodes], states)
 
 
 def test_streamed_predictions_and_scores_match_the_whole_matrix():
@@ -885,25 +950,12 @@ def test_cross_predict_rejects_mismatched_layouts():
 
 def test_similar_period_transfers_better():
     """A model trained on 1.5 s pulses fits 2.0 s pulses better than 0.5 s ones."""
-    def family(tau, seed):
-        sched = synthgen.pwm_schedule(tau, 150.0)
-        params = synthgen.SyntheticJellyfishParams(seed=seed, noise_sd_mm=0.05)
-        trial, _ = synthgen.gen_jellyfish(params, sched, 150.0)
-        lengths = kinematics.pairwise_lengths(trial)
-        pose = kinematics.body_frame(trial)
-        v = kinematics.local_velocities(trial, pose)
-        sensors = kinematics.standardize(np.column_stack([
-            pose.inner_radius, pose.outer_radius,
-            lengths.channel("Y2-O1"), lengths.channel("R2-O2"),
-        ]))
-        return sensors, v[:, 2]
-
     cfg = make_config(seed=21)
-    raw = {tau: family(tau, seed) for seed, tau in enumerate((1.5, 2.0, 0.5))}
+    raw = {tau: _jellyfish(tau, seed, 150.0) for seed, tau in enumerate((1.5, 2.0, 0.5))}
     scale = rc.shared_mux_scale([s for s, _ in raw.values()], 2.0, 6, FS)
     datasets = {
-        f"t{tau}": (rc.reservoir_features(s, cfg, mux_scale=scale), vz)
-        for tau, (s, vz) in raw.items()
+        f"t{tau}": (rc.reservoir_features(s, cfg, mux_scale=scale), v[:, 2])
+        for tau, (s, v) in raw.items()
     }
     result = rc.cross_predict(datasets, washout=1000)
     i = result.names.index("t1.5")
