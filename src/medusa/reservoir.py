@@ -130,8 +130,8 @@ class MuxedInput:
     max_T |sum_components U(T)| equals 1 (the `shared_mux_scale` of these
     sensors alone); pass ``scale`` to share one factor across datasets.
 
-    It holds a zero-padded copy of the scaled sensors: `fill` builds any
-    row range on demand, and ``values``, every row, is built on first read.
+    It holds only a zero-padded copy of the scaled sensors: `fill` builds
+    any row range on demand, and ``values`` builds every row on each read.
     """
 
     def __init__(self, sensors, mux_horizon_s: float, stride: int, frame_rate: float,
@@ -155,9 +155,9 @@ class MuxedInput:
     def __len__(self) -> int:
         return self.padded.shape[0] - self.span
 
-    @functools.cached_property
+    @property
     def values(self) -> np.ndarray:
-        """Every row, (n_samples, n_sensors * n_lags)."""
+        """Every row, (n_samples, n_sensors * n_lags), built anew; not held."""
         return self.fill(0, len(self), np.empty((len(self), self.width)))
 
     def fill(self, start: int, stop: int, out: np.ndarray) -> np.ndarray:
@@ -193,10 +193,8 @@ def build_mux(
     frame_rate: float,
     scale: float | None = None,
 ) -> MuxedInput:
-    """A `MuxedInput` with its ``values`` built in this call."""
-    mux = MuxedInput(sensors, mux_horizon_s, stride, frame_rate, scale)
-    mux.values      # read here, so that the whole build is inside this call
-    return mux
+    """A `MuxedInput`, a plain constructor call: no row is built here."""
+    return MuxedInput(sensors, mux_horizon_s, stride, frame_rate, scale)
 
 
 def shared_mux_scale(
@@ -302,7 +300,6 @@ def _leaked(u, leak: float):
     if not isinstance(u, MuxedInput):
         return _leak(u, leak)
     leaked = copy.copy(u)
-    vars(leaked).pop("values", None)    # built from the unleaked samples
     leaked.padded = _leak(u.padded, leak)
     return leaked
 

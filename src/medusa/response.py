@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DegenerateGroups, TooFewOnsets, TooShort
 
 PHASE_POINTS = 64
-PERMUTATION_CHUNK = 2_048   # permutations drawn per block; bounds a block's memory
+PERMUTATION_CHUNK = 256     # permutations per block; a block's draws fit in cache
 
 
 @dataclass
@@ -200,6 +200,8 @@ def pairwise_tests(
     distribution of the familywise maximum.  Results are deterministic for
     a fixed seed.
     """
+    if n_permutations < 1:
+        raise ValueError(f"n_permutations must be at least 1, got {n_permutations}")
     given = _validate_groups(groups)
     # the draws index into the pooled samples, so sort each group: then the
     # groupings drawn, and p_adjusted, do not hang on the samples' order

@@ -11,7 +11,8 @@ search, one analysis table per trial for esp, one block of draws for
 the pairwise permutation tests, and one feature matrix at a time for
 cross-training.  A trial-length array kept past its last reader, or a
 whole feature matrix where a stream of row blocks does, shows as a peak
-above its bound.
+above its bound; a mux that holds its rows, not its samples, as held
+memory above its bound.
 """
 
 import tracemalloc
@@ -294,18 +295,33 @@ def test_per_slab_evaluation_is_bitwise_the_all_horizon_path():
 
 
 def test_permutation_peak_is_two_arrays_of_one_block():
-    # four groups of 190 samples, as the ESP pair deltas of 20 trials
+    # four groups of 190 samples, as the cohort's ESP pair deltas of 20
+    # trials, at the default count of permutations
     rng = np.random.default_rng(3)
     groups = [rng.normal(loc=0.1 * i, size=190) for i in range(4)]
     response.pairwise_tests(groups, n_permutations=100, seed=0)
     tracemalloc.start()
     try:
-        response.pairwise_tests(groups, n_permutations=3 * 2_048, seed=0)
+        response.pairwise_tests(groups, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 2_048 * 4 * 190 * FLOAT
+    block = response.PERMUTATION_CHUNK * 4 * 190 * FLOAT
     # a block's draws beside their order, then the order beside the permuted
     # samples; keeping one block's order and samples while the next block was
     # drawn took 4.3 blocks
     assert peak < 2.5 * block
+    # 3.0 MiB at 256 permutations a block; 24.0 MiB at 2 048
+    assert peak < 6 * 2**20
+
+
+def test_a_mux_holds_its_samples_not_its_rows():
+    # a 150 s 4-sensor trial: 0.29 MB of padded samples, 6.05 MB of rows
+    x = np.random.default_rng(6).normal(size=(9_000, 4))
+    tracemalloc.start()
+    try:
+        mux = rc.build_mux(x, 2.0, 6, FRAME_RATE)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert mux.padded.nbytes <= held < 2**20

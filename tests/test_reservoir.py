@@ -61,6 +61,14 @@ def test_mux_sum_bound_holds_on_random_data():
         assert np.abs(mux.values.sum(axis=1)).max() <= 1.0 + 1e-12
 
 
+def test_mux_values_are_built_on_each_read_and_not_held():
+    mux = rc.build_mux(random_sensors(700, seed=2), 2.0, 6, FS)
+    first, second = mux.values, mux.values
+    assert first is not second and "values" not in vars(mux)
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(first, mux.fill(0, len(mux), np.empty((len(mux), mux.width))))
+
+
 def test_mux_too_short_and_divisibility():
     with pytest.raises(TooShort):
         rc.build_mux(random_sensors(100), 2.0, 6, FS)
@@ -235,7 +243,6 @@ def test_esn_run_on_mux_rows_on_demand_equals_the_whole_mux(leak):
     # one row past a block: the last block holds a single row
     mux = rc.MuxedInput(random_sensors(rc.BLOCK_ROWS + 1, seed=13), 2.0, 6, FS, None)
     on_demand = rc.esn_run(state, mux)
-    assert "values" not in vars(mux)        # no whole mux was built
     np.testing.assert_array_equal(on_demand, rc.esn_run(state, mux.values))
 
 
@@ -263,7 +270,7 @@ def _esn_run_stepwise(state, u, leak):
 @pytest.mark.parametrize("leak", [0.3, 0.9])
 @pytest.mark.parametrize("n_sensors,mux_s", [(1, 0.0), (4, 2.0), (3, 0.5)])
 def test_leaking_the_mux_samples_once_gives_the_leaked_rows(leak, n_sensors, mux_s):
-    # built first, so the copy must not keep the unleaked rows
+    # the unleaked rows are read first; the copy builds its own from its samples
     mux = rc.build_mux(random_sensors(700, s=n_sensors, seed=17), mux_s, 6, FS)
     want = _leak_rows_stepwise(mux.values, leak)
     np.testing.assert_array_equal(rc._leaked(mux, leak).values, want)

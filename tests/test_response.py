@@ -219,10 +219,18 @@ def test_permutation_blocks_do_not_change_the_draws(monkeypatch):
     rng = np.random.default_rng(5)
     groups = [rng.normal(loc=0.3 * i, size=40) for i in range(4)]
     results = []
-    for chunk in (7, 1_024, 2_048, 10_000):
+    for chunk in (7, 256, 1_024, 2_048, 10_000):
         monkeypatch.setattr(response, "PERMUTATION_CHUNK", chunk)
         results.append(response.pairwise_tests(groups, n_permutations=3000, seed=2))
     assert all(r == results[0] for r in results[1:])
+
+
+@pytest.mark.parametrize("n_permutations", [0, -1])
+def test_permutation_count_below_one_raises(n_permutations):
+    # with no draw every pair would adjust to 1.0, and below 0 to inf
+    groups = [np.arange(5.0), np.arange(5.0) + 1]
+    with pytest.raises(ValueError, match="n_permutations"):
+        response.pairwise_tests(groups, n_permutations=n_permutations)
 
 
 def test_adjusted_p_does_not_hang_on_the_sample_order():
